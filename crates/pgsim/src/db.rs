@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use rddr_pgstore::{RecoveryStats, StoreError, VDisk};
+use rddr_pgstore::{RecoveryStats, RowId, StoreError, VDisk};
 
 use crate::ast::{ColumnDef, Expr, Select, Statement};
 use crate::eval::{eval, Env, ExecCtx};
@@ -606,7 +606,6 @@ impl Database {
     /// `SELECT cols FROM t WHERE pkey = literal [AND simple-conjuncts]` on a
     /// sizeable table without row security.
     fn point_query_plan(&self, session: &Session, select: &Select) -> Option<PointPlan> {
-        const INDEX_THRESHOLD: u64 = 128;
         if select.from.len() != 1
             || select.distinct
             || !select.group_by.is_empty()
@@ -620,9 +619,7 @@ impl Database {
             return None;
         }
         let t = self.tables.get(&tref.name)?;
-        if self.store.row_count(&tref.name).unwrap_or(0) < INDEX_THRESHOLD
-            || (t.rls_enabled && t.owner != session.user && session.user != SUPERUSER)
-        {
+        if t.rls_enabled && t.owner != session.user && session.user != SUPERUSER {
             return None;
         }
         if !self.can_select(&session.user, &tref.name) {
@@ -635,21 +632,32 @@ impl Database {
         {
             return None;
         }
-        let pkey = &t.columns.first()?.name;
-        let conjuncts = flatten_and(select.where_clause.as_ref()?);
-        for c in &conjuncts {
+        let key = self.pkey_probe(&tref.name, &tref.alias, select.where_clause.as_ref())?;
+        Some(PointPlan {
+            table: tref.name.clone(),
+            alias: tref.alias.clone(),
+            key,
+        })
+    }
+
+    /// The literal a `pkey = literal` conjunct of `where_clause` pins
+    /// `table`'s first column to, when the table is sizeable enough for an
+    /// index probe to beat a scan. `alias` is the name the statement knows
+    /// the table by.
+    fn pkey_probe(&self, table: &str, alias: &str, where_clause: Option<&Expr>) -> Option<Value> {
+        const INDEX_THRESHOLD: u64 = 128;
+        let pkey = &self.tables.get(table)?.columns.first()?.name;
+        if self.store.row_count(table).unwrap_or(0) < INDEX_THRESHOLD {
+            return None;
+        }
+        for c in &flatten_and(where_clause?) {
             if let Expr::Binary { op, left, right } = c {
                 if op == "=" {
                     for (a, b) in [(left, right), (right, left)] {
                         if let (Expr::Column(col), Expr::Literal(v)) = (a.as_ref(), b.as_ref()) {
-                            if &col.column == pkey
-                                && col.table.as_ref().is_none_or(|q| q == &tref.alias)
+                            if &col.column == pkey && col.table.as_ref().is_none_or(|q| q == alias)
                             {
-                                return Some(PointPlan {
-                                    table: tref.name.clone(),
-                                    alias: tref.alias.clone(),
-                                    key: v.clone(),
-                                });
+                                return Some(v.clone());
                             }
                         }
                     }
@@ -985,6 +993,37 @@ impl Database {
         Ok((cols, rows))
     }
 
+    /// The rows an UPDATE/DELETE must judge its WHERE on, with their
+    /// storage addresses, and the scan charge for fetching them: through
+    /// the index when the WHERE pins the primary key (`candidates + 1`, as
+    /// the point SELECT charges), every row otherwise.
+    fn write_candidates(
+        &mut self,
+        table: &str,
+        where_clause: Option<&Expr>,
+    ) -> Result<(Vec<AddressedRow>, u64), SqlError> {
+        if !self.tables.contains_key(table) {
+            return Err(not_found(table));
+        }
+        let mut rows = Vec::new();
+        let key = self.pkey_probe(table, table, where_clause);
+        if let Some(key) = key.filter(index_key_is_exact) {
+            self.store.ensure_index(table).map_err(store_err)?;
+            let candidates = self
+                .store
+                .lookup_rows(table, key.group_key().as_bytes(), &mut |at, r| {
+                    rows.push((at, r));
+                })
+                .map_err(store_err)?;
+            return Ok((rows, candidates + 1));
+        }
+        self.store
+            .scan_rows(table, &mut |at, r| rows.push((at, r)))
+            .map_err(store_err)?;
+        let charge = rows.len() as u64;
+        Ok((rows, charge))
+    }
+
     fn insert(
         &mut self,
         session: &Session,
@@ -1045,6 +1084,7 @@ impl Database {
         sets: &[(String, Expr)],
         where_clause: Option<&Expr>,
     ) -> Result<QueryResult, SqlError> {
+        let (candidates, charge) = self.write_candidates(table, where_clause)?;
         let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
         let schema: Vec<(String, String)> = t
             .columns
@@ -1063,14 +1103,12 @@ impl Database {
                     })
             })
             .collect::<Result<_, _>>()?;
-        let stored = self.stored_rows(table)?;
         let ctx = ExecCtx::new(self, session);
-        let mut new_rows = Vec::with_capacity(stored.len());
-        let mut count = 0u64;
-        for row in &stored {
+        let mut changed = Vec::new();
+        for (at, row) in candidates {
             let env = Env {
                 schema: &schema,
-                row,
+                row: &row,
                 parent: None,
             };
             let hit = match where_clause {
@@ -1083,17 +1121,15 @@ impl Database {
                     let v = eval(&ctx, expr, &env)?;
                     updated[*pos] = coerce(v, t.columns[*pos].ty)?;
                 }
-                new_rows.push(updated);
-                count += 1;
-            } else {
-                new_rows.push(row.clone());
+                changed.push((at, updated));
             }
         }
-        ctx.charge_scan(stored.len() as u64);
+        ctx.charge_scan(charge);
         let scanned = ctx.scanned.get();
         drop(ctx);
+        let count = changed.len();
         let implicit = self.begin_implicit()?;
-        let result = self.store.rewrite(table, new_rows);
+        let result = self.store.update(table, changed);
         self.finish_implicit(implicit, result)?;
         Ok(QueryResult {
             tag: format!("UPDATE {count}"),
@@ -1108,20 +1144,19 @@ impl Database {
         table: &str,
         where_clause: Option<&Expr>,
     ) -> Result<QueryResult, SqlError> {
+        let (candidates, charge) = self.write_candidates(table, where_clause)?;
         let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
         let schema: Vec<(String, String)> = t
             .columns
             .iter()
             .map(|c| (table.to_string(), c.name.clone()))
             .collect();
-        let stored = self.stored_rows(table)?;
         let ctx = ExecCtx::new(self, session);
-        let mut keep = Vec::with_capacity(stored.len());
-        let mut removed = 0usize;
-        for row in stored {
+        let mut doomed = Vec::new();
+        for (at, row) in &candidates {
             let env = Env {
                 schema: &schema,
-                row: &row,
+                row,
                 parent: None,
             };
             let hit = match where_clause {
@@ -1129,15 +1164,15 @@ impl Database {
                 None => true,
             };
             if hit {
-                removed += 1;
-            } else {
-                keep.push(row);
+                doomed.push(*at);
             }
         }
-        let scanned = ctx.scanned.get() + keep.len() as u64 + removed as u64;
+        ctx.charge_scan(charge);
+        let scanned = ctx.scanned.get();
         drop(ctx);
+        let removed = doomed.len();
         let implicit = self.begin_implicit()?;
-        let result = self.store.rewrite(table, keep);
+        let result = self.store.delete(table, &doomed);
         self.finish_implicit(implicit, result)?;
         Ok(QueryResult {
             tag: format!("DELETE {removed}"),
@@ -1338,11 +1373,22 @@ fn not_found(table: &str) -> SqlError {
     ))
 }
 
+/// A stored row with the address an UPDATE/DELETE names it by.
+type AddressedRow = (RowId, Vec<Value>);
+
 /// The recognized point-query pattern.
 struct PointPlan {
     table: String,
     alias: String,
     key: Value,
+}
+
+/// Whether the rows a WHERE's `pkey = v` accepts are exactly the rows
+/// indexed under `v`'s key. Index keys merge `2` and `2.0` but spell
+/// numerics past 1e15 by type, while `=` compares them as `f64` — there an
+/// UPDATE/DELETE probing the index would miss a row its WHERE matches.
+fn index_key_is_exact(v: &Value) -> bool {
+    v.as_f64().is_none_or(|f| f.abs() < 1e15)
 }
 
 fn flatten_and(expr: &Expr) -> Vec<Expr> {
@@ -1368,5 +1414,131 @@ fn render_expr(e: &Expr) -> String {
         }
         Expr::Unary { op, expr } => format!("{op} {}", render_expr(expr)),
         _ => "…".to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rddr_pgstore::RecoveryPolicy;
+
+    /// Runs `check` against a 500-account pgbench database on each engine.
+    /// The load leaves no index behind: only point statements build one.
+    fn on_both_engines(check: impl Fn(StorageEngine, &mut Database, &mut Session)) {
+        let paged = StorageEngine::Paged {
+            policy: RecoveryPolicy::ReplayForward,
+        };
+        for engine in [StorageEngine::InMemory, paged] {
+            let version = PgVersion::parse("10.7").unwrap();
+            let disk = VDisk::new("db");
+            let mut db = Database::with_engine(version, DbFlavor::Postgres, engine, &disk).unwrap();
+            crate::pgbench::load_scaled(&mut db, 1, 500).unwrap();
+            assert!(!db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
+            let mut session = db.session("app");
+            check(engine, &mut db, &mut session);
+        }
+    }
+
+    /// UPDATE/DELETE by primary key go through the index and leave it
+    /// standing, on both engines: the statement after them is as cheap as
+    /// the one before.
+    #[test]
+    fn point_writes_probe_the_index_and_keep_it() {
+        on_both_engines(|engine, db, session| {
+            let mut run = |db: &mut Database, sql: &str| db.execute(session, sql).unwrap();
+
+            let r = run(
+                db,
+                "UPDATE pgbench_accounts SET abalance = abalance + 7 WHERE aid = 250",
+            );
+            assert_eq!(r.tag, "UPDATE 1", "{engine}");
+            assert_eq!(r.scanned, 2, "{engine}: one candidate plus the probe");
+            assert!(db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
+            let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 250");
+            assert!(r.scanned < 10, "{engine}: scanned {}", r.scanned);
+
+            let r = run(db, "DELETE FROM pgbench_accounts WHERE aid = 251");
+            assert_eq!((r.tag.as_str(), r.scanned), ("DELETE 1", 2), "{engine}");
+            assert!(db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
+            let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 251");
+            assert_eq!(
+                (r.rows.len(), r.scanned),
+                (0, 1),
+                "{engine}: dead entry not a candidate"
+            );
+
+            // A WHERE the index cannot serve still reads (and charges) the
+            // whole table.
+            let r = run(
+                db,
+                "UPDATE pgbench_accounts SET abalance = 0 WHERE abalance > 100000",
+            );
+            assert_eq!((r.tag.as_str(), r.scanned), ("UPDATE 0", 499), "{engine}");
+        });
+    }
+
+    /// The index a point SELECT builds between a scan-path DELETE and its
+    /// ROLLBACK has never seen the deleted rows; point statements after the
+    /// rollback must find them all the same.
+    #[test]
+    fn rows_a_rollback_revives_are_found_by_point_statements() {
+        on_both_engines(|engine, db, session| {
+            let mut run = |db: &mut Database, sql: &str| db.execute(session, sql).unwrap();
+            run(db, "BEGIN");
+            let r = run(
+                db,
+                "DELETE FROM pgbench_accounts WHERE aid > 10 AND aid < 20",
+            );
+            assert_eq!(r.tag, "DELETE 9", "{engine}");
+            let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 50");
+            assert_eq!(r.rows.len(), 1, "{engine}");
+            assert!(db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
+            let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 15");
+            assert_eq!(r.rows.len(), 0, "{engine}: deleted inside the transaction");
+            run(db, "ROLLBACK");
+
+            let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 15");
+            assert_eq!(r.rows.len(), 1, "{engine}");
+            let r = run(
+                db,
+                "UPDATE pgbench_accounts SET abalance = 1 WHERE aid = 16",
+            );
+            assert_eq!(r.tag, "UPDATE 1", "{engine}");
+            let r = run(db, "DELETE FROM pgbench_accounts WHERE aid = 17");
+            assert_eq!(r.tag, "DELETE 1", "{engine}");
+            let r = run(db, "SELECT count(*) FROM pgbench_accounts");
+            assert_eq!(r.rows, [[Value::Int(499)]], "{engine}");
+        });
+    }
+
+    /// Index keys spell numerics past 1e15 by type, a WHERE's `=` compares
+    /// them as `f64`: a float literal equal to a huge integer key would miss
+    /// it through the index, so such writes scan.
+    #[test]
+    fn writes_by_keys_the_index_spells_by_type_scan() {
+        on_both_engines(|engine, db, session| {
+            let mut run = |db: &mut Database, sql: &str| db.execute(session, sql).unwrap();
+            run(
+                db,
+                "INSERT INTO pgbench_accounts VALUES (2000000000000000, 1, 5, 'a')",
+            );
+            // Make sure an index is there to be (wrongly) probed.
+            let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 7");
+            assert!(r.scanned < 10, "{engine}: scanned {}", r.scanned);
+            for literal in ["2000000000000000", "2000000000000000.0"] {
+                let r = run(
+                    db,
+                    &format!("UPDATE pgbench_accounts SET abalance = 6 WHERE aid = {literal}"),
+                );
+                assert_eq!(r.tag, "UPDATE 1", "{engine}, {literal}");
+            }
+            let r = run(
+                db,
+                "DELETE FROM pgbench_accounts WHERE aid = 2000000000000000.0",
+            );
+            assert_eq!(r.tag, "DELETE 1", "{engine}");
+            let r = run(db, "SELECT count(*) FROM pgbench_accounts");
+            assert_eq!(r.rows, [[Value::Int(500)]], "{engine}");
+        });
     }
 }

@@ -6,13 +6,20 @@
 //! point-lookup candidate order must match the in-memory engine's
 //! `BTreeMap<String, Vec<usize>>` exactly.
 //!
-//! The tree is rebuilt from a heap scan after recovery and dropped on
-//! table rewrite, mirroring MiniPg's historical lazily-built index.
+//! The tree is built lazily from a heap scan and then maintained by
+//! INSERT and by UPDATEs that leave the key alone. It has no removal: a
+//! deleted row's entry lingers (as dead index entries do in PostgreSQL
+//! until a vacuum) and the paged engine skips it on lookup, which is sound
+//! because a tombstoned slot is never handed out again. Whatever could
+//! make a lingering entry lie — a key-changing UPDATE, a rolled-back
+//! append, a chain rebuild — drops the whole tree instead.
 
-/// Where a tuple lives in the heap: page number + slot within the page.
+/// Where a tuple lives in its table's heap chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TupleId {
-    /// Heap page number.
+    /// Position of the page in the table's chain (not the page's number in
+    /// the heap file, so the address means the same after the chain's
+    /// pages are reallocated by WAL replay).
     pub page: u64,
     /// Slot within the page.
     pub slot: u16,

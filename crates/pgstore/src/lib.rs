@@ -16,6 +16,12 @@
 //!   rejoins with its committed state — and *how* it treats a torn log
 //!   tail is a [`RecoveryPolicy`] that diverse versions may disagree on.
 //!
+//! Writes are row-addressed: a scan or lookup hands out a [`RowId`] with
+//! each row, and [`Storage::update`] / [`Storage::delete`] touch only the
+//! rows named. A row keeps its scan position for life — an UPDATE replaces
+//! it where it is, a DELETE leaves a tombstone — and a transaction
+//! remembers only the before-images of what it touched.
+//!
 //! Both engines promise byte-identical observable behaviour for the same
 //! statement stream (scan order, point-lookup candidate order, row
 //! contents); the pgsim proptest suite enforces this. The deliberate
@@ -97,6 +103,10 @@ impl std::error::Error for StoreError {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
+fn no_such_table(table: &str) -> StoreError {
+    StoreError::NoSuchTable(table.into())
+}
+
 /// How rows of the host's tuple type map to bytes, keys and accounting.
 ///
 /// The storage engines are generic over the tuple type `R` so the
@@ -118,6 +128,15 @@ pub trait TupleCodec<R>: Send {
     /// Simulated heap bytes the row occupies (for memory metering).
     fn heap_bytes(&self, row: &R) -> u64;
 }
+
+/// Where a row lives inside its table, as handed out by
+/// [`Storage::scan_rows`] and [`Storage::lookup_rows`]. Opaque to callers;
+/// ordered like the scan. `insert` and `delete` never move a row, so an
+/// address stays good across them; `update` (a row may outgrow its page)
+/// and `rewrite` may reassign a table's addresses, so take fresh ones from
+/// a scan after either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct RowId(pub(crate) u64);
 
 /// The storage backend contract MiniPg's executor runs against.
 ///
@@ -161,12 +180,21 @@ pub trait Storage<R>: Send {
     /// [`StoreError::NoSuchTable`] if the table does not exist.
     fn row_count(&self, table: &str) -> Result<u64>;
 
-    /// Visits every row in insertion order.
+    /// Visits every row, with its address, in insertion order.
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSuchTable`] / [`StoreError::Corrupt`].
-    fn scan(&self, table: &str, visit: &mut dyn FnMut(R)) -> Result<()>;
+    fn scan_rows(&self, table: &str, visit: &mut dyn FnMut(RowId, R)) -> Result<()>;
+
+    /// [`Storage::scan_rows`] without the addresses.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSuchTable`] / [`StoreError::Corrupt`].
+    fn scan(&self, table: &str, visit: &mut dyn FnMut(R)) -> Result<()> {
+        self.scan_rows(table, &mut |_, row| visit(row))
+    }
 
     /// Builds the primary-key index if it is not already present.
     ///
@@ -178,15 +206,25 @@ pub trait Storage<R>: Send {
     /// Whether the primary-key index is currently built.
     fn has_index(&self, table: &str) -> bool;
 
-    /// Visits the rows whose primary key matches `key`, in insertion
-    /// order, returning how many candidates were visited (the executor's
-    /// scan-cost charge). Falls back to a filtered scan when no index is
-    /// built — the candidate set (and therefore the charge) is identical.
+    /// Visits the rows whose primary key matches `key`, with their
+    /// addresses, in insertion order, returning how many candidates were
+    /// visited (the executor's scan-cost charge). Falls back to a filtered
+    /// scan when no index is built — the candidate set (and therefore the
+    /// charge) is identical.
     ///
     /// # Errors
     ///
     /// [`StoreError::NoSuchTable`] / [`StoreError::Corrupt`].
-    fn lookup(&self, table: &str, key: &[u8], visit: &mut dyn FnMut(R)) -> Result<u64>;
+    fn lookup_rows(&self, table: &str, key: &[u8], visit: &mut dyn FnMut(RowId, R)) -> Result<u64>;
+
+    /// [`Storage::lookup_rows`] without the addresses.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSuchTable`] / [`StoreError::Corrupt`].
+    fn lookup(&self, table: &str, key: &[u8], visit: &mut dyn FnMut(R)) -> Result<u64> {
+        self.lookup_rows(table, key, &mut |_, row| visit(row))
+    }
 
     /// Appends rows in order, maintaining the index if built.
     ///
@@ -195,9 +233,31 @@ pub trait Storage<R>: Send {
     /// [`StoreError::NoSuchTable`] / [`StoreError::TupleTooLarge`].
     fn insert(&mut self, table: &str, rows: Vec<R>) -> Result<()>;
 
-    /// Replaces the table's rows wholesale (UPDATE/DELETE), dropping the
-    /// index (it is rebuilt lazily, mirroring the executor's historical
-    /// invalidate-on-write behaviour).
+    /// Replaces each addressed row with the row paired with it. Every row
+    /// of the table keeps its scan position. The index survives unless a
+    /// row's key changed. On the paged engine a row that outgrows its page
+    /// makes the engine rebuild that table's chain, which reassigns the
+    /// table's addresses.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSuchTable`] / [`StoreError::TupleTooLarge`];
+    /// [`StoreError::Corrupt`] for an address that names no live row.
+    fn update(&mut self, table: &str, rows: Vec<(RowId, R)>) -> Result<()>;
+
+    /// Removes the addressed rows. No other row moves, and the index (if
+    /// built) stays.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSuchTable`]; [`StoreError::Corrupt`] for an address
+    /// that names no live row.
+    fn delete(&mut self, table: &str, rows: &[RowId]) -> Result<()>;
+
+    /// Replaces the table's rows wholesale, dropping the index and
+    /// reassigning every address. The executor no longer calls this —
+    /// UPDATE and DELETE are row-addressed — but logs written before they
+    /// were still hold `Rewrite` records, which replay through it.
     ///
     /// # Errors
     ///
@@ -219,7 +279,9 @@ pub trait Storage<R>: Send {
     /// [`StoreError::NoTransaction`] if none is open.
     fn commit(&mut self) -> Result<()>;
 
-    /// Rolls the open transaction back, restoring pre-transaction state.
+    /// Rolls the open transaction back: every row, table and counter it
+    /// touched is put back as it was, from the before-images the
+    /// transaction logged as it went.
     ///
     /// # Errors
     ///

@@ -1,34 +1,56 @@
 //! The in-memory storage engine: MiniPg's original row vectors behind the
 //! [`Storage`] trait.
 //!
-//! Rows live in insertion-order `Vec<R>`s with a lazily-built primary-key
-//! index (`BTreeMap<key bytes, Vec<row index>>`), exactly the structure the
-//! executor used before the storage split. Nothing survives a restart —
-//! the behaviour the recovery chaos suite contrasts against the paged
-//! engine. Transactions take lazy per-table snapshots: the first mutation
-//! of a table inside a transaction clones it, and rollback restores the
-//! clones.
+//! Rows live in insertion-order vectors with a lazily-built primary-key
+//! index (`BTreeMap<key bytes, Vec<row position>>`). A row's position is its
+//! [`RowId`] and never changes: UPDATE replaces the row where it is, DELETE
+//! leaves a `None` behind (and the row's index entry, which lookups skip —
+//! the same dead-entry rule as the paged engine's B+Tree; rolling a DELETE
+//! back drops the index, which may have been built without the row).
+//! Nothing survives a restart — the behaviour the recovery chaos suite
+//! contrasts against the paged engine.
+//!
+//! A transaction keeps an undo log of what it touched — how long a table
+//! was before an append, the row an UPDATE or DELETE replaced, the whole
+//! table only for DDL and `rewrite` — and rollback plays it backwards.
 
 use std::collections::BTreeMap;
 
-use crate::{fnv1a_extend, Result, Storage, StoreError, TupleCodec};
+use crate::{fnv1a_extend, no_such_table, Result, RowId, Storage, StoreError, TupleCodec};
 
 struct MemTable<R> {
     meta: Vec<u8>,
-    rows: Vec<R>,
+    /// Insertion order; `None` marks a deleted row.
+    rows: Vec<Option<R>>,
+    live: u64,
     heap_bytes: u64,
     index: Option<BTreeMap<Vec<u8>, Vec<usize>>>,
 }
 
-impl<R: Clone> Clone for MemTable<R> {
-    fn clone(&self) -> Self {
+impl<R> MemTable<R> {
+    fn new(meta: Vec<u8>) -> Self {
         Self {
-            meta: self.meta.clone(),
-            rows: self.rows.clone(),
-            heap_bytes: self.heap_bytes,
-            index: self.index.clone(),
+            meta,
+            rows: Vec::new(),
+            live: 0,
+            heap_bytes: 0,
+            index: None,
         }
     }
+}
+
+/// One step of an open transaction, with what it takes to take it back.
+enum Undo<R> {
+    /// Rows were appended to a table that held `len` slots.
+    Append { table: String, len: usize },
+    /// The row at `at` was replaced or deleted; `row` is what it was.
+    Row { table: String, at: usize, row: R },
+    /// The table was created, dropped or rewritten; `prior` is the table as
+    /// it stood (`None` = it did not exist).
+    Table {
+        table: String,
+        prior: Option<MemTable<R>>,
+    },
 }
 
 /// The in-memory engine. `C` supplies key extraction and heap accounting;
@@ -36,9 +58,12 @@ impl<R: Clone> Clone for MemTable<R> {
 pub struct MemStore<R, C> {
     codec: C,
     tables: BTreeMap<String, MemTable<R>>,
-    /// `Some` while a transaction is open; maps table name to its
-    /// pre-transaction state (`None` = table did not exist).
-    undo: Option<BTreeMap<String, Option<MemTable<R>>>>,
+    /// `Some` while a transaction is open: its steps, oldest first.
+    undo: Option<Vec<Undo<R>>>,
+}
+
+fn no_such_row(table: &str, at: usize) -> StoreError {
+    StoreError::Corrupt(format!("{table} has no live row at address {at}"))
 }
 
 impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
@@ -53,19 +78,86 @@ impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
     }
 
     fn table(&self, table: &str) -> Result<&MemTable<R>> {
-        self.tables
-            .get(table)
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))
+        self.tables.get(table).ok_or_else(|| no_such_table(table))
     }
 
-    /// Records `table`'s pre-transaction state the first time it is
-    /// mutated inside an open transaction.
-    fn snapshot(&mut self, table: &str) {
+    fn log(&mut self, step: Undo<R>) {
         if let Some(undo) = &mut self.undo {
-            if !undo.contains_key(table) {
-                undo.insert(table.to_string(), self.tables.get(table).cloned());
-            }
+            undo.push(step);
         }
+    }
+
+    /// Installs `next` under `table` (or removes the table), logging what
+    /// was there.
+    fn swap_table(&mut self, table: &str, next: Option<MemTable<R>>) {
+        let prior = match next {
+            Some(next) => self.tables.insert(table.to_string(), next),
+            None => self.tables.remove(table),
+        };
+        self.log(Undo::Table {
+            table: table.to_string(),
+            prior,
+        });
+    }
+
+    /// Puts `row` at `at` — over a live row, or (`revive`, undoing a DELETE)
+    /// over a deleted one — keeping the counters right and dropping the
+    /// index if the key under `at` changed or the row came back from the
+    /// dead. Returns what was there.
+    fn put(&mut self, table: &str, at: usize, row: R, revive: bool) -> Result<Option<R>> {
+        let codec = &self.codec;
+        let t = self
+            .tables
+            .get_mut(table)
+            .ok_or_else(|| no_such_table(table))?;
+        let slot = t.rows.get_mut(at).ok_or_else(|| no_such_row(table, at))?;
+        match slot {
+            Some(old) => {
+                t.heap_bytes -= codec.heap_bytes(old);
+                if t.index.is_some() && codec.key(old) != codec.key(&row) {
+                    t.index = None;
+                }
+            }
+            // An index built since the DELETE never saw this row.
+            None if revive => {
+                t.live += 1;
+                t.index = None;
+            }
+            None => return Err(no_such_row(table, at)),
+        }
+        t.heap_bytes += codec.heap_bytes(&row);
+        Ok(slot.replace(row))
+    }
+
+    /// Plays one undo step backwards.
+    fn revert(&mut self, step: Undo<R>) -> Result<()> {
+        match step {
+            Undo::Append { table, len } => {
+                let codec = &self.codec;
+                let t = self
+                    .tables
+                    .get_mut(&table)
+                    .ok_or_else(|| no_such_table(&table))?;
+                for row in t.rows.drain(len..).flatten() {
+                    t.live -= 1;
+                    t.heap_bytes -= codec.heap_bytes(&row);
+                }
+                // Its entries for the positions just given up would lie.
+                t.index = None;
+            }
+            Undo::Row { table, at, row } => {
+                self.put(&table, at, row, true)?;
+            }
+            Undo::Table { table, prior } => match prior {
+                Some(t) => {
+                    self.tables.insert(table, t);
+                }
+                None => {
+                    self.tables.remove(&table);
+                }
+            },
+        }
+        Ok(())
     }
 }
 
@@ -78,25 +170,13 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         if self.tables.contains_key(table) {
             return Err(StoreError::TableExists(table.into()));
         }
-        self.snapshot(table);
-        self.tables.insert(
-            table.to_string(),
-            MemTable {
-                meta: meta.to_vec(),
-                rows: Vec::new(),
-                heap_bytes: 0,
-                index: None,
-            },
-        );
+        self.swap_table(table, Some(MemTable::new(meta.to_vec())));
         Ok(())
     }
 
     fn drop_table(&mut self, table: &str) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.into()));
-        }
-        self.snapshot(table);
-        self.tables.remove(table);
+        self.table(table)?;
+        self.swap_table(table, None);
         Ok(())
     }
 
@@ -109,12 +189,14 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
     }
 
     fn row_count(&self, table: &str) -> Result<u64> {
-        Ok(self.table(table)?.rows.len() as u64)
+        Ok(self.table(table)?.live)
     }
 
-    fn scan(&self, table: &str, visit: &mut dyn FnMut(R)) -> Result<()> {
-        for row in &self.table(table)?.rows {
-            visit(row.clone());
+    fn scan_rows(&self, table: &str, visit: &mut dyn FnMut(RowId, R)) -> Result<()> {
+        for (at, row) in self.table(table)?.rows.iter().enumerate() {
+            if let Some(row) = row {
+                visit(RowId(at as u64), row.clone());
+            }
         }
         Ok(())
     }
@@ -124,11 +206,13 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         let t = self
             .tables
             .get_mut(table)
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))?;
+            .ok_or_else(|| no_such_table(table))?;
         if t.index.is_none() {
             let mut index: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
-            for (i, row) in t.rows.iter().enumerate() {
-                index.entry(codec.key(row)).or_default().push(i);
+            for (at, row) in t.rows.iter().enumerate() {
+                if let Some(row) = row {
+                    index.entry(codec.key(row)).or_default().push(at);
+                }
             }
             t.index = Some(index);
         }
@@ -139,59 +223,100 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         self.tables.get(table).is_some_and(|t| t.index.is_some())
     }
 
-    fn lookup(&self, table: &str, key: &[u8], visit: &mut dyn FnMut(R)) -> Result<u64> {
+    fn lookup_rows(&self, table: &str, key: &[u8], visit: &mut dyn FnMut(RowId, R)) -> Result<u64> {
         let t = self.table(table)?;
+        let mut candidates = 0u64;
         if let Some(index) = &t.index {
-            let candidates: &[usize] = index.get(key).map_or(&[], Vec::as_slice);
-            for &i in candidates {
-                if let Some(row) = t.rows.get(i) {
-                    visit(row.clone());
+            for &at in index.get(key).into_iter().flatten() {
+                // A deleted row's entry lingers; its slot is empty.
+                if let Some(Some(row)) = t.rows.get(at) {
+                    candidates += 1;
+                    visit(RowId(at as u64), row.clone());
                 }
             }
-            return Ok(candidates.len() as u64);
+            return Ok(candidates);
         }
         // No index: filtered scan — same candidate set, same order.
-        let mut candidates = 0u64;
-        for row in &t.rows {
-            if self.codec.key(row) == key {
-                candidates += 1;
-                visit(row.clone());
+        for (at, row) in t.rows.iter().enumerate() {
+            if let Some(row) = row {
+                if self.codec.key(row) == key {
+                    candidates += 1;
+                    visit(RowId(at as u64), row.clone());
+                }
             }
         }
         Ok(candidates)
     }
 
     fn insert(&mut self, table: &str, rows: Vec<R>) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.into()));
-        }
-        self.snapshot(table);
+        let len = self.table(table)?.rows.len();
+        self.log(Undo::Append {
+            table: table.to_string(),
+            len,
+        });
         let codec = &self.codec;
         let Some(t) = self.tables.get_mut(table) else {
-            return Err(StoreError::NoSuchTable(table.into()));
+            return Err(no_such_table(table));
         };
         for row in rows {
+            t.live += 1;
             t.heap_bytes += codec.heap_bytes(&row);
             if let Some(index) = &mut t.index {
                 index.entry(codec.key(&row)).or_default().push(t.rows.len());
             }
-            t.rows.push(row);
+            t.rows.push(Some(row));
+        }
+        Ok(())
+    }
+
+    fn update(&mut self, table: &str, rows: Vec<(RowId, R)>) -> Result<()> {
+        for (RowId(at), row) in rows {
+            let at = at as usize;
+            if let Some(old) = self.put(table, at, row, false)? {
+                self.log(Undo::Row {
+                    table: table.to_string(),
+                    at,
+                    row: old,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn delete(&mut self, table: &str, rows: &[RowId]) -> Result<()> {
+        self.table(table)?;
+        for &RowId(at) in rows {
+            let at = at as usize;
+            let codec = &self.codec;
+            let Some(t) = self.tables.get_mut(table) else {
+                return Err(no_such_table(table));
+            };
+            let Some(old) = t.rows.get_mut(at).and_then(Option::take) else {
+                return Err(no_such_row(table, at));
+            };
+            t.live -= 1;
+            t.heap_bytes -= codec.heap_bytes(&old);
+            self.log(Undo::Row {
+                table: table.to_string(),
+                at,
+                row: old,
+            });
+        }
+        // Nothing left to address: give the tombstones back.
+        let t = self.table(table)?;
+        if t.live == 0 && !t.rows.is_empty() {
+            let fresh = MemTable::new(t.meta.clone());
+            self.swap_table(table, Some(fresh));
         }
         Ok(())
     }
 
     fn rewrite(&mut self, table: &str, rows: Vec<R>) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.into()));
-        }
-        self.snapshot(table);
-        let codec = &self.codec;
-        let Some(t) = self.tables.get_mut(table) else {
-            return Err(StoreError::NoSuchTable(table.into()));
-        };
-        t.heap_bytes = rows.iter().map(|r| codec.heap_bytes(r)).sum();
-        t.rows = rows;
-        t.index = None;
+        let mut fresh = MemTable::new(self.table(table)?.meta.clone());
+        fresh.live = rows.len() as u64;
+        fresh.heap_bytes = rows.iter().map(|r| self.codec.heap_bytes(r)).sum();
+        fresh.rows = rows.into_iter().map(Some).collect();
+        self.swap_table(table, Some(fresh));
         Ok(())
     }
 
@@ -199,7 +324,7 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         if self.undo.is_some() {
             return Err(StoreError::TransactionOpen);
         }
-        self.undo = Some(BTreeMap::new());
+        self.undo = Some(Vec::new());
         Ok(())
     }
 
@@ -214,15 +339,8 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         let Some(undo) = self.undo.take() else {
             return Err(StoreError::NoTransaction);
         };
-        for (table, prior) in undo {
-            match prior {
-                Some(t) => {
-                    self.tables.insert(table, t);
-                }
-                None => {
-                    self.tables.remove(&table);
-                }
-            }
+        for step in undo.into_iter().rev() {
+            self.revert(step)?;
         }
         Ok(())
     }
@@ -241,7 +359,7 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         for (name, t) in &self.tables {
             h = fnv1a_extend(h, name.as_bytes());
             h = fnv1a_extend(h, &t.meta);
-            for row in &t.rows {
+            for row in t.rows.iter().flatten() {
                 buf.clear();
                 self.codec.encode(row, &mut buf);
                 h = fnv1a_extend(h, &buf);

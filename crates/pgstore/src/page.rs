@@ -11,10 +11,22 @@
 //! ...     tuple bytes, packed from the end of the page
 //! ```
 //!
-//! Tuples are append-only within a page; a table's UPDATE/DELETE rewrites
-//! its whole chain. The checksum is what detects a torn page: a write that
-//! persisted only its leading sectors fails verification on the next
-//! read-from-disk, surfacing as [`StoreError::Corrupt`].
+//! A slot number, once handed out, names the same row for as long as the
+//! page is part of its chain: [`Page::put`] replaces a slot's tuple in
+//! place (moving the bytes inside the page when the tuple grows, compacting
+//! the data region when it is fragmented) and [`Page::delete`] leaves a
+//! tombstone — a slot entry with offset 0, which no tuple can have because
+//! the header lives there. Only [`Page::truncate`] (rolling an append back)
+//! gives slot numbers up for reuse.
+//!
+//! Whether a tuple fits is decided from the page's *logical* content alone
+//! — slot count and live tuple lengths, never how fragmented the data
+//! region happens to be — so a page rebuilt by WAL replay makes the same
+//! placement decisions as the page that wrote the log.
+//!
+//! The checksum is what detects a torn page: a write that persisted only
+//! its leading sectors fails verification on the next read-from-disk,
+//! surfacing as [`StoreError::Corrupt`].
 
 use crate::{fnv1a, Result, StoreError};
 
@@ -98,46 +110,157 @@ impl Page {
         self.put_u64(8, page_no);
     }
 
-    /// Number of tuples stored.
+    /// Number of slots handed out, tombstones included.
     #[must_use]
     pub fn slot_count(&self) -> u16 {
         self.read_u16(16)
     }
 
-    /// Bytes still available for one more tuple (including its slot entry).
+    /// Bytes still available for one more tuple (including its slot entry),
+    /// counting what a compaction would reclaim.
     #[must_use]
     pub fn free_space(&self) -> usize {
-        let dir_end = HEADER + usize::from(self.slot_count()) * SLOT_ENTRY;
-        let free_off = usize::from(self.read_u16(18));
-        free_off.saturating_sub(dir_end).saturating_sub(SLOT_ENTRY)
+        (self.gap() + self.reclaimable()).saturating_sub(SLOT_ENTRY)
     }
 
     /// Appends a tuple, returning its slot number, or `None` if the page
     /// is full.
     pub fn insert(&mut self, tuple: &[u8]) -> Option<u16> {
-        if tuple.len() > Self::max_tuple() || self.free_space() < tuple.len() {
-            return None;
+        let need = tuple.len() + SLOT_ENTRY;
+        if need > self.gap() {
+            if need > self.gap() + self.reclaimable() {
+                return None;
+            }
+            self.compact();
         }
         let slot = self.slot_count();
+        self.put_u16(16, slot + 1);
+        self.write_tuple(slot, tuple);
+        Some(slot)
+    }
+
+    /// The tuple in `slot`, or `None` if the slot is a tombstone.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] if the slot or its extent is out of range.
+    pub fn get(&self, slot: u16) -> Result<Option<&[u8]>> {
+        let (off, len) = self.slot_entry(slot)?;
+        if off == 0 {
+            return Ok(None);
+        }
+        self.bytes
+            .get(off..off + len)
+            .map(Some)
+            .ok_or_else(|| StoreError::Corrupt(format!("slot {slot} extent {off}+{len} invalid")))
+    }
+
+    /// The tuple bytes in a live `slot`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] if the slot is out of range or deleted.
+    pub fn tuple(&self, slot: u16) -> Result<&[u8]> {
+        self.get(slot)?
+            .ok_or_else(|| StoreError::Corrupt(format!("slot {slot} is deleted")))
+    }
+
+    /// Makes `tuple` the content of `slot` — replacing its current tuple or
+    /// reviving a tombstone — and returns whether it fit. A tuple no longer
+    /// than the one it replaces is overwritten where it lies; a longer one
+    /// moves into free space, after a compaction if the free bytes are not
+    /// contiguous. On `false` the page is unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] if the slot is out of range.
+    pub fn put(&mut self, slot: u16, tuple: &[u8]) -> Result<bool> {
+        let (off, len) = self.slot_entry(slot)?;
+        if off != 0 && tuple.len() <= len {
+            if let Some(dst) = self.bytes.get_mut(off..off + tuple.len()) {
+                dst.copy_from_slice(tuple);
+            }
+            self.set_slot_entry(slot, off, tuple.len());
+            return Ok(true);
+        }
+        // The old image's bytes count as free from here on.
+        self.set_slot_entry(slot, 0, 0);
+        if tuple.len() > self.gap() {
+            if tuple.len() > self.gap() + self.reclaimable() {
+                self.set_slot_entry(slot, off, len);
+                return Ok(false);
+            }
+            self.compact();
+        }
+        self.write_tuple(slot, tuple);
+        Ok(true)
+    }
+
+    /// Tombstones `slot`: its number stays taken, its bytes become free.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] if the slot is out of range or already
+    /// deleted.
+    pub fn delete(&mut self, slot: u16) -> Result<()> {
+        self.tuple(slot)?;
+        self.set_slot_entry(slot, 0, 0);
+        Ok(())
+    }
+
+    /// Forgets every slot from `slots` on (rolling an append back); their
+    /// numbers will be handed out again.
+    pub fn truncate(&mut self, slots: u16) {
+        if slots < self.slot_count() {
+            self.put_u16(16, slots);
+        }
+    }
+
+    /// Contiguous free bytes between the slot directory and the data region.
+    fn gap(&self) -> usize {
+        let dir_end = HEADER + usize::from(self.slot_count()) * SLOT_ENTRY;
+        usize::from(self.read_u16(18)).saturating_sub(dir_end)
+    }
+
+    /// Data-region bytes no live tuple owns (tombstones, superseded images,
+    /// truncated appends) — what [`Page::compact`] would add to the gap.
+    fn reclaimable(&self) -> usize {
+        let live: usize = (0..self.slot_count())
+            .filter_map(|slot| self.slot_entry(slot).ok())
+            .filter(|&(off, _)| off != 0)
+            .map(|(_, len)| len)
+            .sum();
+        (PAGE_SIZE - usize::from(self.read_u16(18))).saturating_sub(live)
+    }
+
+    /// Repacks the live tuples against the end of the page, in slot order.
+    fn compact(&mut self) {
+        let old = self.bytes.clone();
+        self.put_u16(18, PAGE_SIZE as u16);
+        for slot in 0..self.slot_count() {
+            let Ok((off, len)) = self.slot_entry(slot) else {
+                continue;
+            };
+            if off != 0 {
+                self.write_tuple(slot, old.get(off..off + len).unwrap_or(&[]));
+            }
+        }
+    }
+
+    /// Copies `tuple` to the top of the gap and points `slot` at it. The
+    /// caller has checked that it fits.
+    fn write_tuple(&mut self, slot: u16, tuple: &[u8]) {
         let free_off = usize::from(self.read_u16(18));
         let new_off = free_off - tuple.len();
         if let Some(dst) = self.bytes.get_mut(new_off..free_off) {
             dst.copy_from_slice(tuple);
         }
-        let entry = HEADER + usize::from(slot) * SLOT_ENTRY;
-        self.put_u16(entry, new_off as u16);
-        self.put_u16(entry + 2, tuple.len() as u16);
-        self.put_u16(16, slot + 1);
+        self.set_slot_entry(slot, new_off, tuple.len());
         self.put_u16(18, new_off as u16);
-        Some(slot)
     }
 
-    /// The tuple bytes in `slot`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] if the slot or its extent is out of range.
-    pub fn tuple(&self, slot: u16) -> Result<&[u8]> {
+    /// `(offset, length)` of `slot`'s directory entry.
+    fn slot_entry(&self, slot: u16) -> Result<(usize, usize)> {
         if slot >= self.slot_count() {
             return Err(StoreError::Corrupt(format!(
                 "slot {slot} out of range ({} slots)",
@@ -145,11 +268,16 @@ impl Page {
             )));
         }
         let entry = HEADER + usize::from(slot) * SLOT_ENTRY;
-        let off = usize::from(self.read_u16(entry));
-        let len = usize::from(self.read_u16(entry + 2));
-        self.bytes
-            .get(off..off + len)
-            .ok_or_else(|| StoreError::Corrupt(format!("slot {slot} extent {off}+{len} invalid")))
+        Ok((
+            usize::from(self.read_u16(entry)),
+            usize::from(self.read_u16(entry + 2)),
+        ))
+    }
+
+    fn set_slot_entry(&mut self, slot: u16, off: usize, len: usize) {
+        let entry = HEADER + usize::from(slot) * SLOT_ENTRY;
+        self.put_u16(entry, off as u16);
+        self.put_u16(entry + 2, len as u16);
     }
 
     fn read_u16(&self, off: usize) -> u16 {
@@ -222,6 +350,104 @@ mod tests {
         let mut p = Page::new();
         assert!(p.insert(&vec![0u8; Page::max_tuple() + 1]).is_none());
         assert!(p.insert(&vec![0u8; Page::max_tuple()]).is_some());
+    }
+
+    #[test]
+    fn put_keeps_the_slot_whatever_the_size() {
+        let mut p = Page::new();
+        p.insert(b"first").unwrap();
+        p.insert(b"second").unwrap();
+        p.insert(b"third").unwrap();
+        // Same size and shrink: overwritten where it lies.
+        assert!(p.put(1, b"SECOND").unwrap());
+        assert!(p.put(0, b"1st").unwrap());
+        // Grow: moves inside the page, slot unchanged.
+        assert!(p.put(1, b"second, but longer").unwrap());
+        assert_eq!(p.tuple(0).unwrap(), b"1st");
+        assert_eq!(p.tuple(1).unwrap(), b"second, but longer");
+        assert_eq!(p.tuple(2).unwrap(), b"third");
+        assert_eq!(p.slot_count(), 3);
+        assert!(p.put(3, b"no such slot").is_err());
+    }
+
+    #[test]
+    fn growth_compacts_before_giving_up() {
+        let mut p = Page::new();
+        let tuple = vec![7u8; 500];
+        while p.insert(&tuple).is_some() {}
+        let slots = p.slot_count();
+        assert!(p.free_space() < 500, "page is full");
+        // Nothing contiguous is left for a 900-byte tuple, but deleting two
+        // neighbours frees enough in total: the page compacts to fit it.
+        assert!(!p.put(0, &vec![9u8; 900]).unwrap());
+        assert_eq!(
+            p.tuple(0).unwrap(),
+            tuple.as_slice(),
+            "a refusal changes nothing"
+        );
+        p.delete(2).unwrap();
+        p.delete(4).unwrap();
+        assert!(p.put(0, &vec![9u8; 900]).unwrap());
+        assert_eq!(p.tuple(0).unwrap(), vec![9u8; 900].as_slice());
+        for slot in [1, 3, 5] {
+            assert_eq!(
+                p.tuple(slot).unwrap(),
+                tuple.as_slice(),
+                "slot {slot} survived"
+            );
+        }
+        assert_eq!(p.slot_count(), slots);
+        // Past the page: refused whatever is compacted.
+        assert!(!p.put(1, &vec![1u8; PAGE_SIZE]).unwrap());
+    }
+
+    #[test]
+    fn fit_depends_on_content_not_on_history() {
+        // Two pages with the same live tuples, one reached through updates
+        // and deletes that fragmented it: both must take the same inserts.
+        let mut worn = Page::new();
+        let mut fresh = Page::new();
+        for i in 0..30u8 {
+            worn.insert(&[i; 120]).unwrap();
+            fresh.insert(&[i; 120]).unwrap();
+        }
+        for slot in 0..30 {
+            worn.put(slot, &[0u8; 130]).unwrap();
+            worn.put(slot, &[slot as u8; 120]).unwrap();
+        }
+        let mut n = 0;
+        loop {
+            let (a, b) = (worn.insert(&[5u8; 100]), fresh.insert(&[5u8; 100]));
+            assert_eq!(a, b, "insert {n}");
+            if a.is_none() {
+                break;
+            }
+            n += 1;
+        }
+        assert!(n > 0);
+    }
+
+    #[test]
+    fn tombstones_keep_their_number_and_later_inserts_follow() {
+        let mut p = Page::new();
+        p.insert(b"a").unwrap();
+        p.insert(b"b").unwrap();
+        p.delete(0).unwrap();
+        assert_eq!(p.get(0).unwrap(), None);
+        assert!(p.tuple(0).is_err());
+        assert!(p.delete(0).is_err(), "already deleted");
+        assert_eq!(p.insert(b"c"), Some(2), "a deleted slot is not reused");
+        assert_eq!(p.slot_count(), 3);
+        // Undo of the delete: the row is back in its old position.
+        assert!(p.put(0, b"a").unwrap());
+        let live: Vec<&[u8]> = (0..3).filter_map(|s| p.get(s).unwrap()).collect();
+        assert_eq!(live, [b"a", b"b", b"c"]);
+        // Undo of an append: its slot number is handed out again.
+        p.truncate(2);
+        assert_eq!(p.insert(b"d"), Some(2));
+        // An empty tuple is not a tombstone.
+        p.put(1, b"").unwrap();
+        assert_eq!(p.get(1).unwrap(), Some(&b""[..]));
     }
 
     #[test]

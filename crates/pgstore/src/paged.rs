@@ -1,20 +1,40 @@
 //! The paged storage engine: slotted heap pages behind a buffer pool, a
 //! write-ahead log for durability, and a B+Tree primary-key index.
 //!
-//! Each table owns a chain of heap pages (`first → … → last`, linked via
-//! the page header's `next` field). INSERT appends tuples to the chain
-//! tail; UPDATE/DELETE rewrite the whole chain (old pages return to a free
-//! list), mirroring the executor's rewrite-the-vector semantics so the two
-//! engines stay wire-identical.
+//! Each table owns a chain of heap pages, linked via the page header's
+//! `next` field and mirrored in `PagedTable::pages`. A row's address is
+//! where it sits in that chain — `(position of its page in the chain, slot
+//! in the page)` — and it keeps it: INSERT appends to the chain tail,
+//! UPDATE replaces the tuple inside its page and slot, DELETE leaves a
+//! tombstone. So scan order is insertion order, the B+Tree's entries stay
+//! true across writes, and a write touches (and dirties, and logs) one
+//! page, not the table. The one exception is a row that outgrows its page
+//! even after in-page compaction: the table's chain is then rebuilt from a
+//! scan (every row keeps its scan *position*; addresses are reassigned and
+//! the index dropped). A chain is also rebuilt, to nothing, when a DELETE
+//! removes a table's last row.
 //!
-//! Durability is WAL-first: every mutation appends a logical record, and
-//! commit appends a `Commit` record and fsyncs — the only fsync on the
-//! write path. Heap pages are flushed lazily (eviction, commit) and the
-//! heap file is *rebuilt from the WAL* on open, so a torn heap page can
+//! Durability is WAL-first: every mutation is a logical record, applied to
+//! the heap by the same [`PagedStore::apply`] that replays it after a
+//! crash, and commit appends a `Commit` record and fsyncs — the only fsync
+//! on the write path. Heap pages are flushed lazily (eviction, commit) and
+//! the heap file is *rebuilt from the WAL* on open, so a torn heap page can
 //! never survive recovery; the heap exists to bound memory, not to be the
 //! source of truth. [`PagedStore::open`] replays the log under the
 //! instance's [`RecoveryPolicy`] and reports [`RecoveryStats`], which the
 //! chaos suite asserts on.
+//!
+//! `Update`/`Delete` records name rows by address, so replay must rebuild
+//! the layout the writer had. It does, because (a) whether and where a
+//! tuple fits is a function of a page's logical content (see [`page`](crate::page)),
+//! (b) addresses are chain positions, not heap-file page numbers, and (c) a
+//! transaction that does not commit leaves no trace in the layout: its undo
+//! log — the length of the chain before an append, the before-image of
+//! each tuple replaced or tombstoned, the whole displaced table for DDL
+//! and chain rebuilds (its pages are only freed at commit) — is played
+//! backwards on `ROLLBACK`. Taking back an append or a DELETE drops the
+//! index: it may hold entries for slots given up, or — built since the
+//! DELETE — none for the rows revived.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -24,7 +44,7 @@ use crate::disk::VDisk;
 use crate::page::{Page, PAGE_SIZE};
 use crate::pool::{BufferPool, PoolStats, DEFAULT_FRAMES};
 use crate::wal::{RecoveryPolicy, TailState, Wal, WalRecord};
-use crate::{fnv1a_extend, Result, Storage, StoreError, TupleCodec};
+use crate::{fnv1a_extend, no_such_table, Result, RowId, Storage, StoreError, TupleCodec};
 
 /// Heap file name on the instance's [`VDisk`].
 pub const HEAP_FILE: &str = "heap";
@@ -50,11 +70,8 @@ pub struct RecoveryStats {
 #[derive(Debug)]
 struct PagedTable {
     meta: Vec<u8>,
-    /// First page of the heap chain (0 = empty table).
-    first: u64,
-    /// Last page of the chain (0 = empty table).
-    last: u64,
-    /// Pages in chain order (so scans never chase `next` through the pool).
+    /// Heap page numbers in chain order. A [`TupleId`]'s `page` indexes
+    /// this, so scans and lookups never chase `next` through the pool.
     pages: Vec<u64>,
     rows: u64,
     heap_bytes: u64,
@@ -65,19 +82,55 @@ impl PagedTable {
     fn new(meta: Vec<u8>) -> Self {
         Self {
             meta,
-            first: 0,
-            last: 0,
             pages: Vec::new(),
             rows: 0,
             heap_bytes: 0,
             index: None,
         }
     }
+
+    /// The heap page at `tid`'s chain position.
+    fn page_no(&self, tid: TupleId) -> Option<u64> {
+        self.pages.get(usize::try_from(tid.page).ok()?).copied()
+    }
 }
 
-/// Undo record for rollback: the table's full logical content before the
-/// transaction first touched it (`None` = did not exist).
-type Undo<R> = BTreeMap<String, Option<(Vec<u8>, Vec<R>)>>;
+fn no_such_page(table: &str, tid: TupleId) -> StoreError {
+    StoreError::Corrupt(format!("{table} has no page at address {}", address(tid)))
+}
+
+/// One step of an open transaction, with what it takes to take it back.
+enum Undo {
+    /// Tuples were appended to a chain that was `pages` long with
+    /// `tail_slots` slots on its last page, when the table's counters read
+    /// `rows` and `heap_bytes`.
+    Append {
+        table: String,
+        pages: usize,
+        tail_slots: u16,
+        rows: u64,
+        heap_bytes: u64,
+    },
+    /// The tuple at `tid` was replaced or tombstoned; `image` is what it
+    /// was.
+    Tuple {
+        table: String,
+        tid: TupleId,
+        image: Vec<u8>,
+    },
+    /// The table was created, dropped or had its chain rebuilt; `prior` is
+    /// the table as it stood, pages untouched (`None` = it did not exist).
+    Table {
+        table: String,
+        prior: Option<PagedTable>,
+    },
+}
+
+struct OpenTxn {
+    id: u64,
+    /// Steps taken so far, oldest first.
+    undo: Vec<Undo>,
+}
 
 /// The paged engine. Generic over the host row type `R`; the codec maps
 /// rows to heap tuples and index keys.
@@ -93,13 +146,21 @@ pub struct PagedStore<R, C> {
     next_page: u64,
     next_txn: u64,
     /// Open explicit transaction, if any.
-    txn: Option<OpenTxn<R>>,
+    txn: Option<OpenTxn>,
     recovery: RecoveryStats,
+    _row: std::marker::PhantomData<fn() -> R>,
 }
 
-struct OpenTxn<R> {
-    id: u64,
-    undo: Undo<R>,
+/// The address a WAL record and a [`RowId`] carry for `tid`.
+fn address(tid: TupleId) -> u64 {
+    tid.page << 16 | u64::from(tid.slot)
+}
+
+fn tuple_id(address: u64) -> TupleId {
+    TupleId {
+        page: address >> 16,
+        slot: (address & 0xFFFF) as u16,
+    }
 }
 
 impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
@@ -148,6 +209,7 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
                 honoured_torn_commit: replay.honoured_torn_commit,
                 truncated_bytes: store_len_delta(&disk, replay.valid_end),
             },
+            _row: std::marker::PhantomData,
         };
         let honoured = replay
             .honoured_torn_commit
@@ -163,8 +225,8 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
             }
             store.wal.sync();
         }
-        for op in replay.ops {
-            store.apply(op)?;
+        for op in &replay.ops {
+            store.apply(op, None)?;
         }
         store.flush_heap();
         Ok(store)
@@ -194,31 +256,103 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
         &self.disk
     }
 
-    /// Applies a replayed logical record to the heap without re-logging.
-    fn apply(&mut self, op: WalRecord) -> Result<()> {
+    fn table(&self, table: &str) -> Result<&PagedTable> {
+        self.tables.get(table).ok_or_else(|| no_such_table(table))
+    }
+
+    /// The heap page holding `tid`.
+    fn page_of(&self, table: &str, tid: TupleId) -> Result<u64> {
+        self.table(table)?
+            .page_no(tid)
+            .ok_or_else(|| no_such_page(table, tid))
+    }
+
+    fn log(&mut self, step: Undo) {
+        if let Some(txn) = &mut self.txn {
+            txn.undo.push(step);
+        }
+    }
+
+    /// Marks where `table`'s chain ends, for an append about to happen.
+    fn log_append(&mut self, table: &str) -> Result<()> {
+        if self.txn.is_none() {
+            return Ok(());
+        }
+        let t = self.table(table)?;
+        let tail_slots = match t.pages.last() {
+            Some(&tail) => self
+                .pool
+                .borrow_mut()
+                .with_page(&self.disk, tail, Page::slot_count)?,
+            None => 0,
+        };
+        let step = Undo::Append {
+            table: table.to_string(),
+            pages: t.pages.len(),
+            tail_slots,
+            rows: t.rows,
+            heap_bytes: t.heap_bytes,
+        };
+        self.log(step);
+        Ok(())
+    }
+
+    /// Logs `record` and applies it: the live write path is replay of a
+    /// record that was just written. `rows` are the record's tuples,
+    /// decoded (the caller encoded them, so it has them).
+    fn write(&mut self, record: &WalRecord, rows: Option<Vec<R>>) -> Result<()> {
+        self.wal.append(record);
+        self.apply(record, rows)
+    }
+
+    /// The rows `tuples` encode: `held` if the caller has them, decoded
+    /// otherwise.
+    fn rows_of<'a>(
+        &self,
+        held: Option<Vec<R>>,
+        tuples: impl Iterator<Item = &'a Vec<u8>>,
+    ) -> Result<Vec<R>> {
+        match held {
+            Some(rows) => Ok(rows),
+            None => tuples.map(|t| self.codec.decode(t)).collect(),
+        }
+    }
+
+    /// Applies a logical record to the heap. `rows` spares decoding the
+    /// record's tuples when the caller already holds them.
+    fn apply(&mut self, op: &WalRecord, rows: Option<Vec<R>>) -> Result<()> {
         match op {
             WalRecord::CreateTable { table, meta } => {
-                self.tables.insert(table, PagedTable::new(meta));
+                self.swap_table(table, Some(PagedTable::new(meta.clone())));
                 Ok(())
             }
             WalRecord::DropTable { table } => {
-                self.release_table(&table);
+                self.swap_table(table, None);
                 Ok(())
             }
-            WalRecord::Insert { table, rows } => {
-                let decoded = rows
-                    .iter()
-                    .map(|b| self.codec.decode(b))
-                    .collect::<Result<Vec<R>>>()?;
-                self.heap_insert(&table, decoded)
+            WalRecord::Insert {
+                table,
+                rows: tuples,
+            } => {
+                let rows = self.rows_of(rows, tuples.iter())?;
+                self.log_append(table)?;
+                self.heap_insert(table, &rows, tuples)
             }
-            WalRecord::Rewrite { table, rows } => {
-                let decoded = rows
-                    .iter()
-                    .map(|b| self.codec.decode(b))
-                    .collect::<Result<Vec<R>>>()?;
-                self.heap_rewrite(&table, decoded)
+            WalRecord::Rewrite {
+                table,
+                rows: tuples,
+            } => {
+                let rows = self.rows_of(rows, tuples.iter())?;
+                self.rebuild(table, &rows, tuples)
             }
+            WalRecord::Update {
+                table,
+                rows: tuples,
+            } => {
+                let rows = self.rows_of(rows, tuples.iter().map(|(_, t)| t))?;
+                self.heap_update(table, tuples, &rows)
+            }
+            WalRecord::Delete { table, rows } => self.heap_delete(table, rows),
             WalRecord::Begin { .. } | WalRecord::Commit { .. } => Ok(()),
         }
     }
@@ -237,47 +371,69 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
         Ok(no)
     }
 
-    /// Returns a table's pages to the free list and forgets it.
-    fn release_table(&mut self, table: &str) {
-        if let Some(t) = self.tables.remove(table) {
-            // LIFO, most recently allocated first: reuse order stays
-            // deterministic across engines and runs.
-            for &p in t.pages.iter().rev() {
-                self.free_pages.push(p);
+    /// Returns a chain's pages to the free list.
+    fn free_chain(&mut self, pages: &[u64]) {
+        // LIFO, most recently allocated first: reuse order stays
+        // deterministic across engines and runs.
+        self.free_pages.extend(pages.iter().rev());
+    }
+
+    /// Installs `next` under `table`, or removes the table. Inside a
+    /// transaction the table displaced is parked in the undo log with its
+    /// pages still allocated, so rollback can put it back untouched; they
+    /// are freed at commit. Outside one they are freed at once.
+    fn swap_table(&mut self, table: &str, next: Option<PagedTable>) {
+        let prior = match next {
+            Some(next) => self.tables.insert(table.to_string(), next),
+            None => self.tables.remove(table),
+        };
+        match &mut self.txn {
+            Some(txn) => txn.undo.push(Undo::Table {
+                table: table.to_string(),
+                prior,
+            }),
+            None => {
+                if let Some(t) = prior {
+                    self.free_chain(&t.pages);
+                }
             }
         }
     }
 
-    /// Appends rows to the table's heap chain, maintaining the index.
-    fn heap_insert(&mut self, table: &str, rows: Vec<R>) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.into()));
-        }
-        let mut buf = Vec::new();
-        for row in rows {
-            buf.clear();
-            self.codec.encode(&row, &mut buf);
-            if buf.len() > Page::max_tuple() {
-                return Err(StoreError::TupleTooLarge {
-                    bytes: buf.len(),
-                    max: Page::max_tuple(),
-                });
-            }
-            let heap = self.codec.heap_bytes(&row);
-            let key = self.codec.key(&row);
+    /// Encodes rows for the heap and the WAL.
+    fn encode_all(&self, rows: &[R]) -> Result<Vec<Vec<u8>>> {
+        rows.iter()
+            .map(|row| {
+                let mut tuple = Vec::new();
+                self.codec.encode(row, &mut tuple);
+                if tuple.len() > Page::max_tuple() {
+                    return Err(StoreError::TupleTooLarge {
+                        bytes: tuple.len(),
+                        max: Page::max_tuple(),
+                    });
+                }
+                Ok(tuple)
+            })
+            .collect()
+    }
+
+    /// Appends `rows` (and their encodings, `tuples`) to the table's heap
+    /// chain, maintaining the index.
+    fn heap_insert(&mut self, table: &str, rows: &[R], tuples: &[Vec<u8>]) -> Result<()> {
+        self.table(table)?;
+        for (row, tuple) in rows.iter().zip(tuples) {
             // Try the chain tail; grow the chain when full.
-            let last = self.tables.get(table).map_or(0, |t| t.last);
-            let mut target = last;
+            let last = self.table(table)?.pages.last().copied();
             let mut slot = None;
-            if target != 0 {
+            if let Some(last) = last {
                 slot = self
                     .pool
                     .borrow_mut()
-                    .with_page_mut(&self.disk, target, |p| p.insert(&buf))?;
+                    .with_page_mut(&self.disk, last, |p| p.insert(tuple))?;
             }
             if slot.is_none() {
                 let fresh = self.alloc_page()?;
-                if last != 0 {
+                if let Some(last) = last {
                     self.pool
                         .borrow_mut()
                         .with_page_mut(&self.disk, last, |p| p.set_next(fresh))?;
@@ -285,27 +441,24 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
                 slot = self
                     .pool
                     .borrow_mut()
-                    .with_page_mut(&self.disk, fresh, |p| p.insert(&buf))?;
+                    .with_page_mut(&self.disk, fresh, |p| p.insert(tuple))?;
                 if let Some(t) = self.tables.get_mut(table) {
-                    if t.first == 0 {
-                        t.first = fresh;
-                    }
-                    t.last = fresh;
                     t.pages.push(fresh);
                 }
-                target = fresh;
             }
             let Some(slot) = slot else {
                 return Err(StoreError::Corrupt(format!(
                     "tuple of {} bytes rejected by a fresh page",
-                    buf.len()
+                    tuple.len()
                 )));
             };
+            let codec = &self.codec;
             if let Some(t) = self.tables.get_mut(table) {
                 t.rows += 1;
-                t.heap_bytes += heap;
+                t.heap_bytes += codec.heap_bytes(row);
                 if let Some(index) = &mut t.index {
-                    index.insert(&key, TupleId { page: target, slot });
+                    let page = t.pages.len().saturating_sub(1) as u64;
+                    index.insert(&codec.key(row), TupleId { page, slot });
                 }
             }
         }
@@ -313,59 +466,215 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
     }
 
     /// Replaces the table's chain wholesale; the index is dropped.
-    fn heap_rewrite(&mut self, table: &str, rows: Vec<R>) -> Result<()> {
-        let meta = self
-            .tables
-            .get(table)
-            .map(|t| t.meta.clone())
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))?;
-        self.release_table(table);
-        self.tables.insert(table.into(), PagedTable::new(meta));
-        self.heap_insert(table, rows)
+    fn rebuild(&mut self, table: &str, rows: &[R], tuples: &[Vec<u8>]) -> Result<()> {
+        let meta = self.table(table)?.meta.clone();
+        self.swap_table(table, Some(PagedTable::new(meta)));
+        self.heap_insert(table, rows, tuples)
     }
 
-    /// Reads the table's full content in insertion order.
-    fn read_rows(&self, table: &str) -> Result<Vec<R>> {
-        let mut rows = Vec::new();
-        self.scan_visit(table, &mut |r| rows.push(r))?;
-        Ok(rows)
+    /// Replaces the tuple at each address with the tuple (and decoded row)
+    /// paired with it, inside its page and slot.
+    fn heap_update(&mut self, table: &str, tuples: &[(u64, Vec<u8>)], rows: &[R]) -> Result<()> {
+        self.table(table)?;
+        for (i, ((at, tuple), row)) in tuples.iter().zip(rows).enumerate() {
+            let tid = tuple_id(*at);
+            let page_no = self.page_of(table, tid)?;
+            let (image, fit) = self.pool.borrow_mut().with_page_mut(
+                &self.disk,
+                page_no,
+                |p| -> Result<(Vec<u8>, bool)> {
+                    let image = p.tuple(tid.slot)?.to_vec();
+                    Ok((image, p.put(tid.slot, tuple)?))
+                },
+            )??;
+            if !fit {
+                return self.relocate(table, tuples.get(i..).unwrap_or(&[]));
+            }
+            self.replaced(table, tid, image, Some(row))?;
+        }
+        Ok(())
     }
 
-    fn scan_visit(&self, table: &str, visit: &mut dyn FnMut(R)) -> Result<()> {
+    /// A row outgrew its page: rebuilds the table's chain from a scan with
+    /// the outstanding `tuples` substituted at their addresses. Selected by
+    /// what the page reports (the tuple does not fit even compacted), every
+    /// row keeps its scan position, and replay takes the same turn because
+    /// it sees the same page.
+    fn relocate(&mut self, table: &str, tuples: &[(u64, Vec<u8>)]) -> Result<()> {
+        let mut pending: BTreeMap<u64, &Vec<u8>> = tuples.iter().map(|(at, t)| (*at, t)).collect();
+        let mut all = Vec::new();
+        self.scan_tuples(table, &mut |tid, tuple| {
+            all.push(match pending.remove(&address(tid)) {
+                Some(new) => new.clone(),
+                None => tuple.to_vec(),
+            });
+            Ok(())
+        })?;
+        if let Some(at) = pending.keys().next() {
+            return Err(StoreError::Corrupt(format!(
+                "{table} has no live row at address {at}"
+            )));
+        }
+        let rows = all
+            .iter()
+            .map(|t| self.codec.decode(t))
+            .collect::<Result<Vec<R>>>()?;
+        self.rebuild(table, &rows, &all)
+    }
+
+    /// Tombstones the addressed tuples.
+    fn heap_delete(&mut self, table: &str, rows: &[u64]) -> Result<()> {
+        self.table(table)?;
+        for &at in rows {
+            let tid = tuple_id(at);
+            let page_no = self.page_of(table, tid)?;
+            let image = self.pool.borrow_mut().with_page_mut(
+                &self.disk,
+                page_no,
+                |p| -> Result<Vec<u8>> {
+                    let image = p.tuple(tid.slot)?.to_vec();
+                    p.delete(tid.slot)?;
+                    Ok(image)
+                },
+            )??;
+            self.replaced(table, tid, image, None)?;
+        }
+        // Nothing left to address: give the chain back.
+        let t = self.table(table)?;
+        if t.rows == 0 && !t.pages.is_empty() {
+            self.rebuild(table, &[], &[])?;
+        }
+        Ok(())
+    }
+
+    /// Bookkeeping after the tuple at `tid` (it was `image`) was replaced
+    /// by `new`, or tombstoned: counters, the index, the undo log.
+    fn replaced(
+        &mut self,
+        table: &str,
+        tid: TupleId,
+        image: Vec<u8>,
+        new: Option<&R>,
+    ) -> Result<()> {
+        let old = self.codec.decode(&image)?;
+        self.account(table, Some(&old), new)?;
+        self.log(Undo::Tuple {
+            table: table.to_string(),
+            tid,
+            image,
+        });
+        Ok(())
+    }
+
+    /// Brings `table`'s counters and index in line with one slot going from
+    /// `old` to `new` (`None` = a tombstone).
+    fn account(&mut self, table: &str, old: Option<&R>, new: Option<&R>) -> Result<()> {
+        let codec = &self.codec;
         let t = self
             .tables
-            .get(table)
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))?;
-        let mut pool = self.pool.borrow_mut();
-        for &page_no in &t.pages {
-            let tuples = pool.with_page(&self.disk, page_no, |p| {
-                let mut out = Vec::with_capacity(usize::from(p.slot_count()));
-                for slot in 0..p.slot_count() {
-                    out.push(p.tuple(slot).map(<[u8]>::to_vec));
+            .get_mut(table)
+            .ok_or_else(|| no_such_table(table))?;
+        t.heap_bytes -= old.map_or(0, |r| codec.heap_bytes(r));
+        t.heap_bytes += new.map_or(0, |r| codec.heap_bytes(r));
+        match (old, new) {
+            (Some(old), Some(new)) => {
+                // The entry under the old key would lie.
+                if t.index.is_some() && codec.key(old) != codec.key(new) {
+                    t.index = None;
                 }
-                out
-            })?;
-            for tuple in tuples {
-                visit(self.codec.decode(&tuple?)?);
+            }
+            // The tombstone's index entry stays; lookups skip it.
+            (Some(_), None) => t.rows -= 1,
+            // A rolled-back DELETE. An index built since the DELETE never
+            // saw this row.
+            (None, Some(_)) => {
+                t.rows += 1;
+                t.index = None;
+            }
+            (None, None) => {}
+        }
+        Ok(())
+    }
+
+    /// Plays one undo step backwards.
+    fn revert(&mut self, step: Undo) -> Result<()> {
+        match step {
+            Undo::Append {
+                table,
+                pages,
+                tail_slots,
+                rows,
+                heap_bytes,
+            } => {
+                let t = self
+                    .tables
+                    .get_mut(&table)
+                    .ok_or_else(|| no_such_table(&table))?;
+                let dropped = t.pages.split_off(pages);
+                (t.rows, t.heap_bytes) = (rows, heap_bytes);
+                // Its entries for the slots just given up would lie.
+                t.index = None;
+                let tail = t.pages.last().copied();
+                self.free_chain(&dropped);
+                if let Some(tail) = tail {
+                    self.pool
+                        .borrow_mut()
+                        .with_page_mut(&self.disk, tail, |p| {
+                            p.truncate(tail_slots);
+                            p.set_next(0);
+                        })?;
+                }
+            }
+            Undo::Tuple { table, tid, image } => {
+                let page_no = self.page_of(&table, tid)?;
+                let (current, fit) = self.pool.borrow_mut().with_page_mut(
+                    &self.disk,
+                    page_no,
+                    |p| -> Result<(Option<Vec<u8>>, bool)> {
+                        let current = p.get(tid.slot)?.map(<[u8]>::to_vec);
+                        Ok((current, p.put(tid.slot, &image)?))
+                    },
+                )??;
+                if !fit {
+                    return Err(StoreError::Corrupt(format!(
+                        "before-image of {table} address {} no longer fits its page",
+                        address(tid)
+                    )));
+                }
+                let current = current.map(|t| self.codec.decode(&t)).transpose()?;
+                let image = self.codec.decode(&image)?;
+                self.account(&table, current.as_ref(), Some(&image))?;
+            }
+            Undo::Table { table, prior } => {
+                let current = match prior {
+                    Some(t) => self.tables.insert(table, t),
+                    None => self.tables.remove(&table),
+                };
+                if let Some(t) = current {
+                    self.free_chain(&t.pages);
+                }
             }
         }
         Ok(())
     }
 
-    /// Records `table`'s pre-transaction content on first touch.
-    fn snapshot(&mut self, table: &str) -> Result<()> {
-        let Some(txn) = &self.txn else {
-            return Ok(());
-        };
-        if txn.undo.contains_key(table) {
-            return Ok(());
-        }
-        let prior = match self.tables.get(table) {
-            Some(t) => Some((t.meta.clone(), self.read_rows(table)?)),
-            None => None,
-        };
-        if let Some(txn) = &mut self.txn {
-            txn.undo.insert(table.to_string(), prior);
+    /// Visits every live tuple, with its address, in chain order.
+    fn scan_tuples(
+        &self,
+        table: &str,
+        visit: &mut dyn FnMut(TupleId, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let t = self.table(table)?;
+        let mut pool = self.pool.borrow_mut();
+        for (page, &page_no) in (0u64..).zip(&t.pages) {
+            pool.with_page(&self.disk, page_no, |p| -> Result<()> {
+                for slot in 0..p.slot_count() {
+                    if let Some(tuple) = p.get(slot)? {
+                        visit(TupleId { page, slot }, tuple)?;
+                    }
+                }
+                Ok(())
+            })??;
         }
         Ok(())
     }
@@ -390,26 +699,23 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
         if self.tables.contains_key(table) {
             return Err(StoreError::TableExists(table.into()));
         }
-        self.snapshot(table)?;
-        self.wal.append(&WalRecord::CreateTable {
-            table: table.into(),
-            meta: meta.to_vec(),
-        });
-        self.tables
-            .insert(table.into(), PagedTable::new(meta.to_vec()));
-        Ok(())
+        self.write(
+            &WalRecord::CreateTable {
+                table: table.into(),
+                meta: meta.to_vec(),
+            },
+            None,
+        )
     }
 
     fn drop_table(&mut self, table: &str) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.into()));
-        }
-        self.snapshot(table)?;
-        self.wal.append(&WalRecord::DropTable {
-            table: table.into(),
-        });
-        self.release_table(table);
-        Ok(())
+        self.table(table)?;
+        self.write(
+            &WalRecord::DropTable {
+                table: table.into(),
+            },
+            None,
+        )
     }
 
     fn table_names(&self) -> Vec<String> {
@@ -421,55 +727,26 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
     }
 
     fn row_count(&self, table: &str) -> Result<u64> {
-        self.tables
-            .get(table)
-            .map(|t| t.rows)
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))
+        Ok(self.table(table)?.rows)
     }
 
-    fn scan(&self, table: &str, visit: &mut dyn FnMut(R)) -> Result<()> {
-        self.scan_visit(table, visit)
+    fn scan_rows(&self, table: &str, visit: &mut dyn FnMut(RowId, R)) -> Result<()> {
+        self.scan_tuples(table, &mut |tid, tuple| {
+            visit(RowId(address(tid)), self.codec.decode(tuple)?);
+            Ok(())
+        })
     }
 
     fn ensure_index(&mut self, table: &str) -> Result<()> {
-        if self
-            .tables
-            .get(table)
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))?
-            .index
-            .is_some()
-        {
+        if self.table(table)?.index.is_some() {
             return Ok(());
         }
         // Build from a heap walk: key -> TupleId per tuple, chain order.
         let mut index = BTree::new();
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))?;
-        let pages = t.pages.clone();
-        {
-            let mut pool = self.pool.borrow_mut();
-            for &page_no in &pages {
-                let tuples = pool.with_page(&self.disk, page_no, |p| {
-                    let mut out = Vec::with_capacity(usize::from(p.slot_count()));
-                    for slot in 0..p.slot_count() {
-                        out.push((slot, p.tuple(slot).map(<[u8]>::to_vec)));
-                    }
-                    out
-                })?;
-                for (slot, tuple) in tuples {
-                    let row = self.codec.decode(&tuple?)?;
-                    index.insert(
-                        &self.codec.key(&row),
-                        TupleId {
-                            page: page_no,
-                            slot,
-                        },
-                    );
-                }
-            }
-        }
+        self.scan_tuples(table, &mut |tid, tuple| {
+            index.insert(&self.codec.key(&self.codec.decode(tuple)?), tid);
+            Ok(())
+        })?;
         if let Some(t) = self.tables.get_mut(table) {
             t.index = Some(index);
         }
@@ -480,79 +757,79 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
         self.tables.get(table).is_some_and(|t| t.index.is_some())
     }
 
-    fn lookup(&self, table: &str, key: &[u8], visit: &mut dyn FnMut(R)) -> Result<u64> {
-        let t = self
-            .tables
-            .get(table)
-            .ok_or_else(|| StoreError::NoSuchTable(table.into()))?;
+    fn lookup_rows(&self, table: &str, key: &[u8], visit: &mut dyn FnMut(RowId, R)) -> Result<u64> {
+        let t = self.table(table)?;
+        let mut candidates = 0u64;
         if let Some(index) = &t.index {
-            let candidates: Vec<TupleId> = index.get(key).to_vec();
             let mut pool = self.pool.borrow_mut();
-            for tid in &candidates {
-                let tuple = pool.with_page(&self.disk, tid.page, |p| {
-                    p.tuple(tid.slot).map(<[u8]>::to_vec)
+            for &tid in index.get(key) {
+                let page_no = t.page_no(tid).ok_or_else(|| no_such_page(table, tid))?;
+                // A deleted row's entry lingers; its slot is a tombstone.
+                let tuple = pool.with_page(&self.disk, page_no, |p| {
+                    p.get(tid.slot).map(|t| t.map(<[u8]>::to_vec))
                 })??;
-                visit(self.codec.decode(&tuple)?);
+                if let Some(tuple) = tuple {
+                    candidates += 1;
+                    visit(RowId(address(tid)), self.codec.decode(&tuple)?);
+                }
             }
-            return Ok(candidates.len() as u64);
+            return Ok(candidates);
         }
         // No index: filtered heap scan — identical candidate set.
-        let mut candidates = 0u64;
-        self.scan_visit(table, &mut |row| {
+        self.scan_tuples(table, &mut |tid, tuple| {
+            let row = self.codec.decode(tuple)?;
             if self.codec.key(&row) == key {
                 candidates += 1;
-                visit(row);
+                visit(RowId(address(tid)), row);
             }
+            Ok(())
         })?;
         Ok(candidates)
     }
 
     fn insert(&mut self, table: &str, rows: Vec<R>) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.into()));
-        }
-        self.snapshot(table)?;
-        let mut encoded = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut buf = Vec::new();
-            self.codec.encode(row, &mut buf);
-            if buf.len() > Page::max_tuple() {
-                return Err(StoreError::TupleTooLarge {
-                    bytes: buf.len(),
-                    max: Page::max_tuple(),
-                });
-            }
-            encoded.push(buf);
-        }
-        self.wal.append(&WalRecord::Insert {
+        self.table(table)?;
+        let record = WalRecord::Insert {
             table: table.into(),
-            rows: encoded,
-        });
-        self.heap_insert(table, rows)
+            rows: self.encode_all(&rows)?,
+        };
+        self.write(&record, Some(rows))
+    }
+
+    fn update(&mut self, table: &str, rows: Vec<(RowId, R)>) -> Result<()> {
+        self.table(table)?;
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let (at, rows): (Vec<u64>, Vec<R>) = rows.into_iter().map(|(id, row)| (id.0, row)).unzip();
+        let record = WalRecord::Update {
+            table: table.into(),
+            rows: at.into_iter().zip(self.encode_all(&rows)?).collect(),
+        };
+        self.write(&record, Some(rows))
+    }
+
+    fn delete(&mut self, table: &str, rows: &[RowId]) -> Result<()> {
+        self.table(table)?;
+        if rows.is_empty() {
+            return Ok(());
+        }
+        self.write(
+            &WalRecord::Delete {
+                table: table.into(),
+                rows: rows.iter().map(|id| id.0).collect(),
+            },
+            None,
+        )
     }
 
     fn rewrite(&mut self, table: &str, rows: Vec<R>) -> Result<()> {
-        if !self.tables.contains_key(table) {
-            return Err(StoreError::NoSuchTable(table.into()));
-        }
-        self.snapshot(table)?;
-        let mut encoded = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let mut buf = Vec::new();
-            self.codec.encode(row, &mut buf);
-            if buf.len() > Page::max_tuple() {
-                return Err(StoreError::TupleTooLarge {
-                    bytes: buf.len(),
-                    max: Page::max_tuple(),
-                });
-            }
-            encoded.push(buf);
-        }
-        self.wal.append(&WalRecord::Rewrite {
+        self.table(table)?;
+        let record = WalRecord::Rewrite {
             table: table.into(),
-            rows: encoded,
-        });
-        self.heap_rewrite(table, rows)
+            rows: self.encode_all(&rows)?,
+        };
+        self.write(&record, Some(rows))
     }
 
     fn begin(&mut self) -> Result<()> {
@@ -564,7 +841,7 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
         self.wal.append(&WalRecord::Begin { txn: id });
         self.txn = Some(OpenTxn {
             id,
-            undo: BTreeMap::new(),
+            undo: Vec::new(),
         });
         Ok(())
     }
@@ -575,6 +852,12 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
         };
         self.wal.append(&WalRecord::Commit { txn: txn.id });
         self.wal.sync();
+        // Tables the transaction displaced can no longer come back.
+        for step in txn.undo {
+            if let Undo::Table { prior: Some(t), .. } = step {
+                self.free_chain(&t.pages);
+            }
+        }
         self.flush_heap();
         Ok(())
     }
@@ -583,20 +866,12 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
         let Some(txn) = self.txn.take() else {
             return Err(StoreError::NoTransaction);
         };
-        // Undo the heap in memory (no WAL records: the transaction's
-        // records were never committed, so recovery already discards them).
-        for (table, prior) in txn.undo {
-            self.release_table(&table);
-            if let Some((meta, rows)) = prior {
-                self.tables.insert(table.clone(), PagedTable::new(meta));
-                self.heap_insert(&table, rows)?;
-            }
+        // Undo the heap in memory. The log keeps the dead transaction's
+        // records (some may already be durable, hardened by an earlier
+        // commit's fsync); without a Commit, recovery discards them.
+        for step in txn.undo.into_iter().rev() {
+            self.revert(step)?;
         }
-        // The log still holds the dead transaction's unsynced records; a
-        // clean truncate keeps framing tidy for the next append. Records
-        // may already be durable (mid-txn eviction never syncs, but an
-        // earlier commit's fsync can harden them); recovery handles both,
-        // so only trim the unhardened cache tail.
         Ok(())
     }
 
@@ -611,20 +886,18 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
 
     fn state_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut buf = Vec::new();
         for (name, t) in &self.tables {
             h = fnv1a_extend(h, name.as_bytes());
             h = fnv1a_extend(h, &t.meta);
-            let mut rows = Vec::new();
-            if self.scan_visit(name, &mut |r| rows.push(r)).is_err() {
+            // Stored tuples are the codec's encoding of the rows, which is
+            // what the memory engine digests.
+            let scan = self.scan_tuples(name, &mut |_, tuple| {
+                h = fnv1a_extend(h, tuple);
+                Ok(())
+            });
+            if scan.is_err() {
                 // Digest of unreadable state: poison deterministically.
                 h = fnv1a_extend(h, b"<corrupt>");
-                continue;
-            }
-            for row in &rows {
-                buf.clear();
-                self.codec.encode(row, &mut buf);
-                h = fnv1a_extend(h, &buf);
             }
         }
         h
@@ -753,6 +1026,321 @@ mod tests {
         s.rollback().unwrap();
         assert_eq!(s.state_digest(), digest);
         assert_eq!(s.table_names(), vec!["T".to_string()]);
+    }
+
+    /// `(address, row)` of every row `keep` accepts, in scan order.
+    fn addresses(
+        s: &dyn Storage<Row>,
+        table: &str,
+        keep: impl Fn(&Row) -> bool,
+    ) -> Vec<(RowId, Row)> {
+        let mut out = Vec::new();
+        s.scan_rows(table, &mut |at, row| {
+            if keep(&row) {
+                out.push((at, row));
+            }
+        })
+        .unwrap();
+        out
+    }
+
+    fn scan(s: &dyn Storage<Row>, table: &str) -> Vec<Row> {
+        addresses(s, table, |_| true)
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect()
+    }
+
+    /// Deletes, then same-size, shrinking and (within what the deletes
+    /// freed) growing updates, addressed from a scan so both engines see
+    /// the same statement.
+    fn churn(s: &mut dyn Storage<Row>) {
+        s.begin().unwrap();
+        let doomed: Vec<RowId> = addresses(s, "T", |r| r.1.ends_with('7'))
+            .into_iter()
+            .map(|(at, _)| at)
+            .collect();
+        s.delete("T", &doomed).unwrap();
+        let hits = addresses(s, "T", |r| r.1.ends_with('3'));
+        let updates = hits
+            .into_iter()
+            .enumerate()
+            .map(|(i, (at, (k, text)))| {
+                let text = match i % 3 {
+                    0 => text.to_uppercase(),
+                    1 => "x".into(),
+                    _ => format!("{text}-grown"),
+                };
+                (at, (k, text))
+            })
+            .collect();
+        s.update("T", updates).unwrap();
+        s.insert("T", vec![(3, "after-the-churn".into())]).unwrap();
+        s.commit().unwrap();
+    }
+
+    #[test]
+    fn row_addressed_writes_match_memory_and_replay() {
+        let disk = VDisk::new("d");
+        let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
+        let mut mem = MemStore::new(PairCodec);
+        for s in [&mut paged as &mut dyn Storage<Row>, &mut mem] {
+            s.create_table("T", b"meta").unwrap();
+            s.begin().unwrap();
+            s.insert("T", rows(400)).unwrap();
+            s.commit().unwrap();
+            s.ensure_index("T").unwrap();
+            churn(s);
+            churn(s);
+            assert!(
+                s.has_index("T"),
+                "{}: key-preserving writes keep it",
+                s.engine()
+            );
+        }
+        assert_eq!(scan(&paged, "T"), scan(&mem, "T"));
+        assert_eq!(paged.state_digest(), mem.state_digest());
+        assert_eq!(paged.row_count("T").unwrap(), mem.row_count("T").unwrap());
+        assert_eq!(paged.row_count("T").unwrap(), scan(&mem, "T").len() as u64);
+        // Updated rows kept their place: keys still run 0..7 cyclically
+        // wherever a row survives.
+        for key in 0u64..8 {
+            let k = key.to_be_bytes();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            let na = paged.lookup("T", &k, &mut |r| a.push(r)).unwrap();
+            let nb = mem.lookup("T", &k, &mut |r| b.push(r)).unwrap();
+            assert_eq!(a, b, "candidates for key {key}");
+            assert_eq!(
+                (na, nb),
+                (a.len() as u64, a.len() as u64),
+                "dead entries not counted"
+            );
+        }
+        // The Update/Delete records address the same rows after a restart.
+        let digest = paged.state_digest();
+        drop(paged);
+        disk.crash();
+        for policy in [RecoveryPolicy::ReplayForward, RecoveryPolicy::ShadowDiscard] {
+            assert_eq!(open(&disk, policy).state_digest(), digest, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn a_row_that_outgrows_its_page_keeps_its_scan_position() {
+        let disk = VDisk::new("d");
+        let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
+        let mut mem = MemStore::new(PairCodec);
+        for s in [&mut paged as &mut dyn Storage<Row>, &mut mem] {
+            s.create_table("T", b"").unwrap();
+            s.begin().unwrap();
+            s.insert("T", rows(300)).unwrap();
+            s.commit().unwrap();
+            s.begin().unwrap();
+            // Two growing rows on one (full) page, a third further on: the
+            // first no longer fits, the rest ride the same rebuild.
+            let updates = addresses(s, "T", |r| {
+                ["row-0005", "row-0009", "row-0250"].contains(&&*r.1)
+            })
+            .into_iter()
+            .map(|(at, (k, text))| (at, (k, text.repeat(200))))
+            .collect();
+            s.update("T", updates).unwrap();
+            s.commit().unwrap();
+            // Addresses were reassigned; fresh ones work.
+            s.begin().unwrap();
+            let again = addresses(s, "T", |r| r.1 == "row-0010")
+                .into_iter()
+                .map(|(at, (k, _))| (at, (k, "ten".to_string())))
+                .collect();
+            s.update("T", again).unwrap();
+            s.commit().unwrap();
+        }
+        let seen = scan(&paged, "T");
+        assert_eq!(seen, scan(&mem, "T"));
+        assert_eq!(seen[5].1, "row-0005".repeat(200));
+        assert_eq!(seen[10].1, "ten");
+        assert_eq!(seen[250].1, "row-0250".repeat(200));
+        let digest = paged.state_digest();
+        assert_eq!(digest, mem.state_digest());
+        drop(paged);
+        disk.crash();
+        assert_eq!(
+            open(&disk, RecoveryPolicy::ShadowDiscard).state_digest(),
+            digest
+        );
+        // A row no page can hold is still the paged engine's own error.
+        let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
+        let (at, (k, _)) = addresses(&paged, "T", |_| true).swap_remove(0);
+        assert!(matches!(
+            paged.update("T", vec![(at, (k, "x".repeat(PAGE_SIZE)))]),
+            Err(StoreError::TupleTooLarge { .. })
+        ));
+        assert_eq!(paged.state_digest(), digest);
+    }
+
+    #[test]
+    fn rollback_undoes_exactly_what_the_transaction_touched() {
+        let disk = VDisk::new("d");
+        let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
+        let mut mem = MemStore::new(PairCodec);
+        for s in [&mut paged as &mut dyn Storage<Row>, &mut mem] {
+            s.create_table("T", b"t").unwrap();
+            s.create_table("U", b"u").unwrap();
+            s.begin().unwrap();
+            s.insert("T", rows(200)).unwrap();
+            s.insert("U", rows(10)).unwrap();
+            s.commit().unwrap();
+            s.ensure_index("T").unwrap();
+            let before = (s.state_digest(), s.bytes(), s.row_count("T").unwrap());
+
+            s.begin().unwrap();
+            s.insert("T", rows(150)).unwrap();
+            let updates = addresses(s, "T", |r| r.0 == 2)
+                .into_iter()
+                .enumerate()
+                .map(|(i, (at, (k, text)))| {
+                    // One rekeyed, one outgrowing its page, the rest in place.
+                    let row = match i {
+                        0 => (k + 100, text),
+                        1 => (k, text.repeat(300)),
+                        _ => (k, format!("{text}!")),
+                    };
+                    (at, row)
+                })
+                .collect();
+            s.update("T", updates).unwrap();
+            let doomed: Vec<RowId> = addresses(s, "T", |r| r.0 == 4)
+                .into_iter()
+                .map(|(at, _)| at)
+                .collect();
+            s.delete("T", &doomed).unwrap();
+            s.insert("T", vec![(4, "late".into())]).unwrap();
+            let all: Vec<RowId> = addresses(s, "U", |_| true)
+                .into_iter()
+                .map(|(at, _)| at)
+                .collect();
+            s.delete("U", &all).unwrap();
+            assert_eq!(s.row_count("U").unwrap(), 0);
+            s.drop_table("U").unwrap();
+            s.create_table("V", b"v").unwrap();
+            s.insert("V", rows(5)).unwrap();
+            s.rollback().unwrap();
+
+            let engine = s.engine();
+            assert_eq!(
+                (s.state_digest(), s.bytes(), s.row_count("T").unwrap()),
+                before,
+                "{engine}"
+            );
+            assert_eq!(s.table_names(), ["T", "U"], "{engine}");
+            assert_eq!(s.table_meta("U").unwrap(), b"u", "{engine}");
+            assert_eq!(scan(s, "U"), rows(10), "{engine}");
+            // The next transaction addresses rows as if the rolled-back one
+            // had never run — which is what replay will assume.
+            s.ensure_index("T").unwrap();
+            churn(s);
+        }
+        assert_eq!(paged.state_digest(), mem.state_digest());
+        assert_eq!(scan(&paged, "T"), scan(&mem, "T"));
+        let digest = paged.state_digest();
+        drop(paged);
+        disk.crash();
+        assert_eq!(
+            open(&disk, RecoveryPolicy::ReplayForward).state_digest(),
+            digest
+        );
+    }
+
+    /// An index first built between a DELETE and its ROLLBACK was built
+    /// from live tuples only; the rows the rollback revives must still be
+    /// found through whatever index serves the next lookup.
+    #[test]
+    fn an_index_built_mid_transaction_does_not_outlive_a_rolled_back_delete() {
+        let disk = VDisk::new("d");
+        let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
+        let mut mem = MemStore::new(PairCodec);
+        for s in [&mut paged as &mut dyn Storage<Row>, &mut mem] {
+            let engine = s.engine();
+            s.create_table("T", b"").unwrap();
+            s.begin().unwrap();
+            s.insert("T", rows(100)).unwrap();
+            s.commit().unwrap();
+            assert!(!s.has_index("T"), "{engine}");
+            let key = 4u64.to_be_bytes();
+            let mut committed = Vec::new();
+            s.lookup("T", &key, &mut |r| committed.push(r)).unwrap();
+            assert_eq!(committed.len(), 14, "{engine}");
+
+            s.begin().unwrap();
+            let doomed: Vec<RowId> = addresses(s, "T", |r| r.0 == 4)
+                .into_iter()
+                .map(|(at, _)| at)
+                .collect();
+            s.delete("T", &doomed).unwrap();
+            s.ensure_index("T").unwrap();
+            assert_eq!(s.lookup("T", &key, &mut |_| {}).unwrap(), 0, "{engine}");
+            s.rollback().unwrap();
+
+            for pass in ["as rolled back", "index rebuilt"] {
+                let mut seen = Vec::new();
+                let n = s.lookup("T", &key, &mut |r| seen.push(r)).unwrap();
+                assert_eq!(seen, committed, "{engine}, {pass}");
+                assert_eq!(n, 14, "{engine}, {pass}");
+                s.ensure_index("T").unwrap();
+            }
+            assert_eq!(s.row_count("T").unwrap(), 100, "{engine}");
+        }
+        assert_eq!(paged.state_digest(), mem.state_digest());
+    }
+
+    #[test]
+    fn a_log_with_legacy_rewrite_records_still_replays() {
+        let encode = |rows: &[Row]| -> Vec<Vec<u8>> {
+            rows.iter()
+                .map(|r| {
+                    let mut out = Vec::new();
+                    PairCodec.encode(r, &mut out);
+                    out
+                })
+                .collect()
+        };
+        let kept: Vec<Row> = rows(40).into_iter().filter(|r| r.0 != 3).collect();
+        let disk = VDisk::new("d");
+        let wal = Wal::new(disk.clone(), WAL_FILE);
+        let txns = [
+            vec![WalRecord::CreateTable {
+                table: "T".into(),
+                meta: b"m".to_vec(),
+            }],
+            vec![WalRecord::Insert {
+                table: "T".into(),
+                rows: encode(&rows(40)),
+            }],
+            // What an UPDATE/DELETE logged before this engine addressed rows.
+            vec![WalRecord::Rewrite {
+                table: "T".into(),
+                rows: encode(&kept),
+            }],
+            // ...followed by one from after: address 1 is the rewritten
+            // chain's second row.
+            vec![WalRecord::Update {
+                table: "T".into(),
+                rows: vec![(1, encode(&[(1, "new".into())]).remove(0))],
+            }],
+        ];
+        for (txn, ops) in (1u64..).zip(txns) {
+            wal.append(&WalRecord::Begin { txn });
+            for op in &ops {
+                wal.append(op);
+            }
+            wal.append(&WalRecord::Commit { txn });
+        }
+        wal.sync();
+        let s = open(&disk, RecoveryPolicy::ShadowDiscard);
+        assert_eq!(s.recovery_stats().committed_txns, 4);
+        let mut want = kept;
+        want[1] = (1, "new".into());
+        assert_eq!(scan(&s, "T"), want);
     }
 
     struct TruncateFirstCrash;

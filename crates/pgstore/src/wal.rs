@@ -8,6 +8,26 @@
 //! [`Wal::sync`] (called at commit), so an uncommitted transaction's
 //! records simply die with the crash.
 //!
+//! Payloads after the kind byte (strings and blobs are `u32` length +
+//! bytes):
+//!
+//! ```text
+//! 1 Begin    txn u64
+//! 2 Commit   txn u64
+//! 3 Create   table, meta
+//! 4 Drop     table
+//! 5 Insert   table, count u32, count × tuple
+//! 6 Rewrite  table, count u32, count × tuple     (no longer written)
+//! 7 Update   table, count u32, count × (address u64, tuple)
+//! 8 Delete   table, count u32, count × address u64
+//! ```
+//!
+//! `Update` and `Delete` carry only the tuples they touch, addressed by
+//! `(chain position << 16) | slot`. The address is physical, so it is only
+//! meaningful because replay rebuilds the heap to the same layout the
+//! writer had: every placement decision is a function of the pages'
+//! logical content, and a rolled-back transaction leaves none behind.
+//!
 //! Replay applies transactions in commit order. A record that fails
 //! validation *before* the end of the log is hard corruption; a partial or
 //! unverifiable record *at* the tail is the expected shape of a crash, and
@@ -68,6 +88,8 @@ const KIND_CREATE: u8 = 3;
 const KIND_DROP: u8 = 4;
 const KIND_INSERT: u8 = 5;
 const KIND_REWRITE: u8 = 6;
+const KIND_UPDATE: u8 = 7;
+const KIND_DELETE: u8 = 8;
 
 /// One logical WAL record. Row payloads are already codec-encoded — the
 /// WAL is below the tuple type.
@@ -102,12 +124,27 @@ pub enum WalRecord {
         /// Codec-encoded rows, in insertion order.
         rows: Vec<Vec<u8>>,
     },
-    /// Wholesale row replacement (UPDATE/DELETE).
+    /// Wholesale row replacement — what UPDATE/DELETE logged before they
+    /// were row-addressed; still replayed, no longer written.
     Rewrite {
         /// Table name.
         table: String,
         /// Codec-encoded rows, in the new order.
         rows: Vec<Vec<u8>>,
+    },
+    /// In-place replacement of the addressed rows.
+    Update {
+        /// Table name.
+        table: String,
+        /// `(address, codec-encoded new row)`, in statement order.
+        rows: Vec<(u64, Vec<u8>)>,
+    },
+    /// Removal of the addressed rows.
+    Delete {
+        /// Table name.
+        table: String,
+        /// Addresses of the rows removed.
+        rows: Vec<u64>,
     },
 }
 
@@ -157,13 +194,18 @@ impl<'a> Cursor<'a> {
             .map_err(|_| StoreError::Corrupt("record string not UTF-8".into()))
     }
 
-    fn rows(&mut self) -> Result<Vec<Vec<u8>>> {
+    /// A `u32` count followed by that many items.
+    fn counted<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         let n = self.u32()? as usize;
-        let mut rows = Vec::with_capacity(n.min(4096));
+        let mut items = Vec::with_capacity(n.min(4096));
         for _ in 0..n {
-            rows.push(self.bytes()?);
+            items.push(item(self)?);
         }
-        Ok(rows)
+        Ok(items)
+    }
+
+    fn rows(&mut self) -> Result<Vec<Vec<u8>>> {
+        self.counted(Self::bytes)
     }
 }
 
@@ -199,6 +241,23 @@ impl WalRecord {
                 out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
                 for row in rows {
                     put_bytes(&mut out, row);
+                }
+            }
+            WalRecord::Update { table, rows } => {
+                out.push(KIND_UPDATE);
+                put_bytes(&mut out, table.as_bytes());
+                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+                for (at, row) in rows {
+                    put_u64(&mut out, *at);
+                    put_bytes(&mut out, row);
+                }
+            }
+            WalRecord::Delete { table, rows } => {
+                out.push(KIND_DELETE);
+                put_bytes(&mut out, table.as_bytes());
+                out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+                for at in rows {
+                    put_u64(&mut out, *at);
                 }
             }
         }
@@ -239,6 +298,14 @@ impl WalRecord {
             KIND_REWRITE => Ok(WalRecord::Rewrite {
                 table: c.string()?,
                 rows: c.rows()?,
+            }),
+            KIND_UPDATE => Ok(WalRecord::Update {
+                table: c.string()?,
+                rows: c.counted(|c| Ok((c.u64()?, c.bytes()?)))?,
+            }),
+            KIND_DELETE => Ok(WalRecord::Delete {
+                table: c.string()?,
+                rows: c.counted(Cursor::u64)?,
             }),
             other => Err(StoreError::Corrupt(format!("unknown record kind {other}"))),
         }
@@ -476,6 +543,14 @@ mod tests {
             WalRecord::Rewrite {
                 table: "T".into(),
                 rows: vec![],
+            },
+            WalRecord::Update {
+                table: "T".into(),
+                rows: vec![(3 << 16 | 7, row(9)), (0, vec![])],
+            },
+            WalRecord::Delete {
+                table: "T".into(),
+                rows: vec![1 << 16, 5],
             },
         ] {
             let frame = rec.frame();

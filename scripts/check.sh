@@ -16,6 +16,10 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> benchmark workspace: build + unit tests (a public-API break shows here, not in the pipeline)"
+CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target" cargo test --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> rddr-analyze (all six passes, stale-baseline check, dispatch + timing gates)"
 cargo run --release -p rddr-analyze -- \
   --baseline analyze-baseline.toml --forbid-stale --json BENCH_analyze.json \

@@ -26,16 +26,28 @@ fn version() -> PgVersion {
     PgVersion::parse("10.7").unwrap()
 }
 
-/// A deterministic SQL statement stream: DDL, multi-row inserts, point and
-/// aggregate selects, updates, deletes, transaction verbs, and the odd
-/// guaranteed error (error frames must match byte-for-byte too).
+/// A deterministic SQL statement stream: DDL, a bulk load big enough that
+/// point statements go through the index, multi-row inserts, point, full
+/// and aggregate selects, updates (point, multi-row, whole-table, TEXT that
+/// grows), deletes (likewise), transaction verbs, a write burst that is
+/// rolled back, and the odd guaranteed error (error frames must match
+/// byte-for-byte too). The unordered full select puts scan order on the
+/// wire.
 fn statement_stream(seed: u64, len: usize) -> Vec<String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stmts = vec!["CREATE TABLE t (id INT, name TEXT, score FLOAT)".to_string()];
     let mut next_id = 0i64;
     let mut in_txn = false;
+    let bulk: Vec<String> = (0..140)
+        .map(|_| {
+            next_id += 1;
+            format!("({next_id}, 'n{}', {}.5)", next_id % 7, next_id % 50)
+        })
+        .collect();
+    stmts.push(format!("INSERT INTO t VALUES {}", bulk.join(", ")));
     for _ in 0..len {
-        match rng.gen_range(0u32..10) {
+        let some_id = rng.gen_range(0i64..=next_id);
+        match rng.gen_range(0u32..16) {
             0..=3 => {
                 let rows: Vec<String> = (0..rng.gen_range(1usize..=3))
                     .map(|_| {
@@ -49,20 +61,13 @@ fn statement_stream(seed: u64, len: usize) -> Vec<String> {
                     .collect();
                 stmts.push(format!("INSERT INTO t VALUES {}", rows.join(", ")));
             }
-            4 => stmts.push(format!(
-                "SELECT name, score FROM t WHERE id = {}",
-                rng.gen_range(0i64..=next_id.max(1))
-            )),
+            4 => stmts.push(format!("SELECT name, score FROM t WHERE id = {some_id}")),
             5 => stmts.push("SELECT COUNT(*), SUM(score) FROM t".to_string()),
             6 => stmts.push(format!(
-                "UPDATE t SET score = {}.25 WHERE id = {}",
-                rng.gen_range(0i64..90),
-                rng.gen_range(0i64..=next_id.max(1))
+                "UPDATE t SET score = {}.25 WHERE id = {some_id}",
+                rng.gen_range(0i64..90)
             )),
-            7 => stmts.push(format!(
-                "DELETE FROM t WHERE id = {}",
-                rng.gen_range(0i64..=next_id.max(1))
-            )),
+            7 => stmts.push(format!("DELETE FROM t WHERE id = {some_id}")),
             8 => {
                 stmts.push(
                     match (in_txn, rng.gen_bool(0.5)) {
@@ -74,6 +79,32 @@ fn statement_stream(seed: u64, len: usize) -> Vec<String> {
                 );
                 in_txn = !in_txn;
             }
+            9 => stmts.push("SELECT id, name, score FROM t".to_string()),
+            // TEXT that grows, by a little or past what its page has left.
+            10 => stmts.push(format!(
+                "UPDATE t SET name = name || '{}' WHERE id = {some_id}",
+                "g".repeat(rng.gen_range(1usize..600))
+            )),
+            11 => stmts.push(format!(
+                "UPDATE t SET score = score + 1, name = name || '+' WHERE id > {some_id}"
+            )),
+            12 => stmts.push(match rng.gen_range(0u32..8) {
+                0 => "DELETE FROM t".to_string(),
+                1..=3 => "UPDATE t SET name = name || '!'".to_string(),
+                _ => format!(
+                    "DELETE FROM t WHERE id > {some_id} AND id < {}",
+                    some_id + 6
+                ),
+            }),
+            13 if !in_txn => stmts.extend([
+                "BEGIN".to_string(),
+                format!("UPDATE t SET name = name || '-doomed' WHERE id < {some_id}"),
+                format!("DELETE FROM t WHERE id = {some_id}"),
+                format!("DELETE FROM t WHERE id > {some_id}"),
+                format!("INSERT INTO t VALUES ({some_id}, 'doomed', 0.5)"),
+                "ROLLBACK".to_string(),
+                "SELECT id, name FROM t".to_string(),
+            ]),
             _ => stmts.push("SELECT ghost FROM phantom".to_string()),
         }
     }
@@ -183,10 +214,43 @@ fn recovered_state(seed: u64) -> (Vec<u8>, rddr_repro::pgsim::RecoveryStats, u64
     (wal, stats, digest, phantoms)
 }
 
+/// Runs a seeded stream to a committed state, then opens a transaction that
+/// rewrites TEXT across the whole table, deletes a range and appends, and
+/// kills the instance before it commits. Returns the digest before the
+/// transaction and the digest recovery reaches under `policy`.
+fn killed_mid_update(seed: u64, policy: RecoveryPolicy) -> (u64, u64) {
+    let engine = StorageEngine::Paged { policy };
+    let disk = VDisk::new("db-0");
+    let mut db = Database::with_engine(version(), DbFlavor::Postgres, engine, &disk).unwrap();
+    let mut session = db.session("app");
+    for sql in statement_stream(seed, 20) {
+        let _ = db.execute(&mut session, &sql);
+    }
+    let committed = db.state_digest();
+    for sql in [
+        "BEGIN",
+        "UPDATE t SET name = name || '-uncommitted', score = 0.5",
+        "DELETE FROM t WHERE id > 40 AND id < 90",
+        "UPDATE t SET score = 9.5 WHERE id = 7",
+        "INSERT INTO t VALUES (9999, 'phantom', 0.5)",
+    ] {
+        db.execute(&mut session, sql).unwrap();
+    }
+    assert_ne!(
+        db.state_digest(),
+        committed,
+        "the transaction did something"
+    );
+    drop(db);
+    disk.crash();
+    let db = Database::with_engine(version(), DbFlavor::Postgres, engine, &disk).unwrap();
+    (committed, db.state_digest())
+}
+
 proptest! {
     /// Byte-identical wire responses: memory vs paged, any seeded stream.
     #[test]
-    fn paged_engine_is_wire_identical_to_memory(seed in any::<u64>(), len in 6usize..24) {
+    fn paged_engine_is_wire_identical_to_memory(seed in any::<u64>(), len in 6usize..40) {
         let stmts = statement_stream(seed, len);
         let memory = wire_responses(StorageEngine::InMemory, &stmts);
         let paged = wire_responses(
@@ -218,5 +282,17 @@ proptest! {
         // hardened by a later commit's fsync replays as a discarded txn.)
         prop_assert!(!stats_a.torn_tail, "{:?}", stats_a);
         prop_assert_eq!(phantoms_a, 0, "uncommitted row must not survive the crash");
+    }
+
+    /// A kill in the middle of an UPDATE/DELETE transaction recovers to the
+    /// state before it, whichever recovery policy replays the log: the
+    /// row-addressed records of the committed prefix still name the rows
+    /// they named when they were written.
+    #[test]
+    fn kill_mid_update_recovers_the_pre_transaction_state(seed in any::<u64>()) {
+        for policy in [RecoveryPolicy::ReplayForward, RecoveryPolicy::ShadowDiscard] {
+            let (committed, recovered) = killed_mid_update(seed, policy);
+            prop_assert_eq!(committed, recovered, "{:?}", policy);
+        }
     }
 }

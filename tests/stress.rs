@@ -53,8 +53,23 @@ fn read_line(conn: &mut BoxStream) -> Option<Vec<u8>> {
     }
 }
 
+/// Held by every test here for as long as its proxy lives. The thread census
+/// in `proxy_thread_count_stays_flat_under_concurrent_sessions` reads comm
+/// names process-wide, and a reactor worker is named after its pool
+/// (`rddr-rx-in-{i}`), not its proxy — a sibling test's workers cannot be
+/// told from this proxy's by name, only kept from existing.
+static ONE_PROXY: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_proxy_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    // A sibling that failed while holding it has already torn its proxy down.
+    ONE_PROXY
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn concurrent_sessions_are_isolated_and_lossless() {
+    let _alone = one_proxy_at_a_time();
     let net = SimNet::new();
     for port in [9000u16, 9001, 9002] {
         spawn_echo(&net, ServiceAddr::new("svc", port));
@@ -100,9 +115,11 @@ fn concurrent_sessions_are_isolated_and_lossless() {
     assert_eq!(stats.severed, 0);
 }
 
-/// Counts live threads whose name starts with `rddr-` — the proxy's own
-/// threads (accept loops, reactor workers). The test harness's unnamed
-/// helper threads (echo handlers, client drivers) don't match.
+/// Counts live threads whose name starts with `rddr-` — the threads of the
+/// one proxy `ONE_PROXY` lets live (accept loop, reactor workers, and any
+/// per-session thread a regression brings back under that prefix). The test
+/// harness's unnamed helper threads (echo handlers, client drivers) don't
+/// match.
 #[cfg(target_os = "linux")]
 fn rddr_threads() -> usize {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
@@ -121,6 +138,7 @@ fn rddr_threads() -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn proxy_thread_count_stays_flat_under_concurrent_sessions() {
+    let _alone = one_proxy_at_a_time();
     let net = SimNet::new();
     for port in [9200u16, 9201, 9202] {
         spawn_echo(&net, ServiceAddr::new("fsvc", port));
@@ -204,6 +222,7 @@ fn spawn_mangling_echo(net: &SimNet, addr: ServiceAddr) {
 /// past a stale throttle check.
 #[test]
 fn engaged_throttle_clamps_pipelined_batch_depth() {
+    let _alone = one_proxy_at_a_time();
     let net = SimNet::new();
     spawn_echo(&net, ServiceAddr::new("tsvc", 9100));
     spawn_echo(&net, ServiceAddr::new("tsvc", 9101));
