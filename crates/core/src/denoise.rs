@@ -7,8 +7,20 @@
 //! ASLR'd pointers) because the pair runs the same code. Those positions are
 //! masked before the Diff phase, so "RDDR identifies a divergence if any
 //! instances except the filter pair produce non-identical output".
+//!
+//! A [`NoiseMask`] is learned from the pair's two segment lists wherever
+//! their bytes live (the engine's [`crate::SegmentTable`]s, or owned
+//! [`Segment`]s through [`NoiseMask::from_filter_pair`]) and is then applied
+//! *as a relation*: [`SegmentMask::eq_masked`] decides whether two payloads
+//! have the same canonical form without building either one. The canonical
+//! bytes themselves ([`SegmentMask::canonicalize`]) are only materialised
+//! for the excerpts and grouping forms of an exchange that diverged.
 
+use crate::frame::SegmentList;
 use crate::Segment;
+
+/// What stands in for a masked range in a canonical form.
+const PLACEHOLDER: &[u8] = b"<noise>";
 
 /// The byte range of one segment to ignore during comparison.
 ///
@@ -59,16 +71,24 @@ impl NoiseMask {
     /// pair produced different segment *counts*, the surplus positions are
     /// masked wholesale.
     pub fn from_filter_pair(a: &[Segment], b: &[Segment]) -> Self {
-        let mut masks = Vec::new();
+        let mut mask = Self::none();
+        mask.learn(a, b);
+        mask
+    }
+
+    /// Replaces this mask with the one the filter pair's lists `a` and `b`
+    /// yield, reusing its storage.
+    pub(crate) fn learn<L: SegmentList + ?Sized>(&mut self, a: &L, b: &L) {
+        self.masks.clear();
         let common = a.len().min(b.len());
         for i in 0..common {
-            let (pa, pb) = (&a[i].payload, &b[i].payload);
+            let (pa, pb) = (a.payload(i), b.payload(i));
             if pa == pb {
                 continue;
             }
             let prefix = common_prefix(pa, pb);
             let suffix = common_suffix(&pa[prefix..], &pb[prefix..]);
-            masks.push(SegmentMask {
+            self.masks.push(SegmentMask {
                 index: i,
                 prefix,
                 suffix,
@@ -76,14 +96,18 @@ impl NoiseMask {
             });
         }
         for i in common..a.len().max(b.len()) {
-            masks.push(SegmentMask {
+            self.masks.push(SegmentMask {
                 index: i,
                 prefix: 0,
                 suffix: 0,
                 whole: true,
             });
         }
-        Self { masks }
+    }
+
+    /// Forgets every mask, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.masks.clear();
     }
 
     /// Number of masked positions.
@@ -123,18 +147,38 @@ impl NoiseMask {
 }
 
 impl SegmentMask {
-    /// Rewrites `payload` with the masked range replaced by a placeholder.
-    pub fn canonicalize(&self, payload: &[u8]) -> Vec<u8> {
+    /// The three runs whose concatenation is `payload`'s canonical form.
+    /// Prefix and suffix are clamped to the payload, prefix first, so a
+    /// payload shorter than `prefix + suffix` is never read twice.
+    fn parts<'a>(&self, payload: &'a [u8]) -> [&'a [u8]; 3] {
         if self.whole {
-            return b"<noise>".to_vec();
+            return [&[], PLACEHOLDER, &[]];
         }
         let prefix = self.prefix.min(payload.len());
         let suffix = self.suffix.min(payload.len() - prefix);
-        let mut out = Vec::with_capacity(prefix + suffix + 7);
-        out.extend_from_slice(&payload[..prefix]);
-        out.extend_from_slice(b"<noise>");
-        out.extend_from_slice(&payload[payload.len() - suffix..]);
-        out
+        [
+            &payload[..prefix],
+            PLACEHOLDER,
+            &payload[payload.len() - suffix..],
+        ]
+    }
+
+    /// Rewrites `payload` with the masked range replaced by a placeholder.
+    pub fn canonicalize(&self, payload: &[u8]) -> Vec<u8> {
+        self.parts(payload).concat()
+    }
+
+    /// Whether `a` and `b` have the same canonical form under this mask:
+    /// exactly `canonicalize(a) == canonicalize(b)`, without building either.
+    pub fn eq_masked(&self, a: &[u8], b: &[u8]) -> bool {
+        let (pa, pb) = (self.parts(a), self.parts(b));
+        // Run by run is the same relation as comparing the concatenations,
+        // even when clamping leaves one form's placeholder beside bytes of
+        // the other that spell it: the prefix is clamped first, so kept
+        // prefixes differ in length only when one payload is shorter than
+        // `prefix`, keeps all of itself and no suffix — and then its form is
+        // shorter than any form that keeps a longer prefix.
+        pa[0] == pb[0] && pa[2] == pb[2]
     }
 }
 
@@ -226,5 +270,74 @@ mod tests {
         assert_eq!(common_suffix(b"cd", b"xd"), 1);
         assert_eq!(common_prefix(b"", b"a"), 0);
         assert_eq!(common_suffix(b"same", b"same"), 4);
+    }
+
+    #[test]
+    fn differently_clamped_forms_never_compare_equal() {
+        let m = SegmentMask {
+            index: 0,
+            prefix: 2,
+            suffix: 7,
+            whole: false,
+        };
+        // Kept runs ("ab", "") and ("ab", "<noise>"): the second payload's
+        // own bytes spell the placeholder, the forms still differ.
+        assert_eq!(m.canonicalize(b"ab"), b"ab<noise>");
+        assert_eq!(m.canonicalize(b"abX<noise>"), b"ab<noise><noise>");
+        assert!(!m.eq_masked(b"ab", b"abX<noise>"));
+        let m = SegmentMask { prefix: 9, ..m };
+        assert_eq!(m.canonicalize(b"ab"), b"ab<noise>");
+        assert_eq!(m.canonicalize(b"ab<noise>"), b"ab<noise><noise>");
+        assert!(!m.eq_masked(b"ab", b"ab<noise>"));
+    }
+
+    #[test]
+    fn masked_equality_is_canonical_equality() {
+        // Exhaustive over a small alphabet that can spell the placeholder's
+        // edges, every length up to 3 plus payloads holding the placeholder
+        // itself, under every mask shape that clamps on some of them.
+        let alphabet = [b'<', b'n', b'>', b'a'];
+        let mut payloads: Vec<Vec<u8>> = vec![Vec::new()];
+        for len in 1..=3usize {
+            for code in 0..alphabet.len().pow(len as u32) {
+                let mut c = code;
+                payloads.push(
+                    (0..len)
+                        .map(|_| {
+                            let b = alphabet[c % alphabet.len()];
+                            c /= alphabet.len();
+                            b
+                        })
+                        .collect(),
+                );
+            }
+        }
+        payloads.extend([
+            b"<noise>".to_vec(),
+            b"a<noise>".to_vec(),
+            b"<noise>a".to_vec(),
+            b"a<noise>a<noise>".to_vec(),
+        ]);
+        for prefix in 0..=9 {
+            for suffix in 0..=9 {
+                for whole in [false, true] {
+                    let m = SegmentMask {
+                        index: 0,
+                        prefix,
+                        suffix,
+                        whole,
+                    };
+                    for a in &payloads {
+                        for b in &payloads {
+                            assert_eq!(
+                                m.eq_masked(a, b),
+                                m.canonicalize(a) == m.canonicalize(b),
+                                "{m:?} {a:?} {b:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,28 +1,43 @@
 //! The Diff phase: position-wise comparison of N tokenized outputs after
 //! noise masking and known-variance exclusion.
+//!
+//! The comparison runs in place over whatever holds the segments — the
+//! engine's per-instance [`crate::SegmentTable`]s, or owned [`Segment`]s via
+//! [`diff_segments`] — and decides masked equality with
+//! [`crate::SegmentMask::eq_masked`], so an exchange that agrees builds no
+//! canonical copy of anything. Only a *diverged* exchange materialises what
+//! describes it: each detail's label and masked excerpts, and the
+//! per-instance [`DiffOutcome::canonical_forms`] majority voting groups by.
 
+use crate::frame::{label_string, SegmentList};
 use crate::report::excerpt;
 use crate::{DivergenceDetail, DivergenceReport, NoiseMask, Segment, VarianceRules};
 
-/// The result of diffing, bundling the report with the canonicalized
-/// (post-mask) segment forms used for majority grouping.
+/// The result of diffing: the report, plus what majority voting needs to
+/// group the instances of a diverged exchange.
 #[derive(Debug, Clone)]
 pub struct DiffOutcome {
     /// The divergence report.
     pub report: DivergenceReport,
-    /// For each instance, the canonical byte form of its diffable output
-    /// (used by the majority-vote policy to group agreeing instances).
+    /// For each instance of a **diverged** exchange, the canonical byte form
+    /// of its diffable output (used by the majority-vote policy to group
+    /// agreeing instances). Empty when the report is unanimous.
     pub canonical_forms: Vec<Vec<u8>>,
+    instances: usize,
 }
 
 impl DiffOutcome {
     /// Groups instances by identical canonical form, largest group first.
+    /// A unanimous outcome is one group of every instance.
     pub fn agreement_groups(&self) -> Vec<Vec<usize>> {
-        let mut groups: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
+        if !self.report.diverged() {
+            return vec![(0..self.instances).collect()];
+        }
+        let mut groups: Vec<(&[u8], Vec<usize>)> = Vec::new();
         for (idx, form) in self.canonical_forms.iter().enumerate() {
             match groups.iter_mut().find(|(f, _)| f == form) {
                 Some((_, members)) => members.push(idx),
-                None => groups.push((form.clone(), vec![idx])),
+                None => groups.push((form, vec![idx])),
             }
         }
         groups.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.1[0].cmp(&b.1[0])));
@@ -45,56 +60,62 @@ pub fn diff_segments(
     mask: &NoiseMask,
     rules: &VarianceRules,
 ) -> DiffOutcome {
-    assert!(!segments.is_empty(), "diff requires at least one instance");
+    diff_lists(segments, mask, rules)
+}
+
+/// [`diff_segments`] over any segment storage.
+pub(crate) fn diff_lists<L: SegmentList>(
+    lists: &[L],
+    mask: &NoiseMask,
+    rules: &VarianceRules,
+) -> DiffOutcome {
+    assert!(!lists.is_empty(), "diff requires at least one instance");
     let mut report = DivergenceReport {
         noise_masked: mask.len(),
         ..DivergenceReport::default()
     };
-    let reference = &segments[0];
+    let reference = &lists[0];
+    let excluded = |list: &L, pos: usize| {
+        !rules.is_empty() && rules.covers(list.label(pos), list.payload(pos))
+    };
+    // With no rules nothing is excluded and nothing needs remembering.
+    let reference_excluded: Vec<bool> = if rules.is_empty() {
+        Vec::new()
+    } else {
+        (0..reference.len())
+            .map(|pos| excluded(reference, pos))
+            .collect()
+    };
+    report.variance_excluded = reference_excluded.iter().filter(|e| **e).count();
 
-    // Canonicalize every instance's segments once.
-    let mut canon: Vec<Vec<Option<Vec<u8>>>> = Vec::with_capacity(segments.len());
-    for list in segments {
-        let mut c = Vec::with_capacity(list.len());
-        for (pos, seg) in list.iter().enumerate() {
-            if rules.excludes(seg) {
-                c.push(None);
-            } else {
-                c.push(Some(mask.apply(pos, &seg.payload)));
-            }
-        }
-        canon.push(c);
-    }
-    report.variance_excluded = canon
-        .iter()
-        .map(|c| c.iter().filter(|s| s.is_none()).count())
-        .sum();
-
-    let canonical_forms: Vec<Vec<u8>> = canon
-        .iter()
-        .map(|c| {
-            let mut flat = Vec::new();
-            for s in c.iter().flatten() {
-                flat.extend_from_slice(s);
-                flat.push(0x1e); // record separator
-            }
-            flat
-        })
-        .collect();
-
-    for (inst, list) in canon.iter().enumerate().skip(1) {
+    for (inst, list) in lists.iter().enumerate().skip(1) {
         let compared = reference.len().min(list.len());
-        for pos in 0..compared {
-            let (Some(ref_c), Some(inst_c)) = (&canon[0][pos], &list[pos]) else {
+        // Exclusions count over every segment, compared or surplus.
+        let scanned = if rules.is_empty() {
+            compared
+        } else {
+            list.len()
+        };
+        for pos in 0..scanned {
+            if excluded(list, pos) {
+                report.variance_excluded += 1;
                 continue;
+            }
+            if pos >= compared || reference_excluded.get(pos) == Some(&true) {
+                continue;
+            }
+            let (ref_p, inst_p) = (reference.payload(pos), list.payload(pos));
+            let equal = match mask.mask_for(pos) {
+                Some(m) => m.eq_masked(ref_p, inst_p),
+                None => ref_p == inst_p,
             };
-            if ref_c != inst_c {
+            if !equal {
                 report.details.push(DivergenceDetail {
                     segment_index: pos,
-                    label: segments[inst][pos].label.clone(),
+                    label: label_string(list.label(pos)),
                     instance: inst,
-                    reference_excerpt: excerpt(ref_c),
-                    instance_excerpt: excerpt(inst_c),
+                    reference_excerpt: excerpt(&mask.apply(pos, ref_p)),
+                    instance_excerpt: excerpt(&mask.apply(pos, inst_p)),
                 });
             }
         }
@@ -110,9 +131,28 @@ pub fn diff_segments(
         }
     }
 
+    let canonical_forms = if report.diverged() {
+        lists
+            .iter()
+            .map(|list| {
+                let mut flat = Vec::new();
+                for pos in 0..list.len() {
+                    if !excluded(list, pos) {
+                        flat.extend_from_slice(&mask.apply(pos, list.payload(pos)));
+                        flat.push(0x1e); // record separator
+                    }
+                }
+                flat
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+
     DiffOutcome {
         report,
         canonical_forms,
+        instances: lists.len(),
     }
 }
 
@@ -212,5 +252,32 @@ mod tests {
     #[should_panic(expected = "at least one instance")]
     fn empty_input_panics() {
         diff_segments(&[], &NoiseMask::none(), &VarianceRules::new());
+    }
+
+    #[test]
+    fn unanimous_outcome_builds_no_forms_and_groups_everyone() {
+        let pair_a = lines(&["a", "noise1"]);
+        let pair_b = lines(&["a"]);
+        let mask = NoiseMask::from_filter_pair(&pair_a, &pair_b);
+        let out = diff_segments(&[pair_a, pair_b], &mask, &VarianceRules::new());
+        assert!(out.canonical_forms.is_empty());
+        assert_eq!(out.agreement_groups(), vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn exclusions_count_surplus_segments_and_skip_their_positions() {
+        let mut rules = VarianceRules::new();
+        rules.push(VarianceRule::any_label("skip*").unwrap());
+        // Position 0: excluded on the reference only, so never compared.
+        // Position 2: surplus on instance 1 and excluded there.
+        let s = vec![lines(&["skip-a", "b"]), lines(&["other", "b", "skip-c"])];
+        let out = diff_segments(&s, &NoiseMask::none(), &rules);
+        assert_eq!(out.report.variance_excluded, 2);
+        assert!(out.report.details.is_empty());
+        assert_eq!(out.report.structural, vec![1]);
+        assert_eq!(
+            out.canonical_forms,
+            vec![b"b\x1e".to_vec(), b"other\x1eb\x1e".to_vec()]
+        );
     }
 }

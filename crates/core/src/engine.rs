@@ -7,13 +7,19 @@ use std::time::Instant;
 use bytes::BytesMut;
 use rddr_telemetry::{AuditLog, DivergenceRecord, Registry, Span};
 
-use crate::denoise::{common_prefix, common_suffix};
+use crate::diff::diff_lists;
 use crate::metrics::EngineCounters;
 use crate::{
-    diff_segments, Direction, DivergenceReport, EngineConfig, EngineMetrics, EphemeralStore, Frame,
-    NoiseMask, PolicyDecision, Protocol, RddrError, Result, Segment, SegmentMask,
-    SignatureThrottle,
+    Direction, DivergenceReport, EngineConfig, EngineMetrics, EphemeralStore, Frame, NoiseMask,
+    PolicyDecision, Protocol, RddrError, Result, SegmentMask, SegmentTable, SignatureThrottle,
 };
+
+/// Frame slots (per instance) and mask entries the exchange scratch keeps
+/// between exchanges; a larger exchange's are given back once it is
+/// evaluated, like table memory above [`SegmentTable::MAX_RETAINED`], so an
+/// idle session never pins its largest response.
+const MAX_RETAINED_FRAMES: usize = 1024;
+const MAX_RETAINED_MASKS: usize = 1024;
 
 /// Per-connection mutable state: live ephemeral tokens and the divergence
 /// signature throttle.
@@ -134,6 +140,14 @@ pub struct NVersionEngine {
     response_bufs: Vec<BytesMut>,
     pending_frames: Vec<Vec<Frame>>,
     active: Vec<bool>,
+    // Per-exchange scratch, refilled by every `finish_exchange*` and emptied
+    // after it, so a steady-state exchange allocates nothing that grows with
+    // its segment count: the live instances' original indices, their frames,
+    // one segment table per live instance and the learned mask.
+    live: Vec<usize>,
+    exchange_frames: Vec<Vec<Frame>>,
+    tables: Vec<SegmentTable>,
+    mask: NoiseMask,
     // Captured only when the throttle or audit path will read it back.
     last_request: Option<Arc<[u8]>>,
     direction: Direction,
@@ -176,6 +190,10 @@ impl NVersionEngine {
             response_bufs: (0..n).map(|_| BytesMut::new()).collect(),
             pending_frames: (0..n).map(|_| Vec::new()).collect(),
             active: vec![true; n],
+            live: Vec::with_capacity(n),
+            exchange_frames: Vec::new(),
+            tables: vec![SegmentTable::new(); n],
+            mask: NoiseMask::none(),
             last_request: None,
             direction: Direction::Response,
         }
@@ -423,7 +441,36 @@ impl NVersionEngine {
     fn finish_exchange_impl(&mut self, unit: bool) -> Result<ExchangeOutcome> {
         // `live[compact] = original` maps the diff's dense instance numbering
         // back to the engine's 0..N ids once ejections have thinned the set.
-        let live = self.active_instances();
+        let mut live = std::mem::take(&mut self.live);
+        live.clear();
+        live.extend((0..self.active.len()).filter(|&i| self.active[i]));
+        let mut frames = std::mem::take(&mut self.exchange_frames);
+        let result = self.evaluate(unit, &live, &mut frames);
+        for slot in &mut frames {
+            slot.clear();
+            if slot.capacity() > MAX_RETAINED_FRAMES {
+                *slot = Vec::new();
+            }
+        }
+        for table in &mut self.tables {
+            table.clear();
+        }
+        if self.mask.len() > MAX_RETAINED_MASKS {
+            self.mask = NoiseMask::none();
+        }
+        self.live = live;
+        self.exchange_frames = frames;
+        result
+    }
+
+    /// Evaluates one exchange of the `live` instances, moving their frames
+    /// into `frames` (one slot per live instance, in `live` order).
+    fn evaluate(
+        &mut self,
+        unit: bool,
+        live: &[usize],
+        frames: &mut Vec<Vec<Frame>>,
+    ) -> Result<ExchangeOutcome> {
         if live.is_empty() {
             return Err(RddrError::Protocol(
                 "no active instances in exchange".into(),
@@ -438,41 +485,38 @@ impl NVersionEngine {
         if let Some(span) = &self.span {
             span.event("diff");
         }
-        let frames: Vec<Vec<Frame>> = live
-            .iter()
-            .map(|&i| {
-                let pending = &mut self.pending_frames[i];
-                let take = if unit {
-                    self.protocol
-                        .exchange_take(pending, self.direction)
-                        .unwrap_or(pending.len())
-                        .min(pending.len())
-                } else {
-                    pending.len()
-                };
-                // drain (not mem::take) keeps the Vec's capacity for the
-                // next exchange and, in unit mode, leaves pipelined frames
-                // beyond this unit buffered.
-                pending.drain(..take).collect()
-            })
-            .collect();
+        frames.resize_with(live.len(), Vec::new);
+        for (slot, &i) in frames.iter_mut().zip(live) {
+            let pending = &mut self.pending_frames[i];
+            let take = if unit {
+                self.protocol
+                    .exchange_take(pending, self.direction)
+                    .unwrap_or(pending.len())
+                    .min(pending.len())
+            } else {
+                pending.len()
+            };
+            // drain (not mem::take) keeps the Vec's capacity for the next
+            // exchange and, in unit mode, leaves pipelined frames beyond
+            // this unit buffered.
+            slot.extend(pending.drain(..take));
+        }
 
         // Unanimous fast path: when every live instance produced
         // byte-identical critical frames, neither de-noising nor diffing can
         // change the verdict (identical payloads yield an empty filter-pair
         // mask, no ephemeral capture, and no differing segments), so the
-        // canonicalization allocations are skipped outright. Disabled when
-        // known-variance rules are configured so `variance_excluded`
-        // accounting stays exact.
+        // full pipeline is skipped outright. Disabled when known-variance
+        // rules are configured so `variance_excluded` accounting stays exact.
         if self.config.fast_path() && self.config.variance().is_empty() {
-            if frames_unanimous(&frames) {
+            if frames_unanimous(frames) {
                 self.counters.fastpath_hits.inc();
                 self.counters.exchanges.inc();
                 let decision = PolicyDecision::Forward { instance: live[0] };
                 if let Some(span) = &self.span {
                     span.event(format!("respond:forward:{}", live[0]));
                 }
-                let forward = Some(concat_frames(&frames[0]));
+                let forward = Some(take_bytes(&mut frames[0]));
                 self.counters
                     .eval_latency_us
                     .record_duration(eval_start.elapsed());
@@ -486,38 +530,49 @@ impl NVersionEngine {
             self.counters.fastpath_misses.inc();
         }
 
-        // Tokenize critical frames into one aligned segment list per instance.
-        let mut segments: Vec<Vec<Segment>> = Vec::with_capacity(frames.len());
-        for instance_frames in &frames {
-            let mut segs = Vec::new();
+        // Tokenize each instance's critical frames into its segment table
+        // (left empty by the previous exchange).
+        for (table, instance_frames) in self.tables.iter_mut().zip(frames.iter()) {
             for frame in instance_frames.iter().filter(|f| f.critical) {
-                segs.extend(self.protocol.tokenize(frame));
+                self.protocol.tokenize_into(frame, table);
             }
-            segments.push(segs);
+        }
+        let tables = &self.tables[..live.len()];
+
+        // De-noise (§IV-B2): mask byte ranges on which the filter pair
+        // differs. If either member of the pair has been ejected, filtering
+        // is disabled for the exchange (the pair's whole point is that both
+        // run identical versions).
+        let compact = |original: usize| live.iter().position(|&i| i == original);
+        match self.config.filter_pair() {
+            Some((a, b)) => match (compact(a), compact(b)) {
+                (Some(ca), Some(cb)) => self.mask.learn(&tables[ca], &tables[cb]),
+                _ => self.mask.clear(),
+            },
+            None => self.mask.clear(),
         }
 
-        // Ephemeral-state capture (§IV-B3), HTTP-style protocols only.
-        let mut token_masks: Vec<SegmentMask> = Vec::new();
+        // Ephemeral-state capture (§IV-B3), HTTP-style protocols only. A
+        // captured token's range is masked unless the pair already masks
+        // that position.
         let mut tokens_captured = 0;
         if self.protocol.supports_ephemeral() {
-            let min_len = segments.iter().map(Vec::len).min().unwrap_or(0);
+            let min_len = tables.iter().map(SegmentTable::len).min().unwrap_or(0);
             for pos in 0..min_len {
-                let payloads: Vec<&[u8]> =
-                    segments.iter().map(|s| s[pos].payload.as_slice()).collect();
-                if self.state.ephemeral.scan_position(&payloads).is_some() {
-                    let mut prefix = usize::MAX;
-                    let mut suffix = usize::MAX;
-                    for p in &payloads[1..] {
-                        prefix = prefix.min(common_prefix(payloads[0], p));
-                        suffix = suffix.min(common_suffix(payloads[0], p));
-                    }
-                    token_masks.push(SegmentMask {
-                        index: pos,
-                        prefix,
-                        suffix,
-                        whole: false,
-                    });
+                let scanned = self
+                    .state
+                    .ephemeral
+                    .scan_at(tables.len(), |i| tables[i].payload(pos));
+                if let Some((prefix, suffix)) = scanned {
                     tokens_captured += 1;
+                    if self.mask.mask_for(pos).is_none() {
+                        self.mask.add(SegmentMask {
+                            index: pos,
+                            prefix,
+                            suffix,
+                            whole: false,
+                        });
+                    }
                 }
             }
             let total = self.state.ephemeral.captured_total();
@@ -527,31 +582,8 @@ impl NVersionEngine {
             self.tokens_captured_reported = total;
         }
 
-        // De-noise (§IV-B2): mask byte ranges on which the filter pair
-        // differs. If either member of the pair has been ejected, filtering
-        // is disabled for the exchange (the pair's whole point is that both
-        // run identical versions).
-        let mut mask = match self.config.filter_pair() {
-            Some((a, b)) => {
-                let ca = live.iter().position(|&i| i == a);
-                let cb = live.iter().position(|&i| i == b);
-                match (ca, cb) {
-                    (Some(ca), Some(cb)) if ca < segments.len() && cb < segments.len() => {
-                        NoiseMask::from_filter_pair(&segments[ca], &segments[cb])
-                    }
-                    _ => NoiseMask::none(),
-                }
-            }
-            None => NoiseMask::none(),
-        };
-        for m in token_masks {
-            if mask.mask_for(m.index).is_none() {
-                mask.add(m);
-            }
-        }
-
-        // Diff.
-        let mut outcome = diff_segments(&segments, &mask, self.config.variance());
+        // Diff, in place over the tables.
+        let mut outcome = diff_lists(tables, &self.mask, self.config.variance());
         outcome.report.tokens_captured = tokens_captured;
         self.counters.exchanges.inc();
         self.counters
@@ -571,7 +603,7 @@ impl NVersionEngine {
             }
         }
         let forward = match &compact_decision {
-            PolicyDecision::Forward { instance } => Some(concat_frames(&frames[*instance])),
+            PolicyDecision::Forward { instance } => Some(take_bytes(&mut frames[*instance])),
             PolicyDecision::Sever { .. } => None,
         };
         // Quorum quarantine: on a majority forward despite divergence, the
@@ -682,66 +714,36 @@ impl NVersionEngine {
     }
 }
 
-fn concat_frames(frames: &[Frame]) -> Vec<u8> {
+/// The wire bytes of an instance's frames, in order. The frames are spent:
+/// a lone frame (every line and HTTP exchange) gives up its buffer instead
+/// of being copied.
+fn take_bytes(frames: &mut [Frame]) -> Vec<u8> {
+    if let [only] = frames {
+        return std::mem::take(&mut only.bytes);
+    }
     let mut out = Vec::with_capacity(frames.iter().map(Frame::len).sum());
-    for f in frames {
+    for f in frames.iter() {
         out.extend_from_slice(&f.bytes);
     }
     out
 }
 
-/// FNV-1a over a frame's label and payload — the cheap reject before the
-/// exact comparison in [`frames_unanimous`].
-fn frame_hash(frame: &Frame) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for &b in frame.label.as_bytes() {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash = (hash ^ 0xff).wrapping_mul(FNV_PRIME);
-    for &b in &frame.bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Whether every instance's *critical* frames are byte-identical to the
-/// first instance's (same count, labels, and payloads). Reference hashes are
-/// computed once and reused across instances; a hash match is confirmed with
-/// an exact comparison, so a collision can never fake unanimity.
+/// first instance's: same count, and frame by frame the same length, label
+/// and bytes. A differing frame is rejected where it first differs (for
+/// HTTP with a `Date` header, a few dozen bytes in).
 fn frames_unanimous(frames: &[Vec<Frame>]) -> bool {
     let Some((first, rest)) = frames.split_first() else {
         return false;
     };
-    if rest.is_empty() {
-        return true;
-    }
-    let reference: Vec<&Frame> = first.iter().filter(|f| f.critical).collect();
-    let mut ref_hashes: Vec<u64> = Vec::with_capacity(reference.len());
-    for other in rest {
-        let mut matched = 0usize;
-        for frame in other.iter().filter(|f| f.critical) {
-            let Some(reference_frame) = reference.get(matched) else {
-                return false; // surplus critical frame
-            };
-            if ref_hashes.len() <= matched {
-                ref_hashes.push(frame_hash(reference_frame));
-            }
-            let hash_matches = ref_hashes.get(matched) == Some(&frame_hash(frame));
-            if !hash_matches
-                || reference_frame.label != frame.label
-                || reference_frame.bytes != frame.bytes
-            {
-                return false;
-            }
-            matched += 1;
-        }
-        if matched != reference.len() {
-            return false; // missing critical frame
-        }
-    }
-    true
+    rest.iter().all(|other| {
+        let mut reference = first.iter().filter(|f| f.critical);
+        other.iter().filter(|f| f.critical).all(|frame| {
+            reference
+                .next()
+                .is_some_and(|r| r.bytes == frame.bytes && r.label == frame.label)
+        }) && reference.next().is_none()
+    })
 }
 
 #[cfg(test)]
@@ -958,6 +960,22 @@ mod tests {
         ]));
         // Single instance (degraded mode lone survivor) is trivially unanimous.
         assert!(frames_unanimous(&[vec![line(b"x\n")]]));
+    }
+
+    #[test]
+    fn exchange_scratch_is_emptied_after_every_exchange() {
+        // Full pipeline (the responses differ), then fast path: either way
+        // nothing of the exchange is left behind in the engine.
+        let config = EngineConfig::builder(3).filter_pair(0, 1).build().unwrap();
+        let mut e = NVersionEngine::new(config, LineProtocol::new());
+        for third in [b"id=3 leak\n".as_slice(), b"id=1 ok\n"] {
+            e.evaluate_responses(&[b"id=1 ok\n".to_vec(), b"id=2 ok\n".to_vec(), third.to_vec()])
+                .unwrap();
+            assert!(e.tables.iter().all(SegmentTable::is_empty));
+            assert!(e.exchange_frames.iter().all(Vec::is_empty));
+        }
+        e.evaluate_responses(&vec![b"same\n".to_vec(); 3]).unwrap();
+        assert!(e.exchange_frames.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use std::collections::BTreeMap;
 
 use crate::denoise::{common_prefix, common_suffix};
+use crate::scan::find_byte;
 use crate::Segment;
 
 /// Minimum length of a differing alphanumeric run for it to be treated as an
@@ -37,6 +38,20 @@ impl EphemeralToken {
     }
 }
 
+/// The most tokens one session keeps live. A page that mints a token per
+/// response which the client never echoes would otherwise grow the store —
+/// and the cost of rewriting every later request — without bound; past the
+/// cap the oldest capture is dropped (and, if the client does echo it later,
+/// passes through unchanged, exactly as a token RDDR never saw).
+pub const MAX_LIVE_TOKENS: usize = 64;
+
+#[derive(Debug, Clone)]
+struct LiveToken {
+    token: EphemeralToken,
+    /// Capture order, for oldest-first eviction.
+    seq: u64,
+}
+
 /// The per-session store of live ephemeral tokens.
 ///
 /// Keys are the canonical token bytes (what the client echoes back).
@@ -44,7 +59,7 @@ impl EphemeralToken {
 pub struct EphemeralStore {
     // BTreeMap: `substitute` iterates the live tokens, so rewritten request
     // bytes (and token reports) must be order-stable across runs/instances.
-    tokens: BTreeMap<Vec<u8>, EphemeralToken>,
+    tokens: BTreeMap<Vec<u8>, LiveToken>,
     pending_consumed: Vec<Vec<u8>>,
     captured_total: u64,
     substituted_total: u64,
@@ -83,62 +98,83 @@ impl EphemeralStore {
     /// instances' payloads mutually differ in a range that is alphanumeric
     /// and at least [`MIN_TOKEN_LEN`] bytes long in every instance.
     pub fn scan_position(&mut self, payloads: &[&[u8]]) -> Option<EphemeralToken> {
-        if payloads.len() < 2 {
+        let (prefix, suffix) = self.scan_at(payloads.len(), |i| payloads[i])?;
+        let first = payloads[0];
+        self.get(&first[prefix..first.len() - suffix]).cloned()
+    }
+
+    /// [`EphemeralStore::scan_position`] over `instances` payloads fetched
+    /// by index, so the caller need not gather them. Returns the lengths of
+    /// the prefix and suffix all payloads share around the captured token.
+    pub(crate) fn scan_at<'a>(
+        &mut self,
+        instances: usize,
+        payload: impl Fn(usize) -> &'a [u8],
+    ) -> Option<(usize, usize)> {
+        if instances < 2 {
             return None;
         }
         // "Lines that differ across all instances": every pair must differ.
-        for i in 0..payloads.len() {
-            for j in (i + 1)..payloads.len() {
-                if payloads[i] == payloads[j] {
+        for i in 0..instances {
+            for j in (i + 1)..instances {
+                if payload(i) == payload(j) {
                     return None;
                 }
             }
         }
         // The differing character range: common prefix/suffix over all.
-        let mut prefix = common_prefix(payloads[0], payloads[1]);
-        let mut suffix = common_suffix(payloads[0], payloads[1]);
-        for p in &payloads[2..] {
-            prefix = prefix.min(common_prefix(payloads[0], p));
-            suffix = suffix.min(common_suffix(payloads[0], p));
+        let first = payload(0);
+        let mut prefix = usize::MAX;
+        let mut suffix = usize::MAX;
+        for i in 1..instances {
+            prefix = prefix.min(common_prefix(first, payload(i)));
+            suffix = suffix.min(common_suffix(first, payload(i)));
         }
-        let mut candidates = Vec::with_capacity(payloads.len());
-        for p in payloads {
-            if prefix + suffix > p.len() {
-                return None;
-            }
-            let middle = &p[prefix..p.len() - suffix];
-            if middle.len() < MIN_TOKEN_LEN || !middle.iter().all(|b| b.is_ascii_alphanumeric()) {
-                return None;
-            }
-            candidates.push(middle.to_vec());
-        }
+        let middle = |p: &'a [u8]| -> Option<&'a [u8]> {
+            let middle = p.get(prefix..p.len().checked_sub(suffix)?)?;
+            (middle.len() >= MIN_TOKEN_LEN && middle.iter().all(|b| b.is_ascii_alphanumeric()))
+                .then_some(middle)
+        };
+        let per_instance = (0..instances)
+            .map(|i| middle(payload(i)).map(<[u8]>::to_vec))
+            .collect::<Option<Vec<_>>>()?;
         let token = EphemeralToken {
-            canonical: candidates[0].clone(),
-            per_instance: candidates,
+            canonical: per_instance[0].clone(),
+            per_instance,
         };
         self.captured_total += 1;
-        self.tokens.insert(token.canonical.clone(), token.clone());
-        Some(token)
+        self.tokens.insert(
+            token.canonical.clone(),
+            LiveToken {
+                token,
+                seq: self.captured_total,
+            },
+        );
+        if self.tokens.len() > MAX_LIVE_TOKENS {
+            let oldest = self
+                .tokens
+                .iter()
+                .min_by_key(|(_, live)| live.seq)
+                .map(|(key, _)| key.clone());
+            if let Some(key) = oldest {
+                self.tokens.remove(&key);
+            }
+        }
+        Some((prefix, suffix))
     }
 
     /// Scans a whole frame's worth of aligned segment lists, capturing every
     /// token position. Returns how many tokens were captured.
     pub fn scan_segments(&mut self, instance_segments: &[Vec<Segment>]) -> usize {
-        if instance_segments.is_empty() {
-            return 0;
-        }
         let min_len = instance_segments.iter().map(Vec::len).min().unwrap_or(0);
-        let mut captured = 0;
-        for pos in 0..min_len {
-            let payloads: Vec<&[u8]> = instance_segments
-                .iter()
-                .map(|segs| segs[pos].payload.as_slice())
-                .collect();
-            if self.scan_position(&payloads).is_some() {
-                captured += 1;
-            }
-        }
-        captured
+        (0..min_len)
+            .filter(|&pos| {
+                self.scan_at(instance_segments.len(), |i| {
+                    instance_segments[i][pos].payload.as_slice()
+                })
+                .is_some()
+            })
+            .count()
     }
 
     /// Rewrites a client request for one instance, substituting each live
@@ -157,15 +193,14 @@ impl EphemeralStore {
     pub fn substitute_rewritten(&mut self, request: &[u8], instance: usize) -> Option<Vec<u8>> {
         let mut out: Option<Vec<u8>> = None;
         let mut consumed = Vec::new();
-        for (canonical, token) in &self.tokens {
-            if instance >= token.per_instance.len() {
+        for (canonical, live) in &self.tokens {
+            let Some(replacement) = live.token.per_instance.get(instance) else {
                 continue;
-            }
-            let replacement = token.token_for(instance);
-            let rewritten = replace_all(out.as_deref().unwrap_or(request), canonical, replacement);
-            if rewritten.1 > 0 {
-                out = Some(rewritten.0);
-                self.substituted_total += rewritten.1;
+            };
+            let current = out.as_deref().unwrap_or(request);
+            if let Some((rewritten, count)) = replace_all(current, canonical, replacement) {
+                out = Some(rewritten);
+                self.substituted_total += count;
                 consumed.push(canonical.clone());
             }
         }
@@ -185,30 +220,44 @@ impl EphemeralStore {
 
     /// Looks up a live token by its canonical bytes.
     pub fn get(&self, canonical: &[u8]) -> Option<&EphemeralToken> {
-        self.tokens.get(canonical)
+        self.tokens.get(canonical).map(|live| &live.token)
     }
 }
 
-/// Replaces all occurrences of `needle` in `haystack`, returning the result
-/// and the number of replacements.
-fn replace_all(haystack: &[u8], needle: &[u8], replacement: &[u8]) -> (Vec<u8>, u64) {
-    if needle.is_empty() {
-        return (haystack.to_vec(), 0);
+/// The offset of the first occurrence of `needle` in `haystack`.
+fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+    let (&first, rest) = needle.split_first()?;
+    let mut from = 0;
+    while let Some(at) = find_byte(first, haystack.get(from..)?) {
+        let at = from + at;
+        if haystack[at + 1..].starts_with(rest) {
+            return Some(at);
+        }
+        from = at + 1;
     }
+    None
+}
+
+/// Replaces all occurrences of `needle` in `haystack`, returning the result
+/// and the number of replacements — or `None`, having copied nothing, when
+/// there is no occurrence (every request that echoes no live token).
+fn replace_all(haystack: &[u8], needle: &[u8], replacement: &[u8]) -> Option<(Vec<u8>, u64)> {
+    let mut next = find(haystack, needle)?;
     let mut out = Vec::with_capacity(haystack.len());
-    let mut i = 0;
+    let mut copied = 0;
     let mut count = 0;
-    while i < haystack.len() {
-        if haystack[i..].starts_with(needle) {
-            out.extend_from_slice(replacement);
-            i += needle.len();
-            count += 1;
-        } else {
-            out.push(haystack[i]);
-            i += 1;
+    loop {
+        out.extend_from_slice(&haystack[copied..next]);
+        out.extend_from_slice(replacement);
+        copied = next + needle.len();
+        count += 1;
+        match find(&haystack[copied..], needle) {
+            Some(at) => next = copied + at,
+            None => break,
         }
     }
-    (out, count)
+    out.extend_from_slice(&haystack[copied..]);
+    Some((out, count))
 }
 
 #[cfg(test)]
@@ -349,8 +398,77 @@ mod tests {
 
     #[test]
     fn replace_all_handles_adjacent_matches() {
-        let (out, n) = replace_all(b"abab", b"ab", b"X");
+        let (out, n) = replace_all(b"abab", b"ab", b"X").unwrap();
         assert_eq!(out, b"XX");
         assert_eq!(n, 2);
+    }
+
+    #[test]
+    fn replace_all_matches_the_bytewise_scan() {
+        // Overlapping candidates, matches at both ends, no match, empty needle.
+        assert_eq!(replace_all(b"aaab", b"aab", b"-").unwrap().0, b"a-");
+        assert_eq!(replace_all(b"abxab", b"ab", b"yz").unwrap().0, b"yzxyz");
+        assert_eq!(
+            replace_all(b"aaa", b"aa", b"b").unwrap(),
+            (b"ba".to_vec(), 1)
+        );
+        assert_eq!(replace_all(b"abc", b"abcd", b"x"), None);
+        assert_eq!(replace_all(b"abc", b"", b"x"), None);
+        assert_eq!(replace_all(b"", b"a", b"x"), None);
+    }
+
+    /// The `i`-th distinct 12-character alphanumeric token of `instance`,
+    /// differing from the other instances' at both ends.
+    fn minted(instance: usize, i: usize) -> Vec<u8> {
+        let tag = ["A", "B", "C"][instance];
+        format!("{tag}{i:010}{tag}").into_bytes()
+    }
+
+    #[test]
+    fn unechoed_tokens_are_capped_with_oldest_first_eviction() {
+        let mut store = EphemeralStore::new();
+        for i in 0..10_000 {
+            let page: Vec<Vec<u8>> = (0..3)
+                .map(|k| [b"csrf=".as_slice(), &minted(k, i), b";"].concat())
+                .collect();
+            let views: Vec<&[u8]> = page.iter().map(Vec::as_slice).collect();
+            assert!(store.scan_position(&views).is_some());
+            assert!(store.len() <= MAX_LIVE_TOKENS);
+        }
+        assert_eq!(store.len(), MAX_LIVE_TOKENS);
+        assert_eq!(store.captured_total(), 10_000);
+
+        // An evicted token passes through unchanged, like one never seen.
+        let stale = [b"POST t=".as_slice(), &minted(0, 0)].concat();
+        for k in 0..3 {
+            assert_eq!(store.substitute_rewritten(&stale, k), None);
+        }
+        // The newest still substitutes per instance.
+        let fresh = [b"POST t=".as_slice(), &minted(0, 9_999)].concat();
+        for k in 0..3 {
+            assert_eq!(
+                store.substitute(&fresh, k),
+                [b"POST t=".as_slice(), &minted(k, 9_999)].concat()
+            );
+        }
+        store.purge_consumed();
+        assert_eq!(store.len(), MAX_LIVE_TOKENS - 1);
+    }
+
+    #[test]
+    fn recapturing_a_token_refreshes_its_age() {
+        let mut store = EphemeralStore::new();
+        let capture = |store: &mut EphemeralStore, i: usize| {
+            let (a, b) = (minted(0, i), minted(1, i));
+            store.scan_position(&[&a, &b]).expect("captured");
+        };
+        capture(&mut store, 0);
+        for i in 1..MAX_LIVE_TOKENS {
+            capture(&mut store, i);
+        }
+        capture(&mut store, 0); // token 0 is now the youngest
+        capture(&mut store, MAX_LIVE_TOKENS); // evicts token 1, the oldest
+        assert!(store.get(&minted(0, 0)).is_some());
+        assert!(store.get(&minted(0, 1)).is_none());
     }
 }

@@ -61,6 +61,7 @@ mod metrics;
 mod policy;
 pub mod protocol;
 mod report;
+mod scan;
 mod signature;
 mod variance;
 
@@ -69,9 +70,9 @@ pub use configfile::{ConfigFile, StorageConfig};
 pub use denoise::{NoiseMask, SegmentMask};
 pub use diff::{diff_segments, DiffOutcome};
 pub use engine::{ExchangeOutcome, NVersionEngine, RequestCopy, SessionState, Verdict};
-pub use ephemeral::{EphemeralStore, EphemeralToken, MIN_TOKEN_LEN};
+pub use ephemeral::{EphemeralStore, EphemeralToken, MAX_LIVE_TOKENS, MIN_TOKEN_LEN};
 pub use error::RddrError;
-pub use frame::{Direction, Frame, Segment};
+pub use frame::{Direction, Frame, Segment, SegmentTable};
 pub use glob::GlobPattern;
 pub use metrics::{EngineCounters, EngineMetrics};
 pub use policy::{
@@ -79,6 +80,7 @@ pub use policy::{
 };
 pub use protocol::Protocol;
 pub use report::{DivergenceDetail, DivergenceReport};
+pub use scan::find_byte;
 pub use signature::SignatureThrottle;
 pub use variance::{VarianceRule, VarianceRules};
 

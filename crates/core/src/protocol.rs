@@ -13,7 +13,7 @@
 
 use bytes::BytesMut;
 
-use crate::{Direction, Frame, Result, Segment};
+use crate::{find_byte, Direction, Frame, Result, Segment, SegmentTable};
 
 /// The standard interface every protocol module implements.
 ///
@@ -34,8 +34,18 @@ pub trait Protocol: Send + Sync {
     /// Returns [`crate::RddrError::Protocol`] on malformed traffic.
     fn split_frames(&self, buf: &mut BytesMut, direction: Direction) -> Result<Vec<Frame>>;
 
-    /// Tokenizes a frame into ordered, diffable segments.
-    fn tokenize(&self, frame: &Frame) -> Vec<Segment>;
+    /// Tokenizes a frame into ordered, diffable segments, appended to
+    /// `table` (the engine tokenizes all of an instance's critical frames
+    /// into one table, so implementations never clear it).
+    fn tokenize_into(&self, frame: &Frame, table: &mut SegmentTable);
+
+    /// [`Protocol::tokenize_into`] with the segments handed back in owned
+    /// form, for callers outside the engine.
+    fn tokenize(&self, frame: &Frame) -> Vec<Segment> {
+        let mut table = SegmentTable::new();
+        self.tokenize_into(frame, &mut table);
+        table.to_segments()
+    }
 
     /// Whether the engine should run ephemeral-state (CSRF token) capture
     /// and substitution for this protocol. Only the HTTP module enables it,
@@ -94,7 +104,7 @@ impl Protocol for LineProtocol {
 
     fn split_frames(&self, buf: &mut BytesMut, _direction: Direction) -> Result<Vec<Frame>> {
         let mut frames = Vec::new();
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+        while let Some(pos) = find_byte(b'\n', buf) {
             // `split_to` already copied the line out; `freeze` hands over
             // that allocation instead of copying a second time.
             let line = buf.split_to(pos + 1);
@@ -103,13 +113,13 @@ impl Protocol for LineProtocol {
         Ok(frames)
     }
 
-    fn tokenize(&self, frame: &Frame) -> Vec<Segment> {
+    fn tokenize_into(&self, frame: &Frame, table: &mut SegmentTable) {
         let payload = frame
             .bytes
             .strip_suffix(b"\n")
             .map(|b| b.strip_suffix(b"\r").unwrap_or(b))
             .unwrap_or(&frame.bytes);
-        vec![Segment::new("line", payload.to_vec())]
+        table.push("line", payload);
     }
 
     fn exchange_take(&self, frames: &[Frame], _direction: Direction) -> Option<usize> {
@@ -147,8 +157,8 @@ impl Protocol for RawProtocol {
         Ok(vec![Frame::new("raw", all.freeze())])
     }
 
-    fn tokenize(&self, frame: &Frame) -> Vec<Segment> {
-        vec![Segment::new("raw", frame.bytes.clone())]
+    fn tokenize_into(&self, frame: &Frame, table: &mut SegmentTable) {
+        table.push("raw", &frame.bytes);
     }
 }
 

@@ -37,8 +37,11 @@ impl VarianceRule {
 
     /// Whether `segment` is covered by this rule.
     pub fn matches(&self, segment: &Segment) -> bool {
-        self.label_glob.matches(segment.label.as_bytes())
-            && self.payload_glob.matches(&segment.payload)
+        self.covers(segment.label.as_bytes(), &segment.payload)
+    }
+
+    fn covers(&self, label: &[u8], payload: &[u8]) -> bool {
+        self.label_glob.matches(label) && self.payload_glob.matches(payload)
     }
 }
 
@@ -76,7 +79,12 @@ impl VarianceRules {
 
     /// Whether any rule excludes `segment` from diffing.
     pub fn excludes(&self, segment: &Segment) -> bool {
-        self.rules.iter().any(|r| r.matches(segment))
+        self.covers(segment.label.as_bytes(), &segment.payload)
+    }
+
+    /// [`VarianceRules::excludes`] for a segment given as its two parts.
+    pub(crate) fn covers(&self, label: &[u8], payload: &[u8]) -> bool {
+        self.rules.iter().any(|r| r.covers(label, payload))
     }
 }
 

@@ -10,9 +10,21 @@
 //! bodies are de-chunked and the toy `rle` content encoding (this repo's
 //! stand-in for gzip — see `DESIGN.md`) is decoded, so instances that chose
 //! different transfer framings still compare equal when their payloads agree.
+//!
+//! Framing and tokenizing both read the head where it lies: one forward scan
+//! finds the blank line, the head is viewed as text without copying it
+//! (`String::from_utf8_lossy` borrows whenever the head is valid UTF-8, i.e.
+//! always in practice), and the three framing headers are matched
+//! case-insensitively on that view. The tokenizer writes straight into the
+//! engine's [`SegmentTable`]: header segments as `lower(name): value`, then
+//! the body — copied, de-chunked or `rle`-decoded exactly once into the
+//! table's arena — with one span per line. Nothing is allocated per header
+//! or per line.
+
+use std::ops::Range;
 
 use bytes::BytesMut;
-use rddr_core::{Direction, Frame, Protocol, RddrError, Result, Segment};
+use rddr_core::{find_byte, Direction, Frame, Protocol, RddrError, Result, SegmentTable};
 
 /// The HTTP/1.1 protocol module.
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,94 +37,130 @@ impl HttpProtocol {
     }
 }
 
-/// A parsed HTTP message head: start line plus headers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Head {
-    /// The request line or status line, without line terminator.
-    pub start_line: String,
-    /// Header `(name, value)` pairs in order; names lower-cased.
-    pub headers: Vec<(String, String)>,
-    /// Byte length of the head including the blank line.
-    pub len: usize,
-}
-
-impl Head {
-    /// First value of a header, by lower-case name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Parses a message head if the buffer holds a complete one.
-    pub fn parse(buf: &[u8]) -> Option<Head> {
-        let head_end = find_head_end(buf)?;
-        let head_text = String::from_utf8_lossy(&buf[..head_end.body_start]);
-        let mut lines = head_text.split("\r\n").flat_map(|l| l.split('\n'));
-        let start_line = lines.next()?.to_string();
-        let mut headers = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
+/// The offset just past the head's blank line, if the buffer holds one.
+///
+/// Takes whichever of `CRLF CRLF` and `LF LF` comes first, so an LF-only
+/// head followed by a body that happens to contain `CRLF CRLF` is not
+/// mis-framed. One forward scan over the line feeds, which stops at the
+/// blank line: the body is never looked at.
+fn find_head_end(buf: &[u8]) -> Option<usize> {
+    let mut from = 0;
+    while let Some(at) = find_byte(b'\n', &buf[from..]) {
+        let lf = from + at;
+        match buf.get(lf + 1) {
+            Some(b'\n') => return Some(lf + 2),
+            Some(b'\r') if lf > 0 && buf[lf - 1] == b'\r' && buf.get(lf + 2) == Some(&b'\n') => {
+                return Some(lf + 3)
             }
-            if let Some((name, value)) = line.split_once(':') {
-                headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-            }
+            _ => {}
         }
-        Some(Head {
-            start_line,
-            headers,
-            len: head_end.body_start,
-        })
+        from = lf + 1;
     }
+    None
 }
 
-struct HeadEnd {
-    body_start: usize,
+/// The lines of a head's text: split at every line feed, each line without
+/// the carriage return that preceded its line feed, if one did.
+fn head_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        let Some(at) = find_byte(b'\n', text.as_bytes()) else {
+            rest = None;
+            return Some(text);
+        };
+        rest = Some(&text[at + 1..]);
+        let line = &text[..at];
+        Some(line.strip_suffix('\r').unwrap_or(line))
+    })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<HeadEnd> {
-    // Take whichever blank line comes first, so an LF-only head followed by
-    // a body that happens to contain CRLFCRLF is not mis-framed.
-    let crlf = window_find(buf, b"\r\n\r\n");
-    let lf = window_find(buf, b"\n\n");
-    match (crlf, lf) {
-        (Some(c), Some(l)) if l < c => Some(HeadEnd { body_start: l + 2 }),
-        (Some(c), _) => Some(HeadEnd { body_start: c + 4 }),
-        (None, Some(l)) => Some(HeadEnd { body_start: l + 2 }),
-        (None, None) => None,
+/// A header line as its trimmed `(name, value)`; `None` for anything else.
+fn header(line: &str) -> Option<(&str, &str)> {
+    let (name, value) = line.split_once(':')?;
+    Some((name.trim(), value.trim()))
+}
+
+/// The values of the headers that say how the body is framed and coded.
+/// They are interpreted, never diffed; of repeated ones the first counts.
+#[derive(Default)]
+struct Framing<'a> {
+    transfer_encoding: Option<&'a str>,
+    content_length: Option<&'a str>,
+    content_encoding: Option<&'a str>,
+}
+
+impl<'a> Framing<'a> {
+    /// Reads the framing headers off a head's text.
+    fn of(text: &'a str) -> Self {
+        let mut framing = Framing::default();
+        for (name, value) in head_lines(text).skip(1).filter_map(header) {
+            framing.note(name, value);
+        }
+        framing
     }
-}
 
-fn window_find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    haystack.windows(needle.len()).position(|w| w == needle)
+    /// Records `name: value` if it is a framing header; says whether it is.
+    fn note(&mut self, name: &str, value: &'a str) -> bool {
+        let slot = if name.eq_ignore_ascii_case("transfer-encoding") {
+            &mut self.transfer_encoding
+        } else if name.eq_ignore_ascii_case("content-length") {
+            &mut self.content_length
+        } else if name.eq_ignore_ascii_case("content-encoding") {
+            &mut self.content_encoding
+        } else {
+            return false;
+        };
+        slot.get_or_insert(value);
+        true
+    }
+
+    fn chunked(&self) -> bool {
+        self.transfer_encoding
+            .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
+    }
+
+    fn rle(&self) -> bool {
+        self.content_encoding
+            .is_some_and(|v| v.eq_ignore_ascii_case("rle"))
+    }
 }
 
 /// Returns the total frame length if the buffer holds one complete message.
-fn message_len(buf: &[u8], direction: Direction) -> Result<Option<usize>> {
-    let Some(head) = Head::parse(buf) else {
+fn message_len(buf: &[u8]) -> Result<Option<usize>> {
+    let Some(body_start) = find_head_end(buf) else {
         return Ok(None);
     };
-    if head
-        .header("transfer-encoding")
-        .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
-    {
-        return Ok(chunked_end(&buf[head.len..])?.map(|n| head.len + n));
+    let text = String::from_utf8_lossy(&buf[..body_start]);
+    let framing = Framing::of(&text);
+    if framing.chunked() {
+        return Ok(chunked_end(&buf[body_start..])?.map(|n| body_start + n));
     }
-    if let Some(cl) = head.header("content-length") {
+    if let Some(cl) = framing.content_length {
         let cl: usize = cl
-            .trim()
             .parse()
             .map_err(|_| RddrError::Protocol(format!("bad content-length: {cl:?}")))?;
-        if buf.len() >= head.len + cl {
-            return Ok(Some(head.len + cl));
-        }
-        return Ok(None);
+        // Compared against what is buffered, never added to an offset: a
+        // declared length near `usize::MAX` just never completes.
+        return Ok((buf.len() - body_start >= cl).then(|| body_start + cl));
     }
     // No body indicators: responses to HEAD, 204/304, or bare GET requests.
-    let _ = direction;
-    Ok(Some(head.len))
+    Ok(Some(body_start))
+}
+
+/// Reads the chunk-size line at `body[pos..]`: the size and the offset just
+/// past the line, or `None` when the line is still incomplete.
+fn chunk_size(body: &[u8], pos: usize) -> Result<Option<(usize, usize)>> {
+    let Some(line_end) = find_byte(b'\n', &body[pos..]) else {
+        return Ok(None);
+    };
+    let size_text = std::str::from_utf8(&body[pos..pos + line_end])
+        .map_err(|_| RddrError::Protocol("non-utf8 chunk size".into()))?
+        .trim_end_matches('\r')
+        .trim();
+    let size = usize::from_str_radix(size_text.split(';').next().unwrap_or(""), 16)
+        .map_err(|_| RddrError::Protocol(format!("bad chunk size: {size_text:?}")))?;
+    Ok(Some((size, pos + line_end + 1)))
 }
 
 /// Returns the byte length of a complete chunked body (through the final
@@ -120,21 +168,13 @@ fn message_len(buf: &[u8], direction: Direction) -> Result<Option<usize>> {
 fn chunked_end(body: &[u8]) -> Result<Option<usize>> {
     let mut pos = 0;
     loop {
-        let Some(line_end) = body[pos..].iter().position(|&b| b == b'\n') else {
+        let Some((size, data)) = chunk_size(body, pos)? else {
             return Ok(None);
         };
-        let size_line = &body[pos..pos + line_end];
-        let size_text = std::str::from_utf8(size_line)
-            .map_err(|_| RddrError::Protocol("non-utf8 chunk size".into()))?
-            .trim_end_matches('\r')
-            .trim();
-        let size = usize::from_str_radix(size_text.split(';').next().unwrap_or(""), 16)
-            .map_err(|_| RddrError::Protocol(format!("bad chunk size: {size_text:?}")))?;
-        pos += line_end + 1;
-        if body.len() < pos + size {
+        if body.len() - data < size {
             return Ok(None);
         }
-        pos += size;
+        pos = data + size;
         // Chunk data is followed by CRLF (or LF).
         if body[pos..].starts_with(b"\r\n") {
             pos += 2;
@@ -152,30 +192,23 @@ fn chunked_end(body: &[u8]) -> Result<Option<usize>> {
     }
 }
 
-/// Decodes a complete chunked body into its payload bytes.
-pub fn dechunk(body: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
+/// Decodes a complete chunked body into `table`'s arena, returning where
+/// the payload landed. On an error whatever was decoded so far stays in the
+/// arena, unreferenced.
+fn dechunk_into(body: &[u8], table: &mut SegmentTable) -> Result<Range<usize>> {
+    let start = table.arena().len();
     let mut pos = 0;
     loop {
-        let line_end = body[pos..]
-            .iter()
-            .position(|&b| b == b'\n')
+        let (size, data) = chunk_size(body, pos)?
             .ok_or_else(|| RddrError::Protocol("truncated chunked body".into()))?;
-        let size_text = std::str::from_utf8(&body[pos..pos + line_end])
-            .map_err(|_| RddrError::Protocol("non-utf8 chunk size".into()))?
-            .trim_end_matches('\r')
-            .trim();
-        let size = usize::from_str_radix(size_text.split(';').next().unwrap_or(""), 16)
-            .map_err(|_| RddrError::Protocol(format!("bad chunk size: {size_text:?}")))?;
-        pos += line_end + 1;
         if size == 0 {
-            return Ok(out);
+            return Ok(start..table.arena().len());
         }
-        if body.len() < pos + size {
+        if body.len() - data < size {
             return Err(RddrError::Protocol("truncated chunk".into()));
         }
-        out.extend_from_slice(&body[pos..pos + size]);
-        pos += size;
+        pos = data + size;
+        table.append(&body[data..pos]);
         if body[pos..].starts_with(b"\r\n") {
             pos += 2;
         } else if body[pos..].starts_with(b"\n") {
@@ -218,98 +251,104 @@ pub fn rle_decode(data: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Decodes the `rle`-coded arena range `coded` into the arena, returning
+/// where the payload landed, or `None` when the coding is malformed.
+fn rle_decode_in(table: &mut SegmentTable, coded: Range<usize>) -> Option<Range<usize>> {
+    if !coded.len().is_multiple_of(2) {
+        return None;
+    }
+    let start = table.arena().len();
+    for at in coded.step_by(2) {
+        let (count, byte) = (table.arena()[at], table.arena()[at + 1]);
+        table.append_run(byte, count as usize);
+    }
+    Some(start..table.arena().len())
+}
+
+/// Declares one `http:body` segment per line of the arena range `body`
+/// (the paper's tokenization unit), line terminators dropped; a trailing
+/// fragment without a newline is kept.
+fn push_lines(table: &mut SegmentTable, body: Range<usize>) {
+    let mut start = body.start;
+    while start < body.end {
+        let Some(at) = find_byte(b'\n', &table.arena()[start..body.end]) else {
+            table.push_span("http:body", start..body.end);
+            return;
+        };
+        let mut end = start + at;
+        if end > start && table.arena()[end - 1] == b'\r' {
+            end -= 1;
+        }
+        table.push_span("http:body", start..end);
+        start += at + 1;
+    }
+}
+
 impl Protocol for HttpProtocol {
     fn name(&self) -> &str {
         "http"
     }
 
     fn split_frames(&self, buf: &mut BytesMut, direction: Direction) -> Result<Vec<Frame>> {
+        let label = match direction {
+            Direction::Request => "http:request",
+            Direction::Response => "http:response",
+        };
         let mut frames = Vec::new();
-        while let Some(len) = message_len(buf, direction)? {
-            let bytes = buf.split_to(len).to_vec();
-            let label = match direction {
-                Direction::Request => "http:request",
-                Direction::Response => "http:response",
-            };
-            frames.push(Frame::new(label, bytes));
+        while let Some(len) = message_len(buf)? {
+            frames.push(Frame::new(label, buf.split_to(len).freeze()));
         }
         Ok(frames)
     }
 
-    fn tokenize(&self, frame: &Frame) -> Vec<Segment> {
-        let Some(head) = Head::parse(&frame.bytes) else {
-            return vec![Segment::new("http:malformed", frame.bytes.clone())];
+    fn tokenize_into(&self, frame: &Frame, table: &mut SegmentTable) {
+        const HEADER_LABEL: &[u8] = b"http:header:";
+        let Some(body_start) = find_head_end(&frame.bytes) else {
+            table.push("http:malformed", &frame.bytes);
+            return;
         };
-        let mut segments = Vec::new();
+        let text = String::from_utf8_lossy(&frame.bytes[..body_start]);
+        let mut lines = head_lines(&text);
         let start_label = if frame.label == "http:request" {
             "http:request-line"
         } else {
             "http:status"
         };
-        segments.push(Segment::new(
-            start_label,
-            head.start_line.as_bytes().to_vec(),
-        ));
-        for (name, value) in &head.headers {
+        table.push(start_label, lines.next().unwrap_or("").as_bytes());
+        let mut framing = Framing::default();
+        for (name, value) in lines.filter_map(header) {
             // Transfer framing headers are normalized away by decoding below.
-            if name == "transfer-encoding" || name == "content-length" || name == "content-encoding"
-            {
+            if framing.note(name, value) {
                 continue;
             }
-            segments.push(Segment::new(
-                format!("http:header:{name}"),
-                format!("{name}: {value}").into_bytes(),
-            ));
+            // `http:header:<name>` and `<name>: <value>` share the name.
+            let label = table.append(HEADER_LABEL).start;
+            let name_end = table.append_ascii_lowercase(name.as_bytes()).end;
+            table.append(b": ");
+            let end = table.append(value.as_bytes()).end;
+            table.push_labelled_span(label..name_end, label + HEADER_LABEL.len()..end);
         }
 
-        // Interpret the header and decode the body before differencing.
-        let mut body: Vec<u8> = frame.bytes[head.len..].to_vec();
-        if head
-            .header("transfer-encoding")
-            .is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
-        {
-            if let Ok(decoded) = dechunk(&body) {
+        // Interpret the header and decode the body before differencing; a
+        // body that does not decode is compared as it came.
+        let raw = &frame.bytes[body_start..];
+        let dechunked = if framing.chunked() {
+            dechunk_into(raw, table).ok()
+        } else {
+            None
+        };
+        let mut body = dechunked.unwrap_or_else(|| table.append(raw));
+        if framing.rle() {
+            if let Some(decoded) = rle_decode_in(table, body.clone()) {
                 body = decoded;
             }
         }
-        if head
-            .header("content-encoding")
-            .is_some_and(|v| v.eq_ignore_ascii_case("rle"))
-        {
-            if let Ok(decoded) = rle_decode(&body) {
-                body = decoded;
-            }
-        }
-        for line in split_lines(&body) {
-            segments.push(Segment::new("http:body", line));
-        }
-        segments
+        push_lines(table, body);
     }
 
     fn supports_ephemeral(&self) -> bool {
         true
     }
-}
-
-/// Splits a body at newline boundaries (the paper's tokenization unit),
-/// dropping line terminators; a trailing fragment without a newline is kept.
-fn split_lines(body: &[u8]) -> Vec<Vec<u8>> {
-    let mut lines = Vec::new();
-    let mut start = 0;
-    for (i, &b) in body.iter().enumerate() {
-        if b == b'\n' {
-            let mut end = i;
-            if end > start && body[end - 1] == b'\r' {
-                end -= 1;
-            }
-            lines.push(body[start..end].to_vec());
-            start = i + 1;
-        }
-    }
-    if start < body.len() {
-        lines.push(body[start..].to_vec());
-    }
-    lines
 }
 
 #[cfg(test)]
@@ -384,6 +423,8 @@ mod tests {
             labels,
             vec!["http:status", "http:header:x-id", "http:body", "http:body"]
         );
+        assert_eq!(segs[0].payload, b"HTTP/1.1 200 OK");
+        assert_eq!(segs[1].payload, b"x-id: 7");
         assert_eq!(segs[2].payload, b"line1");
         assert_eq!(segs[3].payload, b"line2");
     }
@@ -469,10 +510,129 @@ mod tests {
     }
 
     #[test]
-    fn head_parse_lowercases_names() {
-        let head = Head::parse(b"GET / HTTP/1.1\r\nX-FOO: Bar\r\n\r\n").unwrap();
-        assert_eq!(head.header("x-foo"), Some("Bar"));
-        assert_eq!(head.header("X-FOO"), None, "lookup is by lower-case name");
+    fn header_names_compare_lower_cased_and_values_trimmed() {
+        let p = HttpProtocol::new();
+        let segs = p.tokenize(&Frame::new(
+            "http:request",
+            b"GET / HTTP/1.1\r\n X-FOO :  Bar baz \r\nno colon here\r\n\r\n".to_vec(),
+        ));
+        assert_eq!(segs.len(), 2, "a line without a colon is no header");
+        assert_eq!(segs[0].label, "http:request-line");
+        assert_eq!(segs[1].label, "http:header:x-foo");
+        assert_eq!(segs[1].payload, b"x-foo: Bar baz");
+    }
+
+    #[test]
+    fn framing_headers_match_in_any_case_and_the_first_of_a_kind_counts() {
+        let p = HttpProtocol::new();
+        let wire = b"HTTP/1.1 200 OK\r\ncOnTeNt-LeNgTh: 2\r\nContent-Length: 9\r\n\r\nhiHTTP";
+        let mut buf = BytesMut::from(&wire[..]);
+        let frames = p.split_frames(&mut buf, Direction::Response).unwrap();
+        assert_eq!(frames.len(), 1);
+        assert_eq!(&buf[..], b"HTTP");
+        let labels: Vec<String> = p
+            .tokenize(&frames[0])
+            .into_iter()
+            .map(|s| s.label)
+            .collect();
+        assert_eq!(labels, ["http:status", "http:body"], "both are dropped");
+    }
+
+    #[test]
+    fn head_lines_split_like_crlf_then_lf() {
+        for text in [
+            "a\r\nb\nc\r\n\r\n",
+            "a\r\r\nb\r",
+            "\r\n",
+            "\n\r\n\r",
+            "",
+            "no terminator",
+        ] {
+            let expected: Vec<&str> = text.split("\r\n").flat_map(|l| l.split('\n')).collect();
+            assert_eq!(head_lines(text).collect::<Vec<_>>(), expected, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn head_ends_at_whichever_blank_line_comes_first() {
+        assert_eq!(find_head_end(b"a\r\nb\r\n\r\nbody"), Some(8));
+        assert_eq!(find_head_end(b"a\nb\n\nbody\r\n\r\n"), Some(5));
+        assert_eq!(find_head_end(b"a\r\n\r\nbody\n\n"), Some(5));
+        assert_eq!(find_head_end(b"\n\n"), Some(2));
+        assert_eq!(find_head_end(b"\r\n\r\n"), Some(4));
+        // LF then CRLF is not a blank line; neither is an unfinished one.
+        assert_eq!(find_head_end(b"a\n\r\nbody"), None);
+        assert_eq!(find_head_end(b"a\r\n\r"), None);
+        assert_eq!(find_head_end(b""), None);
+    }
+
+    #[test]
+    fn a_body_that_does_not_decode_is_compared_as_it_came() {
+        let p = HttpProtocol::new();
+        let body = |wire: &[u8]| -> Vec<Vec<u8>> {
+            p.tokenize(&Frame::new("http:response", wire.to_vec()))
+                .into_iter()
+                .filter(|s| s.label == "http:body")
+                .map(|s| s.payload)
+                .collect()
+        };
+        // The second chunk is cut short: the partial decode is discarded.
+        assert_eq!(
+            body(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nab\r\n9\r\ncd"),
+            [b"2".to_vec(), b"ab".to_vec(), b"9".to_vec(), b"cd".to_vec()]
+        );
+        // Odd-length rle.
+        assert_eq!(
+            body(b"HTTP/1.1 200 OK\r\nContent-Encoding: rle\r\n\r\nabc"),
+            [b"abc".to_vec()]
+        );
+        // Chunked and rle together decode in that order.
+        assert_eq!(
+            body(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Encoding: rle\r\n\r\n4\r\n\x02a\x01\n\r\n2\r\n\x01b\r\n0\r\n\r\n"),
+            [b"aa".to_vec(), b"b".to_vec()]
+        );
+    }
+
+    #[test]
+    fn hostile_lengths_neither_panic_nor_reserve() {
+        let p = HttpProtocol::new();
+        let mut buf =
+            BytesMut::from(&b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n"[..]);
+        assert!(p
+            .split_frames(&mut buf, Direction::Response)
+            .unwrap()
+            .is_empty());
+        let mut buf = BytesMut::from(
+            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nab"[..],
+        );
+        assert!(p
+            .split_frames(&mut buf, Direction::Response)
+            .unwrap()
+            .is_empty());
+        // The same sizes reaching the tokenizer directly fall back to the
+        // raw body instead of slicing past it.
+        let frame = Frame::new("http:response", buf.to_vec());
+        assert_eq!(p.tokenize(&frame).last().unwrap().payload, b"ab");
+        // One past what `usize` holds is not a length at all.
+        let mut buf =
+            BytesMut::from(&b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551616\r\n\r\n"[..]);
+        assert!(matches!(
+            p.split_frames(&mut buf, Direction::Response),
+            Err(RddrError::Protocol(_))
+        ));
+        // 64 KiB of headers and still no blank line: keep waiting.
+        let mut wire = b"HTTP/1.1 200 OK\r\n".to_vec();
+        while wire.len() < 64 * 1024 {
+            wire.extend_from_slice(
+                b"X-Filler: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\r\n",
+            );
+        }
+        let mut buf = BytesMut::from(&wire[..]);
+        assert!(p
+            .split_frames(&mut buf, Direction::Response)
+            .unwrap()
+            .is_empty());
+        assert_eq!(buf.len(), wire.len(), "nothing is consumed");
     }
 
     #[test]
@@ -484,12 +644,16 @@ mod tests {
     }
 
     #[test]
-    fn split_lines_keeps_trailing_fragment() {
-        assert_eq!(split_lines(b"a\nb"), vec![b"a".to_vec(), b"b".to_vec()]);
-        assert_eq!(
-            split_lines(b"a\r\nb\r\n"),
-            vec![b"a".to_vec(), b"b".to_vec()]
-        );
-        assert!(split_lines(b"").is_empty());
+    fn body_lines_keep_a_trailing_fragment() {
+        let lines = |body: &[u8]| -> Vec<Vec<u8>> {
+            let mut table = SegmentTable::new();
+            let range = table.append(body);
+            push_lines(&mut table, range);
+            table.to_segments().into_iter().map(|s| s.payload).collect()
+        };
+        assert_eq!(lines(b"a\nb"), vec![b"a".to_vec(), b"b".to_vec()]);
+        assert_eq!(lines(b"a\r\nb\r\n"), vec![b"a".to_vec(), b"b".to_vec()]);
+        assert_eq!(lines(b"\r\n\n"), vec![b"".to_vec(), b"".to_vec()]);
+        assert!(lines(b"").is_empty());
     }
 }

@@ -11,10 +11,10 @@
 //! offline set (no `serde_json`; see `DESIGN.md`).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use bytes::BytesMut;
-use rddr_core::{Direction, Frame, Protocol, RddrError, Result, Segment};
+use rddr_core::{find_byte, Direction, Frame, Protocol, RddrError, Result, SegmentTable};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,29 +69,39 @@ impl JsonValue {
     /// Flattens the value into ordered `(path, scalar-rendering)` pairs.
     pub fn flatten(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        self.flatten_into("", &mut out);
+        self.walk(&mut String::new(), &mut |path, value| {
+            out.push((path.to_string(), value.to_string()));
+        });
         out
     }
 
-    fn flatten_into(&self, path: &str, out: &mut Vec<(String, String)>) {
+    /// Visits every leaf (scalar or empty container) in key order with its
+    /// `/`-separated path, which is built in `path` and restored on return.
+    fn walk(&self, path: &mut String, visit: &mut dyn FnMut(&str, &dyn fmt::Display)) {
+        let depth = path.len();
         match self {
             JsonValue::Object(map) => {
                 if map.is_empty() {
-                    out.push((path.to_string(), "{}".to_string()));
+                    visit(path, &"{}");
                 }
                 for (k, v) in map {
-                    v.flatten_into(&format!("{path}/{k}"), out);
+                    path.push('/');
+                    path.push_str(k);
+                    v.walk(path, visit);
+                    path.truncate(depth);
                 }
             }
             JsonValue::Array(items) => {
                 if items.is_empty() {
-                    out.push((path.to_string(), "[]".to_string()));
+                    visit(path, &"[]");
                 }
                 for (i, v) in items.iter().enumerate() {
-                    v.flatten_into(&format!("{path}/{i}"), out);
+                    let _ = write!(path, "/{i}");
+                    v.walk(path, visit);
+                    path.truncate(depth);
                 }
             }
-            scalar => out.push((path.to_string(), scalar.to_string())),
+            scalar => visit(path, scalar),
         }
     }
 }
@@ -343,23 +353,27 @@ impl Protocol for JsonProtocol {
 
     fn split_frames(&self, buf: &mut BytesMut, _direction: Direction) -> Result<Vec<Frame>> {
         let mut frames = Vec::new();
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+        while let Some(pos) = find_byte(b'\n', buf) {
             let line = buf.split_to(pos + 1);
-            frames.push(Frame::new("json:document", line.to_vec()));
+            frames.push(Frame::new("json:document", line.freeze()));
         }
         Ok(frames)
     }
 
-    fn tokenize(&self, frame: &Frame) -> Vec<Segment> {
+    fn tokenize_into(&self, frame: &Frame, table: &mut SegmentTable) {
         let text = String::from_utf8_lossy(&frame.bytes);
-        match parse_json(text.trim()) {
-            Ok(value) => value
-                .flatten()
-                .into_iter()
-                .map(|(path, rendered)| Segment::new(format!("json:{path}"), rendered.into_bytes()))
-                .collect(),
-            Err(_) => vec![Segment::new("json:malformed", frame.bytes.clone())],
-        }
+        let Ok(value) = parse_json(text.trim()) else {
+            table.push("json:malformed", &frame.bytes);
+            return;
+        };
+        let mut rendered = String::new();
+        value.walk(&mut String::new(), &mut |path, leaf| {
+            let label = table.append(b"json:").start..table.append(path.as_bytes()).end;
+            rendered.clear();
+            let _ = write!(rendered, "{leaf}");
+            let payload = table.append(rendered.as_bytes());
+            table.push_labelled_span(label, payload);
+        });
     }
 }
 

@@ -17,8 +17,10 @@
 //! rules still applicable to the critical set (§IV-B4, used for
 //! `server_version`).
 
+use std::ops::Range;
+
 use bytes::BytesMut;
-use rddr_core::{Direction, Frame, Protocol, RddrError, Result, Segment};
+use rddr_core::{Direction, Frame, Protocol, RddrError, Result, SegmentTable};
 
 /// A decoded PostgreSQL wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,53 +50,68 @@ impl PgMessage {
 
     /// Decodes one message from the front of `buf`, if complete.
     pub fn decode(buf: &[u8], startup_allowed: bool) -> Result<Option<(PgMessage, usize)>> {
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let tagged = !startup_allowed || buf[0].is_ascii_alphabetic();
-        let (tag, len_off) = if tagged { (buf[0], 1) } else { (0u8, 0) };
-        if buf.len() < len_off + 4 {
-            return Ok(None);
-        }
-        let len = i32::from_be_bytes(buf[len_off..len_off + 4].try_into().expect("4 bytes"));
-        if len < 4 {
-            return Err(RddrError::Protocol(format!("pg message length {len} < 4")));
-        }
-        let total = len_off + len as usize;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        Ok(Some((
-            PgMessage {
-                tag,
-                payload: buf[len_off + 4..total].to_vec(),
-            },
-            total,
-        )))
+        Ok(message_at(buf, startup_allowed)?.map(|(tag, payload)| {
+            let total = payload.end;
+            let payload = buf[payload].to_vec();
+            (PgMessage { tag, payload }, total)
+        }))
     }
+}
+
+/// Locates the message at the front of `buf`, if complete: its tag (`0` for
+/// an untagged startup message) and the range of its payload, which ends
+/// where the message does.
+fn message_at(buf: &[u8], startup_allowed: bool) -> Result<Option<(u8, Range<usize>)>> {
+    let Some(&first) = buf.first() else {
+        return Ok(None);
+    };
+    let tagged = !startup_allowed || first.is_ascii_alphabetic();
+    let (tag, len_off) = if tagged { (first, 1) } else { (0u8, 0) };
+    let Some(len) = buf.get(len_off..len_off + 4) else {
+        return Ok(None);
+    };
+    let len = i32::from_be_bytes(len.try_into().expect("4 bytes"));
+    if len < 4 {
+        return Err(RddrError::Protocol(format!("pg message length {len} < 4")));
+    }
+    let total = len_off + len as usize;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    Ok(Some((tag, len_off + 4..total)))
+}
+
+/// Message types by tag, as the `pg:<Name>` labels frames and segments
+/// carry; [`pg_type_name`] is the part after the prefix.
+const LABELS: [(u8, &str); 16] = [
+    (0, "pg:Startup"),
+    (b'R', "pg:Authentication"),
+    (b'S', "pg:ParameterStatus"),
+    (b'K', "pg:BackendKeyData"),
+    (b'Z', "pg:ReadyForQuery"),
+    (b'T', "pg:RowDescription"),
+    (b'D', "pg:DataRow"),
+    (b'C', "pg:CommandComplete"),
+    (b'E', "pg:ErrorResponse"),
+    (b'N', "pg:NoticeResponse"),
+    (b'Q', "pg:Query"),
+    (b'X', "pg:Terminate"),
+    (b'P', "pg:Parse"),
+    (b'B', "pg:Bind"),
+    (b'p', "pg:PasswordMessage"),
+    (b'I', "pg:EmptyQueryResponse"),
+];
+
+fn label(tag: u8) -> &'static str {
+    LABELS
+        .iter()
+        .find(|(t, _)| *t == tag)
+        .map_or("pg:Unknown", |(_, label)| label)
 }
 
 /// Maps a tag byte to the v3 protocol message name.
 pub fn pg_type_name(tag: u8) -> &'static str {
-    match tag {
-        0 => "Startup",
-        b'R' => "Authentication",
-        b'S' => "ParameterStatus",
-        b'K' => "BackendKeyData",
-        b'Z' => "ReadyForQuery",
-        b'T' => "RowDescription",
-        b'D' => "DataRow",
-        b'C' => "CommandComplete",
-        b'E' => "ErrorResponse",
-        b'N' => "NoticeResponse",
-        b'Q' => "Query",
-        b'X' => "Terminate",
-        b'P' => "Parse",
-        b'B' => "Bind",
-        b'p' => "PasswordMessage",
-        b'I' => "EmptyQueryResponse",
-        _ => "Unknown",
-    }
+    &label(tag)["pg:".len()..]
 }
 
 /// Whether a backend message type is diffed across instances.
@@ -119,30 +136,30 @@ impl Protocol for PgProtocol {
     }
 
     fn split_frames(&self, buf: &mut BytesMut, direction: Direction) -> Result<Vec<Frame>> {
+        let startup_allowed = direction == Direction::Request;
         let mut frames = Vec::new();
-        loop {
-            let startup_allowed = direction == Direction::Request;
-            let Some((msg, consumed)) = PgMessage::decode(buf, startup_allowed)? else {
-                break;
-            };
-            let _ = buf.split_to(consumed);
-            let label = format!("pg:{}", msg.type_name());
-            let frame = if is_critical(msg.tag) {
-                Frame::new(label, msg.encode())
-            } else {
-                Frame::non_critical(label, msg.encode())
-            };
-            frames.push(frame);
+        while let Some((tag, payload)) = message_at(buf, startup_allowed)? {
+            let tagged = payload.start == 5;
+            let mut bytes = buf.split_to(payload.end).freeze();
+            if tagged && tag == 0 {
+                // A NUL tag reads as "untagged" everywhere else (it is how
+                // `PgMessage` spells a startup message), so such a message
+                // is framed the way `encode` writes it: without the tag.
+                bytes.remove(0);
+            }
+            frames.push(Frame {
+                label: label(tag).into(),
+                bytes,
+                critical: is_critical(tag),
+            });
         }
         Ok(frames)
     }
 
-    fn tokenize(&self, frame: &Frame) -> Vec<Segment> {
-        match PgMessage::decode(&frame.bytes, frame.label == "pg:Startup") {
-            Ok(Some((msg, _))) => {
-                vec![Segment::new(format!("pg:{}", msg.type_name()), msg.payload)]
-            }
-            _ => vec![Segment::new("pg:malformed", frame.bytes.clone())],
+    fn tokenize_into(&self, frame: &Frame, table: &mut SegmentTable) {
+        match message_at(&frame.bytes, frame.label == "pg:Startup") {
+            Ok(Some((tag, payload))) => table.push(label(tag), &frame.bytes[payload]),
+            _ => table.push("pg:malformed", &frame.bytes),
         }
     }
 
@@ -211,7 +228,7 @@ mod tests {
         wire.extend(msg(b'Z', b"I"));
         let mut buf = BytesMut::from(&wire[..]);
         let frames = p.split_frames(&mut buf, Direction::Response).unwrap();
-        let labels: Vec<&str> = frames.iter().map(|f| f.label.as_str()).collect();
+        let labels: Vec<&str> = frames.iter().map(|f| f.label.as_ref()).collect();
         assert_eq!(
             labels,
             vec![

@@ -20,6 +20,14 @@ echo "==> benchmark workspace: build + unit tests (a public-API break shows here
 CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 CARGO_TARGET_DIR="$PWD/target" cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark smoke: the byte-exact oracle on all six workloads (correctness, not numbers)"
+# Exits non-zero on "correct": false, any failed op, or proxy.severed != the
+# divergent requests sent.
+for workload in $(bash benchmark/run.sh --list); do
+  echo "    $workload"
+  bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 > /dev/null
+done
+
 echo "==> rddr-analyze (all six passes, stale-baseline check, dispatch + timing gates)"
 cargo run --release -p rddr-analyze -- \
   --baseline analyze-baseline.toml --forbid-stale --json BENCH_analyze.json \

@@ -105,10 +105,14 @@ impl BytesMut {
         &self.data[self.head..]
     }
 
-    /// Drops the dead prefix once it dominates the allocation, keeping
-    /// `split_to` O(1) amortized.
+    /// Drops the dead prefix once nothing but it is left (free: the usual
+    /// state between two messages) or once it dominates the allocation,
+    /// keeping `split_to` O(1) amortized.
     fn compact_if_large(&mut self) {
-        if self.head > 4096 && self.head * 2 > self.data.len() {
+        if self.head == self.data.len() {
+            self.data.clear();
+            self.head = 0;
+        } else if self.head > 4096 && self.head * 2 > self.data.len() {
             self.data.drain(..self.head);
             self.head = 0;
         }
@@ -199,6 +203,19 @@ mod tests {
         b.extend_from_slice(b"xyz");
         assert_eq!(b.len(), 1_003);
         assert_eq!(&b[1_000..], b"xyz");
+    }
+
+    #[test]
+    fn a_fully_consumed_buffer_reuses_its_allocation() {
+        let mut b = BytesMut::new();
+        b.extend_from_slice(&[1u8; 100]);
+        let capacity = b.data.capacity();
+        for _ in 0..1_000 {
+            b.split_to(100);
+            b.extend_from_slice(&[2u8; 100]);
+        }
+        assert_eq!(b.data.capacity(), capacity);
+        assert_eq!(&b[..], &[2u8; 100][..]);
     }
 
     #[test]

@@ -1,0 +1,142 @@
+//! Allocation budget of one exchange through the engine, counted by a
+//! `#[global_allocator]`.
+//!
+//! The full de-noise/diff pipeline must cost a number of heap allocations
+//! that depends on the number of *instances*, never on the number of
+//! segments: an `http_noisy`-shaped exchange (a `Date` header, a request id
+//! and a body nonce that differ per instance, so the fast path never hits
+//! and the filter pair masks three positions) allocates exactly as often
+//! with a 400-line body as with a 40-line one. Before the segment tables
+//! the same two exchanges took 605 and 4 235 allocations (638 on the
+//! benchmark's own 47-segment exchange), and the fast-path line exchange 17.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rddr_repro::core::protocol::LineProtocol;
+use rddr_repro::core::{EngineConfig, NVersionEngine, Protocol, Verdict};
+use rddr_repro::protocols::HttpProtocol;
+
+const INSTANCES: usize = 3;
+
+/// What one steady-state exchange may allocate: per instance, the frame
+/// list `split_frames` returns and the bytes of the frame in it. The
+/// engine's own scratch (buffers, frame slots, segment tables, the mask) is
+/// reused, and the forwarded response is the first instance's frame, moved.
+const PER_EXCHANGE: u64 = 2 * INSTANCES as u64;
+
+thread_local! {
+    // Per thread, so tests running side by side do not count each other.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // Not `with`: the allocator also runs while a thread is torn down.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) `f` performs on this thread.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let value = f();
+    (value, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Instance `instance`'s response: the benchmark's `http_noisy` shape, with
+/// `lines` body lines of which one carries per-instance noise.
+fn http_response(instance: usize, lines: usize) -> Vec<u8> {
+    let tag = (b'a' + instance as u8) as char;
+    let token = format!("{tag}1f3-0a2b-77c1-9e{instance}{tag}");
+    let mut body = format!("{{\n \"nonce\": \"{token}\",\n");
+    for i in 3..lines {
+        body += &format!(" \"k{i}\": \"{:032x}\",\n", i * 7919);
+    }
+    body += "}\n";
+    assert_eq!(body.lines().count(), lines);
+    let mut wire = format!(
+        "HTTP/1.1 200 OK\r\nDate: Tue, 29 Sep 2026 {instance}1:02:3{instance} GMT\r\n\
+         X-Request-Id: {token}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    wire.extend_from_slice(body.as_bytes());
+    wire
+}
+
+/// Allocations of one `evaluate_responses` once the engine's scratch has
+/// reached its steady size, checking the verdict on the way.
+fn steady_state_allocations(
+    protocol: impl Protocol + 'static,
+    responses: &[Vec<u8>],
+    fastpath_hits_per_exchange: u64,
+) -> u64 {
+    let config = EngineConfig::builder(INSTANCES)
+        .filter_pair(0, 1)
+        .build()
+        .unwrap();
+    let mut engine = NVersionEngine::new(config, protocol);
+    for _ in 0..16 {
+        engine.evaluate_responses(responses).unwrap();
+    }
+    let (verdict, count) = allocations_in(|| engine.evaluate_responses(responses).unwrap());
+    match verdict {
+        Verdict::Unanimous(bytes) => assert_eq!(bytes, responses[0]),
+        Verdict::Divergent(report) => panic!("the noise must be masked: {report}"),
+    }
+    assert_eq!(
+        engine.metrics().fastpath_hits,
+        17 * fastpath_hits_per_exchange
+    );
+    count
+}
+
+#[test]
+fn full_pipeline_allocations_do_not_grow_with_the_body() {
+    let counts: Vec<u64> = [40, 400]
+        .into_iter()
+        .map(|lines| {
+            let responses: Vec<Vec<u8>> = (0..INSTANCES).map(|i| http_response(i, lines)).collect();
+            steady_state_allocations(HttpProtocol::new(), &responses, 0)
+        })
+        .collect();
+    println!("full-pipeline allocations per exchange: {counts:?} (40 and 400 body lines)");
+    assert_eq!(counts[0], counts[1], "allocations grew with the body");
+    assert!(counts[0] <= PER_EXCHANGE, "{} > {PER_EXCHANGE}", counts[0]);
+}
+
+#[test]
+fn fast_path_line_exchange_stays_within_the_same_budget() {
+    let line = b"a sixty-four byte line, as the line_fast workload sends them..\n".to_vec();
+    let count = steady_state_allocations(LineProtocol::new(), &vec![line; INSTANCES], 1);
+    println!("fast-path allocations per line exchange: {count}");
+    assert!(count <= PER_EXCHANGE, "{count} > {PER_EXCHANGE}");
+}

@@ -6,12 +6,13 @@ use proptest::prelude::*;
 
 use rddr_repro::core::protocol::LineProtocol;
 use rddr_repro::core::{
-    diff_segments, EngineConfig, EphemeralStore, GlobPattern, NVersionEngine, NoiseMask, Segment,
-    SignatureThrottle, VarianceRules, Verdict,
+    diff_segments, Direction, EngineConfig, EphemeralStore, GlobPattern, NVersionEngine, NoiseMask,
+    PolicyDecision, Protocol, ResponsePolicy, Segment, SignatureThrottle, VarianceRule,
+    VarianceRules, Verdict,
 };
 use rddr_repro::pgsim::{Database, PgVersion, Value};
 use rddr_repro::protocols::http::{rle_decode, rle_encode};
-use rddr_repro::protocols::{parse_json, HttpProtocol};
+use rddr_repro::protocols::{parse_json, HttpProtocol, PgMessage, PgProtocol};
 
 fn segs(lines: &[String]) -> Vec<Segment> {
     lines
@@ -299,5 +300,260 @@ proptest! {
             .map(|row| row[0].to_string().parse().unwrap())
             .collect();
         prop_assert_eq!(got, xs);
+    }
+}
+
+/// What one generated exchange looks like, whatever protocol carries it.
+struct Exchange {
+    /// Body lines every instance agrees on (before `shape` is applied).
+    lines: Vec<String>,
+    /// Per-instance noise woven into the first line and a header.
+    noise: Vec<String>,
+    /// Whether each instance also reports its own `ver=1.<i>`.
+    with_version: bool,
+    /// 0 nothing, 1 a surplus line on instance 2, 2 a missing line on
+    /// instance 2, 3 a missing line on instance 1 (so the filter pair itself
+    /// disagrees on the count), 4 a changed line on instance 2.
+    shape: u8,
+    /// Per instance: 0 `Content-Length`, 1 chunked, 2 `rle` (HTTP only).
+    framings: Vec<u8>,
+    /// Rotates header spelling and whitespace across instances (HTTP only).
+    header_style: u8,
+    lf_only: bool,
+}
+
+impl Exchange {
+    fn lines_of(&self, instance: usize) -> Vec<String> {
+        let mut lines: Vec<String> = self
+            .lines
+            .iter()
+            .enumerate()
+            .map(|(k, line)| match k {
+                0 => format!("id={} {line}", self.noise[instance]),
+                _ => line.clone(),
+            })
+            .collect();
+        if self.with_version {
+            lines.push(format!("ver=1.{instance}"));
+        }
+        match (self.shape, instance) {
+            (1, 2) => lines.push("LEAK row 42".into()),
+            (2, 2) | (3, 1) => {
+                lines.pop();
+            }
+            (4, 2) if !lines.is_empty() => {
+                let last = lines.len() - 1;
+                lines[last].push_str(" CHANGED");
+            }
+            _ => {}
+        }
+        lines
+    }
+
+    fn http(&self, instance: usize) -> Vec<u8> {
+        let eol = if self.lf_only { "\n" } else { "\r\n" };
+        let noise = &self.noise[instance];
+        let mut body = self.lines_of(instance).join("\n").into_bytes();
+        if instance.is_multiple_of(2) && !body.is_empty() {
+            body.push(b'\n');
+        }
+        let style = (usize::from(self.header_style) + instance) % 3;
+        let mut head = format!("HTTP/1.1 200 OK{eol}");
+        head += &match style {
+            0 => format!("X-Noise: {noise}{eol}"),
+            1 => format!("x-noise:{noise}  {eol}"),
+            _ => format!("X-NOISE :   {noise}{eol}"),
+        };
+        head += &match (self.framings[instance], style) {
+            (1, 0) => format!("Transfer-Encoding: chunked{eol}"),
+            (1, _) => format!("transfer-ENCODING:  Chunked {eol}"),
+            (2, _) => {
+                body = rle_encode(&body);
+                format!(
+                    "content-encoding: RLE{eol}Content-Length: {}{eol}",
+                    body.len()
+                )
+            }
+            (_, 0) => format!("Content-Length: {}{eol}", body.len()),
+            _ => format!("CONTENT-LENGTH :{} {eol}", body.len()),
+        };
+        let mut wire = (head + eol).into_bytes();
+        if self.framings[instance] == 1 {
+            let (a, b) = body.split_at(body.len() / 2);
+            for chunk in [a, b].into_iter().filter(|c| !c.is_empty()) {
+                wire.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+                wire.extend_from_slice(chunk);
+                wire.extend_from_slice(b"\r\n");
+            }
+            wire.extend_from_slice(b"0\r\n\r\n");
+        } else {
+            wire.extend_from_slice(&body);
+        }
+        wire
+    }
+
+    fn line(&self, instance: usize) -> Vec<u8> {
+        let mut wire = self.lines_of(instance).join("\n").into_bytes();
+        wire.push(b'\n');
+        wire
+    }
+
+    fn pg(&self, instance: usize) -> Vec<u8> {
+        let msg = |tag: u8, payload: &[u8]| {
+            PgMessage {
+                tag,
+                payload: payload.to_vec(),
+            }
+            .encode()
+        };
+        let mut wire = msg(
+            b'S',
+            format!("session\0{}\0", self.noise[instance]).as_bytes(),
+        );
+        wire.extend(msg(b'T', b"col"));
+        for line in self.lines_of(instance) {
+            wire.extend(msg(b'D', line.as_bytes()));
+        }
+        wire.extend(msg(b'C', b"SELECT"));
+        wire.extend(msg(b'Z', b"I"));
+        wire
+    }
+}
+
+/// What the engine must conclude, composed by hand from the public parts:
+/// frame, tokenize the critical frames, learn the pair's mask, diff, decide.
+fn by_parts(
+    protocol: &dyn Protocol,
+    config: &EngineConfig,
+    responses: &[Vec<u8>],
+) -> (Conclusion, Vec<Vec<u8>>) {
+    let mut wires = Vec::new();
+    let segments: Vec<Vec<Segment>> = responses
+        .iter()
+        .map(|bytes| {
+            let mut buf = bytes::BytesMut::from(&bytes[..]);
+            let frames = protocol
+                .split_frames(&mut buf, Direction::Response)
+                .unwrap();
+            assert!(buf.is_empty(), "generated exchanges frame completely");
+            wires.push(frames.iter().flat_map(|f| f.bytes.clone()).collect());
+            frames
+                .iter()
+                .filter(|f| f.critical)
+                .flat_map(|f| protocol.tokenize(f))
+                .collect()
+        })
+        .collect();
+    let mask = match config.filter_pair() {
+        Some((a, b)) => NoiseMask::from_filter_pair(&segments[a], &segments[b]),
+        None => NoiseMask::none(),
+    };
+    let outcome = diff_segments(&segments, &mask, config.variance());
+    let decision = config.policy().decide(&outcome);
+    let quarantined = match (&decision, outcome.report.diverged()) {
+        (PolicyDecision::Forward { .. }, true) => {
+            let winners = &outcome.agreement_groups()[0];
+            (0..responses.len())
+                .filter(|i| !winners.contains(i))
+                .collect()
+        }
+        _ => Vec::new(),
+    };
+    (
+        Conclusion {
+            report: outcome.report,
+            decision,
+            quarantined,
+        },
+        wires,
+    )
+}
+
+#[derive(Debug, PartialEq)]
+struct Conclusion {
+    report: rddr_repro::core::DivergenceReport,
+    decision: PolicyDecision,
+    quarantined: Vec<usize>,
+}
+
+proptest! {
+    /// Pipeline ≡ parts: for HTTP exchanges in every transfer framing, head
+    /// spelling and line-ending style, and for line and PostgreSQL exchanges,
+    /// with per-instance noise, a surplus, missing or changed line, or a
+    /// filter pair that itself disagrees on the segment count, the engine's
+    /// outcome — decision, full report, quarantine set, forwarded bytes and
+    /// the `evaluate_responses` verdict — is what composing the public
+    /// `tokenize` → `from_filter_pair` → `diff_segments` → `decide` yields,
+    /// with and without a filter pair, a variance rule, and majority voting.
+    #[test]
+    fn pipeline_equals_parts(
+        lines in proptest::collection::vec("[a-z<>noise ]{0,14}", 0..7),
+        noise in proptest::collection::vec("[0-9a-f]{1,9}", 3..4),
+        (with_version, shape, lf_only) in (any::<bool>(), 0u8..5, any::<bool>()),
+        framings in proptest::collection::vec(0u8..3, 3..4),
+        header_style in 0u8..3,
+    ) {
+        let exchange = Exchange { lines, noise, with_version, shape, framings, header_style, lf_only };
+        type Build = fn() -> Box<dyn Protocol>;
+        type Wire = fn(&Exchange, usize) -> Vec<u8>;
+        let protocols: [(Build, Wire); 3] = [
+            (|| Box::new(HttpProtocol::new()), Exchange::http),
+            (|| Box::new(LineProtocol::new()), Exchange::line),
+            (|| Box::new(PgProtocol::new()), Exchange::pg),
+        ];
+        for (protocol, wire) in protocols {
+            let responses: Vec<Vec<u8>> = (0..3).map(|i| wire(&exchange, i)).collect();
+            for knobs in 0..8u8 {
+                let (with_pair, with_rule, majority) =
+                    (knobs & 1 != 0, knobs & 2 != 0, knobs & 4 != 0);
+                let mut builder = EngineConfig::builder(3);
+                if with_pair {
+                    builder = builder.filter_pair(0, 1);
+                }
+                if with_rule {
+                    let mut rules = VarianceRules::new();
+                    rules.push(VarianceRule::any_label("*ver=1.*").unwrap());
+                    builder = builder.variance(rules);
+                }
+                if majority {
+                    builder = builder.policy(ResponsePolicy::MajorityVote);
+                }
+                let config = builder.build().unwrap();
+                let (expected, wires) = by_parts(protocol().as_ref(), &config, &responses);
+
+                let mut engine = NVersionEngine::from_boxed(config.clone(), protocol());
+                for (i, bytes) in responses.iter().enumerate() {
+                    engine.push_response(i, bytes).unwrap();
+                }
+                let outcome = engine.finish_exchange().unwrap();
+                let forward = match &expected.decision {
+                    PolicyDecision::Forward { instance } => Some(wires[*instance].clone()),
+                    PolicyDecision::Sever { .. } => None,
+                };
+                prop_assert_eq!(&outcome.forward, &forward);
+                let got = Conclusion {
+                    report: outcome.report,
+                    decision: outcome.decision,
+                    quarantined: outcome.quarantined,
+                };
+                prop_assert_eq!(
+                    &got,
+                    &expected,
+                    "knobs {knobs}, first response {:?}",
+                    String::from_utf8_lossy(&responses[0])
+                );
+
+                let verdict = NVersionEngine::from_boxed(config, protocol())
+                    .evaluate_responses(&responses)
+                    .unwrap();
+                match verdict {
+                    Verdict::Unanimous(bytes) => {
+                        prop_assert!(!expected.report.diverged());
+                        prop_assert_eq!(Some(bytes), forward);
+                    }
+                    Verdict::Divergent(report) => prop_assert_eq!(report, expected.report),
+                }
+            }
+        }
     }
 }
