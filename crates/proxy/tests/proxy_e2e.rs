@@ -1,12 +1,12 @@
 //! End-to-end tests for the RDDR proxies over the simulated network.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use rddr_core::protocol::LineProtocol;
-use rddr_core::EngineConfig;
+use rddr_core::{DegradePolicy, EngineConfig, EngineConfigBuilder, ResponsePolicy};
 use rddr_net::{BoxStream, Network, ServiceAddr, SimNet, Stream};
-use rddr_proxy::{IncomingProxy, OutgoingProxy, ProtocolFactory};
+use rddr_proxy::{IncomingProxy, OutgoingProxy, ProtocolFactory, ProxyTelemetry};
 
 fn line_protocol() -> ProtocolFactory {
     Arc::new(|| Box::new(LineProtocol::new()))
@@ -322,6 +322,213 @@ fn outgoing_proxy_severs_on_request_divergence() {
         assert!(std::time::Instant::now() < deadline);
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// A line backend that records every request line it serves.
+fn spawn_recording_backend(net: &SimNet, addr: ServiceAddr) -> Arc<Mutex<Vec<String>>> {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&seen);
+    spawn_line_server(net, addr, move |req| {
+        log.lock().unwrap().push(req.to_string());
+        format!("result:{req}")
+    });
+    seen
+}
+
+/// An N = 3 outgoing proxy in degraded (eject) mode in front of a recording
+/// backend, plus the three member connections of one merge session.
+struct OutgoingDegraded {
+    proxy: OutgoingProxy,
+    telemetry: ProxyTelemetry,
+    backend: Arc<Mutex<Vec<String>>>,
+    members: Vec<BoxStream>,
+}
+
+fn outgoing_degraded(
+    configure: impl FnOnce(EngineConfigBuilder) -> EngineConfigBuilder,
+) -> OutgoingDegraded {
+    let net = SimNet::new();
+    let backend = spawn_recording_backend(&net, ServiceAddr::new("db", 5432));
+    let telemetry = ProxyTelemetry::new("t");
+    let config = configure(EngineConfig::builder(3).degrade(DegradePolicy::eject()))
+        .build()
+        .unwrap();
+    let proxy = OutgoingProxy::start_with_telemetry(
+        Arc::new(net.clone()),
+        &ServiceAddr::new("rddr-out", 5432),
+        ServiceAddr::new("db", 5432),
+        config,
+        line_protocol(),
+        Some(telemetry.clone()),
+    )
+    .unwrap();
+    let members = (0..3)
+        .map(|_| net.dial(&ServiceAddr::new("rddr-out", 5432)).unwrap())
+        .collect();
+    OutgoingDegraded {
+        proxy,
+        telemetry,
+        backend,
+        members,
+    }
+}
+
+/// Polls `cond` until it holds (or fails the test after five seconds).
+fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Whether `proxy`'s reactor has no live session left (every session it
+/// adopted has been torn down).
+fn sessions_drained(telemetry: &ProxyTelemetry, stem: &str) -> bool {
+    let name = format!("{}_{stem}_reactor_sessions", telemetry.prefix);
+    telemetry.registry.gauge(&name).get() == 0
+}
+
+#[test]
+fn outgoing_degraded_member_closing_before_any_data_departs_cleanly() {
+    let mut s = outgoing_degraded(|c| c);
+    s.members[0].shutdown();
+    // The departure is visible as one degraded slot before the survivors
+    // speak, so their request is the next exchange over two members.
+    let depth = s.telemetry.registry.gauge("t_out_degraded_depth");
+    wait_until("the departure", || depth.get() == 1);
+    for m in &mut s.members[1..] {
+        m.write_all(b"SELECT 1\n").unwrap();
+    }
+    for m in &mut s.members[1..] {
+        assert_eq!(read_line(m).as_deref(), Some("result:SELECT 1"));
+    }
+    assert_eq!(*s.backend.lock().unwrap(), vec!["SELECT 1".to_string()]);
+    let stats = s.proxy.stats();
+    assert_eq!(
+        stats.ejected, 0,
+        "a clean departure is not an eject: {stats:?}"
+    );
+    assert_eq!(stats.exchanges, 1);
+}
+
+#[test]
+fn outgoing_degraded_member_closing_mid_request_is_ejected() {
+    let mut s = outgoing_degraded(|c| c);
+    s.members[0].write_all(b"SELECT").unwrap();
+    s.members[0].shutdown();
+    wait_until("the eject", || s.proxy.stats().ejected == 1);
+    for m in &mut s.members[1..] {
+        m.write_all(b"SELECT 1\n").unwrap();
+    }
+    for m in &mut s.members[1..] {
+        assert_eq!(read_line(m).as_deref(), Some("result:SELECT 1"));
+    }
+    assert_eq!(*s.backend.lock().unwrap(), vec!["SELECT 1".to_string()]);
+    assert_eq!(s.proxy.stats().ejected, 1);
+}
+
+#[test]
+fn outgoing_degraded_straggling_member_is_ejected_at_its_deadline() {
+    let mut s = outgoing_degraded(|c| {
+        c.response_deadline(Duration::from_secs(30))
+            .instance_deadline(Duration::from_millis(100))
+    });
+    // Member 0 starts a request and never finishes it.
+    s.members[0].write_all(b"SELECT").unwrap();
+    let t0 = Instant::now();
+    for m in &mut s.members[1..] {
+        m.write_all(b"SELECT 1\n").unwrap();
+    }
+    for m in &mut s.members[1..] {
+        assert_eq!(read_line(m).as_deref(), Some("result:SELECT 1"));
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "answered at the straggler deadline"
+    );
+    assert_eq!(s.proxy.stats().ejected, 1);
+    assert_eq!(
+        read_line(&mut s.members[0]),
+        None,
+        "the straggler is cut off"
+    );
+    assert_eq!(*s.backend.lock().unwrap(), vec!["SELECT 1".to_string()]);
+}
+
+#[test]
+fn outgoing_majority_vote_quarantines_the_outvoted_member() {
+    let mut s = outgoing_degraded(|c| c.policy(ResponsePolicy::MajorityVote));
+    s.members[0].write_all(b"SELECT 1\n").unwrap();
+    s.members[1].write_all(b"SELECT 1 OR 1=1\n").unwrap();
+    s.members[2].write_all(b"SELECT 1\n").unwrap();
+    for i in [0, 2] {
+        assert_eq!(
+            read_line(&mut s.members[i]).as_deref(),
+            Some("result:SELECT 1")
+        );
+    }
+    assert_eq!(
+        read_line(&mut s.members[1]),
+        None,
+        "the outvoted member is cut off"
+    );
+    assert_eq!(*s.backend.lock().unwrap(), vec!["SELECT 1".to_string()]);
+    let stats = s.proxy.stats();
+    assert_eq!(
+        (stats.quarantined, stats.divergences, stats.severed),
+        (1, 1, 0)
+    );
+}
+
+#[test]
+fn zero_survivors_sever_incoming_but_end_outgoing_quietly() {
+    // Incoming: every instance drops the connection on the first request.
+    let net = SimNet::new();
+    for port in [9000, 9001, 9002] {
+        let mut listener = net.listen(&ServiceAddr::new("svc", port)).unwrap();
+        std::thread::spawn(move || {
+            while let Ok(mut conn) = listener.accept() {
+                std::thread::spawn(move || {
+                    let mut buf = [0u8; 64];
+                    let _ = conn.read(&mut buf);
+                    conn.shutdown();
+                });
+            }
+        });
+    }
+    let telemetry = ProxyTelemetry::new("t");
+    let incoming = IncomingProxy::start_with_telemetry(
+        Arc::new(net.clone()),
+        &ServiceAddr::new("rddr", 80),
+        (9000..9003).map(|p| ServiceAddr::new("svc", p)).collect(),
+        EngineConfig::builder(3)
+            .degrade(DegradePolicy::eject())
+            .build()
+            .unwrap(),
+        line_protocol(),
+        Some(telemetry.clone()),
+    )
+    .unwrap();
+    let mut client = net.dial(&ServiceAddr::new("rddr", 80)).unwrap();
+    client.write_all(b"hello\n").unwrap();
+    assert_eq!(read_line(&mut client), None);
+    wait_until("the incoming session to end", || {
+        incoming.stats().ejected == 3 && sessions_drained(&telemetry, "in")
+    });
+    assert_eq!(incoming.stats().severed, 1, "incoming counts the sever");
+
+    // Outgoing: every member starts a request and then closes.
+    let mut s = outgoing_degraded(|c| c);
+    for m in &mut s.members {
+        m.write_all(b"SELECT").unwrap();
+        m.shutdown();
+    }
+    wait_until("the outgoing session to end", || {
+        s.proxy.stats().ejected == 3 && sessions_drained(&s.telemetry, "out")
+    });
+    assert_eq!(s.proxy.stats().severed, 0, "outgoing ends without a sever");
+    assert!(s.backend.lock().unwrap().is_empty());
 }
 
 #[test]

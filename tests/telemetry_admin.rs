@@ -12,7 +12,8 @@ use rddr_repro::net::{Network, ServiceAddr, SimNet, Stream, TcpNet};
 use rddr_repro::orchestra::{Cluster, FnService, Image, Service};
 use rddr_repro::protocols::{parse_json, JsonValue};
 use rddr_repro::proxy::{
-    n_version_with_telemetry, IncomingProxy, ProtocolFactory, ProxyTelemetry, Variant,
+    n_version_with_telemetry, IncomingProxy, OutgoingProxy, ProtocolFactory, ProxyTelemetry,
+    Variant,
 };
 use rddr_repro::telemetry::AdminServer;
 
@@ -234,6 +235,158 @@ fn poisoned_deployment_observable_over_tcp() {
     assert_observability(net.as_ref(), admin.addr(), "svc", 2);
     admin.shutdown();
     proxy.stop();
+}
+
+/// Serves every request line of every connection to `addr` with
+/// `reply(line)` (line without its `\n`; the reply gets one appended).
+fn spawn_line_service(
+    net: &SimNet,
+    addr: ServiceAddr,
+    reply: impl Fn(&[u8]) -> Vec<u8> + Send + Sync + Clone + 'static,
+) {
+    let mut listener = net.listen(&addr).unwrap();
+    std::thread::spawn(move || {
+        while let Ok(mut conn) = listener.accept() {
+            let reply = reply.clone();
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 256];
+                loop {
+                    match conn.read(&mut chunk) {
+                        Ok(0) | Err(_) => return,
+                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    }
+                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                        let line: Vec<u8> = buf.drain(..=pos).collect();
+                        let mut out = reply(&line[..line.len() - 1]);
+                        out.push(b'\n');
+                        if conn.write_all(&out).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// Every series name in a Prometheus rendering, sorted.
+fn series_names(rendered: &str) -> Vec<String> {
+    let mut names: Vec<String> = rendered
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .map(str::to_string)
+        .collect();
+    names.sort();
+    names
+}
+
+/// The whole metric surface of a deployment whose incoming and outgoing
+/// proxies share one telemetry bundle, pinned name by name after one
+/// exchange: client → incoming proxy → 3 instances → outgoing proxy →
+/// backend.
+#[test]
+fn both_proxies_register_exactly_the_pinned_series() {
+    let net = SimNet::new();
+    let dyn_net: Arc<dyn Network> = Arc::new(net.clone());
+    let telemetry = ProxyTelemetry::new("svc");
+    spawn_line_service(&net, ServiceAddr::new("db", 5432), |req| {
+        [b"row:", req].concat()
+    });
+    let outgoing = OutgoingProxy::start_with_telemetry(
+        Arc::clone(&dyn_net),
+        &ServiceAddr::new("db-out", 5432),
+        ServiceAddr::new("db", 5432),
+        EngineConfig::builder(3).build().unwrap(),
+        line(),
+        Some(telemetry.clone()),
+    )
+    .unwrap();
+    let instances: Vec<ServiceAddr> = (0..3).map(|i| ServiceAddr::new("app", 7000 + i)).collect();
+    for addr in &instances {
+        let backend_net = net.clone();
+        spawn_line_service(&net, addr.clone(), move |req| {
+            let mut db = backend_net.dial(&ServiceAddr::new("db-out", 5432)).unwrap();
+            db.write_all(&[req, b"\n"].concat()).unwrap();
+            let mut answer = Vec::new();
+            let mut byte = [0u8; 1];
+            while db.read(&mut byte).unwrap() == 1 && byte[0] != b'\n' {
+                answer.push(byte[0]);
+            }
+            answer
+        });
+    }
+    let incoming = IncomingProxy::start_with_telemetry(
+        Arc::clone(&dyn_net),
+        &ServiceAddr::new("app-in", 80),
+        instances,
+        EngineConfig::builder(3).build().unwrap(),
+        line(),
+        Some(telemetry.clone()),
+    )
+    .unwrap();
+
+    let mut client = net.dial(incoming.listen_addr()).unwrap();
+    client.write_all(b"q\n").unwrap();
+    let mut reply = [0u8; 6];
+    client.read_exact(&mut reply).unwrap();
+    assert_eq!(&reply, b"row:q\n");
+
+    let mut expected: Vec<String> = Vec::new();
+    for (stem, workers, own) in [
+        (
+            "svc_in",
+            incoming.workers(),
+            &[
+                "exchange_latency_us",
+                "fanout_latency_us",
+                "instance_response_us",
+                "merge_latency_us",
+            ][..],
+        ),
+        (
+            "svc_out",
+            outgoing.workers(),
+            &["backend_latency_us", "merge_latency_us"][..],
+        ),
+    ] {
+        let shared = [
+            // The engine's counters and evaluation histogram.
+            "divergences_total",
+            "exchange_eval_latency_us",
+            "exchanges_total",
+            "fastpath_hits_total",
+            "fastpath_misses_total",
+            "noise_masked_total",
+            "throttled_total",
+            "tokens_captured_total",
+            "tokens_substituted_total",
+            "variance_excluded_total",
+            // Degraded mode.
+            "degraded_depth",
+            "ejects_total",
+            "pass_through_total",
+            "quarantines_total",
+            "rejoins_total",
+            // The reactor pool.
+            "reactor_ready_depth",
+            "reactor_session_state",
+            "reactor_sessions",
+            "reactor_workers",
+        ];
+        for series in own.iter().chain(&shared) {
+            expected.push(format!("{stem}_{series}"));
+        }
+        for i in 0..workers {
+            expected.push(format!("{stem}_reactor_worker{i}_sessions"));
+        }
+    }
+    expected.sort();
+    assert_eq!(
+        series_names(&telemetry.registry.render_prometheus()),
+        expected
+    );
 }
 
 /// The admin endpoint also runs over `SimNet` with a *healthy* deployment:
