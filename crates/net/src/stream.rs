@@ -37,8 +37,9 @@ pub trait Stream: Send {
     fn peer(&self) -> String;
 
     /// Creates a second handle to the same connection, so one thread can
-    /// read while another writes (the RDDR proxies run a reader thread per
-    /// instance connection).
+    /// read while another writes, or so a second owner can shut it down
+    /// (the read pump behind `poll::with_read_pump`, and a container that
+    /// severs its live connections on `kill`).
     ///
     /// # Errors
     ///

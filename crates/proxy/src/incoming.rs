@@ -1,86 +1,49 @@
 //! The RDDR Incoming Request Proxy.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::BytesMut;
 use rddr_core::{
-    DegradePolicy, Direction, EngineConfig, Frame, NVersionEngine, Protocol, RddrError,
-    INTERVENTION_PAGE,
+    Direction, EngineConfig, Frame, NVersionEngine, Protocol, RddrError, INTERVENTION_PAGE,
 };
-use rddr_net::{BoxStream, Network, ServiceAddr, Stream, TryRead};
-use rddr_telemetry::Span;
+use rddr_net::{BoxStream, Network, ServiceAddr, Stream};
+use rddr_telemetry::{Histogram, Span};
 
-use crate::plumbing::{
-    below_survivor_floor, eject_instance, fault_instance, quarantine_instance, DegradedTelemetry,
-    ProxyTelemetry, Roster,
-};
-use crate::reactor::{default_workers, Ctx, Flow, ReactorPool, SessionTask, SLOT_PRIMARY};
-use crate::{ProtocolFactory, ProxyError, ProxyStats, Result, StatsSnapshot};
+use crate::plumbing::ProxyTelemetry;
+use crate::reactor::{Ctx, Flow, SessionTask, SLOT_PRIMARY};
+use crate::session::{drain_primary, run, Advance, NSide, Proxy, Shared, Verdict};
+use crate::{ProtocolFactory, ProxyError, Result, StatsSnapshot};
 
-/// Per-session handles to the shared telemetry bundle: the latency series
-/// the incoming proxy maintains on top of the engine's own counters.
-#[derive(Clone)]
-struct SessionTelemetry {
-    shared: ProxyTelemetry,
+/// The latency series only the incoming proxy maintains, under
+/// `{prefix}_in_*`.
+struct InTelemetry {
     /// Client request accepted → response forwarded (or severed), µs.
-    exchange_us: std::sync::Arc<rddr_telemetry::Histogram>,
+    exchange_us: Arc<Histogram>,
     /// Writing the N replicated request copies, µs.
-    fanout_us: std::sync::Arc<rddr_telemetry::Histogram>,
-    /// Waiting for instance responses until the exchange is ready, µs.
-    merge_us: std::sync::Arc<rddr_telemetry::Histogram>,
+    fanout_us: Arc<Histogram>,
     /// Arrival lag of instance response data after fan-out, µs (all
     /// instances pooled).
-    instance_us: std::sync::Arc<rddr_telemetry::Histogram>,
-    /// Eject/rejoin/quarantine counters and the degraded-depth gauge.
-    degraded: std::sync::Arc<DegradedTelemetry>,
-}
-
-impl SessionTelemetry {
-    fn new(shared: ProxyTelemetry) -> Self {
-        let name = |s: &str| format!("{}_in_{s}", shared.prefix);
-        SessionTelemetry {
-            exchange_us: shared.registry.histogram(&name("exchange_latency_us")),
-            fanout_us: shared.registry.histogram(&name("fanout_latency_us")),
-            merge_us: shared.registry.histogram(&name("merge_latency_us")),
-            instance_us: shared.registry.histogram(&name("instance_response_us")),
-            degraded: std::sync::Arc::new(DegradedTelemetry::new(
-                &shared.registry,
-                &format!("{}_in", shared.prefix),
-            )),
-            shared,
-        }
-    }
+    instance_us: Arc<Histogram>,
 }
 
 /// The incoming request proxy: clients connect here instead of to the
 /// protected microservice; every request is replicated to the N instances
 /// and their responses are diffed (Figure 2, top half).
 ///
-/// Sessions run as state machines on a shared [`ReactorPool`] of O(cores)
+/// Sessions run as state machines on a shared reactor pool of O(cores)
 /// worker threads — only the accept loop keeps a thread of its own, so
 /// thread count stays flat as concurrent client sessions grow.
 ///
 /// Start with [`IncomingProxy::start`]; the returned handle owns the accept
 /// loop and the reactor pool, and stops both on drop.
-pub struct IncomingProxy {
-    listen_addr: ServiceAddr,
-    stats: Arc<ProxyStats>,
-    stop: Arc<AtomicBool>,
-    unbind: Box<dyn Fn() + Send + Sync>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// Dropped (tearing down any in-flight sessions) after the accept loop
-    /// has been joined.
-    pool: Option<Arc<ReactorPool>>,
-}
+pub struct IncomingProxy(Proxy);
 
-impl std::fmt::Debug for IncomingProxy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncomingProxy")
-            .field("listen", &self.listen_addr)
-            .field("stats", &self.stats.snapshot())
-            .finish()
+impl fmt::Debug for IncomingProxy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.debug("IncomingProxy", f)
     }
 }
 
@@ -123,112 +86,49 @@ impl IncomingProxy {
                 instances.len()
             )));
         }
-        let mut listener = net.listen(listen).map_err(ProxyError::Bind)?;
-        // Report the resolved address (TCP port 0 binds to an ephemeral port).
-        let bound = listener.local_addr();
-        let stats = Arc::new(ProxyStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let pool = {
-            let reactor_telemetry = telemetry
-                .as_ref()
-                .map(|t| (t.registry.as_ref(), format!("{}_in", t.prefix)));
-            Arc::new(
-                ReactorPool::new(
-                    "in",
-                    default_workers(),
-                    reactor_telemetry.as_ref().map(|(r, s)| (*r, s.as_str())),
-                )
-                .map_err(ProxyError::Spawn)?,
-            )
-        };
-        let session_telemetry = telemetry.map(SessionTelemetry::new);
-
-        let session_stats = Arc::clone(&stats);
-        let session_stop = Arc::clone(&stop);
-        let session_net = Arc::clone(&net);
-        let session_pool = Arc::clone(&pool);
-        let instances = Arc::new(instances);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("rddr-in-{listen}"))
-            .spawn(move || {
-                while !session_stop.load(Ordering::Relaxed) {
-                    let Ok(client) = listener.accept() else {
-                        break;
-                    };
-                    if session_stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    session_stats.sessions.fetch_add(1, Ordering::Relaxed);
-                    let task = InSession::new(
-                        client,
-                        Arc::clone(&session_net),
-                        Arc::clone(&instances),
-                        config.clone(),
-                        &protocol,
-                        Arc::clone(&session_stats),
-                        session_telemetry.clone(),
-                    );
-                    if !session_pool.submit(Box::new(task)) {
-                        // Pool shutting down: the dropped task closes the
-                        // client connection — a severed session, not a
-                        // crashed accept loop.
-                        session_stats.severed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+        let in_telemetry = telemetry.as_ref().map(|t| {
+            let histogram = |s: &str| t.registry.histogram(&format!("{}_in_{s}", t.prefix));
+            Arc::new(InTelemetry {
+                exchange_us: histogram("exchange_latency_us"),
+                fanout_us: histogram("fanout_latency_us"),
+                instance_us: histogram("instance_response_us"),
             })
-            .map_err(ProxyError::Spawn)?;
-
-        let unbind_net = net;
-        let unbind_addr = bound.clone();
-        Ok(IncomingProxy {
-            listen_addr: bound,
-            stats,
-            stop,
-            unbind: Box::new(move || {
-                unbind_net.unbind_addr(&unbind_addr);
-                // Fabrics whose unbind is a no-op (plain TCP) need the
-                // accept loop woken so it can observe the stop flag.
-                if let Ok(mut conn) = unbind_net.dial(&unbind_addr) {
-                    conn.shutdown();
-                }
-            }),
-            accept_thread: Some(accept_thread),
-            pool: Some(pool),
-        })
+        });
+        let instances = Arc::new(instances);
+        let session_net = Arc::clone(&net);
+        let proxy = Proxy::start(net, listen, "in", 1, telemetry, move |mut conns, shared| {
+            Some(Box::new(InSession::new(
+                conns.pop()?,
+                Arc::clone(&session_net),
+                Arc::clone(&instances),
+                config.clone(),
+                &protocol,
+                shared,
+                in_telemetry.clone(),
+            )))
+        })?;
+        Ok(IncomingProxy(proxy))
     }
 
     /// The address clients connect to.
     pub fn listen_addr(&self) -> &ServiceAddr {
-        &self.listen_addr
+        self.0.listen_addr()
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.0.stats()
     }
 
     /// Number of reactor workers serving this proxy's sessions.
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.worker_count())
+        self.0.workers()
     }
 
     /// Stops accepting new sessions and unbinds the listen address.
     /// In-flight sessions keep running until the proxy is dropped.
     pub fn stop(&mut self) {
-        if !self.stop.swap(true, Ordering::Relaxed) {
-            (self.unbind)();
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for IncomingProxy {
-    fn drop(&mut self) {
-        self.stop();
-        // Accept loop is down; dropping the pool tears down live sessions.
-        self.pool.take();
+        self.0.stop();
     }
 }
 
@@ -241,41 +141,21 @@ enum InState {
     Merge,
 }
 
-/// What one state-machine transition asks the step driver to do next.
-enum Advance {
-    /// Re-run the state machine immediately (state changed, or buffered
-    /// data may complete the next unit without a fresh wake).
-    Again,
-    /// Park until the next wake (readiness or timer).
-    Park,
-    /// Session over.
-    Finish,
-}
-
 /// One client session of the incoming proxy, driven by the reactor.
 ///
-/// The state machine mirrors the old per-session thread loop exactly:
-/// `Gather` is the blocking client `read` loop, `Merge` is the per-unit
-/// `recv_timeout` merge loop — with waits replaced by poller parks and the
-/// per-instance reader threads replaced by draining `try_read` on every
-/// wake. Data arriving "early" (before its unit starts merging) is pushed
-/// straight into the engine, which buffers it just as the reader channel
-/// used to.
+/// `Gather` reads the client until a request frame is complete; `Merge`
+/// waits for the instances' responses unit by unit, through the shared
+/// [`NSide`] core. Instance data arriving before its unit starts merging is
+/// pushed straight into the engine, which buffers it.
 struct InSession {
+    nside: NSide,
     client: BoxStream,
     client_open: bool,
     net: Arc<dyn Network>,
     instances: Arc<Vec<ServiceAddr>>,
-    deadline: Duration,
-    degrade: DegradePolicy,
-    instance_deadline: Option<Duration>,
     is_http: bool,
-    engine: NVersionEngine,
     request_protocol: Box<dyn Protocol>,
-    roster: Roster,
-    stats: Arc<ProxyStats>,
-    telemetry: Option<SessionTelemetry>,
-    degraded: Option<Arc<DegradedTelemetry>>,
+    telemetry: Option<Arc<InTelemetry>>,
 
     state: InState,
     request_buf: BytesMut,
@@ -292,59 +172,31 @@ struct InSession {
     units_done: usize,
     forward_buf: Vec<u8>,
     fanout_bufs: Vec<Vec<u8>>,
-
-    // Per-unit merge state.
-    t0: Instant,
-    failed: Vec<bool>,
-    first_complete: Option<Instant>,
-
-    // Instance EOFs observed during a drain, awaiting processing at the
-    // thread-model-equivalent point (the merge loop).
-    pending_close: Vec<bool>,
-    closed_seen: Vec<bool>,
 }
 
 impl InSession {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         client: BoxStream,
         net: Arc<dyn Network>,
         instances: Arc<Vec<ServiceAddr>>,
         config: EngineConfig,
         protocol: &ProtocolFactory,
-        stats: Arc<ProxyStats>,
-        telemetry: Option<SessionTelemetry>,
+        shared: Shared,
+        telemetry: Option<Arc<InTelemetry>>,
     ) -> Self {
-        let deadline = config.response_deadline();
-        let degrade = config.degrade();
-        let instance_deadline = config.instance_deadline();
-        let mut engine = NVersionEngine::from_boxed(config, protocol());
-        if let Some(t) = &telemetry {
-            engine = engine.with_telemetry(
-                Arc::clone(&t.shared.registry),
-                &format!("{}_in", t.shared.prefix),
-                Some(Arc::clone(&t.shared.audit)),
-            );
-        }
-        let degraded = telemetry.as_ref().map(|t| Arc::clone(&t.degraded));
+        let nside = NSide::new(NVersionEngine::from_boxed(config, protocol()), shared);
         let request_protocol = protocol();
         let is_http = request_protocol.name() == "http";
         let n = instances.len();
         InSession {
+            nside,
             client,
             client_open: true,
             net,
             instances,
-            deadline,
-            degrade,
-            instance_deadline,
             is_http,
-            engine,
             request_protocol,
-            roster: Roster::new(n),
-            stats,
             telemetry,
-            degraded,
             state: InState::Gather,
             request_buf: BytesMut::new(),
             request_frames: Vec::new(),
@@ -358,131 +210,6 @@ impl InSession {
             units_done: 0,
             forward_buf: Vec::new(),
             fanout_bufs: (0..n).map(|_| Vec::new()).collect(),
-            t0: Instant::now(),
-            failed: vec![false; n],
-            first_complete: None,
-            pending_close: vec![false; n],
-            closed_seen: vec![false; n],
-        }
-    }
-
-    /// Routes an instance fault through the degrade policy, deregistering
-    /// its readiness token first when the stream will leave the roster.
-    fn fault(&mut self, i: usize, ctx: &Ctx<'_>) {
-        if self.degrade.ejects() {
-            ctx.deregister(i as u64);
-        }
-        fault_instance(
-            i,
-            self.degrade,
-            &mut self.engine,
-            &mut self.roster,
-            &mut self.failed,
-            &self.stats,
-            self.degraded.as_deref(),
-        );
-    }
-
-    fn eject(&mut self, i: usize, ctx: &Ctx<'_>) {
-        ctx.deregister(i as u64);
-        eject_instance(
-            i,
-            &mut self.engine,
-            &mut self.roster,
-            &self.stats,
-            self.degraded.as_deref(),
-        );
-    }
-
-    fn quarantine(&mut self, i: usize, ctx: &Ctx<'_>) {
-        ctx.deregister(i as u64);
-        quarantine_instance(
-            i,
-            &mut self.engine,
-            &mut self.roster,
-            &self.stats,
-            self.degraded.as_deref(),
-        );
-    }
-
-    /// Drains every *woken* stream to `WouldBlock`: client bytes into the
-    /// request buffer, instance bytes into the engine. EOFs are recorded
-    /// (`pending_close`) and their tokens deregistered, but close handling
-    /// is deferred to the merge step. Streams that did not wake are left
-    /// alone — every arrival produces a slot wake, so nothing is missed.
-    fn drain(&mut self, ctx: &mut Ctx<'_>) {
-        if self.client_open && ctx.woken.contains(&SLOT_PRIMARY) {
-            loop {
-                let res = self.client.try_read(ctx.scratch);
-                match res {
-                    Ok(TryRead::Data(n)) => {
-                        if let Some(read) = ctx.scratch.get(..n) {
-                            self.request_buf.extend_from_slice(read);
-                        }
-                    }
-                    Ok(TryRead::WouldBlock) => break,
-                    Ok(TryRead::Eof) | Err(_) => {
-                        self.client_open = false;
-                        ctx.deregister(SLOT_PRIMARY);
-                        break;
-                    }
-                }
-            }
-        }
-        let merging = self.state == InState::Merge;
-        for &slot in ctx.woken {
-            let i = slot as usize;
-            if i >= self.roster.writers.len() || self.closed_seen.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            loop {
-                let res = {
-                    let Some(conn) = self.roster.writers.get_mut(i).and_then(|s| s.as_mut()) else {
-                        break;
-                    };
-                    conn.try_read(ctx.scratch)
-                };
-                match res {
-                    Ok(TryRead::Data(n)) => {
-                        if merging {
-                            if let Some(t) = &self.telemetry {
-                                t.instance_us.record_duration(self.t0.elapsed());
-                                if let Some(span) = &self.span {
-                                    span.event(format!("instance:{i}:data"));
-                                }
-                            }
-                        }
-                        let pushed = match ctx.scratch.get(..n) {
-                            Some(read) => self.engine.push_response(i, read),
-                            None => Err(RddrError::Protocol("scratch underflow".into())),
-                        };
-                        if pushed.is_err() {
-                            self.fault(i, ctx);
-                            break;
-                        }
-                        if merging
-                            && self.first_complete.is_none()
-                            && self.engine.instance_complete(i)
-                        {
-                            self.first_complete = Some(Instant::now());
-                        }
-                    }
-                    Ok(TryRead::WouldBlock) => break,
-                    Ok(TryRead::Eof) | Err(_) => {
-                        // Observed here, processed in the merge step — and
-                        // deregistered now so a closed fd can't spin the
-                        // poller.
-                        ctx.deregister(i as u64);
-                        if let Some(p) = self.pending_close.get_mut(i) {
-                            *p = true;
-                        }
-                        if let Some(c) = self.closed_seen.get_mut(i) {
-                            *c = true;
-                        }
-                        break;
-                    }
-                }
-            }
         }
     }
 
@@ -513,13 +240,13 @@ impl InSession {
     }
 
     /// Replicates and fans out the next window of buffered request frames,
-    /// then enters `Merge`. Mirrors the batch preamble of the old session
-    /// loop: rejoin probes, span, throttle clamp, replicate, fan-out.
+    /// then enters `Merge`: rejoin probes, span, throttle clamp, replicate,
+    /// fan-out.
     fn start_window(&mut self, ctx: &mut Ctx<'_>) -> Advance {
         // Once the signature throttle has recorded a divergence the batch
         // depth clamps to one frame: every frame then meets a fully
         // up-to-date throttle instead of the lagging whole-batch check.
-        let batch_end = if self.pipelined && !self.engine.session().throttle_engaged() {
+        let batch_end = if self.pipelined && !self.nside.engine.session().throttle_engaged() {
             self.request_frames.len()
         } else {
             self.next_frame + 1
@@ -527,7 +254,7 @@ impl InSession {
 
         // A replica ejected in an earlier exchange gets a rejoin probe
         // before each new batch: a successful re-dial readmits it.
-        if self.degrade.ejects() && self.engine.active_count() < self.instances.len() {
+        if self.nside.degrade.ejects() && self.nside.engine.active_count() < self.instances.len() {
             self.attempt_rejoins(ctx);
         }
 
@@ -539,7 +266,7 @@ impl InSession {
             .as_ref()
             .map(|_| Arc::new(Span::start("exchange")));
         if let Some(span) = &self.span {
-            self.engine.set_span(Arc::clone(span));
+            self.nside.engine.set_span(Arc::clone(span));
         }
 
         // Replicate every frame of the batch up front. The signature
@@ -556,10 +283,10 @@ impl InSession {
         let mut replicated: Vec<&Frame> = Vec::with_capacity(batch.len());
         replicated.extend(batch.iter());
         for frame in replicated {
-            match self.engine.replicate_request(&frame.bytes) {
+            match self.nside.engine.replicate_request(&frame.bytes) {
                 Ok(copies) => unit_copies.push(copies),
                 Err(RddrError::Throttled) => {
-                    self.stats.throttled.fetch_add(1, Ordering::Relaxed);
+                    self.nside.stats.throttled.fetch_add(1, Ordering::Relaxed);
                     self.throttled_stop = true;
                     break;
                 }
@@ -580,7 +307,7 @@ impl InSession {
         let fanout_start = Instant::now();
         let mut fanout_failed: Vec<usize> = Vec::new();
         if let [copies] = unit_copies.as_slice() {
-            for (i, (slot, copy)) in self.roster.writers.iter_mut().zip(copies).enumerate() {
+            for (i, (slot, copy)) in self.nside.streams.iter_mut().zip(copies).enumerate() {
                 let Some(writer) = slot else {
                     continue;
                 };
@@ -590,8 +317,8 @@ impl InSession {
             }
         } else {
             for (i, (slot, buf)) in self
-                .roster
-                .writers
+                .nside
+                .streams
                 .iter_mut()
                 .zip(self.fanout_bufs.iter_mut())
                 .enumerate()
@@ -611,11 +338,11 @@ impl InSession {
             }
         }
         for i in fanout_failed {
-            if !self.degrade.ejects() {
+            if !self.nside.degrade.ejects() {
                 self.sever();
                 return Advance::Finish;
             }
-            self.eject(i, ctx);
+            self.nside.eject(i, ctx);
         }
         if let Some(t) = &self.telemetry {
             t.fanout_us.record_duration(fanout_start.elapsed());
@@ -628,148 +355,47 @@ impl InSession {
         self.units_done = 0;
         self.forward_buf.clear();
         self.state = InState::Merge;
-        self.begin_unit();
+        self.nside.begin();
         Advance::Again
     }
 
-    /// Resets per-unit merge state (the top of the old per-unit loop).
-    fn begin_unit(&mut self) {
-        self.t0 = Instant::now();
-        self.failed.iter_mut().for_each(|f| *f = false);
-        self.first_complete = None;
-    }
-
-    /// `Merge`: the wait-loop plus completion of one exchange unit. Runs the
-    /// same checks the old `recv_timeout` loop ran — on data wakes, close
-    /// processing, and timer fires alike.
+    /// `Merge`: the wait for one exchange unit, then its completion. Runs
+    /// on data wakes, close processing and timer fires alike.
     fn merge(&mut self, ctx: &mut Ctx<'_>) -> Advance {
-        // Deferred instance closes: processed exactly where the thread
-        // model consumed its `Closed` events.
-        for i in 0..self.pending_close.len() {
-            if !self.pending_close.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if let Some(p) = self.pending_close.get_mut(i) {
-                *p = false;
-            }
-            if !self.engine.is_active(i) {
-                continue;
-            }
+        while let Some(i) = self.nside.next_close() {
             if let Some(span) = &self.span {
                 span.event(format!("instance:{i}:closed"));
             }
-            self.fault(i, ctx);
+            self.nside.fault(i, ctx);
         }
-
         // Under the sever policy a session whose every instance has faulted
         // has nothing left to wait for: evaluate immediately (the diff over
-        // the failure markers severs it), as the thread loop did when the
-        // last `Closed` event arrived.
-        let all_failed = !self.degrade.ejects() && self.failed.iter().all(|&f| f);
-
-        // Wait-loop equivalent: park (with a deadline timer) while the unit
-        // is incomplete and time remains.
-        if !(all_failed || self.engine.exchange_ready() || self.engine.active_count() == 0) {
-            let mut wait = self.deadline.saturating_sub(self.t0.elapsed());
-            if !wait.is_zero() {
-                let mut straggler_fired = false;
-                if let (Some(limit), Some(first)) = (self.instance_deadline, self.first_complete) {
-                    let straggler = limit.saturating_sub(first.elapsed());
-                    if straggler.is_zero() {
-                        // Straggler deadline: every incomplete live instance
-                        // is now treated as faulted.
-                        for i in 0..self.instances.len() {
-                            if self.engine.is_active(i) && !self.engine.instance_complete(i) {
-                                self.fault(i, ctx);
-                            }
-                        }
-                        straggler_fired = true;
-                    } else {
-                        wait = wait.min(straggler);
-                    }
-                }
-                if !straggler_fired {
-                    ctx.set_timer(wait);
-                    return Advance::Park;
-                }
-            }
-            // Overall deadline passed (or stragglers faulted): fall through
-            // to completion with whatever arrived.
+        // the failure markers severs it).
+        let all_failed = !self.nside.degrade.ejects() && self.nside.failed.iter().all(|&f| f);
+        if !all_failed && self.nside.deadline_wait(ctx) {
+            return Advance::Park;
         }
-
-        // Completion (the code after the old wait loop).
-        ctx.clear_timer();
-        if let Some(t) = &self.telemetry {
-            t.merge_us.record_duration(self.t0.elapsed());
-        }
-        // Anything still incomplete at the overall deadline is faulted too:
-        // ejected in degraded mode, left for the diff to flag under sever.
-        if self.degrade.ejects() && !self.engine.exchange_ready() {
-            for i in 0..self.instances.len() {
-                if self.engine.is_active(i) && !self.engine.instance_complete(i) {
-                    self.eject(i, ctx);
-                }
-            }
-        }
-        // Survivor floor: diffing needs at least two live instances.
-        if below_survivor_floor(self.engine.active_count(), self.degrade) {
-            self.stats.severed.fetch_add(1, Ordering::Relaxed);
-            self.flush_forwards();
-            self.sever();
-            return Advance::Finish;
-        }
-        if self.engine.active_count() == 1 {
-            // Lone-survivor pass-through: the exchange is answered
-            // unchecked and counted as a warning.
-            self.stats.pass_through.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.degraded.as_deref() {
-                t.pass_through.inc();
-            }
-        }
+        self.nside.settle(ctx);
         // De-noise + Diff + Respond. Pipelined batches consume one exchange
         // unit per pass; the classic path takes everything buffered, so a
         // surplus frame still diffs against the exchange that provoked it.
-        let finished = if self.pipelined {
-            self.engine.finish_exchange_unit()
-        } else {
-            self.engine.finish_exchange()
-        };
-        let outcome = match finished {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                self.flush_forwards();
-                self.sever();
-                return Advance::Finish;
-            }
-        };
-        self.stats.exchanges.fetch_add(1, Ordering::Relaxed);
-        if outcome.report.diverged() {
-            self.stats.divergences.fetch_add(1, Ordering::Relaxed);
-        }
-        // Quorum voting: instances outvoted by the winning group are
-        // quarantined (eligible for a rejoin probe next exchange).
-        for &i in &outcome.quarantined {
-            self.quarantine(i, ctx);
-        }
+        let verdict = self.nside.evaluate(ctx, self.pipelined);
         if let Some(t) = &self.telemetry {
-            t.exchange_us.record_duration(self.exchange_start.elapsed());
-        }
-        match outcome.forward {
-            Some(bytes) => {
-                // Forwards for a batch accumulate and reach the client in
-                // one write once every unit is answered.
-                self.forward_buf.extend_from_slice(&bytes);
-            }
-            None => {
-                self.stats.severed.fetch_add(1, Ordering::Relaxed);
-                self.flush_forwards();
-                self.sever();
-                return Advance::Finish;
+            if !matches!(verdict, Verdict::Unevaluated) {
+                t.exchange_us.record_duration(self.exchange_start.elapsed());
             }
         }
+        let Verdict::Forward(bytes) = verdict else {
+            self.flush_forwards();
+            self.sever();
+            return Advance::Finish;
+        };
+        // Forwards for a batch accumulate and reach the client in one write
+        // once every unit is answered.
+        self.forward_buf.extend_from_slice(&bytes);
         self.units_done += 1;
         if self.units_done < self.units {
-            self.begin_unit();
+            self.nside.begin();
             // Data for the next unit may already be buffered in the engine.
             return Advance::Again;
         }
@@ -799,7 +425,7 @@ impl InSession {
     fn attempt_rejoins(&mut self, ctx: &mut Ctx<'_>) {
         let instances = Arc::clone(&self.instances);
         for (i, addr) in instances.iter().enumerate() {
-            if self.engine.is_active(i) {
+            if self.nside.engine.is_active(i) {
                 continue;
             }
             let Ok(mut conn) = self.net.dial(addr) else {
@@ -808,18 +434,10 @@ impl InSession {
             if !ctx.register(&mut conn, i as u64) {
                 continue;
             }
-            if let Some(p) = self.pending_close.get_mut(i) {
-                *p = false;
-            }
-            if let Some(c) = self.closed_seen.get_mut(i) {
-                *c = false;
-            }
-            if let Some(slot) = self.roster.writers.get_mut(i) {
-                *slot = Some(conn);
-            }
-            self.engine.readmit(i);
-            self.stats.rejoined.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.degraded.as_deref() {
+            self.nside.admit(i, conn);
+            self.nside.engine.readmit(i);
+            self.nside.stats.rejoined.fetch_add(1, Ordering::Relaxed);
+            if let Some(t) = &self.nside.telemetry {
                 t.rejoins.inc();
                 t.degraded_depth.add(-1);
             }
@@ -848,7 +466,7 @@ impl InSession {
             let _ = self.client.write_all(INTERVENTION_PAGE.as_bytes());
         }
         self.client.shutdown();
-        self.roster.shutdown_all();
+        self.nside.shutdown_all();
     }
 }
 
@@ -861,69 +479,46 @@ impl SessionTask for InSession {
         let instances = Arc::clone(&self.instances);
         for (i, addr) in instances.iter().enumerate() {
             match self.net.dial(addr) {
-                Ok(conn) => {
-                    if let Some(slot) = self.roster.writers.get_mut(i) {
-                        *slot = Some(conn);
-                    }
-                }
-                Err(_) if self.degrade.ejects() => self.eject(i, ctx),
+                Ok(conn) => self.nside.admit(i, conn),
+                Err(_) if self.nside.degrade.ejects() => self.nside.eject(i, ctx),
                 Err(_) => return Flow::Done,
             }
         }
-        if below_survivor_floor(self.engine.active_count(), self.degrade) {
-            return Flow::Done;
-        }
-        if !ctx.register(&mut self.client, SLOT_PRIMARY) {
-            return Flow::Done;
-        }
-        for i in 0..self.roster.writers.len() {
-            let registered = match self.roster.writers.get_mut(i).and_then(|s| s.as_mut()) {
-                Some(conn) => ctx.register(conn, i as u64),
-                None => true, // already ejected
-            };
-            if !registered {
-                if self.degrade.ejects() {
-                    self.eject(i, ctx);
-                } else {
-                    return Flow::Done;
-                }
-            }
-        }
-        if below_survivor_floor(self.engine.active_count(), self.degrade) {
+        if self.nside.below_floor()
+            || !ctx.register(&mut self.client, SLOT_PRIMARY)
+            || !self.nside.register(ctx)
+        {
             return Flow::Done;
         }
         Flow::Continue
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow {
-        self.drain(ctx);
-        loop {
-            let advance = match self.state {
-                InState::Gather => self.gather(ctx),
-                InState::Merge => self.merge(ctx),
-            };
-            match advance {
-                Advance::Again => continue,
-                Advance::Park => return Flow::Continue,
-                Advance::Finish => return Flow::Done,
+        drain_primary(
+            ctx,
+            &mut self.client,
+            &mut self.client_open,
+            &mut self.request_buf,
+        );
+        let merging = self.state == InState::Merge;
+        let (telemetry, span) = (&self.telemetry, &self.span);
+        self.nside.drain(ctx, merging, |i, t0| {
+            if let (true, Some(t)) = (merging, telemetry) {
+                t.instance_us.record_duration(t0.elapsed());
+                if let Some(span) = span {
+                    span.event(format!("instance:{i}:data"));
+                }
             }
-        }
+        });
+        run(|| match self.state {
+            InState::Gather => self.gather(ctx),
+            InState::Merge => self.merge(ctx),
+        })
     }
 
     fn teardown(&mut self) {
         self.client.shutdown();
-        self.roster.shutdown_all();
-        // The gauge tracks currently-ejected instances; a session that ends
-        // while degraded returns its contribution.
-        if let Some(t) = self.degraded.as_deref() {
-            let depth = self
-                .instances
-                .len()
-                .saturating_sub(self.engine.active_count());
-            if depth > 0 {
-                t.degraded_depth.add(-(depth as i64));
-            }
-        }
+        self.nside.teardown();
     }
 
     fn state_ordinal(&self) -> u64 {

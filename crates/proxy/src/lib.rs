@@ -21,6 +21,20 @@
 //! transport-agnostic: they run over the in-memory [`rddr_net::SimNet`] or
 //! real TCP unchanged.
 //!
+//! The two proxies are one implementation seen from two sides (`session`).
+//! Each session has an N side, which is the instances for the incoming
+//! proxy and the members for the outgoing proxy. It also has a single
+//! stream, which is the client or the backend. One proxy handle serves
+//! both: it binds, runs the reactor pool and the accept loop, and stops.
+//! One session core runs the N side:
+//! - fault, eject and quarantine;
+//! - the drain;
+//! - the deadline and straggler wait;
+//! - the completion accounting.
+//!
+//! `incoming` and `outgoing` keep only their single stream and the rules
+//! that differ by direction.
+//!
 //! # Examples
 //!
 //! Protecting a 2-version echo service:
@@ -72,13 +86,12 @@ mod incoming;
 mod outgoing;
 mod plumbing;
 mod reactor;
+mod session;
 
 pub use deploy::{n_version, n_version_with_telemetry, NVersionedService, Variant};
 pub use incoming::IncomingProxy;
 pub use outgoing::OutgoingProxy;
-pub use plumbing::{
-    protocol_factory, ProtocolFactory, ProxyError, ProxyStats, ProxyTelemetry, StatsSnapshot,
-};
+pub use plumbing::{protocol_factory, ProtocolFactory, ProxyError, ProxyTelemetry, StatsSnapshot};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, ProxyError>;

@@ -1,53 +1,18 @@
 //! The RDDR Outgoing Request Proxy.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::BytesMut;
-use rddr_core::{
-    DegradePolicy, Direction, EngineConfig, Frame, NVersionEngine, PolicyDecision, Protocol,
-    RddrError,
-};
-use rddr_net::{BoxStream, Network, ServiceAddr, Stream, TryRead};
+use rddr_core::{Direction, EngineConfig, Frame, NVersionEngine, Protocol};
+use rddr_net::{BoxStream, Network, ServiceAddr, Stream};
 use rddr_telemetry::Histogram;
 
-use crate::plumbing::{
-    below_survivor_floor, eject_instance, fault_instance, quarantine_instance, remove_instance,
-    DegradedTelemetry, ProxyTelemetry, Roster,
-};
-use crate::reactor::{default_workers, Ctx, Flow, ReactorPool, SessionTask, SLOT_PRIMARY};
-use crate::{ProtocolFactory, ProxyError, ProxyStats, Result, StatsSnapshot};
-
-/// Latency series the outgoing proxy maintains on top of the engine's
-/// counters, under `{prefix}_out_*`.
-#[derive(Clone)]
-struct SessionTelemetry {
-    shared: ProxyTelemetry,
-    /// Waiting for all N instances' requests to agree, µs.
-    merge_us: Arc<Histogram>,
-    /// Merged request written → complete backend response read, µs.
-    backend_us: Arc<Histogram>,
-    /// Eject/quarantine counters and the degraded-depth gauge. (The rejoin
-    /// counter stays zero here: outgoing members are inbound connections, so
-    /// a lost member cannot be re-dialed — it rejoins as a fresh session.)
-    degraded: Arc<DegradedTelemetry>,
-}
-
-impl SessionTelemetry {
-    fn new(shared: ProxyTelemetry) -> Self {
-        let name = |s: &str| format!("{}_out_{s}", shared.prefix);
-        SessionTelemetry {
-            merge_us: shared.registry.histogram(&name("merge_latency_us")),
-            backend_us: shared.registry.histogram(&name("backend_latency_us")),
-            degraded: Arc::new(DegradedTelemetry::new(
-                &shared.registry,
-                &format!("{}_out", shared.prefix),
-            )),
-            shared,
-        }
-    }
-}
+use crate::plumbing::ProxyTelemetry;
+use crate::reactor::{Ctx, Flow, SessionTask, SLOT_PRIMARY};
+use crate::session::{drain_primary, run, Advance, NSide, Proxy, Shared, Verdict};
+use crate::{ProtocolFactory, Result, StatsSnapshot};
 
 /// The outgoing request proxy: the N protected instances connect *here*
 /// instead of to a downstream microservice. The proxy verifies that all N
@@ -61,7 +26,7 @@ impl SessionTelemetry {
 /// downstream microservices — RDDR addresses this issue with an outgoing
 /// proxy to merge traffic streams" (§III-A).
 ///
-/// Sessions run as state machines on a shared [`ReactorPool`] of O(cores)
+/// Sessions run as state machines on a shared reactor pool of O(cores)
 /// worker threads — only the accept loop keeps a thread of its own.
 ///
 /// **Grouping assumption**: the N instances' connections for one logical
@@ -71,23 +36,11 @@ impl SessionTelemetry {
 /// of the paper's evaluation. Highly concurrent frontends should instead
 /// hold one persistent backend connection per instance, which pins the
 /// grouping for the connection's lifetime.
-pub struct OutgoingProxy {
-    listen_addr: ServiceAddr,
-    stats: Arc<ProxyStats>,
-    stop: Arc<AtomicBool>,
-    unbind: Box<dyn Fn() + Send + Sync>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// Dropped (tearing down any in-flight sessions) after the accept loop
-    /// has been joined.
-    pool: Option<Arc<ReactorPool>>,
-}
+pub struct OutgoingProxy(Proxy);
 
-impl std::fmt::Debug for OutgoingProxy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutgoingProxy")
-            .field("listen", &self.listen_addr)
-            .field("stats", &self.stats.snapshot())
-            .finish()
+impl fmt::Debug for OutgoingProxy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.debug("OutgoingProxy", f)
     }
 }
 
@@ -97,7 +50,7 @@ impl OutgoingProxy {
     ///
     /// # Errors
     ///
-    /// Returns [`ProxyError::Bind`] if the listen address is taken.
+    /// Returns [`crate::ProxyError::Bind`] if the listen address is taken.
     pub fn start(
         net: Arc<dyn Network>,
         listen: &ServiceAddr,
@@ -120,117 +73,53 @@ impl OutgoingProxy {
         protocol: ProtocolFactory,
         telemetry: Option<ProxyTelemetry>,
     ) -> Result<OutgoingProxy> {
-        let mut listener = net.listen(listen).map_err(ProxyError::Bind)?;
-        // Report the resolved address (TCP port 0 binds to an ephemeral port).
-        let bound = listener.local_addr();
-        let stats = Arc::new(ProxyStats::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let n = config.instances();
-        let pool = {
-            let reactor_telemetry = telemetry
-                .as_ref()
-                .map(|t| (t.registry.as_ref(), format!("{}_out", t.prefix)));
-            Arc::new(
-                ReactorPool::new(
-                    "out",
-                    default_workers(),
-                    reactor_telemetry.as_ref().map(|(r, s)| (*r, s.as_str())),
-                )
-                .map_err(ProxyError::Spawn)?,
-            )
-        };
-        let session_telemetry = telemetry.map(SessionTelemetry::new);
-
-        let session_stats = Arc::clone(&stats);
-        let session_stop = Arc::clone(&stop);
+        // Merged request written → complete backend response read, µs.
+        let backend_us = telemetry.as_ref().map(|t| {
+            t.registry
+                .histogram(&format!("{}_out_backend_latency_us", t.prefix))
+        });
         let session_net = Arc::clone(&net);
-        let session_pool = Arc::clone(&pool);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("rddr-out-{listen}"))
-            .spawn(move || {
-                loop {
-                    // Group the next N connections into one session.
-                    let mut members = Vec::with_capacity(n);
-                    while members.len() < n {
-                        let Ok(conn) = listener.accept() else {
-                            return;
-                        };
-                        if session_stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        members.push(conn);
-                    }
-                    session_stats.sessions.fetch_add(1, Ordering::Relaxed);
-                    let task = OutSession::new(
-                        members,
-                        Arc::clone(&session_net),
-                        backend.clone(),
-                        config.clone(),
-                        &protocol,
-                        Arc::clone(&session_stats),
-                        session_telemetry.clone(),
-                    );
-                    if !session_pool.submit(Box::new(task)) {
-                        // Pool shutting down: the dropped task closes the
-                        // member connections — a severed session, not a
-                        // crashed accept loop.
-                        session_stats.severed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            })
-            .map_err(ProxyError::Spawn)?;
-
-        let unbind_net = net;
-        let unbind_addr = bound.clone();
-        Ok(OutgoingProxy {
-            listen_addr: bound,
-            stats,
-            stop,
-            unbind: Box::new(move || {
-                unbind_net.unbind_addr(&unbind_addr);
-                // Fabrics whose unbind is a no-op (plain TCP) need the
-                // accept loop woken so it can observe the stop flag.
-                if let Ok(mut conn) = unbind_net.dial(&unbind_addr) {
-                    conn.shutdown();
-                }
-            }),
-            accept_thread: Some(accept_thread),
-            pool: Some(pool),
-        })
+        let group = config.instances();
+        let proxy = Proxy::start(
+            net,
+            listen,
+            "out",
+            group,
+            telemetry,
+            move |members, shared| {
+                Some(Box::new(OutSession::new(
+                    members,
+                    Arc::clone(&session_net),
+                    backend.clone(),
+                    config.clone(),
+                    &protocol,
+                    shared,
+                    backend_us.clone(),
+                )))
+            },
+        )?;
+        Ok(OutgoingProxy(proxy))
     }
 
     /// The address the protected instances connect to.
     pub fn listen_addr(&self) -> &ServiceAddr {
-        &self.listen_addr
+        self.0.listen_addr()
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.0.stats()
     }
 
     /// Number of reactor workers serving this proxy's sessions.
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.worker_count())
+        self.0.workers()
     }
 
     /// Stops accepting new sessions and unbinds the listen address.
     /// In-flight sessions keep running until the proxy is dropped.
     pub fn stop(&mut self) {
-        if !self.stop.swap(true, Ordering::Relaxed) {
-            (self.unbind)();
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for OutgoingProxy {
-    fn drop(&mut self) {
-        self.stop();
-        // Accept loop is down; dropping the pool tears down live sessions.
-        self.pool.take();
+        self.0.stop();
     }
 }
 
@@ -243,39 +132,20 @@ enum OutState {
     BackendRead,
 }
 
-/// What one state-machine transition asks the step driver to do next.
-enum Advance {
-    /// Re-run the state machine immediately (state changed, or buffered
-    /// data may complete the next phase without a fresh wake).
-    Again,
-    /// Park until the next wake (readiness or timer).
-    Park,
-    /// Session over.
-    Finish,
-}
-
 /// One merge session of the outgoing proxy, driven by the reactor.
 ///
-/// Mirrors the old per-session thread loop: `MergeRequests` is the
-/// `recv_timeout` merge loop over member requests, `BackendRead` is the
-/// blocking backend read loop — with waits replaced by poller parks and the
-/// per-member reader threads replaced by draining `try_read` on every wake.
+/// `MergeRequests` waits, through the shared [`NSide`] core, for one
+/// complete request from every live member; `BackendRead` reads the
+/// backend's whole response and replicates it to the members. Member data
+/// arriving during the backend read is buffered by the engine for the next
+/// merge.
 struct OutSession {
-    /// Member connections held between construction (accept thread) and
-    /// `init` (reactor worker), where they move into the roster.
-    members: Vec<BoxStream>,
+    nside: NSide,
     net: Arc<dyn Network>,
     backend_addr: ServiceAddr,
-    deadline: Duration,
-    degrade: DegradePolicy,
-    instance_deadline: Option<Duration>,
-    n: usize,
-    engine: NVersionEngine,
     response_protocol: Box<dyn Protocol>,
-    roster: Roster,
-    stats: Arc<ProxyStats>,
-    telemetry: Option<SessionTelemetry>,
-    degraded: Option<Arc<DegradedTelemetry>>,
+    /// Merged request written → complete backend response read, µs.
+    backend_us: Option<Arc<Histogram>>,
 
     backend: Option<BoxStream>,
     backend_open: bool,
@@ -284,251 +154,67 @@ struct OutSession {
     state: OutState,
 
     // Per-exchange merge state.
-    t0: Instant,
+    /// Members whose close was handled this exchange (sever policy).
     closed: Vec<bool>,
-    failed: Vec<bool>,
-    first_complete: Option<Instant>,
+    /// Whether any member sent data since the last merged request went to
+    /// the backend: a member closing before that departs cleanly.
     saw_data: bool,
-    /// Member data drained while reading the backend counts as this
-    /// exchange's traffic once the next merge begins (the thread model
-    /// queued it in the channel until then).
-    carry_saw_data: bool,
 
     // Per-exchange backend-read state.
     backend_start: Instant,
     collected: Vec<Frame>,
     response_buf: Vec<u8>,
-
-    // Member EOFs observed during a drain, awaiting processing at the
-    // thread-model-equivalent point (the merge loop).
-    pending_close: Vec<bool>,
-    closed_seen: Vec<bool>,
 }
 
 impl OutSession {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         members: Vec<BoxStream>,
         net: Arc<dyn Network>,
         backend_addr: ServiceAddr,
         config: EngineConfig,
         protocol: &ProtocolFactory,
-        stats: Arc<ProxyStats>,
-        telemetry: Option<SessionTelemetry>,
+        shared: Shared,
+        backend_us: Option<Arc<Histogram>>,
     ) -> Self {
-        let deadline = config.response_deadline();
-        let degrade = config.degrade();
-        let instance_deadline = config.instance_deadline();
         let n = config.instances();
         // The outgoing proxy diffs the instances' *requests*.
-        let mut engine =
+        let engine =
             NVersionEngine::from_boxed(config, protocol()).diff_direction(Direction::Request);
-        if let Some(t) = &telemetry {
-            engine = engine.with_telemetry(
-                Arc::clone(&t.shared.registry),
-                &format!("{}_out", t.shared.prefix),
-                Some(Arc::clone(&t.shared.audit)),
-            );
+        let mut nside = NSide::new(engine, shared);
+        for (i, conn) in members.into_iter().enumerate() {
+            nside.admit(i, conn);
         }
-        let degraded = telemetry.as_ref().map(|t| Arc::clone(&t.degraded));
         OutSession {
-            members,
+            nside,
             net,
             backend_addr,
-            deadline,
-            degrade,
-            instance_deadline,
-            n,
-            engine,
             response_protocol: protocol(),
-            roster: Roster::new(n),
-            stats,
-            telemetry,
-            degraded,
+            backend_us,
             backend: None,
             backend_open: false,
             backend_buf: BytesMut::new(),
             state: OutState::MergeRequests,
-            t0: Instant::now(),
             closed: vec![false; n],
-            failed: vec![false; n],
-            first_complete: None,
             saw_data: false,
-            carry_saw_data: false,
             backend_start: Instant::now(),
             collected: Vec::new(),
             response_buf: Vec::new(),
-            pending_close: vec![false; n],
-            closed_seen: vec![false; n],
         }
     }
 
-    /// Routes a member fault through the degrade policy, deregistering its
-    /// readiness token first when the stream will leave the roster.
-    fn fault(&mut self, i: usize, ctx: &Ctx<'_>) {
-        if self.degrade.ejects() {
-            ctx.deregister(i as u64);
-        }
-        fault_instance(
-            i,
-            self.degrade,
-            &mut self.engine,
-            &mut self.roster,
-            &mut self.failed,
-            &self.stats,
-            self.degraded.as_deref(),
-        );
-    }
-
-    fn eject(&mut self, i: usize, ctx: &Ctx<'_>) {
-        ctx.deregister(i as u64);
-        eject_instance(
-            i,
-            &mut self.engine,
-            &mut self.roster,
-            &self.stats,
-            self.degraded.as_deref(),
-        );
-    }
-
-    /// Clean departure: the member leaves the diff set without counting as
-    /// a fault (no eject counter).
-    fn remove(&mut self, i: usize, ctx: &Ctx<'_>) {
-        ctx.deregister(i as u64);
-        remove_instance(
-            i,
-            &mut self.engine,
-            &mut self.roster,
-            self.degraded.as_deref(),
-        );
-    }
-
-    fn quarantine(&mut self, i: usize, ctx: &Ctx<'_>) {
-        ctx.deregister(i as u64);
-        quarantine_instance(
-            i,
-            &mut self.engine,
-            &mut self.roster,
-            &self.stats,
-            self.degraded.as_deref(),
-        );
-    }
-
-    /// Resets per-exchange merge state (the top of the old `'session` loop).
-    fn begin_exchange(&mut self) {
-        self.t0 = Instant::now();
-        self.closed.iter_mut().for_each(|c| *c = false);
-        self.failed.iter_mut().for_each(|f| *f = false);
-        self.first_complete = None;
-        self.saw_data = self.carry_saw_data;
-        self.carry_saw_data = false;
-    }
-
-    /// Drains every *woken* stream to `WouldBlock`: member bytes into the
-    /// engine, backend bytes into the parse buffer. EOFs are recorded
-    /// (`pending_close`) and their tokens deregistered; member close
-    /// handling is deferred to the merge step. Streams that did not wake
-    /// are left alone — every arrival produces a slot wake.
-    fn drain(&mut self, ctx: &mut Ctx<'_>) {
-        for &slot in ctx.woken {
-            let i = slot as usize;
-            if i >= self.roster.writers.len() || self.closed_seen.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            loop {
-                let res = {
-                    let Some(conn) = self.roster.writers.get_mut(i).and_then(|s| s.as_mut()) else {
-                        break;
-                    };
-                    conn.try_read(ctx.scratch)
-                };
-                match res {
-                    Ok(TryRead::Data(n)) => {
-                        if self.state == OutState::MergeRequests {
-                            self.saw_data = true;
-                        } else {
-                            self.carry_saw_data = true;
-                        }
-                        let pushed = match ctx.scratch.get(..n) {
-                            Some(read) => self.engine.push_response(i, read),
-                            None => Err(RddrError::Protocol("scratch underflow".into())),
-                        };
-                        if pushed.is_err() {
-                            self.fault(i, ctx);
-                            break;
-                        }
-                        if self.state == OutState::MergeRequests
-                            && self.first_complete.is_none()
-                            && self.engine.instance_complete(i)
-                        {
-                            self.first_complete = Some(Instant::now());
-                        }
-                    }
-                    Ok(TryRead::WouldBlock) => break,
-                    Ok(TryRead::Eof) | Err(_) => {
-                        // Observed here, processed in the merge step — and
-                        // deregistered now so a closed fd can't spin the
-                        // poller.
-                        ctx.deregister(i as u64);
-                        if let Some(p) = self.pending_close.get_mut(i) {
-                            *p = true;
-                        }
-                        if let Some(c) = self.closed_seen.get_mut(i) {
-                            *c = true;
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        if self.backend_open && ctx.woken.contains(&SLOT_PRIMARY) {
-            loop {
-                let res = {
-                    let Some(conn) = self.backend.as_mut() else {
-                        break;
-                    };
-                    conn.try_read(ctx.scratch)
-                };
-                match res {
-                    Ok(TryRead::Data(n)) => {
-                        if let Some(read) = ctx.scratch.get(..n) {
-                            self.backend_buf.extend_from_slice(read);
-                        }
-                    }
-                    Ok(TryRead::WouldBlock) => break,
-                    Ok(TryRead::Eof) | Err(_) => {
-                        self.backend_open = false;
-                        ctx.deregister(SLOT_PRIMARY);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// `MergeRequests`: the wait-loop plus completion of one merge exchange.
+    /// `MergeRequests`: the wait for one request from every live member,
+    /// then the merge and the forward to the backend.
     fn merge_requests(&mut self, ctx: &mut Ctx<'_>) -> Advance {
-        // Deferred member closes: processed exactly where the thread model
-        // consumed its `Closed` events, with the clean-departure logic.
-        for i in 0..self.pending_close.len() {
-            if !self.pending_close.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            if let Some(p) = self.pending_close.get_mut(i) {
-                *p = false;
-            }
-            if !self.engine.is_active(i) {
-                continue;
-            }
-            if self.degrade.ejects() {
+        while let Some(i) = self.nside.next_close() {
+            if self.nside.degrade.ejects() {
                 // A member closing before any request data this exchange is
                 // a clean departure, not a fault.
                 if self.saw_data {
-                    self.eject(i, ctx);
+                    self.nside.eject(i, ctx);
                 } else {
-                    self.remove(i, ctx);
+                    self.nside.remove(i, ctx);
                 }
-                if self.engine.active_count() == 0 {
+                if self.nside.engine.active_count() == 0 {
                     return Advance::Finish; // all members gone: session over
                 }
             } else {
@@ -538,98 +224,29 @@ impl OutSession {
                 if self.closed.iter().all(|&c| c) {
                     return Advance::Finish; // all instances done: clean end
                 }
-                self.fault(i, ctx);
+                self.nside.fault(i, ctx);
             }
         }
 
         // A member whose request was already fully buffered (drained during
-        // the previous backend read) starts the straggler clock now — the
-        // thread model set it when it consumed the queued event.
-        if self.first_complete.is_none()
-            && (0..self.n).any(|i| self.engine.is_active(i) && self.engine.instance_complete(i))
+        // the previous backend read) starts the straggler clock now.
+        let engine = &self.nside.engine;
+        if self.nside.first_complete.is_none()
+            && (0..self.nside.streams.len())
+                .any(|i| engine.is_active(i) && engine.instance_complete(i))
         {
-            self.first_complete = Some(Instant::now());
+            self.nside.first_complete = Some(Instant::now());
         }
 
-        // Wait-loop equivalent: park (with a deadline timer) while the
-        // exchange is incomplete and time remains.
-        if !(self.engine.exchange_ready() || self.engine.active_count() == 0) {
-            let mut wait = self.deadline.saturating_sub(self.t0.elapsed());
-            if !wait.is_zero() {
-                let mut straggler_fired = false;
-                if let (Some(limit), Some(first)) = (self.instance_deadline, self.first_complete) {
-                    let straggler = limit.saturating_sub(first.elapsed());
-                    if straggler.is_zero() {
-                        // Straggler deadline: incomplete live members are
-                        // faulted.
-                        for i in 0..self.n {
-                            if self.engine.is_active(i) && !self.engine.instance_complete(i) {
-                                self.fault(i, ctx);
-                            }
-                        }
-                        straggler_fired = true;
-                    } else {
-                        wait = wait.min(straggler);
-                    }
-                }
-                if !straggler_fired {
-                    ctx.set_timer(wait);
-                    return Advance::Park;
-                }
-            }
-            // Overall deadline passed (or stragglers faulted): fall through
-            // to completion with whatever arrived.
+        if self.nside.deadline_wait(ctx) {
+            return Advance::Park;
         }
-
-        // Completion (the code after the old wait loop).
-        ctx.clear_timer();
-        if let Some(t) = &self.telemetry {
-            t.merge_us.record_duration(self.t0.elapsed());
-        }
-        // Members still incomplete at the overall deadline are faulted too.
-        if self.degrade.ejects() && !self.engine.exchange_ready() {
-            for i in 0..self.n {
-                if self.engine.is_active(i) && !self.engine.instance_complete(i) {
-                    self.eject(i, ctx);
-                }
-            }
-        }
-        if self.engine.active_count() == 0 {
+        self.nside.settle(ctx);
+        if self.nside.engine.active_count() == 0 {
             return Advance::Finish; // nothing left to merge for
         }
-        // Survivor floor: merging needs at least two live members.
-        if below_survivor_floor(self.engine.active_count(), self.degrade) {
-            self.stats.severed.fetch_add(1, Ordering::Relaxed);
+        let Verdict::Forward(merged) = self.nside.evaluate(ctx, false) else {
             return Advance::Finish;
-        }
-        if self.engine.active_count() == 1 {
-            // Lone-survivor pass-through: its request is forwarded unmerged.
-            self.stats.pass_through.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = self.degraded.as_deref() {
-                t.pass_through.inc();
-            }
-        }
-
-        // Verify consistency of the merged request.
-        let outcome = match self.engine.finish_exchange() {
-            Ok(outcome) => outcome,
-            Err(_) => return Advance::Finish, // nothing buffered (idle EOF race)
-        };
-        self.stats.exchanges.fetch_add(1, Ordering::Relaxed);
-        if outcome.report.diverged() {
-            self.stats.divergences.fetch_add(1, Ordering::Relaxed);
-        }
-        // Quorum voting: members outvoted by the winning group are
-        // quarantined for the rest of the session.
-        for &i in &outcome.quarantined {
-            self.quarantine(i, ctx);
-        }
-        let merged = match (&outcome.decision, outcome.forward) {
-            (PolicyDecision::Forward { .. }, Some(bytes)) => bytes,
-            _ => {
-                self.stats.severed.fetch_add(1, Ordering::Relaxed);
-                return Advance::Finish;
-            }
         };
 
         // Forward the single merged request to the real backend.
@@ -643,6 +260,7 @@ impl OutSession {
         }
         self.response_buf.clear();
         self.collected.clear();
+        self.saw_data = false;
         self.state = OutState::BackendRead;
         // Backend bytes may already be buffered from the drain.
         Advance::Again
@@ -651,8 +269,7 @@ impl OutSession {
     /// `BackendRead`: parse one complete backend response out of the drain
     /// buffer, then replicate it to the live members. A backend EOF or split
     /// error mid-exchange still replicates the partial frames collected so
-    /// far (matching the old blocking read loop); before any frame it ends
-    /// the session.
+    /// far; before any frame it ends the session.
     fn backend_read(&mut self, ctx: &mut Ctx<'_>) -> Advance {
         if self.collected.is_empty() {
             match self
@@ -693,13 +310,13 @@ impl OutSession {
             self.response_buf.extend_from_slice(&f.bytes);
         }
         self.collected.clear();
-        if let Some(t) = &self.telemetry {
-            t.backend_us.record_duration(self.backend_start.elapsed());
+        if let Some(h) = &self.backend_us {
+            h.record_duration(self.backend_start.elapsed());
         }
 
         // Replicate the backend's response to every live member.
         let mut replicate_failed: Vec<usize> = Vec::new();
-        for (i, slot) in self.roster.writers.iter_mut().enumerate() {
+        for (i, slot) in self.nside.streams.iter_mut().enumerate() {
             let Some(w) = slot else {
                 continue;
             };
@@ -708,45 +325,30 @@ impl OutSession {
             }
         }
         for i in replicate_failed {
-            if !self.degrade.ejects() {
+            if !self.nside.degrade.ejects() {
                 return Advance::Finish;
             }
-            self.eject(i, ctx);
+            self.nside.eject(i, ctx);
         }
-        if self.engine.active_count() == 0 {
+        if self.nside.engine.active_count() == 0 {
             return Advance::Finish;
         }
         self.begin_exchange();
         self.state = OutState::MergeRequests;
         Advance::Again
     }
+
+    fn begin_exchange(&mut self) {
+        self.nside.begin();
+        self.closed.fill(false);
+    }
 }
 
 impl SessionTask for OutSession {
     fn init(&mut self, ctx: &mut Ctx<'_>) -> Flow {
-        // Adopt the member connections accepted for this session. A member
-        // that cannot register for readiness is treated like the old
-        // reader-spawn failure: ejected under an eject policy, fatal under
-        // sever.
-        for (i, conn) in std::mem::take(&mut self.members).into_iter().enumerate() {
-            if let Some(slot) = self.roster.writers.get_mut(i) {
-                *slot = Some(conn);
-            }
-        }
-        for i in 0..self.n {
-            let registered = match self.roster.writers.get_mut(i).and_then(|s| s.as_mut()) {
-                Some(conn) => ctx.register(conn, i as u64),
-                None => true,
-            };
-            if !registered {
-                if self.degrade.ejects() {
-                    self.eject(i, ctx);
-                } else {
-                    return Flow::Done;
-                }
-            }
-        }
-        if below_survivor_floor(self.engine.active_count(), self.degrade) {
+        // A member that cannot register for readiness is ejected under an
+        // eject policy and fatal under sever.
+        if !self.nside.register(ctx) {
             return Flow::Done;
         }
         let Ok(mut backend) = self.net.dial(&self.backend_addr) else {
@@ -762,33 +364,23 @@ impl SessionTask for OutSession {
     }
 
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow {
-        self.drain(ctx);
-        loop {
-            let advance = match self.state {
-                OutState::MergeRequests => self.merge_requests(ctx),
-                OutState::BackendRead => self.backend_read(ctx),
-            };
-            match advance {
-                Advance::Again => continue,
-                Advance::Park => return Flow::Continue,
-                Advance::Finish => return Flow::Done,
-            }
+        let merging = self.state == OutState::MergeRequests;
+        let saw_data = &mut self.saw_data;
+        self.nside.drain(ctx, merging, |_, _| *saw_data = true);
+        if let Some(conn) = self.backend.as_mut() {
+            drain_primary(ctx, conn, &mut self.backend_open, &mut self.backend_buf);
         }
+        run(|| match self.state {
+            OutState::MergeRequests => self.merge_requests(ctx),
+            OutState::BackendRead => self.backend_read(ctx),
+        })
     }
 
     fn teardown(&mut self) {
         if let Some(conn) = self.backend.as_mut() {
             conn.shutdown();
         }
-        self.roster.shutdown_all();
-        // The gauge tracks currently-ejected members; a session that ends
-        // while degraded returns its contribution.
-        if let Some(t) = self.degraded.as_deref() {
-            let depth = self.n.saturating_sub(self.engine.active_count());
-            if depth > 0 {
-                t.degraded_depth.add(-(depth as i64));
-            }
-        }
+        self.nside.teardown();
     }
 
     fn state_ordinal(&self) -> u64 {

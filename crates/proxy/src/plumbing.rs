@@ -2,9 +2,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rddr_core::{DegradePolicy, NVersionEngine, Protocol, SurvivorPolicy};
-use rddr_net::{BoxStream, NetError, Stream};
-use rddr_telemetry::{AuditLog, Counter, Gauge, Registry};
+use rddr_core::Protocol;
+use rddr_net::NetError;
+use rddr_telemetry::{AuditLog, Registry};
 
 /// Builds a fresh protocol module per proxied connection.
 ///
@@ -36,13 +36,6 @@ pub fn protocol_factory(name: &str) -> Option<ProtocolFactory> {
 pub enum ProxyError {
     /// The proxy could not bind its listen address.
     Bind(NetError),
-    /// An instance address could not be dialed at session start.
-    InstanceUnreachable {
-        /// Index of the unreachable instance.
-        instance: usize,
-        /// The underlying network error.
-        source: NetError,
-    },
     /// The engine configuration was inconsistent with the instance list.
     Config(String),
     /// The accept-loop thread could not be spawned.
@@ -53,9 +46,6 @@ impl fmt::Display for ProxyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProxyError::Bind(e) => write!(f, "proxy failed to bind: {e}"),
-            ProxyError::InstanceUnreachable { instance, source } => {
-                write!(f, "instance {instance} unreachable: {source}")
-            }
             ProxyError::Config(s) => write!(f, "proxy misconfigured: {s}"),
             ProxyError::Spawn(e) => write!(f, "proxy failed to spawn accept loop: {e}"),
         }
@@ -66,7 +56,6 @@ impl std::error::Error for ProxyError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProxyError::Bind(e) => Some(e),
-            ProxyError::InstanceUnreachable { source, .. } => Some(source),
             ProxyError::Config(_) => None,
             ProxyError::Spawn(e) => Some(e),
         }
@@ -125,7 +114,7 @@ impl ProxyTelemetry {
 
 /// Live counters shared by all sessions of one proxy.
 #[derive(Debug, Default)]
-pub struct ProxyStats {
+pub(crate) struct ProxyStats {
     pub(crate) sessions: AtomicU64,
     pub(crate) exchanges: AtomicU64,
     pub(crate) divergences: AtomicU64,
@@ -162,7 +151,7 @@ pub struct StatsSnapshot {
 
 impl ProxyStats {
     /// Reads the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             sessions: self.sessions.load(Ordering::Relaxed),
             exchanges: self.exchanges.load(Ordering::Relaxed),
@@ -174,153 +163,6 @@ impl ProxyStats {
             rejoined: self.rejoined.load(Ordering::Relaxed),
             pass_through: self.pass_through.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// The degraded-mode metric series a proxy maintains alongside its latency
-/// histograms, under `{stem}_*`.
-pub(crate) struct DegradedTelemetry {
-    /// Instances currently ejected across all live sessions (gauge).
-    pub(crate) degraded_depth: Arc<Gauge>,
-    /// Instance ejections after a fault (dial failure, reset, straggling).
-    pub(crate) ejects: Arc<Counter>,
-    /// Ejected instances readmitted after a successful warm-up probe.
-    pub(crate) rejoins: Arc<Counter>,
-    /// Instances quarantined after losing a quorum vote.
-    pub(crate) quarantines: Arc<Counter>,
-    /// Exchanges answered from a lone survivor without diffing.
-    pub(crate) pass_through: Arc<Counter>,
-}
-
-impl DegradedTelemetry {
-    /// Registers the series under `stem` (e.g. `myservice_in`).
-    pub(crate) fn new(registry: &Registry, stem: &str) -> Self {
-        DegradedTelemetry {
-            degraded_depth: registry.gauge(&format!("{stem}_degraded_depth")),
-            ejects: registry.counter(&format!("{stem}_ejects_total")),
-            rejoins: registry.counter(&format!("{stem}_rejoins_total")),
-            quarantines: registry.counter(&format!("{stem}_quarantines_total")),
-            pass_through: registry.counter(&format!("{stem}_pass_through_total")),
-        }
-    }
-}
-
-/// Per-session connection state for the N instance streams.
-///
-/// A `None` writer slot means the instance is currently ejected from the
-/// session.
-pub(crate) struct Roster {
-    pub(crate) writers: Vec<Option<BoxStream>>,
-}
-
-impl Roster {
-    /// An empty roster with `n` unfilled slots.
-    pub(crate) fn new(n: usize) -> Self {
-        Roster {
-            writers: (0..n).map(|_| None).collect(),
-        }
-    }
-
-    /// Closes every remaining connection (session teardown).
-    pub(crate) fn shutdown_all(&mut self) {
-        for w in self.writers.iter_mut().flatten() {
-            w.shutdown();
-        }
-    }
-}
-
-/// Removes instance `i` from the session: the engine stops waiting for it
-/// and its connection is shut down. Returns `false` if it was already out.
-///
-/// Callers pick the counter (eject vs quarantine) via the wrappers below;
-/// this records only the shared degraded-depth transition.
-pub(crate) fn remove_instance(
-    i: usize,
-    engine: &mut NVersionEngine,
-    roster: &mut Roster,
-    degraded: Option<&DegradedTelemetry>,
-) -> bool {
-    if !engine.is_active(i) {
-        return false;
-    }
-    engine.eject(i);
-    if let Some(slot) = roster.writers.get_mut(i) {
-        if let Some(conn) = slot.as_mut() {
-            conn.shutdown();
-        }
-        *slot = None;
-    }
-    if let Some(t) = degraded {
-        t.degraded_depth.add(1);
-    }
-    true
-}
-
-/// Ejects a *faulted* instance (failed dial, reset, straggling past its
-/// deadline) and counts the transition.
-pub(crate) fn eject_instance(
-    i: usize,
-    engine: &mut NVersionEngine,
-    roster: &mut Roster,
-    stats: &ProxyStats,
-    degraded: Option<&DegradedTelemetry>,
-) {
-    if remove_instance(i, engine, roster, degraded) {
-        stats.ejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = degraded {
-            t.ejects.inc();
-        }
-    }
-}
-
-/// Ejects an *outvoted* instance (quorum voting picked another group) and
-/// counts the quarantine.
-pub(crate) fn quarantine_instance(
-    i: usize,
-    engine: &mut NVersionEngine,
-    roster: &mut Roster,
-    stats: &ProxyStats,
-    degraded: Option<&DegradedTelemetry>,
-) {
-    if remove_instance(i, engine, roster, degraded) {
-        stats.quarantined.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = degraded {
-            t.quarantines.inc();
-        }
-    }
-}
-
-/// Routes an instance fault through the degrade policy: eject it (degraded
-/// mode) or mark it failed so the diff treats the missing response as a
-/// divergence (the paper's sever-on-fault behaviour).
-pub(crate) fn fault_instance(
-    i: usize,
-    degrade: DegradePolicy,
-    engine: &mut NVersionEngine,
-    roster: &mut Roster,
-    failed: &mut [bool],
-    stats: &ProxyStats,
-    degraded: Option<&DegradedTelemetry>,
-) {
-    if degrade.ejects() {
-        eject_instance(i, engine, roster, stats, degraded);
-    } else {
-        if let Some(f) = failed.get_mut(i) {
-            *f = true;
-        }
-        engine.mark_failed(i);
-    }
-}
-
-/// Whether `active` live instances are too few to keep serving under
-/// `degrade`: zero always is; a lone survivor is unless the policy says
-/// pass-through. (Under [`DegradePolicy::Sever`] nothing is ever ejected,
-/// so the count never drops below N in the first place.)
-pub(crate) fn below_survivor_floor(active: usize, degrade: DegradePolicy) -> bool {
-    match active {
-        0 => true,
-        1 => degrade.survivor() != Some(SurvivorPolicy::PassThrough),
-        _ => false,
     }
 }
 
@@ -341,10 +183,7 @@ mod tests {
 
     #[test]
     fn proxy_error_display() {
-        let e = ProxyError::InstanceUnreachable {
-            instance: 1,
-            source: NetError::ConnectionRefused("pg:5432".into()),
-        };
-        assert!(e.to_string().contains("instance 1"));
+        let e = ProxyError::Config("config expects 3 instances but 2 addresses were given".into());
+        assert!(e.to_string().contains("misconfigured: config expects 3"));
     }
 }

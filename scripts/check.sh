@@ -16,6 +16,17 @@ cargo build --release --workspace
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> reactor-worker matrix: proxy sessions under scheduling shapes the default run never uses"
+for workers in 1 8; do
+  for threads in 1 8; do
+    echo "    RDDR_REACTOR_WORKERS=$workers --test-threads $threads"
+    RDDR_REACTOR_WORKERS=$workers cargo test -q -p rddr-proxy -- --test-threads "$threads"
+    RDDR_REACTOR_WORKERS=$workers cargo test -q --test stress --test chaos \
+      --test failure_injection --test telemetry_admin --test social_compose \
+      -- --test-threads "$threads"
+  done
+done
+
 echo "==> benchmark workspace: build + unit tests (a public-API break shows here, not in the pipeline)"
 CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 CARGO_TARGET_DIR="$PWD/target" cargo test --offline --locked --manifest-path benchmark/Cargo.toml
