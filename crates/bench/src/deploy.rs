@@ -11,7 +11,7 @@ use rddr_net::{ServiceAddr, SimNet};
 use rddr_orchestra::{Cluster, ContainerHandle, CpuGovernor, Image};
 use rddr_pgsim::{Database, PgServer, PgServerConfig, PgVersion};
 use rddr_protocols::PgProtocol;
-use rddr_proxy::{IncomingProxy, ProtocolFactory};
+use rddr_proxy::{NVersion, NVersionedService, ProtocolFactory};
 
 /// The Figure 5/6 cost model: a deliberately heavy per-statement cost so the
 /// vCPU governor — not harness overhead — is the bottleneck, reproducing
@@ -31,9 +31,11 @@ pub struct PgDeployment {
     pub addr: ServiceAddr,
     /// The hosting cluster.
     pub cluster: Cluster,
-    /// Container + proxy handles kept alive for the deployment's lifetime.
+    /// The RDDR deployment, if this is one; dropped before `handles`.
+    service: Option<NVersionedService>,
+    /// Containers outside an N-versioned set, kept alive for the
+    /// deployment's lifetime.
     pub handles: Vec<ContainerHandle>,
-    proxy: Option<IncomingProxy>,
 }
 
 impl std::fmt::Debug for PgDeployment {
@@ -58,7 +60,7 @@ impl PgDeployment {
 
     /// RDDR proxy statistics, if this deployment has a proxy.
     pub fn proxy_stats(&self) -> Option<rddr_proxy::StatsSnapshot> {
-        self.proxy.as_ref().map(IncomingProxy::stats)
+        self.service.as_ref().map(|s| s.proxy.stats())
     }
 }
 
@@ -99,8 +101,8 @@ pub fn deploy_pg_baseline(
         label: "bare",
         addr,
         cluster,
+        service: None,
         handles: vec![handle],
-        proxy: None,
     }
 }
 
@@ -139,8 +141,8 @@ pub fn deploy_pg_envoy(
         label: "envoy",
         addr: envoy_addr,
         cluster,
+        service: None,
         handles,
-        proxy: None,
     }
 }
 
@@ -153,40 +155,29 @@ pub fn deploy_pg_rddr(
     time_scale: f64,
 ) -> PgDeployment {
     let cluster = cluster(vcpus, time_scale);
-    let mut handles = Vec::new();
-    for i in 0..3u16 {
-        let mut db = Database::new(PgVersion::parse("10.7").expect("static version"));
-        seed(&mut db);
-        handles.push(
-            cluster
-                .run_container(
-                    format!("postgres-{i}"),
-                    Image::new("postgres", "10.7"),
-                    &ServiceAddr::new("pg", 5432 + i),
-                    Arc::new(PgServer::with_config(db, cost)),
-                )
-                .expect("instances deploy"),
-        );
-    }
-    let addr = ServiceAddr::new("rddr", 5432);
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &addr,
-        (0..3).map(|i| ServiceAddr::new("pg", 5432 + i)).collect(),
-        EngineConfig::builder(3)
-            .filter_pair(0, 1)
-            .response_deadline(Duration::from_secs(30))
-            .build()
-            .expect("static config"),
-        pg_protocol(),
-    )
-    .expect("proxy starts");
+    let config = EngineConfig::builder(3)
+        .filter_pair(0, 1)
+        .response_deadline(Duration::from_secs(30))
+        .build()
+        .expect("static config");
+    let rddr = (0..3)
+        .fold(NVersion::new("postgres", config, pg_protocol()), |nv, _| {
+            let mut db = Database::new(PgVersion::parse("10.7").expect("static version"));
+            seed(&mut db);
+            nv.variant(
+                Image::new("postgres", "10.7"),
+                Arc::new(PgServer::with_config(db, cost)),
+            )
+        })
+        .instances_at(ServiceAddr::new("pg", 5432))
+        .deploy(&cluster, &ServiceAddr::new("rddr", 5432))
+        .expect("rddr deploys");
     PgDeployment {
         label: "rddr",
-        addr,
+        addr: rddr.addr.clone(),
         cluster,
-        handles,
-        proxy: Some(proxy),
+        service: Some(rddr),
+        handles: Vec::new(),
     }
 }
 

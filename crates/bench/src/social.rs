@@ -11,7 +11,7 @@ use rddr_httpsim::{HttpResponse, HttpService};
 use rddr_net::ServiceAddr;
 use rddr_orchestra::{Cluster, ContainerHandle, Image};
 use rddr_protocols::HttpProtocol;
-use rddr_proxy::IncomingProxy;
+use rddr_proxy::{NVersion, NVersionedService, ProtocolFactory};
 
 /// The microservices of Figure 1's "small-scale social network deployment".
 pub const SERVICES: &[&str] = &[
@@ -43,10 +43,11 @@ fn stub_service(name: &'static str) -> Arc<HttpService> {
 pub struct SocialNetwork {
     /// The hosting cluster.
     pub cluster: Cluster,
-    /// All running containers.
+    /// The RDDR-protected services (empty when deployed without
+    /// protection).
+    pub services: Vec<NVersionedService>,
+    /// The unprotected services' containers.
     pub containers: Vec<ContainerHandle>,
-    /// RDDR proxies (empty when deployed without protection).
-    pub proxies: Vec<IncomingProxy>,
     /// Address of each logical service's entry point.
     pub entrypoints: Vec<(String, ServiceAddr)>,
 }
@@ -54,8 +55,8 @@ pub struct SocialNetwork {
 impl std::fmt::Debug for SocialNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SocialNetwork")
-            .field("containers", &self.containers.len())
-            .field("proxies", &self.proxies.len())
+            .field("containers", &self.container_count())
+            .field("services", &self.services.len())
             .finish()
     }
 }
@@ -64,7 +65,8 @@ impl SocialNetwork {
     /// Total containers, the unit of the paper's overhead arithmetic
     /// ("if all microservice containers … were equally costly").
     pub fn container_count(&self) -> usize {
-        self.containers.len()
+        let protected: usize = self.services.iter().map(|s| s.containers.len()).sum();
+        self.containers.len() + protected
     }
 }
 
@@ -88,8 +90,8 @@ pub fn deploy_plain(cluster: Cluster) -> SocialNetwork {
     }
     SocialNetwork {
         cluster,
+        services: Vec::new(),
         containers,
-        proxies: Vec::new(),
         entrypoints,
     }
 }
@@ -99,40 +101,24 @@ pub fn deploy_plain(cluster: Cluster) -> SocialNetwork {
 /// incoming proxy.
 pub fn deploy_microversioned(cluster: Cluster, n: usize) -> SocialNetwork {
     let mut containers = Vec::new();
-    let mut proxies = Vec::new();
+    let mut services = Vec::new();
     let mut entrypoints = Vec::new();
     for (i, name) in SERVICES.iter().enumerate() {
         let base_port = 8000 + (i as u16) * 10;
         if PROTECTED.contains(name) {
-            for k in 0..n {
-                containers.push(
-                    cluster
-                        .run_container(
-                            format!("{name}-{k}"),
-                            Image::new(*name, format!("v{}", k + 1)),
-                            &ServiceAddr::new(*name, base_port + 1 + k as u16),
-                            stub_service(name),
-                        )
-                        .expect("protected replicas deploy"),
-                );
-            }
-            let proxy_addr = ServiceAddr::new(*name, base_port);
-            proxies.push(
-                IncomingProxy::start(
-                    Arc::new(cluster.net()),
-                    &proxy_addr,
-                    (0..n as u16)
-                        .map(|k| ServiceAddr::new(*name, base_port + 1 + k))
-                        .collect(),
-                    EngineConfig::builder(n)
-                        .response_deadline(Duration::from_secs(2))
-                        .build()
-                        .expect("static config"),
-                    Arc::new(|| Box::new(HttpProtocol::new())),
-                )
-                .expect("rddr proxy starts"),
-            );
-            entrypoints.push((name.to_string(), proxy_addr));
+            let config = EngineConfig::builder(n)
+                .response_deadline(Duration::from_secs(2))
+                .build()
+                .expect("static config");
+            let protocol: ProtocolFactory = Arc::new(|| Box::new(HttpProtocol::new()));
+            let service = (0..n)
+                .fold(NVersion::new(*name, config, protocol), |nv, k| {
+                    nv.variant(Image::new(*name, format!("v{}", k + 1)), stub_service(name))
+                })
+                .deploy(&cluster, &ServiceAddr::new(*name, base_port))
+                .expect("protected service deploys");
+            entrypoints.push((name.to_string(), service.addr.clone()));
+            services.push(service);
         } else {
             let addr = ServiceAddr::new(*name, base_port);
             containers.push(
@@ -150,8 +136,8 @@ pub fn deploy_microversioned(cluster: Cluster, n: usize) -> SocialNetwork {
     }
     SocialNetwork {
         cluster,
+        services,
         containers,
-        proxies,
         entrypoints,
     }
 }
@@ -176,7 +162,7 @@ mod tests {
         assert_eq!(extra, 4);
         let overhead = extra as f64 / plain.container_count() as f64;
         assert!((overhead - 1.0 / 3.0).abs() < 1e-9, "4/12 extra containers");
-        assert_eq!(protected.proxies.len(), PROTECTED.len());
+        assert_eq!(protected.services.len(), PROTECTED.len());
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! One fresh deployment per case keeps executions independent (no SQL
 //! state bleeding between cases) and is what makes replay exact: every
 //! reproducer carries everything needed to rebuild the world it diverged
-//! in. Deployments reuse the same building blocks as `rddr-vulns` and the
-//! chaos suites — [`rddr_proxy::deploy`] for the simple shapes, manual
-//! wiring plus [`rddr_orchestra::Supervisor`] factories for the paged
-//! storage target so `!CRASH` items can kill, crash, and respawn an
-//! instance mid-stream.
+//! in. Every target deploys through one [`rddr_proxy::NVersion`] call, the
+//! same builder `rddr-vulns` and the chaos suites use. The paged storage
+//! target also registers [`rddr_orchestra::Supervisor`] factories for its
+//! instances, so `!CRASH` items can kill, crash, and respawn an instance
+//! mid-stream.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,8 +30,7 @@ use rddr_pgsim::{
     PlanDiskFaults, StorageEngine, VDisk,
 };
 use rddr_protocols::{HttpProtocol, PgProtocol};
-use rddr_proxy::deploy::{n_version_with_telemetry, NVersionedService, Variant};
-use rddr_proxy::{IncomingProxy, ProtocolFactory, ProxyTelemetry};
+use rddr_proxy::{NVersion, NVersionedService, ProtocolFactory, ProxyTelemetry};
 
 use crate::case::FuzzCase;
 use crate::target::{Family, TargetId};
@@ -119,30 +118,16 @@ pub(crate) fn arm_chaos(plan: &FaultPlan) {
     plan.refuse(&ServiceAddr::new("db", 5433), ConnSelector::Nth(0));
 }
 
-/// A running fuzz deployment: containers + proxy + telemetry, torn down on
-/// drop.
+/// A running fuzz deployment: the N-versioned service, any backends
+/// behind it, and telemetry, torn down on drop.
 pub(crate) struct Deployment {
     cluster: Cluster,
-    entry: ServiceAddr,
     telemetry: ProxyTelemetry,
-    /// Containers outside the N-versioned set (smuggling backends) or the
-    /// manually wired instances (pg-storage).
-    extra: Vec<ContainerHandle>,
-    service: Option<NVersionedService>,
-    /// Held for its drop side-effect (stops the manually wired proxy).
-    _proxy: Option<IncomingProxy>,
+    service: NVersionedService,
+    /// Containers outside the N-versioned set (smuggling backends).
+    _backends: Vec<ContainerHandle>,
     supervisor: Option<Supervisor>,
     disks: Vec<VDisk>,
-}
-
-impl Deployment {
-    fn handle_mut(&mut self, i: usize) -> Option<&mut ContainerHandle> {
-        if let Some(service) = &mut self.service {
-            service.containers.get_mut(i)
-        } else {
-            self.extra.get_mut(i)
-        }
-    }
 }
 
 fn seed_rls_schema(db: &mut Database) -> Result<(), FuzzError> {
@@ -193,32 +178,33 @@ fn seed_ledger_schema(db: &mut Database) -> Result<(), FuzzError> {
 }
 
 fn pg_variant(
+    nv: NVersion,
     version: &str,
     seed: fn(&mut Database) -> Result<(), FuzzError>,
-) -> Result<Variant, FuzzError> {
+) -> Result<NVersion, FuzzError> {
     let parsed = PgVersion::parse(version)?;
     let mut db = Database::new(parsed);
     seed(&mut db)?;
-    Ok(Variant::new(
+    Ok(nv.variant(
         Image::new("postgres", version),
         Arc::new(PgServer::with_config(db, quick_cost())),
     ))
 }
 
-fn cockroach_variant() -> Result<Variant, FuzzError> {
+fn cockroach_variant(nv: NVersion) -> Result<NVersion, FuzzError> {
     let flavor = CockroachFlavor {
         scramble_row_order: true,
         ..CockroachFlavor::default()
     };
     let mut db = Database::with_flavor(PgVersion::parse("10.9")?, DbFlavor::Cockroach(flavor));
     seed_plain_schema(&mut db)?;
-    Ok(Variant::new(
+    Ok(nv.variant(
         Image::new("cockroach", "19.1.0"),
         Arc::new(PgServer::with_config(db, quick_cost())),
     ))
 }
 
-fn nginx_variant(version: &str) -> Variant {
+fn nginx_variant(nv: NVersion, version: &str) -> NVersion {
     let server = NginxSim::file_server(NginxVersion::parse(version));
     // The adjacent cache memory is identical across instances: the leak
     // models the *same* co-tenant secret sitting next to each buffer, so a
@@ -235,7 +221,7 @@ fn nginx_variant(version: &str) -> Variant {
         big,
         b"CACHE-SECRET-adjacent-cache-line".to_vec(),
     );
-    Variant::new(Image::new("nginx", version), Arc::new(server))
+    nv.variant(Image::new("nginx", version), Arc::new(server))
 }
 
 fn noise_echo(instance: usize) -> Arc<dyn Service> {
@@ -276,73 +262,40 @@ pub(crate) fn deploy(
 ) -> Result<Deployment, FuzzError> {
     let cluster = scenario_cluster();
     let telemetry = ProxyTelemetry::new("fuzz");
-    let deadline = Duration::from_millis(1500);
-    let mut extra = Vec::new();
-    let mut disks = Vec::new();
-    let mut supervisor = None;
-    let mut proxy = None;
-    let mut service = None;
-    let entry;
+    let config = |n| EngineConfig::builder(n).response_deadline(Duration::from_millis(1500));
+    let mut backends = Vec::new();
+    // pg-storage only: each instance's engine and disk, for its respawn.
+    let mut paged = Vec::new();
 
-    match target {
+    let (nv, entry) = match target {
         TargetId::PgRls => {
             let versions = match mode {
                 Mode::Mixed => ["10.7", "10.7", "10.9"],
                 Mode::Uniform => ["10.7", "10.7", "10.7"],
             };
-            let variants = versions
-                .iter()
-                .copied()
-                .map(|v| pg_variant(v, seed_rls_schema))
-                .collect::<Result<Vec<_>, _>>()?;
-            entry = ServiceAddr::new("pg", 5432);
-            service = Some(
-                n_version_with_telemetry(
-                    &cluster,
-                    "pg",
-                    &entry,
-                    variants,
-                    EngineConfig::builder(3)
-                        .filter_pair(0, 1)
-                        .response_deadline(deadline)
-                        .build()
-                        .map_err(config_err)?,
-                    pg_protocol(),
-                    telemetry.clone(),
-                )
-                .map_err(config_err)?,
+            let nv = NVersion::new(
+                "pg",
+                config(3).filter_pair(0, 1).build().map_err(config_err)?,
+                pg_protocol(),
             );
+            let nv = versions
+                .into_iter()
+                .try_fold(nv, |nv, v| pg_variant(nv, v, seed_rls_schema))?;
+            (nv, ServiceAddr::new("pg", 5432))
         }
         TargetId::PgFlavors => {
-            let variants = match mode {
-                Mode::Mixed => vec![
-                    pg_variant("10.9", seed_plain_schema)?,
-                    pg_variant("10.9", seed_plain_schema)?,
-                    cockroach_variant()?,
-                ],
-                Mode::Uniform => vec![
-                    pg_variant("10.9", seed_plain_schema)?,
-                    pg_variant("10.9", seed_plain_schema)?,
-                    pg_variant("10.9", seed_plain_schema)?,
-                ],
-            };
-            entry = ServiceAddr::new("pg", 5432);
-            service = Some(
-                n_version_with_telemetry(
-                    &cluster,
-                    "pg",
-                    &entry,
-                    variants,
-                    EngineConfig::builder(3)
-                        .filter_pair(0, 1)
-                        .response_deadline(deadline)
-                        .build()
-                        .map_err(config_err)?,
-                    pg_protocol(),
-                    telemetry.clone(),
-                )
-                .map_err(config_err)?,
+            let nv = NVersion::new(
+                "pg",
+                config(3).filter_pair(0, 1).build().map_err(config_err)?,
+                pg_protocol(),
             );
+            let nv = pg_variant(nv, "10.9", seed_plain_schema)?;
+            let nv = pg_variant(nv, "10.9", seed_plain_schema)?;
+            let nv = match mode {
+                Mode::Mixed => cockroach_variant(nv)?,
+                Mode::Uniform => pg_variant(nv, "10.9", seed_plain_schema)?,
+            };
+            (nv, ServiceAddr::new("pg", 5432))
         }
         TargetId::PgStorage => {
             let specs = match mode {
@@ -357,16 +310,29 @@ pub(crate) fn deploy(
                     "paged:replay-forward",
                 ],
             };
-            let sup = Supervisor::new();
-            let mut instance_addrs = Vec::new();
+            let net: Arc<dyn Network> = match chaos {
+                Some(plan) => Arc::new(FaultNet::new(cluster.net(), plan.clone())),
+                None => Arc::new(cluster.net()),
+            };
+            let mut nv = NVersion::new(
+                "db",
+                EngineConfig::builder(3)
+                    .policy(ResponsePolicy::MajorityVote)
+                    .degrade(DegradePolicy::eject())
+                    .response_deadline(Duration::from_millis(800))
+                    .instance_deadline(Duration::from_millis(300))
+                    .build()
+                    .map_err(config_err)?,
+                pg_protocol(),
+            )
+            .instances_at(ServiceAddr::new("db", 5432))
+            .proxy_net(net);
             for (i, spec) in specs.iter().enumerate() {
                 let engine = StorageEngine::parse(spec)?;
                 let disk = match chaos {
                     Some(plan) => PlanDiskFaults::disk(plan.clone(), &format!("db-{i}")),
                     None => VDisk::new(format!("db-{i}")),
                 };
-                let addr = ServiceAddr::new("db", 5432 + i as u16);
-                let image = Image::new("minipg", *spec);
                 let mut db = Database::with_engine(
                     PgVersion::parse("10.7")?,
                     DbFlavor::Postgres,
@@ -374,84 +340,34 @@ pub(crate) fn deploy(
                     &disk,
                 )?;
                 seed_ledger_schema(&mut db)?;
-                extra.push(
-                    cluster
-                        .run_container(
-                            format!("db-{i}"),
-                            image.clone(),
-                            &addr,
-                            Arc::new(PgServer::with_config(db, quick_cost())),
-                        )
-                        .map_err(config_err)?,
+                nv = nv.variant(
+                    Image::new("minipg", *spec),
+                    Arc::new(PgServer::with_config(db, quick_cost())),
                 );
-                let factory_disk = disk.clone();
-                sup.register_factory(format!("db-{i}"), image, addr.clone(), move || {
-                    // Recovery (WAL replay under the instance's policy)
-                    // runs inside the factory, before the readiness probe.
-                    let db = Database::with_engine(
-                        PgVersion::parse("10.7").map_err(|e| e.to_string())?,
-                        DbFlavor::Postgres,
-                        engine,
-                        &factory_disk,
-                    )
-                    .map_err(|e| e.to_string())?;
-                    Ok(Arc::new(PgServer::with_config(db, quick_cost())) as Arc<dyn Service>)
-                });
-                disks.push(disk);
-                instance_addrs.push(addr);
+                paged.push((engine, disk));
             }
-            let net: Arc<dyn Network> = match chaos {
-                Some(plan) => Arc::new(FaultNet::new(cluster.net(), plan.clone())),
-                None => Arc::new(cluster.net()),
-            };
-            entry = ServiceAddr::new("rddr-db", 5432);
-            proxy = Some(
-                IncomingProxy::start_with_telemetry(
-                    net,
-                    &entry,
-                    instance_addrs,
-                    EngineConfig::builder(3)
-                        .policy(ResponsePolicy::MajorityVote)
-                        .degrade(DegradePolicy::eject())
-                        .response_deadline(Duration::from_millis(800))
-                        .instance_deadline(Duration::from_millis(300))
-                        .build()
-                        .map_err(config_err)?,
-                    pg_protocol(),
-                    Some(telemetry.clone()),
-                )
-                .map_err(config_err)?,
-            );
-            supervisor = Some(sup);
+            (nv, ServiceAddr::new("rddr-db", 5432))
         }
         TargetId::HttpRange => {
             let versions = match mode {
                 Mode::Mixed => ["1.13.2", "1.13.2", "1.13.4"],
                 Mode::Uniform => ["1.13.2", "1.13.2", "1.13.2"],
             };
-            let variants = versions.iter().copied().map(nginx_variant).collect();
-            entry = ServiceAddr::new("nginx", 8000);
-            service = Some(
-                n_version_with_telemetry(
-                    &cluster,
-                    "nginx",
-                    &entry,
-                    variants,
-                    EngineConfig::builder(3)
-                        .filter_pair(0, 1)
-                        .variance(server_banner_variance()?)
-                        .response_deadline(deadline)
-                        .build()
-                        .map_err(config_err)?,
-                    http_protocol(),
-                    telemetry.clone(),
-                )
-                .map_err(config_err)?,
+            let nv = NVersion::new(
+                "nginx",
+                config(3)
+                    .filter_pair(0, 1)
+                    .variance(server_banner_variance()?)
+                    .build()
+                    .map_err(config_err)?,
+                http_protocol(),
             );
+            let nv = versions.into_iter().fold(nv, nginx_variant);
+            (nv, ServiceAddr::new("nginx", 8000))
         }
         TargetId::HttpSmuggle => {
             for i in 0..2u16 {
-                extra.push(
+                backends.push(
                     cluster
                         .run_container(
                             format!("s1-{i}"),
@@ -462,42 +378,33 @@ pub(crate) fn deploy(
                         .map_err(config_err)?,
                 );
             }
-            let haproxy = |backend: u16| {
-                Variant::new(
-                    Image::new("haproxy", "1.5.3"),
-                    Arc::new(HaproxySim::new(ServiceAddr::new("s1", backend))),
-                )
-            };
-            let variants = match mode {
-                Mode::Mixed => vec![
-                    haproxy(9100),
-                    Variant::new(
-                        Image::new("nginx", "1.13.4"),
-                        Arc::new(NginxSim::reverse_proxy(
-                            NginxVersion::parse("1.13.4"),
-                            ServiceAddr::new("s1", 9101),
-                        )),
-                    ),
-                ],
-                Mode::Uniform => vec![haproxy(9100), haproxy(9101)],
-            };
-            entry = ServiceAddr::new("gw", 8080);
-            service = Some(
-                n_version_with_telemetry(
-                    &cluster,
-                    "gw",
-                    &entry,
-                    variants,
-                    EngineConfig::builder(2)
-                        .variance(server_banner_variance()?)
-                        .response_deadline(deadline)
-                        .build()
-                        .map_err(config_err)?,
-                    http_protocol(),
-                    telemetry.clone(),
-                )
-                .map_err(config_err)?,
+            let haproxy = Image::new("haproxy", "1.5.3");
+            let nv = NVersion::new(
+                "gw",
+                config(2)
+                    .variance(server_banner_variance()?)
+                    .build()
+                    .map_err(config_err)?,
+                http_protocol(),
+            )
+            .variant(
+                haproxy.clone(),
+                Arc::new(HaproxySim::new(ServiceAddr::new("s1", 9100))),
             );
+            let nv = match mode {
+                Mode::Mixed => nv.variant(
+                    Image::new("nginx", "1.13.4"),
+                    Arc::new(NginxSim::reverse_proxy(
+                        NginxVersion::parse("1.13.4"),
+                        ServiceAddr::new("s1", 9101),
+                    )),
+                ),
+                Mode::Uniform => nv.variant(
+                    haproxy,
+                    Arc::new(HaproxySim::new(ServiceAddr::new("s1", 9101))),
+                ),
+            };
+            (nv, ServiceAddr::new("gw", 8080))
         }
         TargetId::LibMarkdown | TargetId::LibSvg | TargetId::LibXml => {
             let pair: [Arc<dyn Service>; 2] = match target {
@@ -518,69 +425,69 @@ pub(crate) fn deploy(
                 ],
             };
             let [vulnerable, safe] = pair;
-            let variants = match mode {
-                Mode::Mixed => vec![
-                    Variant::new(Image::new("lib", "vulnerable"), vulnerable),
-                    Variant::new(Image::new("lib", "safe"), safe),
-                ],
-                Mode::Uniform => vec![
-                    Variant::new(Image::new("lib", "vulnerable"), Arc::clone(&vulnerable)),
-                    Variant::new(Image::new("lib", "vulnerable"), vulnerable),
-                ],
+            let nv = NVersion::new(
+                "rest",
+                config(2).build().map_err(config_err)?,
+                http_protocol(),
+            )
+            .variant(Image::new("lib", "vulnerable"), Arc::clone(&vulnerable));
+            let nv = match mode {
+                Mode::Mixed => nv.variant(Image::new("lib", "safe"), safe),
+                Mode::Uniform => nv.variant(Image::new("lib", "vulnerable"), vulnerable),
             };
-            entry = ServiceAddr::new("rest", 8000);
-            service = Some(
-                n_version_with_telemetry(
-                    &cluster,
-                    "rest",
-                    &entry,
-                    variants,
-                    EngineConfig::builder(2)
-                        .response_deadline(deadline)
-                        .build()
-                        .map_err(config_err)?,
-                    http_protocol(),
-                    telemetry.clone(),
-                )
-                .map_err(config_err)?,
-            );
+            (nv, ServiceAddr::new("rest", 8000))
         }
         TargetId::LineNoise => {
             // Noise is per-instance, so Mixed and Uniform deploy the same
             // thing: the point of this target is that its divergences
             // survive the uniform replay and triage as false positives.
-            let variants = vec![
-                Variant::new(Image::new("echo", "v1"), noise_echo(0)),
-                Variant::new(Image::new("echo", "v1"), noise_echo(1)),
-            ];
-            entry = ServiceAddr::new("echo", 7000);
-            service = Some(
-                n_version_with_telemetry(
-                    &cluster,
-                    "echo",
-                    &entry,
-                    variants,
-                    EngineConfig::builder(2)
-                        .response_deadline(deadline)
-                        .build()
-                        .map_err(config_err)?,
-                    line_protocol(),
-                    telemetry.clone(),
-                )
-                .map_err(config_err)?,
+            let nv = NVersion::new(
+                "echo",
+                config(2).build().map_err(config_err)?,
+                line_protocol(),
+            )
+            .variant(Image::new("echo", "v1"), noise_echo(0))
+            .variant(Image::new("echo", "v1"), noise_echo(1));
+            (nv, ServiceAddr::new("echo", 7000))
+        }
+    };
+
+    let service = nv
+        .telemetry(telemetry.clone())
+        .deploy(&cluster, &entry)
+        .map_err(config_err)?;
+    // Each paged instance respawns under its own name and address through
+    // a factory that reopens its disk, so WAL recovery (under the
+    // instance's policy) runs before the readiness probe.
+    let supervisor = (!paged.is_empty()).then(Supervisor::new);
+    if let Some(sup) = &supervisor {
+        for (handle, (engine, disk)) in service.containers.iter().zip(&paged) {
+            let (engine, disk) = (*engine, disk.clone());
+            sup.register_factory(
+                handle.name(),
+                handle.image().clone(),
+                handle.addr().clone(),
+                move || {
+                    let db = Database::with_engine(
+                        PgVersion::parse("10.7").map_err(|e| e.to_string())?,
+                        DbFlavor::Postgres,
+                        engine,
+                        &disk,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    Ok(Arc::new(PgServer::with_config(db, quick_cost())) as Arc<dyn Service>)
+                },
             );
         }
     }
 
     Ok(Deployment {
         cluster,
-        entry,
         telemetry,
-        extra,
         service,
-        _proxy: proxy,
+        _backends: backends,
         supervisor,
-        disks,
+        disks: paged.into_iter().map(|(_, disk)| disk).collect(),
     })
 }
 
@@ -664,7 +571,7 @@ fn drive_sql(
     user: &str,
 ) -> Result<(usize, bool), FuzzError> {
     let net = dep.cluster.net();
-    let mut client = Some(PgClient::connect(net.dial(&dep.entry)?, user)?);
+    let mut client = Some(PgClient::connect(net.dial(&dep.service.addr)?, user)?);
     let mut items_run = 0usize;
     let mut severed = false;
     for item in &case.items {
@@ -676,7 +583,7 @@ fn drive_sql(
             if dep.supervisor.is_none() {
                 continue;
             }
-            if let Some(handle) = dep.handle_mut(idx) {
+            if let Some(handle) = dep.service.containers.get_mut(idx) {
                 handle.kill();
             }
             if let Some(disk) = dep.disks.get(idx) {
@@ -690,18 +597,18 @@ fn drive_sql(
             };
             // Keep the fresh handle alive: dropping it would stop the
             // container it just respawned.
-            if let Some(slot) = dep.handle_mut(idx) {
+            if let Some(slot) = dep.service.containers.get_mut(idx) {
                 *slot = fresh;
             }
             // A recovered replica reappears as a fresh session: reconnect
             // so the next exchange fans out to all instances again.
             drop(client.take());
-            client = Some(PgClient::connect(net.dial(&dep.entry)?, user)?);
+            client = Some(PgClient::connect(net.dial(&dep.service.addr)?, user)?);
             continue;
         }
         if item == "!RECONNECT" {
             drop(client.take());
-            client = Some(PgClient::connect(net.dial(&dep.entry)?, user)?);
+            client = Some(PgClient::connect(net.dial(&dep.service.addr)?, user)?);
             continue;
         }
         let Some(active) = client.as_mut() else { break };
@@ -719,7 +626,7 @@ fn drive_http(dep: &Deployment, case: &FuzzCase) -> Result<(usize, bool), FuzzEr
     let mut severed = false;
     for item in &case.items {
         items_run += 1;
-        let mut client = HttpClient::connect(&net, &dep.entry)?;
+        let mut client = HttpClient::connect(&net, &dep.service.addr)?;
         if client.send_raw(item.as_bytes()).is_err() || client.read_response().is_err() {
             severed = true;
         }
@@ -737,7 +644,7 @@ fn drive_payload(
     let mut severed = false;
     for item in &case.items {
         items_run += 1;
-        let mut client = HttpClient::connect(&net, &dep.entry)?;
+        let mut client = HttpClient::connect(&net, &dep.service.addr)?;
         if client.post(route, item).is_err() {
             severed = true;
         }
@@ -763,13 +670,13 @@ fn read_line(conn: &mut BoxStream) -> bool {
 
 fn drive_line(dep: &Deployment, case: &FuzzCase) -> Result<(usize, bool), FuzzError> {
     let net = dep.cluster.net();
-    let mut conn = Some(net.dial(&dep.entry)?);
+    let mut conn = Some(net.dial(&dep.service.addr)?);
     let mut items_run = 0usize;
     let mut severed = false;
     for item in &case.items {
         items_run += 1;
         let Some(stream) = conn.as_mut() else {
-            conn = Some(net.dial(&dep.entry)?);
+            conn = Some(net.dial(&dep.service.addr)?);
             continue;
         };
         let sent = stream.write_all(format!("{item}\n").as_bytes()).is_ok();

@@ -208,32 +208,6 @@ impl Cluster {
         Ok(handle)
     }
 
-    /// Starts `replicas` containers of the same image/service, on ports
-    /// `base.port() + i`, named `name-i` — a minimal ReplicaSet.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::AddressInUse`] if any replica address is taken.
-    pub fn run_replicas(
-        &self,
-        name: &str,
-        image: Image,
-        base: &ServiceAddr,
-        replicas: usize,
-        service: Arc<dyn Service>,
-    ) -> crate::Result<Vec<ContainerHandle>> {
-        (0..replicas)
-            .map(|i| {
-                self.run_container(
-                    format!("{name}-{i}"),
-                    image.clone(),
-                    &ServiceAddr::new(base.host(), base.port() + i as u16),
-                    Arc::clone(&service),
-                )
-            })
-            .collect()
-    }
-
     /// Aggregate resource usage of containers whose names start with
     /// `prefix` (empty prefix = whole cluster) — the paper's "process tree
     /// that comprises each deployment".
@@ -295,27 +269,6 @@ mod tests {
                 "metering never arrived"
             );
             std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    #[test]
-    fn replicas_bind_consecutive_ports() {
-        let cluster = Cluster::new(2);
-        let handles = cluster
-            .run_replicas(
-                "pg",
-                Image::new("postgres", "10.7"),
-                &ServiceAddr::new("pg", 5432),
-                3,
-                echo_service(),
-            )
-            .unwrap();
-        assert_eq!(handles.len(), 3);
-        assert_eq!(handles[0].addr().port(), 5432);
-        assert_eq!(handles[2].addr().port(), 5434);
-        assert_eq!(handles[1].name(), "pg-1");
-        for p in [5432, 5433, 5434] {
-            assert!(cluster.net().dial(&ServiceAddr::new("pg", p)).is_ok());
         }
     }
 

@@ -1,49 +1,197 @@
-//! One-call N-versioning of a service on a cluster: start the N diverse
-//! instances and splice an [`IncomingProxy`] in front of them — the
-//! "straightforward implementation path for N-versioned systems" the paper
-//! promises for container-orchestration platforms.
+//! N-versioning of a service on a cluster: start the N diverse instances
+//! and splice an [`IncomingProxy`] in front of them — the "straightforward
+//! implementation path for N-versioned systems" the paper promises for
+//! container-orchestration platforms.
+//!
+//! [`NVersion`] is the one way to stand such a deployment up. It names the
+//! instances, gives them their addresses, checks N against the engine
+//! config, and returns an [`NVersionedService`] whose drop stops the proxy
+//! before the instances.
 
 use std::sync::Arc;
 
 use rddr_core::EngineConfig;
-use rddr_net::ServiceAddr;
+use rddr_net::{Network, ServiceAddr};
 use rddr_orchestra::{Cluster, ContainerHandle, Image, Service};
 
 use crate::{IncomingProxy, ProtocolFactory, ProxyError, ProxyTelemetry, Result};
 
-/// One diverse variant of the protected microservice.
-pub struct Variant {
-    /// Image reference (the tag is how version diversity is expressed).
-    pub image: Image,
-    /// The service implementation this variant runs.
-    pub service: Arc<dyn Service>,
+/// Builds an N-versioned deployment: one [`NVersion::variant`] per
+/// instance, then [`NVersion::deploy`].
+///
+/// Instance `i` is the container `{name}-{i}`. By default it binds
+/// `entry.port() + 1 + i` on the entry's host, so the proxy takes over the
+/// entry address and existing clients keep it — the paper's "minimal code
+/// changes" property. [`NVersion::instances_at`] counts up from an
+/// explicit first-instance address instead.
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::Arc;
+/// use rddr_core::EngineConfig;
+/// use rddr_net::{Network, ServiceAddr, Stream};
+/// use rddr_orchestra::{Cluster, FnService, Image, Service};
+/// use rddr_proxy::NVersion;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let cluster = Cluster::new(4);
+/// let echo: Arc<dyn Service> = Arc::new(FnService::new("echo", |mut conn, _ctx| {
+///     let mut buf = [0u8; 64];
+///     while let Ok(n) = conn.read(&mut buf) {
+///         if n == 0 || conn.write_all(&buf[..n]).is_err() { break; }
+///     }
+/// }));
+/// let service = NVersion::new(
+///     "echo",
+///     EngineConfig::builder(2).build()?,
+///     Arc::new(|| Box::new(rddr_core::protocol::LineProtocol::new())),
+/// )
+/// .variant(Image::new("echo", "v1"), Arc::clone(&echo))
+/// .variant(Image::new("echo", "v2"), echo)
+/// .deploy(&cluster, &ServiceAddr::new("echo", 7))?;
+/// let mut conn = cluster.net().dial(&service.addr)?;
+/// conn.write_all(b"ping\n")?;
+/// let mut reply = [0u8; 5];
+/// conn.read_exact(&mut reply)?;
+/// assert_eq!(&reply, b"ping\n");
+/// # Ok(())
+/// # }
+/// ```
+pub struct NVersion {
+    name: String,
+    config: EngineConfig,
+    protocol: ProtocolFactory,
+    variants: Vec<(Image, Arc<dyn Service>)>,
+    first_instance: Option<ServiceAddr>,
+    telemetry: Option<ProxyTelemetry>,
+    proxy_net: Option<Arc<dyn Network>>,
 }
 
-impl std::fmt::Debug for Variant {
+impl std::fmt::Debug for NVersion {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Variant")
-            .field("image", &self.image)
+        f.debug_struct("NVersion")
+            .field("name", &self.name)
+            .field("variants", &self.variants.len())
+            .field("first_instance", &self.first_instance)
             .finish()
     }
 }
 
-impl Variant {
-    /// Creates a variant.
-    pub fn new(image: Image, service: Arc<dyn Service>) -> Self {
-        Self { image, service }
+impl NVersion {
+    /// Starts a deployment of the service `name`, diffed by an engine
+    /// built from `config` and `protocol`.
+    pub fn new(name: impl Into<String>, config: EngineConfig, protocol: ProtocolFactory) -> Self {
+        Self {
+            name: name.into(),
+            config,
+            protocol,
+            variants: Vec::new(),
+            first_instance: None,
+            telemetry: None,
+            proxy_net: None,
+        }
+    }
+
+    /// Adds the next instance: `service` started from `image` (the tag is
+    /// how version diversity is expressed).
+    pub fn variant(mut self, image: Image, service: Arc<dyn Service>) -> Self {
+        self.variants.push((image, service));
+        self
+    }
+
+    /// Binds instance `i` at `first.port() + i` on `first`'s host instead
+    /// of next to the entry.
+    pub fn instances_at(mut self, first: ServiceAddr) -> Self {
+        self.first_instance = Some(first);
+        self
+    }
+
+    /// Feeds the proxy's counters and latency histograms to
+    /// `telemetry.registry` (series prefixed `{prefix}_in_*`) and its
+    /// divergences to `telemetry.audit`. Serve both with an
+    /// [`rddr_telemetry::AdminServer`] for live `/metrics` and
+    /// `/divergences` endpoints.
+    pub fn telemetry(mut self, telemetry: ProxyTelemetry) -> Self {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// The fabric the proxy listens and dials on, when it is not the
+    /// cluster's own (e.g. a [`rddr_net::FaultNet`] over it).
+    pub fn proxy_net(mut self, net: Arc<dyn Network>) -> Self {
+        self.proxy_net = Some(net);
+        self
+    }
+
+    /// Starts the instances on `cluster` and the proxy at `entry`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProxyError::Config`] if the config's N differs from the
+    /// number of variants, if an instance port would pass `u16::MAX`, or
+    /// if an instance fails to start; or the proxy's bind/start error.
+    pub fn deploy(self, cluster: &Cluster, entry: &ServiceAddr) -> Result<NVersionedService> {
+        let n = self.variants.len();
+        if n != self.config.instances() {
+            return Err(ProxyError::Config(format!(
+                "config expects {} instances but {n} variants were given",
+                self.config.instances(),
+            )));
+        }
+        let (first, offset) = match &self.first_instance {
+            Some(first) => (first, 0),
+            None => (entry, 1),
+        };
+        let instance_addrs = (0..n)
+            .map(|i| {
+                u16::try_from(i + offset)
+                    .ok()
+                    .and_then(|k| first.port().checked_add(k))
+                    .map(|port| first.with_port(port))
+                    .ok_or_else(|| {
+                        ProxyError::Config(format!("instance {i} port overflows after {first}"))
+                    })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let containers = self
+            .variants
+            .into_iter()
+            .zip(&instance_addrs)
+            .enumerate()
+            .map(|(i, ((image, service), addr))| {
+                cluster
+                    .run_container(format!("{}-{i}", self.name), image, addr, service)
+                    .map_err(|e| ProxyError::Config(format!("instance {i} failed: {e}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let proxy = IncomingProxy::start_with_telemetry(
+            self.proxy_net.unwrap_or_else(|| Arc::new(cluster.net())),
+            entry,
+            instance_addrs,
+            self.config,
+            self.protocol,
+            self.telemetry,
+        )?;
+        Ok(NVersionedService {
+            proxy,
+            containers,
+            addr: entry.clone(),
+        })
     }
 }
 
 /// A running N-versioned service: the instances plus their proxy.
 ///
-/// Dropping the handle stops the proxy and all instances.
+/// Dropping the handle stops the proxy, then the instances (fields drop in
+/// declaration order), so no client session outlives its instances.
 pub struct NVersionedService {
-    /// The address clients connect to (the proxy's listen address).
-    pub addr: ServiceAddr,
-    /// The instance containers.
-    pub containers: Vec<ContainerHandle>,
     /// The RDDR incoming proxy.
     pub proxy: IncomingProxy,
+    /// The instance containers, in instance order.
+    pub containers: Vec<ContainerHandle>,
+    /// The address clients connect to (the proxy's listen address).
+    pub addr: ServiceAddr,
 }
 
 impl std::fmt::Debug for NVersionedService {
@@ -55,142 +203,13 @@ impl std::fmt::Debug for NVersionedService {
     }
 }
 
-/// Deploys `variants` as an N-versioned service on `cluster`.
-///
-/// Instances are named `{name}-{i}` and bound on `entry.port() + 1 + i`;
-/// the proxy listens at `entry` itself, so existing clients keep their
-/// address — the paper's "minimal code changes" property.
-///
-/// # Errors
-///
-/// Returns [`ProxyError::Config`] if the config's N differs from the number
-/// of variants, or a bind/start error from the orchestration layer.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use rddr_core::EngineConfig;
-/// use rddr_net::{Network, ServiceAddr};
-/// use rddr_orchestra::{Cluster, Image};
-/// use rddr_proxy::deploy::{n_version, Variant};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let cluster = Cluster::new(4);
-/// let echo = |tag: &str| {
-///     Variant::new(
-///         Image::new("echo", tag),
-///         Arc::new(rddr_orchestra::FnService::new("echo", |mut conn, _ctx| {
-///             use rddr_net::Stream;
-///             let mut buf = [0u8; 64];
-///             while let Ok(n) = conn.read(&mut buf) {
-///                 if n == 0 || conn.write_all(&buf[..n]).is_err() { break; }
-///             }
-///         })),
-///     )
-/// };
-/// let service = n_version(
-///     &cluster,
-///     "echo",
-///     &ServiceAddr::new("echo", 7),
-///     vec![echo("v1"), echo("v2")],
-///     EngineConfig::builder(2).build()?,
-///     Arc::new(|| Box::new(rddr_core::protocol::LineProtocol::new())),
-/// )?;
-/// use rddr_net::Stream;
-/// let mut conn = cluster.net().dial(&service.addr)?;
-/// conn.write_all(b"ping\n")?;
-/// let mut reply = [0u8; 5];
-/// conn.read_exact(&mut reply)?;
-/// assert_eq!(&reply, b"ping\n");
-/// # Ok(())
-/// # }
-/// ```
-pub fn n_version(
-    cluster: &Cluster,
-    name: &str,
-    entry: &ServiceAddr,
-    variants: Vec<Variant>,
-    config: EngineConfig,
-    protocol: ProtocolFactory,
-) -> Result<NVersionedService> {
-    deploy(cluster, name, entry, variants, config, protocol, None)
-}
-
-/// Like [`n_version`], but the deployment feeds the given observability
-/// bundle: every exchange updates counters and latency histograms in
-/// `telemetry.registry` (series prefixed `{prefix}_in_*`), and divergences
-/// are appended to `telemetry.audit`. Serve both with an
-/// [`rddr_telemetry::AdminServer`] to get live `/metrics` and
-/// `/divergences` endpoints for the protected service.
-pub fn n_version_with_telemetry(
-    cluster: &Cluster,
-    name: &str,
-    entry: &ServiceAddr,
-    variants: Vec<Variant>,
-    config: EngineConfig,
-    protocol: ProtocolFactory,
-    telemetry: ProxyTelemetry,
-) -> Result<NVersionedService> {
-    deploy(
-        cluster,
-        name,
-        entry,
-        variants,
-        config,
-        protocol,
-        Some(telemetry),
-    )
-}
-
-fn deploy(
-    cluster: &Cluster,
-    name: &str,
-    entry: &ServiceAddr,
-    variants: Vec<Variant>,
-    config: EngineConfig,
-    protocol: ProtocolFactory,
-    telemetry: Option<ProxyTelemetry>,
-) -> Result<NVersionedService> {
-    if variants.len() != config.instances() {
-        return Err(ProxyError::Config(format!(
-            "config expects {} instances but {} variants were given",
-            config.instances(),
-            variants.len()
-        )));
-    }
-    let mut containers = Vec::with_capacity(variants.len());
-    let mut instance_addrs = Vec::with_capacity(variants.len());
-    for (i, variant) in variants.into_iter().enumerate() {
-        let addr = entry.with_port(entry.port() + 1 + i as u16);
-        containers.push(
-            cluster
-                .run_container(format!("{name}-{i}"), variant.image, &addr, variant.service)
-                .map_err(|e| ProxyError::Config(format!("instance {i} failed: {e}")))?,
-        );
-        instance_addrs.push(addr);
-    }
-    let proxy = IncomingProxy::start_with_telemetry(
-        Arc::new(cluster.net()),
-        entry,
-        instance_addrs,
-        config,
-        protocol,
-        telemetry,
-    )?;
-    Ok(NVersionedService {
-        addr: entry.clone(),
-        containers,
-        proxy,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use rddr_core::protocol::LineProtocol;
-    use rddr_net::{Network, Stream};
-    use rddr_orchestra::FnService;
+    use rddr_net::{Network, SimNet, Stream};
+    use rddr_orchestra::{FnService, ServiceCtx};
 
     fn suffix_echo(suffix: &'static str) -> Arc<dyn Service> {
         Arc::new(FnService::new("echo", move |mut conn, _ctx| {
@@ -218,24 +237,21 @@ mod tests {
         Arc::new(|| Box::new(LineProtocol::new()))
     }
 
-    #[test]
-    fn n_version_deploys_and_serves() {
-        let cluster = Cluster::new(4);
-        let service = n_version(
-            &cluster,
-            "search",
-            &ServiceAddr::new("search", 8080),
-            vec![
-                Variant::new(Image::new("search", "v1"), suffix_echo("")),
-                Variant::new(Image::new("search", "v2"), suffix_echo("")),
-                Variant::new(Image::new("search", "v3"), suffix_echo("")),
-            ],
-            EngineConfig::builder(3).build().unwrap(),
-            line(),
+    /// `n` agreeing echo instances of the service `name`.
+    fn echoes(name: &str, n: usize) -> NVersion {
+        (0..n).fold(
+            NVersion::new(name, EngineConfig::builder(n).build().unwrap(), line()),
+            |nv, i| nv.variant(Image::new(name, format!("v{i}")), suffix_echo("")),
         )
-        .unwrap();
+    }
+
+    #[test]
+    fn deploys_and_serves() {
+        let cluster = Cluster::new(4);
+        let service = echoes("search", 3)
+            .deploy(&cluster, &ServiceAddr::new("search", 8080))
+            .unwrap();
         assert_eq!(service.containers.len(), 3);
-        assert_eq!(service.containers[1].name(), "search-1");
         let mut conn = cluster.net().dial(&service.addr).unwrap();
         conn.write_all(b"query\n").unwrap();
         let mut reply = [0u8; 6];
@@ -244,20 +260,71 @@ mod tests {
     }
 
     #[test]
-    fn n_version_detects_divergent_variant() {
+    fn instances_are_named_and_bound_after_the_entry() {
         let cluster = Cluster::new(4);
-        let service = n_version(
-            &cluster,
-            "svc",
-            &ServiceAddr::new("svc", 9000),
-            vec![
-                Variant::new(Image::new("svc", "good"), suffix_echo("")),
-                Variant::new(Image::new("svc", "evil"), suffix_echo(" LEAK")),
-            ],
-            EngineConfig::builder(2).build().unwrap(),
-            line(),
-        )
-        .unwrap();
+        let service = echoes("search", 3)
+            .deploy(&cluster, &ServiceAddr::new("search", 8080))
+            .unwrap();
+        let placed: Vec<(&str, String)> = service
+            .containers
+            .iter()
+            .map(|c| (c.name(), c.addr().to_string()))
+            .collect();
+        assert_eq!(
+            placed,
+            [
+                ("search-0", "search:8081".to_string()),
+                ("search-1", "search:8082".to_string()),
+                ("search-2", "search:8083".to_string()),
+            ]
+        );
+        assert_eq!(service.addr, ServiceAddr::new("search", 8080));
+    }
+
+    #[test]
+    fn instances_at_counts_up_from_the_first_address() {
+        let cluster = Cluster::new(4);
+        let service = echoes("db", 3)
+            .instances_at(ServiceAddr::new("pg", 5432))
+            .deploy(&cluster, &ServiceAddr::new("rddr-db", 5432))
+            .unwrap();
+        let placed: Vec<(&str, String)> = service
+            .containers
+            .iter()
+            .map(|c| (c.name(), c.addr().to_string()))
+            .collect();
+        assert_eq!(
+            placed,
+            [
+                ("db-0", "pg:5432".to_string()),
+                ("db-1", "pg:5433".to_string()),
+                ("db-2", "pg:5434".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn instance_port_overflow_is_a_config_error() {
+        let cluster = Cluster::new(2);
+        let by_entry = echoes("svc", 2).deploy(&cluster, &ServiceAddr::new("svc", 65535));
+        assert!(matches!(by_entry, Err(ProxyError::Config(_))));
+        let counted = echoes("svc", 2)
+            .instances_at(ServiceAddr::new("svc", 65535))
+            .deploy(&cluster, &ServiceAddr::new("rddr", 80));
+        assert!(matches!(counted, Err(ProxyError::Config(_))));
+        // Nothing was started: the entry and the last valid port are free.
+        assert!(cluster.net().dial(&ServiceAddr::new("rddr", 80)).is_err());
+        assert!(cluster.net().dial(&ServiceAddr::new("svc", 65535)).is_err());
+    }
+
+    #[test]
+    fn detects_divergent_variant() {
+        let cluster = Cluster::new(4);
+        let service = NVersion::new("svc", EngineConfig::builder(2).build().unwrap(), line())
+            .variant(Image::new("svc", "good"), suffix_echo(""))
+            .variant(Image::new("svc", "evil"), suffix_echo(" LEAK"))
+            .deploy(&cluster, &ServiceAddr::new("svc", 9000))
+            .unwrap();
         let mut conn = cluster.net().dial(&service.addr).unwrap();
         conn.write_all(b"x\n").unwrap();
         let mut buf = [0u8; 1];
@@ -270,19 +337,12 @@ mod tests {
     fn telemetry_records_divergence_and_metrics() {
         let cluster = Cluster::new(4);
         let telemetry = ProxyTelemetry::new("svc");
-        let service = n_version_with_telemetry(
-            &cluster,
-            "svc",
-            &ServiceAddr::new("svc", 9050),
-            vec![
-                Variant::new(Image::new("svc", "good"), suffix_echo("")),
-                Variant::new(Image::new("svc", "evil"), suffix_echo(" LEAK")),
-            ],
-            EngineConfig::builder(2).build().unwrap(),
-            line(),
-            telemetry.clone(),
-        )
-        .unwrap();
+        let service = NVersion::new("svc", EngineConfig::builder(2).build().unwrap(), line())
+            .variant(Image::new("svc", "good"), suffix_echo(""))
+            .variant(Image::new("svc", "evil"), suffix_echo(" LEAK"))
+            .telemetry(telemetry.clone())
+            .deploy(&cluster, &ServiceAddr::new("svc", 9050))
+            .unwrap();
         let mut conn = cluster.net().dial(&service.addr).unwrap();
         conn.write_all(b"x\n").unwrap();
         let mut buf = [0u8; 1];
@@ -313,14 +373,52 @@ mod tests {
     #[test]
     fn variant_count_must_match_config() {
         let cluster = Cluster::new(2);
-        let err = n_version(
-            &cluster,
-            "svc",
-            &ServiceAddr::new("svc", 9100),
-            vec![Variant::new(Image::new("svc", "v1"), suffix_echo(""))],
-            EngineConfig::builder(2).build().unwrap(),
-            line(),
-        );
-        assert!(err.is_err());
+        let err = NVersion::new("svc", EngineConfig::builder(2).build().unwrap(), line())
+            .variant(Image::new("svc", "v1"), suffix_echo(""))
+            .deploy(&cluster, &ServiceAddr::new("svc", 9100));
+        assert!(matches!(err, Err(ProxyError::Config(_))));
+        assert!(cluster.net().dial(&ServiceAddr::new("svc", 9101)).is_err());
+    }
+
+    /// A service that, when its container lets go of it, records whether
+    /// the proxy's entry address was still bound.
+    struct EntryProbe {
+        net: SimNet,
+        entry: ServiceAddr,
+        entry_bound_at_stop: Arc<Mutex<Vec<bool>>>,
+    }
+
+    impl Service for EntryProbe {
+        fn handle(&self, _conn: rddr_net::BoxStream, _ctx: &ServiceCtx) {}
+    }
+
+    impl Drop for EntryProbe {
+        fn drop(&mut self) {
+            let bound = self.net.dial(&self.entry).is_ok();
+            self.entry_bound_at_stop.lock().push(bound);
+        }
+    }
+
+    #[test]
+    fn dropping_the_handle_stops_the_proxy_before_the_instances() {
+        let cluster = Cluster::new(2);
+        let entry = ServiceAddr::new("svc", 9200);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let probe = || {
+            Arc::new(EntryProbe {
+                net: cluster.net(),
+                entry: entry.clone(),
+                entry_bound_at_stop: Arc::clone(&seen),
+            })
+        };
+        let service = NVersion::new("svc", EngineConfig::builder(2).build().unwrap(), line())
+            .variant(Image::new("svc", "v1"), probe())
+            .variant(Image::new("svc", "v2"), probe())
+            .deploy(&cluster, &entry)
+            .unwrap();
+        // No session was ever opened, so each container's accept loop holds
+        // the last reference to its service and drops it on stop.
+        drop(service);
+        assert_eq!(*seen.lock(), [false, false], "proxy outlived an instance");
     }
 }

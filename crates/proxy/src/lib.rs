@@ -35,9 +35,15 @@
 //! `incoming` and `outgoing` keep only their single stream and the rules
 //! that differ by direction.
 //!
+//! [`NVersion`] is the one way to stand a protected service up on an
+//! [`rddr_orchestra::Cluster`]: it starts the N variants as containers
+//! `{name}-{i}`, gives them their addresses, and puts an [`IncomingProxy`]
+//! at the service's entry address.
+//!
 //! # Examples
 //!
-//! Protecting a 2-version echo service:
+//! Protecting a 2-version echo service whose instances the caller runs
+//! itself:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -88,7 +94,7 @@ mod plumbing;
 mod reactor;
 mod session;
 
-pub use deploy::{n_version, n_version_with_telemetry, NVersionedService, Variant};
+pub use deploy::{NVersion, NVersionedService};
 pub use incoming::IncomingProxy;
 pub use outgoing::OutgoingProxy;
 pub use plumbing::{protocol_factory, ProtocolFactory, ProxyError, ProxyTelemetry, StatsSnapshot};

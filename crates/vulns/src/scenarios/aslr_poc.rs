@@ -9,7 +9,7 @@ use rddr_httpsim::rest::AslrEchoService;
 use rddr_libsim::aslr::BUFFER_SIZE;
 use rddr_net::{Network, ServiceAddr, Stream};
 use rddr_orchestra::Image;
-use rddr_proxy::IncomingProxy;
+use rddr_proxy::NVersion;
 
 use crate::report::MitigationReport;
 use crate::scenarios::{config, line, scenario_cluster};
@@ -36,31 +36,19 @@ pub fn run() -> MitigationReport {
     let cluster = scenario_cluster();
     // "When two instances of the same binary with ASLR are N-versioned,
     // each has a unique address space." Seeds model the kernel's entropy.
-    let mut handles = Vec::new();
-    for (i, seed) in [0x0051_eed1_u64, 0x0051_eed2].into_iter().enumerate() {
-        handles.push(
-            cluster
-                .run_container(
-                    format!("echo-{i}"),
-                    Image::new("echo-poc", "v1"),
-                    &ServiceAddr::new("echo", 7000 + i as u16),
-                    Arc::new(AslrEchoService::launch(seed)),
-                )
-                .expect("scenario containers start"),
-        );
-    }
     let proxy_addr = ServiceAddr::new("rddr-echo", 7);
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &proxy_addr,
-        vec![
-            ServiceAddr::new("echo", 7000),
-            ServiceAddr::new("echo", 7001),
-        ],
-        config(2).build().expect("static config"),
-        line(),
-    )
-    .expect("proxy starts");
+    let _echo = NVersion::new("echo", config(2).build().expect("static config"), line())
+        .variant(
+            Image::new("echo-poc", "v1"),
+            Arc::new(AslrEchoService::launch(0x0051_eed1)),
+        )
+        .variant(
+            Image::new("echo-poc", "v1"),
+            Arc::new(AslrEchoService::launch(0x0051_eed2)),
+        )
+        .instances_at(ServiceAddr::new("echo", 7000))
+        .deploy(&cluster, &proxy_addr)
+        .expect("deployment starts");
     let net = cluster.net();
 
     // Benign echo.

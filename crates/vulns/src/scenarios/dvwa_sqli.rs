@@ -12,7 +12,7 @@ use rddr_httpsim::{DvwaSim, HttpClient, SecurityLevel};
 use rddr_net::ServiceAddr;
 use rddr_orchestra::Image;
 use rddr_pgsim::{Database, PgServer, PgVersion};
-use rddr_proxy::{IncomingProxy, OutgoingProxy};
+use rddr_proxy::{NVersion, OutgoingProxy};
 
 use crate::report::MitigationReport;
 use crate::scenarios::{config, http, pg, scenario_cluster};
@@ -34,17 +34,14 @@ pub fn run() -> MitigationReport {
     // an external database").
     let mut db = Database::new(PgVersion::parse("10.9").expect("static version"));
     seed_dvwa_schema(&mut db).expect("schema seeds");
-    let mut handles = Vec::new();
-    handles.push(
-        cluster
-            .run_container(
-                "dvwa-db-0",
-                Image::new("postgres", "10.9"),
-                &ServiceAddr::new("db", 5432),
-                Arc::new(PgServer::new(db)),
-            )
-            .expect("backend starts"),
-    );
+    let _db = cluster
+        .run_container(
+            "dvwa-db-0",
+            Image::new("postgres", "10.9"),
+            &ServiceAddr::new("db", 5432),
+            Arc::new(PgServer::new(db)),
+        )
+        .expect("backend starts");
 
     // The outgoing request proxy between the N frontends and the backend.
     let outgoing_addr = ServiceAddr::new("rddr-out", 5432);
@@ -59,38 +56,31 @@ pub fn run() -> MitigationReport {
 
     // Three DVWA frontends: "one instance was configured for high input
     // sanitization, and the other two instances, forming the filter pair,
-    // performed no input sanitization".
-    for (i, (level, seed)) in [
+    // performed no input sanitization". The incoming request proxy in front
+    // of them puts the filter pair on the two unsanitized instances.
+    let incoming_addr = ServiceAddr::new("rddr-dvwa", 80);
+    let _dvwa = [
         (SecurityLevel::Low, 0xd0_01u64),
         (SecurityLevel::Low, 0xd0_02),
         (SecurityLevel::High, 0xd0_03),
     ]
     .into_iter()
-    .enumerate()
-    {
-        handles.push(
-            cluster
-                .run_container(
-                    format!("dvwa-{i}"),
-                    Image::new("dvwa", "v1"),
-                    &ServiceAddr::new("dvwa", 8000 + i as u16),
-                    Arc::new(DvwaSim::new(level, outgoing_addr.clone(), seed)),
-                )
-                .expect("frontends start"),
-        );
-    }
-
-    // The incoming request proxy in front of the frontends, with the filter
-    // pair on the two unsanitized instances.
-    let incoming_addr = ServiceAddr::new("rddr-dvwa", 80);
-    let _incoming = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &incoming_addr,
-        (0..3).map(|i| ServiceAddr::new("dvwa", 8000 + i)).collect(),
-        config(3).filter_pair(0, 1).build().expect("static config"),
-        http(),
+    .fold(
+        NVersion::new(
+            "dvwa",
+            config(3).filter_pair(0, 1).build().expect("static config"),
+            http(),
+        ),
+        |nv, (level, seed)| {
+            nv.variant(
+                Image::new("dvwa", "v1"),
+                Arc::new(DvwaSim::new(level, outgoing_addr.clone(), seed)),
+            )
+        },
     )
-    .expect("incoming proxy starts");
+    .instances_at(ServiceAddr::new("dvwa", 8000))
+    .deploy(&cluster, &incoming_addr)
+    .expect("deployment starts");
     let net = cluster.net();
 
     // ---- benign traffic: fetch the form (CSRF capture) and look up a user --

@@ -8,7 +8,7 @@ use rddr_httpsim::haproxy::{smuggling_payload, smuggling_target_service};
 use rddr_httpsim::{HaproxySim, HttpClient, NginxSim, NginxVersion};
 use rddr_net::ServiceAddr;
 use rddr_orchestra::Image;
-use rddr_proxy::IncomingProxy;
+use rddr_proxy::NVersion;
 
 use crate::report::MitigationReport;
 use crate::scenarios::{config, http, scenario_cluster, server_banner_variance};
@@ -34,45 +34,31 @@ pub fn run() -> MitigationReport {
                 .expect("scenario containers start"),
         );
     }
-    handles.push(
-        cluster
-            .run_container(
-                "haproxy-0",
-                Image::new("haproxy", "1.5.3"),
-                &ServiceAddr::new("proxy", 8080),
-                Arc::new(HaproxySim::new(ServiceAddr::new("s1", 9100))),
-            )
-            .expect("haproxy starts"),
-    );
-    handles.push(
-        cluster
-            .run_container(
-                "nginx-proxy-0",
-                Image::new("nginx", "1.13.4"),
-                &ServiceAddr::new("proxy", 8081),
-                Arc::new(NginxSim::reverse_proxy(
-                    NginxVersion::parse("1.13.4"),
-                    ServiceAddr::new("s1", 9101),
-                )),
-            )
-            .expect("nginx starts"),
-    );
 
+    // The N-versioned reverse proxy: HAProxy diversified with nginx.
     let proxy_addr = ServiceAddr::new("rddr-proxy", 80);
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &proxy_addr,
-        vec![
-            ServiceAddr::new("proxy", 8080),
-            ServiceAddr::new("proxy", 8081),
-        ],
+    let _proxies = NVersion::new(
+        "proxy",
         config(2)
             .variance(server_banner_variance())
             .build()
             .expect("static config"),
         http(),
     )
-    .expect("proxy starts");
+    .variant(
+        Image::new("haproxy", "1.5.3"),
+        Arc::new(HaproxySim::new(ServiceAddr::new("s1", 9100))),
+    )
+    .variant(
+        Image::new("nginx", "1.13.4"),
+        Arc::new(NginxSim::reverse_proxy(
+            NginxVersion::parse("1.13.4"),
+            ServiceAddr::new("s1", 9101),
+        )),
+    )
+    .instances_at(ServiceAddr::new("proxy", 8080))
+    .deploy(&cluster, &proxy_addr)
+    .expect("deployment starts");
     let net = cluster.net();
 
     // ---- benign traffic: the public route, and the ACL itself ---------------

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use rddr_httpsim::{HttpClient, NginxSim, NginxVersion};
 use rddr_net::ServiceAddr;
 use rddr_orchestra::Image;
-use rddr_proxy::IncomingProxy;
+use rddr_proxy::NVersion;
 
 use crate::report::MitigationReport;
 use crate::scenarios::{config, http, scenario_cluster, server_banner_variance};
@@ -19,7 +19,17 @@ pub const OVERFLOW_RANGE: &str = "bytes=-9223372036854775608";
 pub fn run() -> MitigationReport {
     let mut report = MitigationReport::new("CVE-2017-7529");
     let cluster = scenario_cluster();
-    let mut handles = Vec::new();
+    let proxy_addr = ServiceAddr::new("rddr-nginx", 80);
+    let mut nginx = NVersion::new(
+        "nginx",
+        config(3)
+            .filter_pair(0, 1)
+            .variance(server_banner_variance())
+            .build()
+            .expect("static config"),
+        http(),
+    )
+    .instances_at(ServiceAddr::new("nginx", 8000));
 
     // Filter pair on 1.13.2, third instance on the patched 1.13.4 —
     // "the two instances comprising the filter pair running version 1.13.2,
@@ -31,33 +41,11 @@ pub fn run() -> MitigationReport {
             b"<html>hello world</html>".to_vec(),
             format!("CACHE-SECRET-{i}-other-clients-session").into_bytes(),
         );
-        handles.push(
-            cluster
-                .run_container(
-                    format!("nginx-{i}"),
-                    Image::new("nginx", *version),
-                    &ServiceAddr::new("nginx", 8000 + i as u16),
-                    Arc::new(server),
-                )
-                .expect("scenario containers start"),
-        );
+        nginx = nginx.variant(Image::new("nginx", *version), Arc::new(server));
     }
-
-    let proxy_addr = ServiceAddr::new("rddr-nginx", 80);
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &proxy_addr,
-        (0..3)
-            .map(|i| ServiceAddr::new("nginx", 8000 + i))
-            .collect(),
-        config(3)
-            .filter_pair(0, 1)
-            .variance(server_banner_variance())
-            .build()
-            .expect("static config"),
-        http(),
-    )
-    .expect("proxy starts");
+    let _nginx = nginx
+        .deploy(&cluster, &proxy_addr)
+        .expect("deployment starts");
     let net = cluster.net();
 
     // ---- benign traffic: plain GET and a valid range -----------------------

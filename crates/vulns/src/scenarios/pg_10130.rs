@@ -10,7 +10,7 @@ use rddr_httpsim::HttpClient;
 use rddr_net::ServiceAddr;
 use rddr_orchestra::Image;
 use rddr_pgsim::{Database, PgServer, PgVersion};
-use rddr_proxy::IncomingProxy;
+use rddr_proxy::NVersion;
 
 use crate::report::MitigationReport;
 use crate::scenarios::{config, pg, scenario_cluster};
@@ -19,34 +19,25 @@ use crate::scenarios::{config, pg, scenario_cluster};
 pub fn run() -> MitigationReport {
     let mut report = MitigationReport::new("CVE-2019-10130");
     let cluster = scenario_cluster();
-    let mut handles = Vec::new();
+    let proxy_addr = ServiceAddr::new("gitlab-postgres", 5432);
+    let mut postgres = NVersion::new(
+        "gitlab-postgres",
+        config(3).filter_pair(0, 1).build().expect("static config"),
+        pg(),
+    )
+    .instances_at(ServiceAddr::new("pg", 5432));
 
     // "We compose the N-versioned Postgres deployment from three instances
     // of Postgres, two at version 10.7 (buggy filter pair) and a third at
     // version 10.9 (fixed)."
-    for (i, version) in ["10.7", "10.7", "10.9"].iter().enumerate() {
+    for version in ["10.7", "10.7", "10.9"] {
         let mut db = Database::new(PgVersion::parse(version).expect("static version"));
         seed_gitlab_schema(&mut db).expect("schema seeds");
-        handles.push(
-            cluster
-                .run_container(
-                    format!("gitlab-postgres-{i}"),
-                    Image::new("postgres", *version),
-                    &ServiceAddr::new("pg", 5432 + i as u16),
-                    Arc::new(PgServer::new(db)),
-                )
-                .expect("scenario containers start"),
-        );
+        postgres = postgres.variant(Image::new("postgres", version), Arc::new(PgServer::new(db)));
     }
-    let proxy_addr = ServiceAddr::new("gitlab-postgres", 5432);
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &proxy_addr,
-        (0..3).map(|i| ServiceAddr::new("pg", 5432 + i)).collect(),
-        config(3).filter_pair(0, 1).build().expect("static config"),
-        pg(),
-    )
-    .expect("proxy starts");
+    let _postgres = postgres
+        .deploy(&cluster, &proxy_addr)
+        .expect("deployment starts");
 
     // GitLab itself talks to Postgres only through RDDR's incoming proxy.
     let gitlab = deploy_gitlab(&cluster, proxy_addr).expect("gitlab deploys");

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use rddr_net::{Network, ServiceAddr};
 use rddr_orchestra::Image;
 use rddr_pgsim::{CockroachFlavor, Database, DbFlavor, PgClient, PgServer, PgVersion};
-use rddr_proxy::IncomingProxy;
+use rddr_proxy::NVersion;
 
 use crate::report::MitigationReport;
 use crate::scenarios::{config, pg, scenario_cluster};
@@ -29,44 +29,29 @@ fn seed(db: &mut Database) {
 pub fn run() -> MitigationReport {
     let mut report = MitigationReport::new("CVE-2017-7484");
     let cluster = scenario_cluster();
-    let mut handles = Vec::new();
-
-    // Two vulnerable Postgres 9.2.20 instances (the filter pair) plus one
-    // CockroachDB — "two Postgres instances and one CockroachDB instance".
-    for (i, flavor) in [
-        ("postgres", DbFlavor::Postgres),
-        ("postgres", DbFlavor::Postgres),
-        ("cockroach", DbFlavor::Cockroach(CockroachFlavor::default())),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let mut db = Database::with_flavor(
-            PgVersion::parse("9.2.20").expect("static version"),
-            flavor.1,
-        );
-        seed(&mut db);
-        handles.push(
-            cluster
-                .run_container(
-                    format!("db-{i}"),
-                    Image::new(flavor.0, "9.2.20"),
-                    &ServiceAddr::new("db", 5432 + i as u16),
-                    Arc::new(PgServer::new(db)),
-                )
-                .expect("scenario containers start"),
-        );
-    }
-
     let proxy_addr = ServiceAddr::new("rddr-db", 5432);
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &proxy_addr,
-        (0..3).map(|i| ServiceAddr::new("db", 5432 + i)).collect(),
+    let mut dbs = NVersion::new(
+        "db",
         config(3).filter_pair(0, 1).build().expect("static config"),
         pg(),
     )
-    .expect("proxy starts");
+    .instances_at(ServiceAddr::new("db", 5432));
+
+    // Two vulnerable Postgres 9.2.20 instances (the filter pair) plus one
+    // CockroachDB — "two Postgres instances and one CockroachDB instance".
+    for (image, flavor) in [
+        ("postgres", DbFlavor::Postgres),
+        ("postgres", DbFlavor::Postgres),
+        ("cockroach", DbFlavor::Cockroach(CockroachFlavor::default())),
+    ] {
+        let mut db =
+            Database::with_flavor(PgVersion::parse("9.2.20").expect("static version"), flavor);
+        seed(&mut db);
+        dbs = dbs.variant(Image::new(image, "9.2.20"), Arc::new(PgServer::new(db)));
+    }
+    let _dbs = dbs
+        .deploy(&cluster, &proxy_addr)
+        .expect("deployment starts");
     let net = cluster.net();
 
     // ---- benign traffic -----------------------------------------------------

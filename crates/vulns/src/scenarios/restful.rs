@@ -8,7 +8,7 @@ use std::sync::Arc;
 use rddr_httpsim::HttpClient;
 use rddr_net::ServiceAddr;
 use rddr_orchestra::{Image, Service};
-use rddr_proxy::IncomingProxy;
+use rddr_proxy::NVersion;
 
 use crate::report::MitigationReport;
 use crate::scenarios::{config, http, scenario_cluster};
@@ -29,31 +29,16 @@ pub(crate) fn run_rest_pair(
 ) -> MitigationReport {
     let mut report = MitigationReport::new(id);
     let cluster = scenario_cluster();
-    let mut handles = Vec::new();
-    for (i, (image, svc)) in services.into_iter().enumerate() {
-        handles.push(
-            cluster
-                .run_container(
-                    format!("rest-{i}"),
-                    Image::new(image, "v1"),
-                    &ServiceAddr::new("rest", 8000 + i as u16),
-                    svc,
-                )
-                .expect("scenario containers start"),
-        );
-    }
     let proxy_addr = ServiceAddr::new("rddr-rest", 80);
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &proxy_addr,
-        vec![
-            ServiceAddr::new("rest", 8000),
-            ServiceAddr::new("rest", 8001),
-        ],
-        config(2).build().expect("static config"),
-        http(),
-    )
-    .expect("proxy starts");
+    let _rest = services
+        .into_iter()
+        .fold(
+            NVersion::new("rest", config(2).build().expect("static config"), http()),
+            |nv, (image, svc)| nv.variant(Image::new(image, "v1"), svc),
+        )
+        .instances_at(ServiceAddr::new("rest", 8000))
+        .deploy(&cluster, &proxy_addr)
+        .expect("deployment starts");
     let net = cluster.net();
 
     // Benign call must pass through with a 200.

@@ -18,7 +18,7 @@ use rddr_repro::libsim::aslr::BUFFER_SIZE;
 use rddr_repro::libsim::AslrEcho;
 use rddr_repro::net::{BoxStream, Network, ServiceAddr, Stream};
 use rddr_repro::orchestra::{Cluster, Image};
-use rddr_repro::proxy::IncomingProxy;
+use rddr_repro::proxy::NVersion;
 
 fn read_line(conn: &mut BoxStream) -> Option<String> {
     let mut out = Vec::new();
@@ -50,35 +50,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Now the RDDR deployment: two instances, ASLR diversity only.
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for (i, seed) in [(0u16, 101u64), (1, 202)] {
-        handles.push(cluster.run_container(
-            format!("echo-{i}"),
-            Image::new("echo-poc", "v1"),
-            &ServiceAddr::new("echo", 7000 + i),
-            Arc::new(AslrEchoService::launch(seed)),
-        )?);
-    }
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr-echo", 7),
-        vec![
-            ServiceAddr::new("echo", 7000),
-            ServiceAddr::new("echo", 7001),
-        ],
-        EngineConfig::builder(2)
-            .response_deadline(Duration::from_secs(2))
-            .build()?,
-        Arc::new(|| Box::new(LineProtocol::new())),
-    )?;
+    let rddr = [101u64, 202]
+        .into_iter()
+        .fold(
+            NVersion::new(
+                "echo",
+                EngineConfig::builder(2)
+                    .response_deadline(Duration::from_secs(2))
+                    .build()?,
+                Arc::new(|| Box::new(LineProtocol::new())),
+            ),
+            |nv, seed| {
+                nv.variant(
+                    Image::new("echo-poc", "v1"),
+                    Arc::new(AslrEchoService::launch(seed)),
+                )
+            },
+        )
+        .deploy(&cluster, &ServiceAddr::new("rddr-echo", 7))?;
     let net = cluster.net();
 
     println!("2-version deployment behind RDDR:");
-    let mut conn = net.dial(&ServiceAddr::new("rddr-echo", 7))?;
+    let mut conn = net.dial(&rddr.addr)?;
     conn.write_all(b"hello echo\n")?;
     println!("  benign echo: {:?}", read_line(&mut conn));
 
-    let mut attacker = net.dial(&ServiceAddr::new("rddr-echo", 7))?;
+    let mut attacker = net.dial(&rddr.addr)?;
     attacker.write_all(&overflow)?;
     attacker.write_all(b"\n")?;
     match read_line(&mut attacker) {
@@ -92,6 +89,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  overflow reply carried no pointer: {reply:?}");
         }
     }
-    println!("  proxy stats: {:?}", proxy.stats());
+    println!("  proxy stats: {:?}", rddr.proxy.stats());
     Ok(())
 }

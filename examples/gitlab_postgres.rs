@@ -17,39 +17,31 @@ use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::{Cluster, Image};
 use rddr_repro::pgsim::{Database, PgServer, PgVersion};
 use rddr_repro::protocols::PgProtocol;
-use rddr_repro::proxy::IncomingProxy;
+use rddr_repro::proxy::NVersion;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = Cluster::new(8);
 
-    // Three Postgres instances: buggy filter pair (10.7) + fixed (10.9).
-    let mut handles = Vec::new();
-    for (i, version) in ["10.7", "10.7", "10.9"].iter().enumerate() {
-        let mut db = Database::new(PgVersion::parse(version)?);
-        seed_gitlab_schema(&mut db)?;
-        handles.push(cluster.run_container(
-            format!("gitlab-postgres-{i}"),
-            Image::new("postgres", *version),
-            &ServiceAddr::new("pg", 5432 + i as u16),
-            Arc::new(PgServer::new(db)),
-        )?);
-        println!("started postgres:{version} as gitlab-postgres-{i}");
-    }
-
-    // RDDR's incoming proxy is what GitLab sees as "the database".
-    let db_addr = ServiceAddr::new("gitlab-postgres", 5432);
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &db_addr,
-        (0..3).map(|i| ServiceAddr::new("pg", 5432 + i)).collect(),
+    // Three Postgres instances: buggy filter pair (10.7) + fixed (10.9),
+    // behind RDDR's incoming proxy, which is what GitLab sees as "the
+    // database".
+    let mut postgres = NVersion::new(
+        "gitlab-postgres",
         EngineConfig::builder(3)
             .filter_pair(0, 1)
             .response_deadline(Duration::from_secs(3))
             .build()?,
         Arc::new(|| Box::new(PgProtocol::new())),
-    )?;
+    );
+    for (i, version) in ["10.7", "10.7", "10.9"].into_iter().enumerate() {
+        let mut db = Database::new(PgVersion::parse(version)?);
+        seed_gitlab_schema(&mut db)?;
+        postgres = postgres.variant(Image::new("postgres", version), Arc::new(PgServer::new(db)));
+        println!("starting postgres:{version} as gitlab-postgres-{i}");
+    }
+    let rddr = postgres.deploy(&cluster, &ServiceAddr::new("gitlab-postgres", 5432))?;
 
-    let gitlab = deploy_gitlab(&cluster, db_addr)?;
+    let gitlab = deploy_gitlab(&cluster, rddr.addr.clone())?;
     println!(
         "GitLab composite up: {} containers + RDDR\n",
         gitlab.containers.len() + 3
@@ -119,6 +111,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\npost-attack /projects: status {} — GitLab fully operational",
         again.status
     );
-    println!("RDDR proxy stats: {:?}", proxy.stats());
+    println!("RDDR proxy stats: {:?}", rddr.proxy.stats());
     Ok(())
 }

@@ -23,7 +23,7 @@ use rddr_repro::core::protocol::LineProtocol;
 use rddr_repro::core::EngineConfig;
 use rddr_repro::net::{Network, ServiceAddr, Stream, TcpNet};
 use rddr_repro::orchestra::{Cluster, FnService, Image, Service};
-use rddr_repro::proxy::{n_version_with_telemetry, ProxyTelemetry, Variant};
+use rddr_repro::proxy::{NVersion, ProxyTelemetry};
 use rddr_repro::telemetry::AdminServer;
 
 /// A line-echo service; when `leaky`, lines containing `login` come back
@@ -56,19 +56,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Three diverse variants behind the proxy; the third one leaks.
     let cluster = Cluster::new(4);
     let telemetry = ProxyTelemetry::new("demo");
-    let service = n_version_with_telemetry(
-        &cluster,
+    let service = NVersion::new(
         "demo",
-        &ServiceAddr::new("demo", 8000),
-        vec![
-            Variant::new(Image::new("demo", "v1"), echo(false)),
-            Variant::new(Image::new("demo", "v2"), echo(false)),
-            Variant::new(Image::new("demo", "evil"), echo(true)),
-        ],
         EngineConfig::builder(3).build()?,
         Arc::new(|| Box::new(LineProtocol::new())),
-        telemetry.clone(),
-    )?;
+    )
+    .variant(Image::new("demo", "v1"), echo(false))
+    .variant(Image::new("demo", "v2"), echo(false))
+    .variant(Image::new("demo", "evil"), echo(true))
+    .telemetry(telemetry.clone())
+    .deploy(&cluster, &ServiceAddr::new("demo", 8000))?;
 
     // 2. A benign exchange passes; the poisoned one is severed and audited.
     let mut conn = cluster.net().dial(&service.addr)?;

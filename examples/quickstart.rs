@@ -1,9 +1,9 @@
 //! Quickstart: protect a microservice with RDDR in ~40 lines.
 //!
 //! We deploy two diverse "user lookup" instances — one has a bug that leaks
-//! every user's record when given a crafted id — put RDDR's incoming proxy
-//! in front of them, and watch benign traffic flow while the exploit gets
-//! severed.
+//! every user's record when given a crafted id — behind RDDR's incoming
+//! proxy with one `NVersion` builder call, and watch benign traffic flow
+//! while the exploit gets severed.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -16,7 +16,7 @@ use rddr_repro::core::EngineConfig;
 use rddr_repro::httpsim::{HttpResponse, HttpService};
 use rddr_repro::net::{ServiceAddr, Stream};
 use rddr_repro::orchestra::{Cluster, Image};
-use rddr_repro::proxy::IncomingProxy;
+use rddr_repro::proxy::NVersion;
 
 fn lookup_service(vulnerable: bool) -> HttpService {
     HttpService::new("user-lookup").route("GET", "/user", move |req, _ctx| {
@@ -34,40 +34,34 @@ fn lookup_service(vulnerable: bool) -> HttpService {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A cluster with two diverse implementations of the same service.
+    // 1. Two diverse implementations of the same service (`lookup-0` and
+    // `lookup-1`), with RDDR in front of them at the service's address:
+    // replicate, de-noise, diff, respond.
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for (i, vulnerable) in [(0u16, true), (1, false)] {
-        handles.push(cluster.run_container(
-            format!("lookup-{i}"),
-            Image::new("user-lookup", if vulnerable { "impl-a" } else { "impl-b" }),
-            &ServiceAddr::new("lookup", 8000 + i),
-            Arc::new(lookup_service(vulnerable)),
-        )?);
-    }
-
-    // 2. RDDR in front: replicate, de-noise, diff, respond.
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr", 80),
-        vec![
-            ServiceAddr::new("lookup", 8000),
-            ServiceAddr::new("lookup", 8001),
-        ],
+    let rddr = NVersion::new(
+        "lookup",
         EngineConfig::builder(2).build()?,
         Arc::new(|| Box::new(rddr_repro::protocols::HttpProtocol::new())),
-    )?;
+    )
+    .variant(
+        Image::new("user-lookup", "impl-a"),
+        Arc::new(lookup_service(true)),
+    )
+    .variant(
+        Image::new("user-lookup", "impl-b"),
+        Arc::new(lookup_service(false)),
+    )
+    .deploy(&cluster, &ServiceAddr::new("rddr", 80))?;
     let net = cluster.net();
 
-    // 3. Benign traffic passes untouched.
-    let mut client = rddr_repro::httpsim::HttpClient::connect(&net, &ServiceAddr::new("rddr", 80))?;
+    // 2. Benign traffic passes untouched.
+    let mut client = rddr_repro::httpsim::HttpClient::connect(&net, &rddr.addr)?;
     let resp = client.get("/user?id=alice")?;
     println!("benign lookup: {} -> {:?}", resp.status, resp.body_text());
     assert_eq!(resp.body_text(), "alice:secret1");
 
-    // 4. The exploit diverges (only one implementation leaks) — severed.
-    let mut attacker =
-        rddr_repro::httpsim::HttpClient::connect(&net, &ServiceAddr::new("rddr", 80))?;
+    // 3. The exploit diverges (only one implementation leaks) — severed.
+    let mut attacker = rddr_repro::httpsim::HttpClient::connect(&net, &rddr.addr)?;
     match attacker.get("/user?id=*") {
         Err(_) => println!("exploit: connection severed before any leak"),
         Ok(resp) => {
@@ -78,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("exploit: answered {} with no leaked rows", resp.status);
         }
     }
-    println!("proxy stats: {:?}", proxy.stats());
+    println!("proxy stats: {:?}", rddr.proxy.stats());
 
     // Demonstrate the engine API directly, too.
     let mut engine = rddr_repro::core::NVersionEngine::new(

@@ -21,7 +21,7 @@ use rddr_repro::httpsim::{HttpResponse, HttpService};
 use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::Image;
 use rddr_repro::protocols::HttpProtocol;
-use rddr_repro::proxy::IncomingProxy;
+use rddr_repro::proxy::{NVersion, ProtocolFactory};
 
 const SERVICES: &[&str] = &[
     "frontend-logic",
@@ -49,53 +49,40 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = Cluster::new(8);
     let n = 3;
     let mut containers = Vec::new();
-    let mut proxies = Vec::new();
+    let mut protected = Vec::new();
     let mut entrypoints = Vec::new();
 
     for (i, name) in SERVICES.iter().enumerate() {
-        let base_port = 8000 + (i as u16) * 10;
+        let entry = ServiceAddr::new(*name, 8000 + (i as u16) * 10);
         if PROTECTED.contains(name) {
-            // N diverse instances + an RDDR incoming proxy.
-            for k in 0..n as u16 {
-                containers.push(cluster.run_container(
-                    format!("{name}-{k}"),
-                    Image::new(*name, format!("v{}", k + 1)),
-                    &ServiceAddr::new(*name, base_port + 1 + k),
-                    stub(name),
-                )?);
-            }
-            let entry = ServiceAddr::new(*name, base_port);
-            proxies.push(IncomingProxy::start(
-                Arc::new(cluster.net()),
-                &entry,
-                (0..n as u16)
-                    .map(|k| ServiceAddr::new(*name, base_port + 1 + k))
-                    .collect(),
-                EngineConfig::builder(n)
-                    .response_deadline(Duration::from_secs(2))
-                    .build()?,
-                Arc::new(|| Box::new(HttpProtocol::new())),
-            )?);
-            entrypoints.push((*name, entry));
+            // N diverse instances behind an RDDR incoming proxy at `entry`.
+            let config = EngineConfig::builder(n)
+                .response_deadline(Duration::from_secs(2))
+                .build()?;
+            let protocol: ProtocolFactory = Arc::new(|| Box::new(HttpProtocol::new()));
+            protected.push(
+                (0..n)
+                    .fold(NVersion::new(*name, config, protocol), |nv, k| {
+                        nv.variant(Image::new(*name, format!("v{}", k + 1)), stub(name))
+                    })
+                    .deploy(&cluster, &entry)?,
+            );
         } else {
-            let entry = ServiceAddr::new(*name, base_port);
             containers.push(cluster.run_container(
                 format!("{name}-0"),
                 Image::new(*name, "v1"),
                 &entry,
                 stub(name),
             )?);
-            entrypoints.push((*name, entry));
         }
+        entrypoints.push((*name, entry));
     }
 
     let plain_count = SERVICES.len();
-    let extra = containers.len() - plain_count;
+    let total = containers.len() + n * protected.len();
+    let extra = total - plain_count;
     println!("social network: {} logical services", SERVICES.len());
-    println!(
-        "containers: {} (plain would be {plain_count}, +{extra} for RDDR)",
-        containers.len()
-    );
+    println!("containers: {total} (plain would be {plain_count}, +{extra} for RDDR)");
     println!(
         "overhead: {:.0}% for micro-versioning {:?} vs {:.0}% for whole-deployment {n}-versioning",
         100.0 * extra as f64 / plain_count as f64,

@@ -18,7 +18,7 @@ use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::{Cluster, Image};
 use rddr_repro::pgsim::{Database, PgServer, PgVersion};
 use rddr_repro::protocols::{HttpProtocol, PgProtocol};
-use rddr_repro::proxy::{IncomingProxy, OutgoingProxy};
+use rddr_repro::proxy::{NVersion, OutgoingProxy};
 
 fn token_from(html: &str) -> String {
     html.split("name=\"user_token\" value=\"")
@@ -53,40 +53,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::new(|| Box::new(PgProtocol::new())),
     )?;
 
-    // Three frontends: filter pair unsanitized, third at High sanitization.
-    let mut frontends = Vec::new();
-    for (i, (level, seed)) in [
+    // Three frontends (filter pair unsanitized, third at High
+    // sanitization) behind the incoming proxy (CSRF capture + response
+    // diffing).
+    let dvwa = [
         (SecurityLevel::Low, 1u64),
         (SecurityLevel::Low, 2),
         (SecurityLevel::High, 3),
     ]
     .into_iter()
-    .enumerate()
-    {
-        frontends.push(cluster.run_container(
-            format!("dvwa-{i}"),
-            Image::new("dvwa", "v1"),
-            &ServiceAddr::new("dvwa", 8000 + i as u16),
-            Arc::new(DvwaSim::new(level, outgoing_addr.clone(), seed)),
-        )?);
-    }
-
-    // And the incoming proxy in front (CSRF capture + response diffing).
-    let incoming = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr-dvwa", 80),
-        (0..3).map(|i| ServiceAddr::new("dvwa", 8000 + i)).collect(),
-        EngineConfig::builder(3)
-            .filter_pair(0, 1)
-            .response_deadline(Duration::from_secs(2))
-            .build()?,
-        Arc::new(|| Box::new(HttpProtocol::new())),
-    )?;
+    .fold(
+        NVersion::new(
+            "dvwa",
+            EngineConfig::builder(3)
+                .filter_pair(0, 1)
+                .response_deadline(Duration::from_secs(2))
+                .build()?,
+            Arc::new(|| Box::new(HttpProtocol::new())),
+        ),
+        |nv, (level, seed)| {
+            nv.variant(
+                Image::new("dvwa", "v1"),
+                Arc::new(DvwaSim::new(level, outgoing_addr.clone(), seed)),
+            )
+        },
+    )
+    .deploy(&cluster, &ServiceAddr::new("rddr-dvwa", 80))?;
 
     let net = cluster.net();
 
     // --- benign flow ---------------------------------------------------------
-    let mut user = HttpClient::connect(&net, &ServiceAddr::new("rddr-dvwa", 80))?;
+    let mut user = HttpClient::connect(&net, &dvwa.addr)?;
     let page = user.get("/vuln/sqli")?;
     let token = token_from(&page.body_text());
     println!("got SQLi demo page; RDDR captured the per-instance CSRF tokens");
@@ -100,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- exploit ---------------------------------------------------------------
     println!("launching injection: id={SQLI_PAYLOAD:?}");
-    let mut attacker = HttpClient::connect(&net, &ServiceAddr::new("rddr-dvwa", 80))?;
+    let mut attacker = HttpClient::connect(&net, &dvwa.addr)?;
     let page = attacker.get("/vuln/sqli")?;
     let token = token_from(&page.body_text());
     match attacker.get(&format!(
@@ -121,6 +118,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("\noutgoing proxy stats: {:?}", outgoing.stats());
-    println!("incoming proxy stats: {:?}", incoming.stats());
+    println!("incoming proxy stats: {:?}", dvwa.proxy.stats());
     Ok(())
 }

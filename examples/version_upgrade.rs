@@ -19,55 +19,43 @@ use rddr_repro::httpsim::{HttpClient, NginxSim, NginxVersion};
 use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::{Cluster, Image};
 use rddr_repro::protocols::HttpProtocol;
-use rddr_repro::proxy::IncomingProxy;
+use rddr_repro::proxy::NVersion;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for (i, version) in ["1.13.2", "1.13.4"].iter().enumerate() {
+    // Version banners differ by design: configure known variance for them.
+    let mut variance = VarianceRules::new();
+    variance.push(VarianceRule::new("http:header:server", "*")?);
+    let mut nginx = NVersion::new(
+        "nginx",
+        EngineConfig::builder(2)
+            .variance(variance)
+            .response_deadline(Duration::from_secs(2))
+            .build()?,
+        Arc::new(|| Box::new(HttpProtocol::new())),
+    );
+    for version in ["1.13.2", "1.13.4"] {
         let server = NginxSim::file_server(NginxVersion::parse(version));
         server.publish(
             "/report.html",
             b"<html>quarterly numbers</html>".to_vec(),
             b"ADJACENT-CACHE: another user's session".to_vec(),
         );
-        handles.push(cluster.run_container(
-            format!("nginx-{i}"),
-            Image::new("nginx", *version),
-            &ServiceAddr::new("nginx", 8000 + i as u16),
-            Arc::new(server),
-        )?);
-        println!("deployed nginx:{version} (image tag selects the version, §V-D)");
+        nginx = nginx.variant(Image::new("nginx", version), Arc::new(server));
+        println!("deploying nginx:{version} (image tag selects the version, §V-D)");
     }
-
-    // Version banners differ by design: configure known variance for them.
-    let mut variance = VarianceRules::new();
-    variance.push(VarianceRule::new("http:header:server", "*")?);
-
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr-nginx", 80),
-        vec![
-            ServiceAddr::new("nginx", 8000),
-            ServiceAddr::new("nginx", 8001),
-        ],
-        EngineConfig::builder(2)
-            .variance(variance)
-            .response_deadline(Duration::from_secs(2))
-            .build()?,
-        Arc::new(|| Box::new(HttpProtocol::new())),
-    )?;
+    let rddr = nginx.deploy(&cluster, &ServiceAddr::new("rddr-nginx", 80))?;
     let net = cluster.net();
 
     // Benign: plain requests and valid ranges agree across versions.
-    let mut client = HttpClient::connect(&net, &ServiceAddr::new("rddr-nginx", 80))?;
+    let mut client = HttpClient::connect(&net, &rddr.addr)?;
     let page = client.get("/report.html")?;
     println!(
         "\nbenign GET: status {} ({} bytes)",
         page.status,
         page.body.len()
     );
-    let mut client = HttpClient::connect(&net, &ServiceAddr::new("rddr-nginx", 80))?;
+    let mut client = HttpClient::connect(&net, &rddr.addr)?;
     client.send_raw(b"GET /report.html HTTP/1.1\r\nHost: n\r\nRange: bytes=0-5\r\n\r\n")?;
     let partial = client.read_response()?;
     println!(
@@ -78,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The CVE-2017-7529 exploit: only 1.13.2 leaks, so RDDR intervenes.
     println!("\nsending the overflowing Range header ...");
-    let mut attacker = HttpClient::connect(&net, &ServiceAddr::new("rddr-nginx", 80))?;
+    let mut attacker = HttpClient::connect(&net, &rddr.addr)?;
     attacker.send_raw(
         b"GET /report.html HTTP/1.1\r\nHost: n\r\nRange: bytes=-9223372036854775608\r\n\r\n",
     )?;
@@ -89,6 +77,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("answered {} with no leaked bytes", resp.status);
         }
     }
-    println!("proxy stats: {:?}", proxy.stats());
+    println!("proxy stats: {:?}", rddr.proxy.stats());
     Ok(())
 }

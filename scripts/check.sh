@@ -17,12 +17,15 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "==> reactor-worker matrix: proxy sessions under scheduling shapes the default run never uses"
-for workers in 1 8; do
-  for threads in 1 8; do
+for workers in 1 2 8; do
+  for threads in 1 2 8; do
     echo "    RDDR_REACTOR_WORKERS=$workers --test-threads $threads"
     RDDR_REACTOR_WORKERS=$workers cargo test -q -p rddr-proxy -- --test-threads "$threads"
     RDDR_REACTOR_WORKERS=$workers cargo test -q --test stress --test chaos \
       --test failure_injection --test telemetry_admin --test social_compose \
+      --test no_diversity --test csrf_flow --test diverse_databases --test config_file \
+      --test gitlab_background_load --test recovery_chaos --test table1 \
+      --test tpch_equivalence \
       -- --test-threads "$threads"
   done
 done

@@ -8,7 +8,7 @@ use rddr_repro::core::ConfigFile;
 use rddr_repro::httpsim::{HttpClient, HttpResponse, HttpService};
 use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::{Cluster, Image};
-use rddr_repro::proxy::{protocol_factory, IncomingProxy};
+use rddr_repro::proxy::{protocol_factory, NVersion};
 
 const CONFIG: &str = "
     # nginx version-diversity deployment (the §V-D case study)
@@ -35,32 +35,19 @@ fn proxy_built_from_config_file_serves_and_applies_variance() {
     let protocol = protocol_factory(&cfg.protocol).expect("protocol known");
 
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for (i, version) in ["nginx/1.13.2", "nginx/1.13.4"].iter().enumerate() {
-        handles.push(
-            cluster
-                .run_container(
-                    format!("api-{i}"),
-                    Image::new("api", *version),
-                    &ServiceAddr::new("api", 8000 + i as u16),
-                    versioned_service(version),
-                )
-                .unwrap(),
-        );
-    }
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr", 80),
-        vec![ServiceAddr::new("api", 8000), ServiceAddr::new("api", 8001)],
-        cfg.engine,
-        protocol,
-    )
-    .unwrap();
+    let rddr = ["nginx/1.13.2", "nginx/1.13.4"]
+        .into_iter()
+        .fold(NVersion::new("api", cfg.engine, protocol), |nv, version| {
+            nv.variant(Image::new("api", version), versioned_service(version))
+        })
+        .instances_at(ServiceAddr::new("api", 8000))
+        .deploy(&cluster, &ServiceAddr::new("rddr", 80))
+        .unwrap();
 
     // Differing Server banners are covered by the config's variance rule;
     // the identical bodies flow through.
     let net = cluster.net();
-    let mut client = HttpClient::connect(&net, &ServiceAddr::new("rddr", 80)).unwrap();
+    let mut client = HttpClient::connect(&net, &rddr.addr).unwrap();
     let resp = client.get("/data").unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(resp.body_text(), "the same payload");

@@ -10,7 +10,7 @@ use rddr_repro::httpsim::{HttpClient, HttpResponse, HttpService};
 use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::{Cluster, Image, Service};
 use rddr_repro::protocols::HttpProtocol;
-use rddr_repro::proxy::{IncomingProxy, ProtocolFactory};
+use rddr_repro::proxy::{NVersion, NVersionedService, ProtocolFactory};
 
 /// A service that mints a fixed per-instance token and only accepts *its
 /// own* token back — exactly the handshake that breaks naive N-versioning.
@@ -33,52 +33,29 @@ fn token_service(token: &'static str) -> Arc<dyn Service> {
     )
 }
 
-fn http() -> ProtocolFactory {
-    Arc::new(|| Box::new(HttpProtocol::new()))
-}
-
-fn deploy(
-    tokens: &[&'static str],
-) -> (
-    Cluster,
-    Vec<rddr_repro::orchestra::ContainerHandle>,
-    IncomingProxy,
-) {
+fn deploy(tokens: &[&'static str]) -> (Cluster, NVersionedService) {
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for (i, token) in tokens.iter().enumerate() {
-        handles.push(
-            cluster
-                .run_container(
-                    format!("form-{i}"),
-                    Image::new("form", "v1"),
-                    &ServiceAddr::new("form", 8000 + i as u16),
-                    token_service(token),
-                )
-                .unwrap(),
-        );
-    }
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr", 80),
-        (0..tokens.len() as u16)
-            .map(|i| ServiceAddr::new("form", 8000 + i))
-            .collect(),
-        EngineConfig::builder(tokens.len())
-            .response_deadline(Duration::from_secs(2))
-            .build()
-            .unwrap(),
-        http(),
-    )
-    .unwrap();
-    (cluster, handles, proxy)
+    let config = EngineConfig::builder(tokens.len())
+        .response_deadline(Duration::from_secs(2))
+        .build()
+        .unwrap();
+    let http: ProtocolFactory = Arc::new(|| Box::new(HttpProtocol::new()));
+    let rddr = tokens
+        .iter()
+        .fold(NVersion::new("form", config, http), |nv, token| {
+            nv.variant(Image::new("form", "v1"), token_service(token))
+        })
+        .instances_at(ServiceAddr::new("form", 8000))
+        .deploy(&cluster, &ServiceAddr::new("rddr", 80))
+        .unwrap();
+    (cluster, rddr)
 }
 
 #[test]
 fn tokens_are_captured_and_substituted_per_instance() {
-    let (cluster, _handles, _proxy) = deploy(&["AAAAAAAAAA", "BBBBBBBBBB", "CCCCCCCCCC"]);
+    let (cluster, rddr) = deploy(&["AAAAAAAAAA", "BBBBBBBBBB", "CCCCCCCCCC"]);
     let net = cluster.net();
-    let mut client = HttpClient::connect(&net, &ServiceAddr::new("rddr", 80)).unwrap();
+    let mut client = HttpClient::connect(&net, &rddr.addr).unwrap();
 
     // The page is forwarded with the FIRST instance's token (the paper
     // forwards "the page sent by the first instance").
@@ -102,9 +79,9 @@ fn without_token_capture_the_submission_would_diverge() {
     // NOT captured, so instances B and C receive A's token and reject it —
     // RDDR then severs on the divergent 403s. This demonstrates why the
     // ephemeral-state feature exists.
-    let (cluster, _handles, proxy) = deploy(&["AAAA", "BBBB", "CCCC"]);
+    let (cluster, rddr) = deploy(&["AAAA", "BBBB", "CCCC"]);
     let net = cluster.net();
-    let mut client = HttpClient::connect(&net, &ServiceAddr::new("rddr", 80)).unwrap();
+    let mut client = HttpClient::connect(&net, &rddr.addr).unwrap();
     let page = client.get("/form");
     // The page itself already diverges (3 different short tokens, no filter
     // pair, no capture) — either the page or the submit gets severed.
@@ -118,16 +95,16 @@ fn without_token_capture_the_submission_would_diverge() {
     }
     std::thread::sleep(Duration::from_millis(50));
     assert!(
-        proxy.stats().divergences >= 1,
+        rddr.proxy.stats().divergences >= 1,
         "divergence must be recorded"
     );
 }
 
 #[test]
 fn tokens_are_single_use() {
-    let (cluster, _handles, _proxy) = deploy(&["AAAAAAAAAA", "BBBBBBBBBB", "CCCCCCCCCC"]);
+    let (cluster, rddr) = deploy(&["AAAAAAAAAA", "BBBBBBBBBB", "CCCCCCCCCC"]);
     let net = cluster.net();
-    let mut client = HttpClient::connect(&net, &ServiceAddr::new("rddr", 80)).unwrap();
+    let mut client = HttpClient::connect(&net, &rddr.addr).unwrap();
     let _page = client.get("/form").unwrap();
     assert_eq!(client.post("/submit", "t=AAAAAAAAAA").unwrap().status, 200);
 

@@ -8,10 +8,10 @@ use std::time::Duration;
 
 use rddr_repro::core::EngineConfig;
 use rddr_repro::net::{Network, ServiceAddr};
-use rddr_repro::orchestra::{Cluster, ContainerHandle, Image};
+use rddr_repro::orchestra::{Cluster, Image};
 use rddr_repro::pgsim::{CockroachFlavor, Database, DbFlavor, PgClient, PgServer, PgVersion};
 use rddr_repro::protocols::PgProtocol;
-use rddr_repro::proxy::{IncomingProxy, ProtocolFactory};
+use rddr_repro::proxy::{NVersion, NVersionedService, ProtocolFactory};
 
 fn pg() -> ProtocolFactory {
     Arc::new(|| Box::new(PgProtocol::new()))
@@ -31,47 +31,29 @@ fn seed(db: &mut Database) {
     .unwrap();
 }
 
-fn deploy_safe(
-    cockroach: CockroachFlavor,
-) -> (Cluster, Vec<ContainerHandle>, IncomingProxy, ServiceAddr) {
+fn deploy_safe(cockroach: CockroachFlavor) -> (Cluster, NVersionedService) {
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for (i, flavor) in [DbFlavor::Postgres, DbFlavor::Cockroach(cockroach)]
+    let config = EngineConfig::builder(2)
+        .response_deadline(Duration::from_millis(800))
+        .build()
+        .unwrap();
+    let rddr = [DbFlavor::Postgres, DbFlavor::Cockroach(cockroach)]
         .into_iter()
-        .enumerate()
-    {
-        let mut db = Database::with_flavor(PgVersion::parse("10.7").unwrap(), flavor);
-        seed(&mut db);
-        handles.push(
-            cluster
-                .run_container(
-                    format!("db-{i}"),
-                    Image::new("db", "v1"),
-                    &ServiceAddr::new("db", 5432 + i as u16),
-                    Arc::new(PgServer::new(db)),
-                )
-                .unwrap(),
-        );
-    }
-    let addr = ServiceAddr::new("rddr-db", 5432);
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &addr,
-        vec![ServiceAddr::new("db", 5432), ServiceAddr::new("db", 5433)],
-        EngineConfig::builder(2)
-            .response_deadline(Duration::from_millis(800))
-            .build()
-            .unwrap(),
-        pg(),
-    )
-    .unwrap();
-    (cluster, handles, proxy, addr)
+        .fold(NVersion::new("db", config, pg()), |nv, flavor| {
+            let mut db = Database::with_flavor(PgVersion::parse("10.7").unwrap(), flavor);
+            seed(&mut db);
+            nv.variant(Image::new("db", "v1"), Arc::new(PgServer::new(db)))
+        })
+        .instances_at(ServiceAddr::new("db", 5432))
+        .deploy(&cluster, &ServiceAddr::new("rddr-db", 5432))
+        .unwrap();
+    (cluster, rddr)
 }
 
 #[test]
 fn ordered_queries_agree_across_implementations() {
-    let (cluster, _h, _proxy, addr) = deploy_safe(CockroachFlavor::default());
-    let conn = cluster.net().dial(&addr).unwrap();
+    let (cluster, rddr) = deploy_safe(CockroachFlavor::default());
+    let conn = cluster.net().dial(&rddr.addr).unwrap();
     let mut client = PgClient::connect(conn, "app").unwrap();
     let r = client
         .query("SELECT owner, balance FROM accounts ORDER BY balance DESC")
@@ -89,8 +71,8 @@ fn ordered_queries_agree_across_implementations() {
 
 #[test]
 fn aggregates_and_dml_agree_across_implementations() {
-    let (cluster, _h, proxy, addr) = deploy_safe(CockroachFlavor::default());
-    let conn = cluster.net().dial(&addr).unwrap();
+    let (cluster, rddr) = deploy_safe(CockroachFlavor::default());
+    let conn = cluster.net().dial(&rddr.addr).unwrap();
     let mut client = PgClient::connect(conn, "app").unwrap();
     let r = client
         .query("SELECT SUM(balance), COUNT(*) FROM accounts")
@@ -104,7 +86,7 @@ fn aggregates_and_dml_agree_across_implementations() {
         .query("SELECT balance FROM accounts WHERE owner = 'cyd'")
         .unwrap();
     assert_eq!(r.rows, vec![vec!["60".to_string()]]);
-    assert_eq!(proxy.stats().divergences, 0);
+    assert_eq!(rddr.proxy.stats().divergences, 0);
 }
 
 #[test]
@@ -112,11 +94,11 @@ fn unordered_row_order_mismatch_blocks_benign_traffic() {
     // The paper's caveat: "the PostgreSQL query language does not require
     // any particular row order unless specified by ORDER BY … If they
     // differ, then RDDR will block the benign traffic."
-    let (cluster, _h, proxy, addr) = deploy_safe(CockroachFlavor {
+    let (cluster, rddr) = deploy_safe(CockroachFlavor {
         scramble_row_order: true,
         ..CockroachFlavor::default()
     });
-    let conn = cluster.net().dial(&addr).unwrap();
+    let conn = cluster.net().dial(&rddr.addr).unwrap();
     let mut client = PgClient::connect(conn, "app").unwrap();
     let result = client.query("SELECT owner FROM accounts");
     assert!(
@@ -124,10 +106,10 @@ fn unordered_row_order_mismatch_blocks_benign_traffic() {
         "differing row order must trigger a (false-positive) divergence"
     );
     std::thread::sleep(Duration::from_millis(50));
-    assert!(proxy.stats().severed >= 1);
+    assert!(rddr.proxy.stats().severed >= 1);
 
     // An ORDER BY restores agreement on a fresh session.
-    let conn = cluster.net().dial(&addr).unwrap();
+    let conn = cluster.net().dial(&rddr.addr).unwrap();
     let mut client = PgClient::connect(conn, "app").unwrap();
     let r = client
         .query("SELECT owner FROM accounts ORDER BY owner")
@@ -139,8 +121,8 @@ fn unordered_row_order_mismatch_blocks_benign_traffic() {
 fn isolation_level_must_match_cockroach() {
     // "We configured Postgres' transaction isolation level to match
     // CockroachDB, which forces serializable isolation."
-    let (cluster, _h, _proxy, addr) = deploy_safe(CockroachFlavor::default());
-    let conn = cluster.net().dial(&addr).unwrap();
+    let (cluster, rddr) = deploy_safe(CockroachFlavor::default());
+    let conn = cluster.net().dial(&rddr.addr).unwrap();
     let mut client = PgClient::connect(conn, "app").unwrap();
     // The matching setting is unanimous.
     let r = client

@@ -1,6 +1,7 @@
 //! Failure-injection tests: instances crashing mid-session, unreachable
 //! backends, hung instances, and the DoS-throttling extension.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -8,8 +9,8 @@ use rddr_repro::core::protocol::LineProtocol;
 use rddr_repro::core::{DegradePolicy, EngineConfig, ResponsePolicy};
 use rddr_repro::httpsim::{HttpResponse, HttpService};
 use rddr_repro::net::{BoxStream, Network, ServiceAddr, SimNet, Stream};
-use rddr_repro::orchestra::{Cluster, Image};
-use rddr_repro::proxy::{IncomingProxy, OutgoingProxy, ProtocolFactory};
+use rddr_repro::orchestra::{Cluster, FnService, Image, Service};
+use rddr_repro::proxy::{NVersion, NVersionedService, OutgoingProxy, ProtocolFactory};
 
 fn line() -> ProtocolFactory {
     Arc::new(|| Box::new(LineProtocol::new()))
@@ -48,81 +49,73 @@ fn read_line(conn: &mut BoxStream) -> LineRead {
     }
 }
 
-fn echo_cluster(n: u16) -> (Cluster, Vec<rddr_repro::orchestra::ContainerHandle>) {
-    let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for i in 0..n {
-        handles.push(
-            cluster
-                .run_container(
-                    format!("echo-{i}"),
-                    Image::new("echo", "v1"),
-                    &ServiceAddr::new("echo", 9000 + i),
-                    Arc::new(
-                        HttpService::new("unused").route("GET", "/", |_r, _c| HttpResponse::ok("")),
-                    ),
-                )
-                .unwrap(),
-        );
-    }
-    (cluster, handles)
-}
-
-/// Line-echo servers managed manually so we can kill one mid-session.
-fn spawn_echo(net: &SimNet, addr: ServiceAddr) -> std::sync::Arc<std::sync::atomic::AtomicBool> {
-    let alive = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-    let flag = std::sync::Arc::clone(&alive);
-    let mut listener = net.listen(&addr).unwrap();
-    std::thread::spawn(move || {
-        while let Ok(mut conn) = listener.accept() {
-            let flag = std::sync::Arc::clone(&flag);
-            std::thread::spawn(move || {
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 512];
-                loop {
-                    if !flag.load(std::sync::atomic::Ordering::Relaxed) {
-                        conn.shutdown();
-                        return;
-                    }
-                    match conn.read(&mut chunk) {
-                        Ok(0) | Err(_) => return,
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    }
-                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                        if !flag.load(std::sync::atomic::Ordering::Relaxed) {
-                            conn.shutdown();
-                            return;
-                        }
-                        let line: Vec<u8> = buf.drain(..=pos).collect();
-                        if conn.write_all(&line).is_err() {
-                            return;
-                        }
-                    }
+/// A line-echo service with a kill switch: once the returned flag is
+/// cleared, the next line it reads shuts its connection down instead of
+/// answering (a crash mid-session).
+fn killable_echo() -> (Arc<dyn Service>, Arc<AtomicBool>) {
+    let alive = Arc::new(AtomicBool::new(true));
+    let flag = Arc::clone(&alive);
+    let service = FnService::new("echo", move |mut conn, _ctx| {
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 512];
+        loop {
+            if !flag.load(Ordering::Relaxed) {
+                conn.shutdown();
+                return;
+            }
+            match conn.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            }
+            while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                if !flag.load(Ordering::Relaxed) {
+                    conn.shutdown();
+                    return;
                 }
-            });
+                let line: Vec<u8> = buf.drain(..=pos).collect();
+                if conn.write_all(&line).is_err() {
+                    return;
+                }
+            }
         }
     });
-    alive
+    (Arc::new(service), alive)
+}
+
+fn echo() -> Arc<dyn Service> {
+    killable_echo().0
+}
+
+/// `services` as line instances `svc-{i}` at `svc:9000 + i` behind RDDR at
+/// `rddr:80`.
+fn deploy(
+    config: EngineConfig,
+    services: impl IntoIterator<Item = Arc<dyn Service>>,
+) -> (Cluster, NVersionedService) {
+    let cluster = Cluster::new(4);
+    let rddr = services
+        .into_iter()
+        .fold(NVersion::new("svc", config, line()), |nv, service| {
+            nv.variant(Image::new("echo", "v1"), service)
+        })
+        .instances_at(ServiceAddr::new("svc", 9000))
+        .deploy(&cluster, &ServiceAddr::new("rddr", 80))
+        .unwrap();
+    (cluster, rddr)
 }
 
 #[test]
 fn instance_crash_mid_session_severs_cleanly() {
-    let net = SimNet::new();
-    let _a = spawn_echo(&net, ServiceAddr::new("svc", 9000));
-    let b_alive = spawn_echo(&net, ServiceAddr::new("svc", 9001));
-    let _proxy = IncomingProxy::start(
-        Arc::new(net.clone()),
-        &ServiceAddr::new("rddr", 80),
-        vec![ServiceAddr::new("svc", 9000), ServiceAddr::new("svc", 9001)],
+    let (b, b_alive) = killable_echo();
+    let (cluster, rddr) = deploy(
         EngineConfig::builder(2)
             .response_deadline(Duration::from_millis(400))
             .build()
             .unwrap(),
-        line(),
-    )
-    .unwrap();
+        [echo(), b],
+    );
 
-    let mut client = net.dial(&ServiceAddr::new("rddr", 80)).unwrap();
+    let mut client = cluster.net().dial(&rddr.addr).unwrap();
     client.write_all(b"first\n").unwrap();
     assert_eq!(read_line(&mut client), LineRead::Line(b"first".to_vec()));
 
@@ -142,18 +135,10 @@ fn instance_crash_mid_session_severs_cleanly() {
 
 #[test]
 fn unreachable_instance_at_session_start_closes_client() {
-    let net = SimNet::new();
-    let _a = spawn_echo(&net, ServiceAddr::new("svc", 9000));
-    // Instance 9001 is never started.
-    let _proxy = IncomingProxy::start(
-        Arc::new(net.clone()),
-        &ServiceAddr::new("rddr", 80),
-        vec![ServiceAddr::new("svc", 9000), ServiceAddr::new("svc", 9001)],
-        EngineConfig::builder(2).build().unwrap(),
-        line(),
-    )
-    .unwrap();
-    let mut client = net.dial(&ServiceAddr::new("rddr", 80)).unwrap();
+    let (cluster, mut rddr) = deploy(EngineConfig::builder(2).build().unwrap(), [echo(), echo()]);
+    // Instance 1 is gone before the first session dials it.
+    rddr.containers[1].stop();
+    let mut client = cluster.net().dial(&rddr.addr).unwrap();
     client.write_all(b"hello\n").unwrap();
     assert_eq!(
         read_line(&mut client),
@@ -186,26 +171,26 @@ fn outgoing_proxy_with_dead_backend_severs_instances() {
 
 #[test]
 fn cluster_container_stop_is_observed_by_proxy() {
-    let (cluster, mut handles) = echo_cluster(2);
-    let net = cluster.net();
-    let _proxy = IncomingProxy::start(
-        Arc::new(net.clone()),
-        &ServiceAddr::new("rddr", 80),
-        vec![
-            ServiceAddr::new("echo", 9000),
-            ServiceAddr::new("echo", 9001),
-        ],
+    let cluster = Cluster::new(4);
+    let unused = || -> Arc<dyn Service> {
+        Arc::new(HttpService::new("unused").route("GET", "/", |_r, _c| HttpResponse::ok("")))
+    };
+    let mut rddr = NVersion::new(
+        "echo",
         EngineConfig::builder(2)
             .response_deadline(Duration::from_millis(300))
             .build()
             .unwrap(),
         Arc::new(|| Box::new(rddr_repro::protocols::HttpProtocol::new())),
     )
+    .variant(Image::new("echo", "v1"), unused())
+    .variant(Image::new("echo", "v1"), unused())
+    .instances_at(ServiceAddr::new("echo", 9000))
+    .deploy(&cluster, &ServiceAddr::new("rddr", 80))
     .unwrap();
     // Stop one container: new sessions cannot dial it, so clients are cut.
-    handles[1].stop();
-    let mut client =
-        rddr_repro::httpsim::HttpClient::connect(&net, &ServiceAddr::new("rddr", 80)).unwrap();
+    rddr.containers[1].stop();
+    let mut client = rddr_repro::httpsim::HttpClient::connect(&cluster.net(), &rddr.addr).unwrap();
     assert!(
         client.get("/").is_err(),
         "session with a stopped instance must fail"
@@ -214,54 +199,43 @@ fn cluster_container_stop_is_observed_by_proxy() {
 
 #[test]
 fn throttled_attacker_cannot_grind_instances() {
-    let net = SimNet::new();
-    let _a = spawn_echo(&net, ServiceAddr::new("svc", 9000));
     // A "diverse" instance that appends junk to one specific input.
-    let mut listener = net.listen(&ServiceAddr::new("svc", 9001)).unwrap();
-    std::thread::spawn(move || {
-        while let Ok(mut conn) = listener.accept() {
-            std::thread::spawn(move || {
-                let mut buf = Vec::new();
-                let mut chunk = [0u8; 512];
-                loop {
-                    match conn.read(&mut chunk) {
-                        Ok(0) | Err(_) => return,
-                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                    }
-                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = buf.drain(..=pos).collect();
-                        let reply = if line.starts_with(b"evil") {
-                            b"evil DIVERGENT\n".to_vec()
-                        } else {
-                            line
-                        };
-                        if conn.write_all(&reply).is_err() {
-                            return;
-                        }
-                    }
+    let diverse = FnService::new("diverse", |mut conn, _ctx| {
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 512];
+        loop {
+            match conn.read(&mut chunk) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            }
+            while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = buf.drain(..=pos).collect();
+                let reply = if line.starts_with(b"evil") {
+                    b"evil DIVERGENT\n".to_vec()
+                } else {
+                    line
+                };
+                if conn.write_all(&reply).is_err() {
+                    return;
                 }
-            });
+            }
         }
     });
-    let proxy = IncomingProxy::start(
-        Arc::new(net.clone()),
-        &ServiceAddr::new("rddr", 80),
-        vec![ServiceAddr::new("svc", 9000), ServiceAddr::new("svc", 9001)],
+    let (cluster, rddr) = deploy(
         EngineConfig::builder(2)
             .throttle(0)
             .response_deadline(Duration::from_millis(500))
             .build()
             .unwrap(),
-        line(),
-    )
-    .unwrap();
+        [echo(), Arc::new(diverse)],
+    );
 
     // First exploit in a session: replicated, detected, severed.
-    let mut c = net.dial(&ServiceAddr::new("rddr", 80)).unwrap();
+    let mut c = cluster.net().dial(&rddr.addr).unwrap();
     c.write_all(b"evil\n").unwrap();
     assert_eq!(read_line(&mut c), LineRead::Eof);
     std::thread::sleep(Duration::from_millis(50));
-    let s = proxy.stats();
+    let s = rddr.proxy.stats();
     assert!(s.divergences >= 1, "{s:?}");
 }
 
@@ -286,29 +260,18 @@ fn read_line_distinguishes_reset_from_clean_eof() {
 
 #[test]
 fn degraded_mode_ejects_crashed_instance_and_keeps_serving() {
-    let net = SimNet::new();
-    let _a = spawn_echo(&net, ServiceAddr::new("svc", 9000));
-    let b_alive = spawn_echo(&net, ServiceAddr::new("svc", 9001));
-    let _c = spawn_echo(&net, ServiceAddr::new("svc", 9002));
-    let proxy = IncomingProxy::start(
-        Arc::new(net.clone()),
-        &ServiceAddr::new("rddr", 80),
-        vec![
-            ServiceAddr::new("svc", 9000),
-            ServiceAddr::new("svc", 9001),
-            ServiceAddr::new("svc", 9002),
-        ],
+    let (b, b_alive) = killable_echo();
+    let (cluster, rddr) = deploy(
         EngineConfig::builder(3)
             .policy(ResponsePolicy::MajorityVote)
             .degrade(DegradePolicy::eject())
             .response_deadline(Duration::from_millis(500))
             .build()
             .unwrap(),
-        line(),
-    )
-    .unwrap();
+        [echo(), b, echo()],
+    );
 
-    let mut client = net.dial(&ServiceAddr::new("rddr", 80)).unwrap();
+    let mut client = cluster.net().dial(&rddr.addr).unwrap();
     client.write_all(b"first\n").unwrap();
     assert_eq!(read_line(&mut client), LineRead::Line(b"first".to_vec()));
 
@@ -323,7 +286,7 @@ fn degraded_mode_ejects_crashed_instance_and_keeps_serving() {
     client.shutdown();
 
     std::thread::sleep(Duration::from_millis(50));
-    let s = proxy.stats();
+    let s = rddr.proxy.stats();
     assert!(
         s.ejected >= 1,
         "crash must be counted as an ejection: {s:?}"

@@ -15,40 +15,27 @@ use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::{Cluster, Image};
 use rddr_repro::pgsim::{Database, PgServer, PgVersion};
 use rddr_repro::protocols::PgProtocol;
-use rddr_repro::proxy::IncomingProxy;
+use rddr_repro::proxy::NVersion;
 
 #[test]
 fn exploit_is_blocked_under_concurrent_benign_load() {
     let cluster = Cluster::new(8);
-    let mut handles = Vec::new();
-    for (i, version) in ["10.7", "10.7", "10.9"].iter().enumerate() {
+    let config = EngineConfig::builder(3)
+        .filter_pair(0, 1)
+        .response_deadline(Duration::from_secs(5))
+        .build()
+        .unwrap();
+    let mut postgres = NVersion::new("pg", config, Arc::new(|| Box::new(PgProtocol::new())))
+        .instances_at(ServiceAddr::new("pg", 5432));
+    for version in ["10.7", "10.7", "10.9"] {
         let mut db = Database::new(PgVersion::parse(version).unwrap());
         seed_gitlab_schema(&mut db).unwrap();
-        handles.push(
-            cluster
-                .run_container(
-                    format!("pg-{i}"),
-                    Image::new("postgres", *version),
-                    &ServiceAddr::new("pg", 5432 + i as u16),
-                    Arc::new(PgServer::new(db)),
-                )
-                .unwrap(),
-        );
+        postgres = postgres.variant(Image::new("postgres", version), Arc::new(PgServer::new(db)));
     }
-    let proxy_addr = ServiceAddr::new("gitlab-postgres", 5432);
-    let _proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &proxy_addr,
-        (0..3).map(|i| ServiceAddr::new("pg", 5432 + i)).collect(),
-        EngineConfig::builder(3)
-            .filter_pair(0, 1)
-            .response_deadline(Duration::from_secs(5))
-            .build()
-            .unwrap(),
-        Arc::new(|| Box::new(PgProtocol::new())),
-    )
-    .unwrap();
-    let gitlab = deploy_gitlab(&cluster, proxy_addr).unwrap();
+    let rddr = postgres
+        .deploy(&cluster, &ServiceAddr::new("gitlab-postgres", 5432))
+        .unwrap();
+    let gitlab = deploy_gitlab(&cluster, rddr.addr.clone()).unwrap();
     let net = cluster.net();
     let workhorse = gitlab.addrs.workhorse.clone();
 

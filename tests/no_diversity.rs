@@ -12,49 +12,40 @@ use rddr_repro::httpsim::{HttpClient, NginxSim, NginxVersion};
 use rddr_repro::net::ServiceAddr;
 use rddr_repro::orchestra::{Cluster, Image};
 use rddr_repro::protocols::HttpProtocol;
-use rddr_repro::proxy::{IncomingProxy, ProtocolFactory};
+use rddr_repro::proxy::{NVersion, NVersionedService, ProtocolFactory};
 
-fn http() -> ProtocolFactory {
-    Arc::new(|| Box::new(HttpProtocol::new()))
+/// nginx at each of `versions` behind RDDR, every instance serving `/f`
+/// next to the same cache secret.
+fn deploy(cluster: &Cluster, versions: &[&str], config: EngineConfig) -> NVersionedService {
+    let http: ProtocolFactory = Arc::new(|| Box::new(HttpProtocol::new()));
+    versions
+        .iter()
+        .fold(NVersion::new("nginx", config, http), |nv, version| {
+            let server = NginxSim::file_server(NginxVersion::parse(version));
+            server.publish("/f", b"doc".to_vec(), b"SHARED-SECRET".to_vec());
+            nv.variant(Image::new("nginx", *version), Arc::new(server))
+        })
+        .instances_at(ServiceAddr::new("nginx", 8000))
+        .deploy(cluster, &ServiceAddr::new("rddr", 80))
+        .unwrap()
 }
 
 #[test]
 fn identical_vulnerable_instances_leak_in_unison() {
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
     // Both instances run the SAME vulnerable version with the SAME adjacent
     // cache contents — zero diversity.
-    for i in 0..2u16 {
-        let server = NginxSim::file_server(NginxVersion::parse("1.13.2"));
-        server.publish("/f", b"doc".to_vec(), b"SHARED-SECRET".to_vec());
-        handles.push(
-            cluster
-                .run_container(
-                    format!("nginx-{i}"),
-                    Image::new("nginx", "1.13.2"),
-                    &ServiceAddr::new("nginx", 8000 + i),
-                    Arc::new(server),
-                )
-                .unwrap(),
-        );
-    }
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr", 80),
-        vec![
-            ServiceAddr::new("nginx", 8000),
-            ServiceAddr::new("nginx", 8001),
-        ],
+    let rddr = deploy(
+        &cluster,
+        &["1.13.2", "1.13.2"],
         EngineConfig::builder(2)
             .response_deadline(Duration::from_secs(2))
             .build()
             .unwrap(),
-        http(),
-    )
-    .unwrap();
+    );
 
     let net = cluster.net();
-    let mut attacker = HttpClient::connect(&net, &ServiceAddr::new("rddr", 80)).unwrap();
+    let mut attacker = HttpClient::connect(&net, &rddr.addr).unwrap();
     attacker
         .send_raw(b"GET /f HTTP/1.1\r\nHost: n\r\nRange: bytes=-9223372036854775608\r\n\r\n")
         .unwrap();
@@ -67,7 +58,7 @@ fn identical_vulnerable_instances_leak_in_unison() {
         "a common-mode bug must pass RDDR undetected (by design)"
     );
     std::thread::sleep(Duration::from_millis(30));
-    assert_eq!(proxy.stats().divergences, 0);
+    assert_eq!(rddr.proxy.stats().divergences, 0);
 }
 
 #[test]
@@ -75,38 +66,18 @@ fn adding_one_patched_instance_restores_the_defence() {
     // Same deployment plus a third, patched instance: the intersection of
     // attack surfaces shrinks and the leak is caught again.
     let cluster = Cluster::new(4);
-    let mut handles = Vec::new();
-    for (i, version) in ["1.13.2", "1.13.2", "1.13.4"].iter().enumerate() {
-        let server = NginxSim::file_server(NginxVersion::parse(version));
-        server.publish("/f", b"doc".to_vec(), b"SHARED-SECRET".to_vec());
-        handles.push(
-            cluster
-                .run_container(
-                    format!("nginx-{i}"),
-                    Image::new("nginx", *version),
-                    &ServiceAddr::new("nginx", 8000 + i as u16),
-                    Arc::new(server),
-                )
-                .unwrap(),
-        );
-    }
-    let proxy = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &ServiceAddr::new("rddr", 80),
-        (0..3)
-            .map(|i| ServiceAddr::new("nginx", 8000 + i))
-            .collect(),
+    let rddr = deploy(
+        &cluster,
+        &["1.13.2", "1.13.2", "1.13.4"],
         EngineConfig::builder(3)
             .filter_pair(0, 1)
             .response_deadline(Duration::from_secs(2))
             .build()
             .unwrap(),
-        http(),
-    )
-    .unwrap();
+    );
 
     let net = cluster.net();
-    let mut attacker = HttpClient::connect(&net, &ServiceAddr::new("rddr", 80)).unwrap();
+    let mut attacker = HttpClient::connect(&net, &rddr.addr).unwrap();
     attacker
         .send_raw(b"GET /f HTTP/1.1\r\nHost: n\r\nRange: bytes=-9223372036854775608\r\n\r\n")
         .unwrap();
@@ -116,5 +87,5 @@ fn adding_one_patched_instance_restores_the_defence() {
     };
     assert!(blocked, "one diverse instance is enough to catch the leak");
     std::thread::sleep(Duration::from_millis(30));
-    assert_eq!(proxy.stats().divergences, 1);
+    assert_eq!(rddr.proxy.stats().divergences, 1);
 }

@@ -28,7 +28,7 @@ use rddr_repro::pgsim::{
     StorageEngine, VDisk,
 };
 use rddr_repro::protocols::PgProtocol;
-use rddr_repro::proxy::{IncomingProxy, ProtocolFactory, ProxyTelemetry, StatsSnapshot};
+use rddr_repro::proxy::{NVersion, ProtocolFactory, ProxyTelemetry, StatsSnapshot};
 
 const DEFAULT_SEED: u64 = 0x0D5A_2022;
 
@@ -84,56 +84,11 @@ fn run_scenario(seed: u64, third_policy: &str) -> RunResult {
     );
 
     let cluster = Cluster::new(3);
-    let supervisor = Supervisor::new();
     let specs = ["paged:replay-forward", "paged:replay-forward", third_policy];
+    let mut engines = Vec::new();
     let mut disks: Vec<VDisk> = Vec::new();
-    let mut handles = Vec::new();
-    // Instance 2's recovery stats + post-recovery digest, written by the
-    // respawn factory — proof recovery ran before the readiness probe.
-    let recovered: Arc<Mutex<Option<(RecoveryStats, u64)>>> = Arc::new(Mutex::new(None));
-    for (i, spec) in specs.iter().enumerate() {
-        let engine = StorageEngine::parse(spec).unwrap();
-        let disk = PlanDiskFaults::disk(plan.clone(), &format!("db-{i}"));
-        let addr = ServiceAddr::new("db", 5432 + i as u16);
-        let image = Image::new("minipg", *spec);
-        handles.push(
-            cluster
-                .run_container(
-                    format!("db-{i}"),
-                    image.clone(),
-                    &addr,
-                    minipg(engine, &disk).unwrap(),
-                )
-                .unwrap(),
-        );
-        let factory_disk = disk.clone();
-        let slot = Arc::clone(&recovered);
-        supervisor.register_factory(format!("db-{i}"), image, addr, move || {
-            let db = Database::with_engine(
-                PgVersion::parse("10.7").map_err(|e| e.to_string())?,
-                DbFlavor::Postgres,
-                engine,
-                &factory_disk,
-            )
-            .map_err(|e| e.to_string())?;
-            if let Some(stats) = db.recovery_stats() {
-                *slot.lock().unwrap() = Some((stats, db.state_digest()));
-            }
-            Ok(Arc::new(PgServer::new(db)) as Arc<dyn Service>)
-        });
-        disks.push(disk);
-    }
-
-    let telemetry = ProxyTelemetry::new("recovery-chaos");
-    let rddr = ServiceAddr::new("rddr-db", 5432);
-    let proxy = IncomingProxy::start_with_telemetry(
-        Arc::new(cluster.net()),
-        &rddr,
-        vec![
-            ServiceAddr::new("db", 5432),
-            ServiceAddr::new("db", 5433),
-            ServiceAddr::new("db", 5434),
-        ],
+    let mut dbs = NVersion::new(
+        "db",
         EngineConfig::builder(3)
             .policy(ResponsePolicy::MajorityVote)
             .degrade(DegradePolicy::eject())
@@ -142,13 +97,53 @@ fn run_scenario(seed: u64, third_policy: &str) -> RunResult {
             .build()
             .unwrap(),
         pg(),
-        Some(telemetry.clone()),
     )
-    .unwrap();
+    .instances_at(ServiceAddr::new("db", 5432));
+    for (i, spec) in specs.iter().enumerate() {
+        let engine = StorageEngine::parse(spec).unwrap();
+        let disk = PlanDiskFaults::disk(plan.clone(), &format!("db-{i}"));
+        dbs = dbs.variant(Image::new("minipg", *spec), minipg(engine, &disk).unwrap());
+        engines.push(engine);
+        disks.push(disk);
+    }
+    let telemetry = ProxyTelemetry::new("recovery-chaos");
+    let mut rddr = dbs
+        .telemetry(telemetry.clone())
+        .deploy(&cluster, &ServiceAddr::new("rddr-db", 5432))
+        .unwrap();
+
+    // Each replica respawns under its own name and address through a
+    // factory that reopens its disk. Instance 2's recovery stats +
+    // post-recovery digest, written by that factory, prove recovery ran
+    // before the readiness probe.
+    let supervisor = Supervisor::new();
+    let recovered: Arc<Mutex<Option<(RecoveryStats, u64)>>> = Arc::new(Mutex::new(None));
+    for ((handle, engine), disk) in rddr.containers.iter().zip(engines).zip(&disks) {
+        let factory_disk = disk.clone();
+        let slot = Arc::clone(&recovered);
+        supervisor.register_factory(
+            handle.name(),
+            handle.image().clone(),
+            handle.addr().clone(),
+            move || {
+                let db = Database::with_engine(
+                    PgVersion::parse("10.7").map_err(|e| e.to_string())?,
+                    DbFlavor::Postgres,
+                    engine,
+                    &factory_disk,
+                )
+                .map_err(|e| e.to_string())?;
+                if let Some(stats) = db.recovery_stats() {
+                    *slot.lock().unwrap() = Some((stats, db.state_digest()));
+                }
+                Ok(Arc::new(PgServer::new(db)) as Arc<dyn Service>)
+            },
+        );
+    }
 
     // Session 1: a durably-committed marker, then a transaction that is
     // mid-flight when instance 2 dies.
-    let conn = cluster.net().dial(&rddr).unwrap();
+    let conn = cluster.net().dial(&rddr.addr).unwrap();
     let mut client = PgClient::connect(conn, "app").unwrap();
     client
         .query("CREATE TABLE journal (id INT, note TEXT)")
@@ -166,7 +161,7 @@ fn run_scenario(seed: u64, third_policy: &str) -> RunResult {
     // Kill instance 2 mid-transaction: container gone, disk crashed. The
     // uncommitted phantom records die in the page cache; the armed fault
     // tears the durable tail — the marker's commit record.
-    handles[2].kill();
+    rddr.containers[2].kill();
     disks[2].crash();
     // The surviving quorum finishes the transaction; the dead replica is
     // ejected from the diff set.
@@ -183,7 +178,7 @@ fn run_scenario(seed: u64, third_policy: &str) -> RunResult {
     // Session 2: the recovered replica is readmitted by the fresh fan-out
     // (a recovered replica reappears as a fresh session) and RDDR votes on
     // what its recovery policy kept.
-    let conn = cluster.net().dial(&rddr).unwrap();
+    let conn = cluster.net().dial(&rddr.addr).unwrap();
     let mut client = PgClient::connect(conn, "app").unwrap();
     let marker = client
         .query("SELECT note FROM journal WHERE id = 1")
@@ -193,7 +188,7 @@ fn run_scenario(seed: u64, third_policy: &str) -> RunResult {
 
     // Let the session thread retire so its counters settle.
     std::thread::sleep(Duration::from_millis(50));
-    let stats = proxy.stats();
+    let stats = rddr.proxy.stats();
     let wal_len = disks[2].len("wal") as usize;
     let recovery = *recovered.lock().unwrap();
     RunResult {

@@ -10,9 +10,9 @@ use parking_lot::Mutex;
 use rddr_repro::core::EngineConfig;
 use rddr_repro::httpsim::{HttpClient, HttpRequest, HttpResponse, HttpService};
 use rddr_repro::net::ServiceAddr;
-use rddr_repro::orchestra::{Cluster, Image, Service, ServiceCtx};
+use rddr_repro::orchestra::{Cluster, ContainerHandle, Image, Service, ServiceCtx};
 use rddr_repro::protocols::HttpProtocol;
-use rddr_repro::proxy::{IncomingProxy, OutgoingProxy, ProtocolFactory};
+use rddr_repro::proxy::{NVersion, NVersionedService, OutgoingProxy, ProtocolFactory};
 
 fn http() -> ProtocolFactory {
     Arc::new(|| Box::new(HttpProtocol::new()))
@@ -81,87 +81,78 @@ impl Service for ComposePost {
     }
 }
 
-fn deploy(
-    inject_leak_in_one: bool,
-) -> (
-    Cluster,
-    Arc<Mutex<Vec<String>>>,
-    ServiceAddr,
-    Vec<rddr_repro::orchestra::ContainerHandle>,
-) {
+/// Storage, its outgoing proxy and the 3-versioned Compose-Post service,
+/// torn down front to back on drop.
+struct Deployment {
+    cluster: Cluster,
+    store: Arc<Mutex<Vec<String>>>,
+    compose: NVersionedService,
+    _outgoing: OutgoingProxy,
+    _storage: ContainerHandle,
+}
+
+fn deploy(inject_leak_in_one: bool) -> Deployment {
     let cluster = Cluster::new(8);
     let store = Arc::new(Mutex::new(Vec::new()));
-    let mut handles = Vec::new();
+    let config = || {
+        EngineConfig::builder(3)
+            .response_deadline(Duration::from_secs(2))
+            .build()
+            .unwrap()
+    };
 
     // Shared storage + outgoing proxy in front of it.
-    handles.push(
-        cluster
-            .run_container(
-                "post-storage-0",
-                Image::new("post-storage", "v1"),
-                &ServiceAddr::new("post-storage", 9500),
-                Arc::new(post_storage(Arc::clone(&store))),
-            )
-            .unwrap(),
-    );
+    let storage = cluster
+        .run_container(
+            "post-storage-0",
+            Image::new("post-storage", "v1"),
+            &ServiceAddr::new("post-storage", 9500),
+            Arc::new(post_storage(Arc::clone(&store))),
+        )
+        .unwrap();
     let out_addr = ServiceAddr::new("rddr-out", 9500);
     let outgoing = OutgoingProxy::start(
         Arc::new(cluster.net()),
         &out_addr,
         ServiceAddr::new("post-storage", 9500),
-        EngineConfig::builder(3)
-            .response_deadline(Duration::from_secs(2))
-            .build()
-            .unwrap(),
+        config(),
         http(),
     )
     .unwrap();
-    std::mem::forget(outgoing);
 
     // Three Compose-Post variants + incoming proxy.
-    for i in 0..3u16 {
-        handles.push(
-            cluster
-                .run_container(
-                    format!("compose-post-{i}"),
-                    Image::new("compose-post", format!("v{}", i + 1)),
-                    &ServiceAddr::new("compose-post", 9001 + i),
-                    Arc::new(ComposePost {
-                        storage: out_addr.clone(),
-                        inject_leak: inject_leak_in_one && i == 2,
-                    }),
-                )
-                .unwrap(),
-        );
+    let compose = (0..3)
+        .fold(NVersion::new("compose-post", config(), http()), |nv, i| {
+            nv.variant(
+                Image::new("compose-post", format!("v{}", i + 1)),
+                Arc::new(ComposePost {
+                    storage: out_addr.clone(),
+                    inject_leak: inject_leak_in_one && i == 2,
+                }),
+            )
+        })
+        .instances_at(ServiceAddr::new("compose-post", 9001))
+        .deploy(&cluster, &ServiceAddr::new("rddr-in", 80))
+        .unwrap();
+    Deployment {
+        cluster,
+        store,
+        compose,
+        _outgoing: outgoing,
+        _storage: storage,
     }
-    let in_addr = ServiceAddr::new("rddr-in", 80);
-    let incoming = IncomingProxy::start(
-        Arc::new(cluster.net()),
-        &in_addr,
-        (0..3)
-            .map(|i| ServiceAddr::new("compose-post", 9001 + i))
-            .collect(),
-        EngineConfig::builder(3)
-            .response_deadline(Duration::from_secs(2))
-            .build()
-            .unwrap(),
-        http(),
-    )
-    .unwrap();
-    std::mem::forget(incoming);
-    (cluster, store, in_addr, handles)
 }
 
 #[test]
 fn benign_posts_are_stored_exactly_once() {
-    let (cluster, store, in_addr, _handles) = deploy(false);
-    let net = cluster.net();
-    let mut client = HttpClient::connect(&net, &in_addr).unwrap();
+    let dep = deploy(false);
+    let net = dep.cluster.net();
+    let mut client = HttpClient::connect(&net, &dep.compose.addr).unwrap();
     for i in 0..3 {
         let resp = client.post("/compose", &format!("hello {i}")).unwrap();
         assert_eq!(resp.status, 201);
     }
-    let posts = store.lock().clone();
+    let posts = dep.store.lock().clone();
     assert_eq!(
         posts,
         vec!["post: hello 0", "post: hello 1", "post: hello 2"],
@@ -171,9 +162,9 @@ fn benign_posts_are_stored_exactly_once() {
 
 #[test]
 fn leaky_variant_is_caught_by_the_outgoing_proxy() {
-    let (cluster, store, in_addr, _handles) = deploy(true);
-    let net = cluster.net();
-    let mut client = HttpClient::connect(&net, &in_addr).unwrap();
+    let dep = deploy(true);
+    let net = dep.cluster.net();
+    let mut client = HttpClient::connect(&net, &dep.compose.addr).unwrap();
     // A benign post first.
     assert_eq!(client.post("/compose", "benign words").unwrap().status, 201);
     // The triggering post makes variant 2's stored request diverge; the
@@ -183,7 +174,7 @@ fn leaky_variant_is_caught_by_the_outgoing_proxy() {
         Err(_) => {}
         Ok(r) => assert_ne!(r.status, 201, "diverging compose must not succeed"),
     }
-    let posts = store.lock().clone();
+    let posts = dep.store.lock().clone();
     assert_eq!(
         posts.len(),
         1,

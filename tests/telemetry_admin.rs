@@ -11,10 +11,7 @@ use rddr_repro::core::EngineConfig;
 use rddr_repro::net::{Network, ServiceAddr, SimNet, Stream, TcpNet};
 use rddr_repro::orchestra::{Cluster, FnService, Image, Service};
 use rddr_repro::protocols::{parse_json, JsonValue};
-use rddr_repro::proxy::{
-    n_version_with_telemetry, IncomingProxy, OutgoingProxy, ProtocolFactory, ProxyTelemetry,
-    Variant,
-};
+use rddr_repro::proxy::{IncomingProxy, NVersion, OutgoingProxy, ProtocolFactory, ProxyTelemetry};
 use rddr_repro::telemetry::AdminServer;
 
 fn line() -> ProtocolFactory {
@@ -135,20 +132,13 @@ fn suffix_echo(suffix: &'static str) -> Arc<dyn Service> {
 fn poisoned_deployment_observable_over_simnet() {
     let cluster = Cluster::new(4);
     let telemetry = ProxyTelemetry::new("svc");
-    let service = n_version_with_telemetry(
-        &cluster,
-        "svc",
-        &ServiceAddr::new("svc", 8000),
-        vec![
-            Variant::new(Image::new("svc", "v1"), suffix_echo("")),
-            Variant::new(Image::new("svc", "v2"), suffix_echo("")),
-            Variant::new(Image::new("svc", "evil"), suffix_echo(" LEAK")),
-        ],
-        EngineConfig::builder(3).build().unwrap(),
-        line(),
-        telemetry.clone(),
-    )
-    .unwrap();
+    let service = NVersion::new("svc", EngineConfig::builder(3).build().unwrap(), line())
+        .variant(Image::new("svc", "v1"), suffix_echo(""))
+        .variant(Image::new("svc", "v2"), suffix_echo(""))
+        .variant(Image::new("svc", "evil"), suffix_echo(" LEAK"))
+        .telemetry(telemetry.clone())
+        .deploy(&cluster, &ServiceAddr::new("svc", 8000))
+        .unwrap();
 
     // One poisoned exchange: the Block policy severs the client.
     let mut conn = cluster.net().dial(&service.addr).unwrap();

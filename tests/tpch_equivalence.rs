@@ -3,30 +3,65 @@
 //! whole 21-query benchmark set — the invariant behind Figure 4's "we are
 //! not expected to diverge under benign load".
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use rddr_bench::deploy::{deploy_pg_baseline, deploy_pg_rddr};
-use rddr_repro::net::Network;
-use rddr_repro::pgsim::{tpch, Database, PgClient, PgServerConfig};
+use rddr_repro::core::EngineConfig;
+use rddr_repro::net::{Network, ServiceAddr, SimNet};
+use rddr_repro::orchestra::{Cluster, CpuGovernor, Image, Service};
+use rddr_repro::pgsim::{tpch, Database, PgClient, PgServer, PgServerConfig, PgVersion};
+use rddr_repro::protocols::PgProtocol;
+use rddr_repro::proxy::NVersion;
 
-fn quick() -> PgServerConfig {
-    PgServerConfig {
+const SF: f64 = 0.05;
+
+/// An 8-vCPU node running simulated work at 1/1000 speed.
+fn cluster() -> Cluster {
+    Cluster::with_governor(SimNet::new(), CpuGovernor::with_time_scale(8, 0.001))
+}
+
+/// A MiniPg 10.7 loaded with TPC-H at [`SF`], on a near-free cost model.
+fn tpch_server() -> Arc<dyn Service> {
+    let mut db = Database::new(PgVersion::parse("10.7").unwrap());
+    tpch::load(&mut db, SF).expect("tpch loads");
+    let quick = PgServerConfig {
         base_cost: Duration::from_micros(5),
         cost_per_row: Duration::from_nanos(100),
-    }
+    };
+    Arc::new(PgServer::with_config(db, quick))
 }
 
 #[test]
 fn rddr_and_baseline_answer_identically_on_all_benchmark_queries() {
-    let sf = 0.05;
-    let seed = move |db: &mut Database| tpch::load(db, sf).expect("tpch loads");
-    let baseline = deploy_pg_baseline(&seed, quick(), 8, 0.001);
-    let rddr = deploy_pg_rddr(&seed, quick(), 8, 0.001);
+    let baseline = cluster();
+    let base_addr = ServiceAddr::new("postgres", 5432);
+    let _base = baseline
+        .run_container(
+            "postgres-0",
+            Image::new("postgres", "10.7"),
+            &base_addr,
+            tpch_server(),
+        )
+        .unwrap();
+    let cluster = cluster();
+    let config = EngineConfig::builder(3)
+        .filter_pair(0, 1)
+        .response_deadline(Duration::from_secs(30))
+        .build()
+        .unwrap();
+    let rddr = (0..3)
+        .fold(
+            NVersion::new("postgres", config, Arc::new(|| Box::new(PgProtocol::new()))),
+            |nv, _| nv.variant(Image::new("postgres", "10.7"), tpch_server()),
+        )
+        .instances_at(ServiceAddr::new("pg", 5432))
+        .deploy(&cluster, &ServiceAddr::new("rddr", 5432))
+        .unwrap();
 
     let mut base_client =
-        PgClient::connect(baseline.cluster.net().dial(&baseline.addr).unwrap(), "app").unwrap();
+        PgClient::connect(baseline.net().dial(&base_addr).unwrap(), "app").unwrap();
     let mut rddr_client =
-        PgClient::connect(rddr.cluster.net().dial(&rddr.addr).unwrap(), "app").unwrap();
+        PgClient::connect(cluster.net().dial(&rddr.addr).unwrap(), "app").unwrap();
 
     for number in tpch::benchmark_query_numbers() {
         let query = tpch::QUERIES.iter().find(|q| q.number == number).unwrap();
@@ -37,20 +72,21 @@ fn rddr_and_baseline_answer_identically_on_all_benchmark_queries() {
         assert_eq!(a.columns, b.columns, "Q{number} column names");
         assert_eq!(a.rows, b.rows, "Q{number} result rows");
     }
-    if let Some(stats) = rddr.proxy_stats() {
-        assert_eq!(stats.divergences, 0, "benign TPC-H must never diverge");
-    }
+    assert_eq!(
+        rddr.proxy.stats().divergences,
+        0,
+        "benign TPC-H must never diverge"
+    );
 }
 
 #[test]
 fn tpch_loader_is_identical_across_instances() {
     // The 3 instances of the RDDR deployment must hold byte-identical data,
     // otherwise every query would be a false positive.
-    let sf = 0.05;
     let mut dbs: Vec<Database> = (0..3)
         .map(|_| {
-            let mut db = Database::new(rddr_repro::pgsim::PgVersion::parse("10.7").unwrap());
-            tpch::load(&mut db, sf).unwrap();
+            let mut db = Database::new(PgVersion::parse("10.7").unwrap());
+            tpch::load(&mut db, SF).unwrap();
             db
         })
         .collect();
