@@ -1,6 +1,7 @@
 //! The N-versioning engine: one instance per protected microservice
 //! connection, orchestrating Replicate → De-noise → Diff → Respond.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -327,8 +328,9 @@ impl NVersionEngine {
             });
         }
         if !self.active[instance] {
-            // Ejected instances may still have a reader thread racing; their
-            // bytes are dropped rather than corrupting the next diff.
+            // An ejected instance's stream may still deliver bytes before its
+            // session deregisters it; they are dropped rather than
+            // corrupting the next diff.
             return Ok(());
         }
         self.response_bufs[instance].extend_from_slice(bytes);
@@ -514,7 +516,7 @@ impl NVersionEngine {
                 self.counters.exchanges.inc();
                 let decision = PolicyDecision::Forward { instance: live[0] };
                 if let Some(span) = &self.span {
-                    span.event(format!("respond:forward:{}", live[0]));
+                    span.event(forward_label(live[0]));
                 }
                 let forward = Some(take_bytes(&mut frames[0]));
                 self.counters
@@ -638,8 +640,8 @@ impl NVersionEngine {
         };
         if let Some(span) = &self.span {
             span.event(match &decision {
-                PolicyDecision::Forward { instance } => format!("respond:forward:{instance}"),
-                PolicyDecision::Sever { .. } => "respond:sever".to_string(),
+                PolicyDecision::Forward { instance } => forward_label(*instance),
+                PolicyDecision::Sever { .. } => Cow::Borrowed("respond:sever"),
             });
         }
         if outcome.report.diverged() {
@@ -711,6 +713,25 @@ impl NVersionEngine {
             }
             None => Verdict::Divergent(outcome.report),
         })
+    }
+}
+
+/// The span label of a forward to `instance`: `respond:forward:{instance}`,
+/// from a static table for the instance counts deployments use.
+fn forward_label(instance: usize) -> Cow<'static, str> {
+    const LABELS: [&str; 8] = [
+        "respond:forward:0",
+        "respond:forward:1",
+        "respond:forward:2",
+        "respond:forward:3",
+        "respond:forward:4",
+        "respond:forward:5",
+        "respond:forward:6",
+        "respond:forward:7",
+    ];
+    match LABELS.get(instance) {
+        Some(&label) => Cow::Borrowed(label),
+        None => Cow::Owned(format!("respond:forward:{instance}")),
     }
 }
 
@@ -1200,6 +1221,15 @@ mod tests {
             "span timeline attached: {:?}",
             rec.timeline
         );
+    }
+
+    #[test]
+    fn forward_labels_render_as_formatted() {
+        for instance in [0, 1, 7, 8, 12] {
+            let label = forward_label(instance);
+            assert_eq!(label, format!("respond:forward:{instance}"));
+            assert_eq!(matches!(label, Cow::Borrowed(_)), instance < 8);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -24,6 +24,36 @@ struct PipeBuf {
     watcher: Option<Readiness>,
 }
 
+impl PipeBuf {
+    /// Moves up to `out.len()` buffered bytes into `out`: the one copy every
+    /// blocking and non-blocking read goes through. The deque's two halves
+    /// are copied as slices, then the consumed range is dropped from the
+    /// front.
+    fn take(&mut self, out: &mut [u8]) -> TryRead {
+        if self.data.is_empty() {
+            return if self.closed {
+                TryRead::Eof
+            } else {
+                TryRead::WouldBlock
+            };
+        }
+        let (front, back) = self.data.as_slices();
+        let mut filled = 0;
+        for half in [front, back] {
+            let Some(rest) = out.get_mut(filled..) else {
+                break;
+            };
+            let n = rest.len().min(half.len());
+            if let (Some(dst), Some(src)) = (rest.get_mut(..n), half.get(..n)) {
+                dst.copy_from_slice(src);
+                filled += n;
+            }
+        }
+        self.data.drain(..filled);
+        TryRead::Data(filled)
+    }
+}
+
 impl Pipe {
     fn new() -> Arc<Self> {
         Arc::new(Self {
@@ -40,6 +70,10 @@ impl Pipe {
         let mut guard = self.buf.lock();
         if guard.closed {
             return Err(NetError::Closed);
+        }
+        // Nothing new to read: a wake would only make the reader re-park.
+        if bytes.is_empty() {
+            return Ok(());
         }
         let was_empty = guard.data.is_empty();
         guard.data.extend(bytes);
@@ -65,21 +99,20 @@ impl Pipe {
     }
 
     fn read(&self, out: &mut [u8], timeout: Option<Duration>) -> Result<usize> {
+        // One deadline per read: a wake that brings no data must not re-arm
+        // the full timeout. A timeout too large to add is no deadline.
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         let mut guard = self.buf.lock();
         loop {
-            if !guard.data.is_empty() {
-                let n = out.len().min(guard.data.len());
-                for (slot, byte) in out.iter_mut().zip(guard.data.drain(..n)) {
-                    *slot = byte;
-                }
-                return Ok(n);
+            match guard.take(out) {
+                TryRead::Data(n) => return Ok(n),
+                TryRead::Eof => return Ok(0),
+                TryRead::WouldBlock => {}
             }
-            if guard.closed {
-                return Ok(0);
-            }
-            match timeout {
-                Some(t) => {
-                    if self.readable.wait_for(&mut guard, t).timed_out()
+            match deadline {
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if self.readable.wait_for(&mut guard, left).timed_out()
                         && guard.data.is_empty()
                         && !guard.closed
                     {
@@ -226,18 +259,7 @@ impl Stream for DuplexStream {
     }
 
     fn try_read(&mut self, buf: &mut [u8]) -> Result<TryRead> {
-        let mut guard = self.rx.buf.lock();
-        if !guard.data.is_empty() {
-            let n = buf.len().min(guard.data.len());
-            for (slot, byte) in buf.iter_mut().zip(guard.data.drain(..n)) {
-                *slot = byte;
-            }
-            return Ok(TryRead::Data(n));
-        }
-        if guard.closed {
-            return Ok(TryRead::Eof);
-        }
-        Ok(TryRead::WouldBlock)
+        Ok(self.rx.buf.lock().take(buf))
     }
 }
 
@@ -252,6 +274,8 @@ impl Drop for DuplexStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poll::{Poller, Token};
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip_both_directions() {
@@ -349,5 +373,159 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         a.write_all(b"abc").unwrap();
         assert_eq!(&reader.join().unwrap(), b"abc");
+    }
+
+    #[test]
+    fn empty_writes_do_not_extend_the_read_deadline() {
+        // An empty write must not wake the reader, and a wake must not re-arm
+        // the reader's timeout: with both, this 50 ms read would block for
+        // as long as the writes go on (600 ms).
+        let (mut a, mut b) = duplex_pair("a", "b");
+        b.set_read_timeout(Some(Duration::from_millis(50)));
+        let writer = std::thread::spawn(move || {
+            for _ in 0..60 {
+                a.write_all(b"").unwrap();
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            a
+        });
+        let t0 = Instant::now();
+        let mut buf = [0u8; 1];
+        let got = b.read(&mut buf);
+        let elapsed = t0.elapsed();
+        drop(writer.join().unwrap());
+        assert!(matches!(got, Err(NetError::TimedOut)), "{got:?}");
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "read outlived its deadline: {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn empty_write_wakes_no_watcher() {
+        let poller = Poller::new();
+        let (mut a, mut b) = duplex_pair("a", "b");
+        assert!(b.poll_register(poller.readiness(Token(1))));
+        a.write_all(b"").unwrap();
+        let mut out = Vec::new();
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_millis(30))), 0);
+        assert_eq!(b.try_read(&mut [0u8; 4]).unwrap(), TryRead::WouldBlock);
+        a.write_all(b"x").unwrap();
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_secs(2))), 1);
+    }
+
+    #[test]
+    fn reads_copy_across_the_ring_wrap() {
+        let (mut a, mut b) = duplex_pair("a", "b");
+        let payload: Vec<u8> = (0..=255u8).cycle().take(100).collect();
+        a.write_all(payload.get(..64).unwrap()).unwrap();
+        let mut buf = [0u8; 100];
+        assert_eq!(b.read(&mut buf[..40]).unwrap(), 40);
+        a.write_all(payload.get(64..).unwrap()).unwrap();
+        // The head sits mid-buffer, so the 60 bytes left span both halves.
+        let halves = {
+            let guard = b.rx.buf.lock();
+            let (front, back) = guard.data.as_slices();
+            (front.len(), back.len())
+        };
+        assert!(
+            halves.0 > 0 && halves.1 > 0,
+            "ring did not wrap: {halves:?}"
+        );
+        assert_eq!(b.try_read(&mut buf[40..]).unwrap(), TryRead::Data(60));
+        assert_eq!(&buf[..], &payload[..]);
+    }
+
+    /// What a pipe read returned, in the model's terms.
+    #[derive(Debug, PartialEq)]
+    enum Got {
+        Data(Vec<u8>),
+        Eof,
+        WouldBlock,
+    }
+
+    proptest! {
+        /// Any interleaving of writes (0–300 bytes), blocking reads and
+        /// non-blocking reads (1–97-byte buffers), with the writer closing
+        /// at a random step, hands the reader exactly the bytes written, in
+        /// order; `Eof` comes only after the close, once the buffer is
+        /// drained, and stays.
+        #[test]
+        fn pipe_delivers_every_byte_in_order(
+            ops in proptest::collection::vec((0u8..4, 0usize..301, 1usize..98), 1..150),
+            close_at in 0usize..200,
+        ) {
+            let (mut a, mut b) = duplex_pair("a", "b");
+            let mut next = 0u8;
+            let mut written: Vec<u8> = Vec::new();
+            let mut read: Vec<u8> = Vec::new();
+            let mut closed = false;
+            // Leave the deque's head mid-buffer so later writes wrap it.
+            let prime: Vec<u8> = (0..64).map(|_| { next = next.wrapping_add(7); next }).collect();
+            a.write_all(&prime).unwrap();
+            written.extend_from_slice(&prime);
+            let mut buf = [0u8; 97];
+            prop_assert_eq!(b.read(&mut buf[..40]).unwrap(), 40);
+            read.extend_from_slice(&buf[..40]);
+            let steps = ops.len() + 8;
+            for step in 0..steps {
+                if step == close_at {
+                    a.shutdown();
+                    closed = true;
+                }
+                // Past the generated ops, keep reading until drained.
+                let (kind, w, r) = ops.get(step).copied().unwrap_or((3, 0, 97));
+                let buffered = written.len() - read.len();
+                match kind {
+                    0 | 1 => {
+                        let bytes: Vec<u8> =
+                            (0..w).map(|_| { next = next.wrapping_add(7); next }).collect();
+                        let result = a.write_all(&bytes);
+                        if closed {
+                            prop_assert!(matches!(result, Err(NetError::Closed)), "{result:?}");
+                        } else {
+                            prop_assert!(result.is_ok(), "{result:?}");
+                            written.extend_from_slice(&bytes);
+                        }
+                    }
+                    _ => {
+                        // A blocking read only where it cannot park forever.
+                        let got = if kind == 2 && (buffered > 0 || closed) {
+                            match b.read(&mut buf[..r]).unwrap() {
+                                0 => Got::Eof,
+                                n => Got::Data(buf[..n].to_vec()),
+                            }
+                        } else {
+                            match b.try_read(&mut buf[..r]).unwrap() {
+                                TryRead::Data(n) => Got::Data(buf[..n].to_vec()),
+                                TryRead::Eof => Got::Eof,
+                                TryRead::WouldBlock => Got::WouldBlock,
+                            }
+                        };
+                        let expected = if buffered > 0 {
+                            let n = r.min(buffered);
+                            Got::Data(written[read.len()..read.len() + n].to_vec())
+                        } else if closed {
+                            Got::Eof
+                        } else {
+                            Got::WouldBlock
+                        };
+                        prop_assert_eq!(&got, &expected, "step {}", step);
+                        if let Got::Data(bytes) = got {
+                            read.extend_from_slice(&bytes);
+                        }
+                    }
+                }
+            }
+            if !closed {
+                a.shutdown();
+            }
+            while let TryRead::Data(n) = b.try_read(&mut buf).unwrap() {
+                read.extend_from_slice(&buf[..n]);
+            }
+            prop_assert_eq!(&read, &written);
+            prop_assert_eq!(b.try_read(&mut buf).unwrap(), TryRead::Eof);
+            prop_assert_eq!(b.read(&mut buf).unwrap(), 0);
+        }
     }
 }

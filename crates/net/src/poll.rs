@@ -458,16 +458,23 @@ impl Poller {
                 // above. rddr-analyze: allow(lock-order)
                 let mut st = self.shared.state.lock();
                 st.in_syscall = false;
-                if let Some(w) = &st.waker {
-                    w.drain();
-                }
                 if rc > 0 {
                     for pfd in &pollfds {
-                        if pfd.revents != 0 && pfd.fd != waker_fd {
-                            if let Some(&tok) = st.fds.get(&pfd.fd) {
-                                // Set/map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
-                                st.queued.insert(tok);
+                        if pfd.revents == 0 {
+                            continue;
+                        }
+                        // Drain the self-wake socket only when it fired.
+                        // Every waker records its change (a queued token, a
+                        // timer, an fd) under the lock before it sends, so a
+                        // datagram that lands after this return carries no
+                        // news; the next park returns at once and drains it.
+                        if pfd.fd == waker_fd {
+                            if let Some(w) = &st.waker {
+                                w.drain();
                             }
+                        } else if let Some(&tok) = st.fds.get(&pfd.fd) {
+                            // Set/map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
+                            st.queued.insert(tok);
                         }
                     }
                 }
@@ -774,6 +781,43 @@ mod tests {
         assert!(t0.elapsed() < Duration::from_secs(4));
         assert_eq!(out, vec![Token(2)]);
         h.join().unwrap();
+        poller.deregister(Token(1));
+        drop(server_conn);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn wake_between_syscall_parks_is_delivered() {
+        use crate::{Network, ServiceAddr, TcpNet};
+        // One quiet TCP fd makes every park a poll(2) call.
+        let net = TcpNet::new();
+        let mut listener = net.listen(&ServiceAddr::new("127.0.0.1", 0)).unwrap();
+        let bound = listener.local_addr();
+        let srv = std::thread::spawn(move || listener.accept());
+        let mut client = net.dial(&bound).unwrap();
+        let server_conn = srv.join().unwrap().unwrap();
+        let poller = Poller::new();
+        assert!(client.poll_register(poller.readiness(Token(1))));
+        let mut out = Vec::new();
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_millis(20))), 0);
+        // No thread is parked, so this wake sends no datagram: the queued
+        // token alone must end the next poll.
+        poller.readiness(Token(2)).wake();
+        let t0 = Instant::now();
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_secs(5))), 1);
+        assert_eq!(out, vec![Token(2)]);
+        assert!(t0.elapsed() < Duration::from_secs(4));
+        // A wake that interrupts a park is delivered too, and the next park
+        // still sleeps until its timeout.
+        let r = poller.readiness(Token(3));
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            r.wake();
+        });
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_secs(5))), 1);
+        assert_eq!(out, vec![Token(3)]);
+        h.join().unwrap();
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_millis(20))), 0);
         poller.deregister(Token(1));
         drop(server_conn);
     }

@@ -99,8 +99,9 @@ impl Keystream {
 /// initiator calls [`SecureStream::connect`], the acceptor
 /// [`SecureStream::accept`]. The two sides exchange nonces during the
 /// handshake and derive independent keystreams per direction. The
-/// keystreams are shared behind locks so [`Stream::try_clone`] works — the
-/// RDDR proxies need a read handle for their per-instance reader threads.
+/// keystreams are shared behind locks so [`Stream::try_clone`] works, for a
+/// second owner such as a container that severs its live connections on
+/// `kill`.
 pub struct SecureStream<S> {
     inner: S,
     tx: std::sync::Arc<parking_lot::Mutex<Keystream>>,

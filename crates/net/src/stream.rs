@@ -6,9 +6,9 @@ use crate::{NetError, Result, ServiceAddr};
 /// A bidirectional, blocking byte stream — the socket abstraction both RDDR
 /// proxies are written against.
 ///
-/// Implementations must be [`Send`] so connections can be handed to worker
-/// threads (the proxies are thread-per-connection, mirroring the paper's
-/// Python implementation).
+/// Implementations must be [`Send`]: a proxy hands each accepted connection
+/// to the reactor worker that runs its session, and instances and clients
+/// serve theirs from threads of their own.
 pub trait Stream: Send {
     /// Reads up to `buf.len()` bytes, blocking until at least one byte is
     /// available, EOF, or the configured read deadline expires.

@@ -1,5 +1,6 @@
 //! The RDDR Incoming Request Proxy.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -16,6 +17,25 @@ use crate::plumbing::ProxyTelemetry;
 use crate::reactor::{Ctx, Flow, SessionTask, SLOT_PRIMARY};
 use crate::session::{drain_primary, run, Advance, NSide, Proxy, Shared, Verdict};
 use crate::{ProtocolFactory, ProxyError, Result, StatsSnapshot};
+
+/// The span label of a data wake on instance `i`: `instance:{i}:data`,
+/// from a static table for the instance counts deployments use.
+fn data_label(i: usize) -> Cow<'static, str> {
+    const LABELS: [&str; 8] = [
+        "instance:0:data",
+        "instance:1:data",
+        "instance:2:data",
+        "instance:3:data",
+        "instance:4:data",
+        "instance:5:data",
+        "instance:6:data",
+        "instance:7:data",
+    ];
+    match LABELS.get(i) {
+        Some(&label) => Cow::Borrowed(label),
+        None => Cow::Owned(format!("instance:{i}:data")),
+    }
+}
 
 /// The latency series only the incoming proxy maintains, under
 /// `{prefix}_in_*`.
@@ -506,7 +526,7 @@ impl SessionTask for InSession {
             if let (true, Some(t)) = (merging, telemetry) {
                 t.instance_us.record_duration(t0.elapsed());
                 if let Some(span) = span {
-                    span.event(format!("instance:{i}:data"));
+                    span.event(data_label(i));
                 }
             }
         });
@@ -525,6 +545,20 @@ impl SessionTask for InSession {
         match self.state {
             InState::Gather => 0,
             InState::Merge => 1,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn data_labels_render_as_formatted() {
+        for i in [0, 1, 7, 8, 12] {
+            let label = data_label(i);
+            assert_eq!(label, format!("instance:{i}:data"));
+            assert_eq!(matches!(label, Cow::Borrowed(_)), i < 8);
         }
     }
 }

@@ -4,8 +4,10 @@
 //! follows the request through the engine to the backend and back. Events
 //! record a label plus a monotonic offset from the span's start, so the
 //! timeline attached to a divergence audit record shows exactly where time
-//! went (fan-out, per-instance reads, diff, respond).
+//! went (fan-out, per-instance reads, diff, respond). Labels are
+//! `Cow<'static, str>`, so the fixed stage names cost no allocation.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -16,27 +18,28 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// One timestamped moment inside a span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// What happened (e.g. `"fanout"`, `"instance0:response"`, `"diff"`).
-    pub label: String,
+    /// What happened (e.g. `"replicate"`, `"instance:0:data"`, `"diff"`).
+    pub label: Cow<'static, str>,
     /// Monotonic offset from the span's start.
     pub offset: Duration,
 }
 
 /// A request-scoped timeline with a process-unique id.
 ///
-/// Spans are cheap (one `Instant` + a mutexed event vec) and shareable:
-/// reader threads clone an `Arc<Span>` and push events concurrently.
+/// Spans are cheap (one `Instant` + a mutexed event vec) and shareable: the
+/// engine and the proxy session hold an `Arc<Span>` each and push events
+/// from whichever reactor worker runs them.
 #[derive(Debug)]
 pub struct Span {
     id: u64,
-    label: String,
+    label: Cow<'static, str>,
     start: Instant,
     events: Mutex<Vec<SpanEvent>>,
 }
 
 impl Span {
     /// Starts a new span; ids are unique within the process.
-    pub fn start(label: impl Into<String>) -> Span {
+    pub fn start(label: impl Into<Cow<'static, str>>) -> Span {
         Span {
             id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
             label: label.into(),
@@ -57,7 +60,7 @@ impl Span {
     }
 
     /// Records an event at the current monotonic offset.
-    pub fn event(&self, label: impl Into<String>) {
+    pub fn event(&self, label: impl Into<Cow<'static, str>>) {
         let offset = self.start.elapsed();
         self.events.lock().push(SpanEvent {
             label: label.into(),
@@ -98,7 +101,7 @@ mod tests {
         assert_eq!(
             timeline
                 .iter()
-                .map(|e| e.label.as_str())
+                .map(|e| e.label.as_ref())
                 .collect::<Vec<_>>(),
             ["fanout", "diff", "respond"]
         );

@@ -25,7 +25,8 @@ for workers in 1 2 8; do
       --test failure_injection --test telemetry_admin --test social_compose \
       --test no_diversity --test csrf_flow --test diverse_databases --test config_file \
       --test gitlab_background_load --test recovery_chaos --test table1 \
-      --test tpch_equivalence \
+      --test tpch_equivalence --test json_protocol --test tcp_transport \
+      --test secure_transport --test multi_node \
       -- --test-threads "$threads"
   done
 done

@@ -9,6 +9,9 @@
 //! with a 400-line body as with a 40-line one. Before the segment tables
 //! the same two exchanges took 605 and 4 235 allocations (638 on the
 //! benchmark's own 47-segment exchange), and the fast-path line exchange 17.
+//!
+//! A span event with a static label allocates nothing of its own: the
+//! event vector's growth is the only cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,6 +19,7 @@ use std::cell::Cell;
 use rddr_repro::core::protocol::LineProtocol;
 use rddr_repro::core::{EngineConfig, NVersionEngine, Protocol, Verdict};
 use rddr_repro::protocols::HttpProtocol;
+use rddr_repro::telemetry::Span;
 
 const INSTANCES: usize = 3;
 
@@ -139,4 +143,23 @@ fn fast_path_line_exchange_stays_within_the_same_budget() {
     let count = steady_state_allocations(LineProtocol::new(), &vec![line; INSTANCES], 1);
     println!("fast-path allocations per line exchange: {count}");
     assert!(count <= PER_EXCHANGE, "{count} > {PER_EXCHANGE}");
+}
+
+#[test]
+fn static_span_labels_allocate_only_the_event_vector() {
+    // 4, 8, 16, 32, 64 slots: one allocation and four doublings, with one
+    // to spare. A `String` label per event made this 69.
+    const BUDGET: u64 = 6;
+    let span = Span::start("exchange");
+    let ((), count) = allocations_in(|| {
+        for _ in 0..16 {
+            span.event("replicate");
+            span.event("diff");
+            span.event("respond:forward:0");
+            span.event("instance:2:data");
+        }
+    });
+    assert_eq!(span.timeline().len(), 64);
+    println!("allocations for 64 static-label span events: {count}");
+    assert!(count <= BUDGET, "{count} > {BUDGET}");
 }
