@@ -1,4 +1,5 @@
-//! Shared harness machinery for regenerating the paper's tables and figures.
+//! Shared harness machinery for regenerating the paper's cost figures
+//! (Figs 4–6) and the ablations.
 //!
 //! Each `src/bin/*` binary reproduces one artifact (see `DESIGN.md`'s
 //! experiment index); this library holds the deployment builders, client
@@ -7,7 +8,6 @@
 pub mod deploy;
 pub mod driver;
 pub mod report;
-pub mod social;
 pub mod stats;
 
 pub use deploy::{

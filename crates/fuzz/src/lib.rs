@@ -28,8 +28,8 @@
 //!
 //! Every run is a pure function of `(seed, config)`: the same seed yields a
 //! byte-identical corpus, findings list, and shrunk reproducers, so CI can
-//! gate on exact counts (`tests/fuzz_replay.rs`, the `fuzz_bench` binary,
-//! and the committed corpus under `tests/corpus/`).
+//! gate on exact counts (`tests/fuzz_replay.rs`, this crate's `fuzz_bench`
+//! binary, and the committed corpus under `tests/corpus/`).
 
 pub mod case;
 pub mod corpus;

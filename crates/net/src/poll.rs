@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::{NetError, Result, Stream};
+use crate::{NetError, Result};
 
 /// Identifies one wake-up source registered with a [`Poller`].
 ///
@@ -496,74 +496,6 @@ impl Poller {
     }
 }
 
-/// Wraps a stream that cannot register readiness natively in a pump: a
-/// helper thread blocks in `read` on a clone and forwards bytes into an
-/// in-memory pipe, which *can* register. Writes still go to the original.
-///
-/// This is the compatibility path for exotic `Stream` impls; every in-tree
-/// transport registers natively and never pays the extra thread.
-///
-/// # Errors
-///
-/// Returns an error if the stream cannot be cloned for the pump thread.
-pub fn with_read_pump(stream: crate::BoxStream) -> Result<crate::BoxStream> {
-    let mut reader = stream.try_clone()?;
-    let (pump_tx, rx) = crate::duplex_pair("pump", &stream.peer());
-    let mut pump_tx = pump_tx;
-    std::thread::Builder::new()
-        .name("rddr-read-pump".into())
-        .spawn(move || {
-            let mut buf = [0u8; 4096];
-            loop {
-                match reader.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => {
-                        let Some(chunk) = buf.get(..n) else { break };
-                        if pump_tx.write_all(chunk).is_err() {
-                            break;
-                        }
-                    }
-                }
-            }
-            pump_tx.shutdown();
-        })
-        .map_err(NetError::Io)?;
-    Ok(Box::new(PumpStream {
-        writer: stream,
-        rx: Box::new(rx),
-    }))
-}
-
-struct PumpStream {
-    writer: crate::BoxStream,
-    rx: crate::BoxStream,
-}
-
-impl crate::Stream for PumpStream {
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
-        self.rx.read(buf)
-    }
-    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
-        self.writer.write_all(buf)
-    }
-    fn shutdown(&mut self) {
-        self.writer.shutdown();
-        self.rx.shutdown();
-    }
-    fn set_read_timeout(&mut self, timeout: Option<Duration>) {
-        self.rx.set_read_timeout(timeout);
-    }
-    fn peer(&self) -> String {
-        self.writer.peer()
-    }
-    fn poll_register(&mut self, readiness: Readiness) -> bool {
-        self.rx.poll_register(readiness)
-    }
-    fn try_read(&mut self, buf: &mut [u8]) -> Result<TryRead> {
-        self.rx.try_read(buf)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,32 +752,5 @@ mod tests {
         assert_eq!(poller.poll(&mut out, Some(Duration::from_millis(20))), 0);
         poller.deregister(Token(1));
         drop(server_conn);
-    }
-
-    #[test]
-    fn read_pump_adapts_unregisterable_streams() {
-        let (mut a, b) = duplex_pair("a", "b");
-        // Box the end and wrap it in the pump (duplex *can* register
-        // natively; the pump must still behave correctly over it).
-        let mut pumped = with_read_pump(Box::new(b)).unwrap();
-        let poller = Poller::new();
-        assert!(pumped.poll_register(poller.readiness(Token(6))));
-        a.write_all(b"via-pump").unwrap();
-        let mut out = Vec::new();
-        assert_eq!(poller.poll(&mut out, Some(Duration::from_secs(2))), 1);
-        let mut buf = [0u8; 32];
-        // Pump thread may deliver in pieces; drain.
-        let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while got.len() < 8 && Instant::now() < deadline {
-            match pumped.try_read(&mut buf) {
-                Ok(TryRead::Data(n)) => got.extend_from_slice(&buf[..n]),
-                Ok(TryRead::WouldBlock) => {
-                    poller.poll(&mut out, Some(Duration::from_millis(100)));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(&got, b"via-pump");
     }
 }

@@ -38,8 +38,7 @@ pub trait Stream: Send {
 
     /// Creates a second handle to the same connection, so one thread can
     /// read while another writes, or so a second owner can shut it down
-    /// (the read pump behind `poll::with_read_pump`, and a container that
-    /// severs its live connections on `kill`).
+    /// (a container that severs its live connections on `kill`).
     ///
     /// # Errors
     ///
@@ -54,8 +53,8 @@ pub trait Stream: Send {
 
     /// Registers this stream with a reactor: subsequent readable bytes, EOF,
     /// or errors must wake `readiness`. Returns `false` if the transport
-    /// cannot deliver readiness natively (callers then fall back to
-    /// [`crate::poll::with_read_pump`] or a dedicated thread).
+    /// cannot deliver readiness natively; a reactor then treats the stream
+    /// as dead.
     ///
     /// After a successful registration the owner reads exclusively through
     /// [`try_read`](Stream::try_read), draining to

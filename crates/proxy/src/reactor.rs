@@ -104,23 +104,11 @@ impl Ctx<'_> {
         Token((self.session << SLOT_BITS) | (slot & SLOT_MASK))
     }
 
-    /// Registers `stream` so readiness on it wakes this session. Falls back
-    /// to a pump thread for transports without native readiness; returns
-    /// `false` only if even that fails (caller treats the stream as dead).
+    /// Registers `stream` so readiness on it wakes this session. Returns
+    /// `false` if the transport cannot deliver readiness natively (caller
+    /// treats the stream as dead).
     pub(crate) fn register(&self, stream: &mut BoxStream, slot: u64) -> bool {
-        if stream.poll_register(self.poller.readiness(self.token(slot))) {
-            return true;
-        }
-        let placeholder: BoxStream = Box::new(ClosedStream);
-        let original = std::mem::replace(stream, placeholder);
-        match rddr_net::poll::with_read_pump(original) {
-            Ok(mut pumped) => {
-                let ok = pumped.poll_register(self.poller.readiness(self.token(slot)));
-                *stream = pumped;
-                ok
-            }
-            Err(_) => false,
-        }
+        stream.poll_register(self.poller.readiness(self.token(slot)))
     }
 
     /// Stops all wakes for `slot` (queued, timers, watched fds). Must run
@@ -137,24 +125,6 @@ impl Ctx<'_> {
     /// Cancels the session's deadline timer.
     pub(crate) fn clear_timer(&self) {
         self.poller.clear_timer(self.token(SLOT_TIMER));
-    }
-}
-
-/// Stand-in stream while a session's original stream is being wrapped in a
-/// read pump; never observable outside `Ctx::register`.
-struct ClosedStream;
-
-impl Stream for ClosedStream {
-    fn read(&mut self, _buf: &mut [u8]) -> rddr_net::Result<usize> {
-        Ok(0)
-    }
-    fn write_all(&mut self, _buf: &[u8]) -> rddr_net::Result<()> {
-        Err(rddr_net::NetError::Closed)
-    }
-    fn shutdown(&mut self) {}
-    fn set_read_timeout(&mut self, _timeout: Option<Duration>) {}
-    fn peer(&self) -> String {
-        "closed".into()
     }
 }
 

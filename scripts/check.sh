@@ -26,7 +26,7 @@ for workers in 1 2 8; do
       --test no_diversity --test csrf_flow --test diverse_databases --test config_file \
       --test gitlab_background_load --test recovery_chaos --test table1 \
       --test tpch_equivalence --test json_protocol --test tcp_transport \
-      --test secure_transport --test multi_node \
+      --test secure_transport --test multi_node --test fuzz_replay \
       -- --test-threads "$threads"
   done
 done
@@ -48,15 +48,9 @@ cargo run --release -p rddr-analyze -- \
   --baseline analyze-baseline.toml --forbid-stale --json BENCH_analyze.json \
   --min-dispatch-edges 1 --max-total-ms 150
 
-echo "==> proxy_hotpath smoke (correctness gate + throughput report)"
-cargo run --release -p rddr-bench --bin proxy_hotpath -- --smoke --json BENCH_proxy_smoke.json
-
-echo "==> pgstore_bench smoke (recovery gate + storage throughput report)"
-cargo run --release -p rddr-bench --bin pgstore_bench -- --smoke --json BENCH_pgstore_smoke.json
-
 echo "==> fuzz_bench smoke (zero-FP + true-positive gates) and fuzz-under-chaos"
-cargo run --release -p rddr-bench --bin fuzz_bench -- --smoke --json BENCH_fuzz_smoke.json
-cargo run --release -p rddr-bench --bin fuzz_bench -- --smoke --chaos --json BENCH_fuzz_chaos_smoke.json
+cargo run --release -p rddr-fuzz --bin fuzz_bench -- --smoke --json BENCH_fuzz_smoke.json
+cargo run --release -p rddr-fuzz --bin fuzz_bench -- --smoke --chaos --json BENCH_fuzz_chaos_smoke.json
 
 echo "==> committed corpus replay + campaign determinism gates"
 cargo test --release -q --test fuzz_replay

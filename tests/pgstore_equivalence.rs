@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use rddr_repro::net::{BoxStream, Network, ServiceAddr};
 use rddr_repro::orchestra::{Cluster, Image};
+use rddr_repro::pgsim::pgbench::{self, SelectWorkload};
 use rddr_repro::pgsim::{
     query_message, startup_message, Database, DbFlavor, PgServer, PgVersion, RecoveryPolicy,
     StorageEngine, VDisk,
@@ -295,4 +296,56 @@ proptest! {
             prop_assert_eq!(committed, recovered, "{:?}", policy);
         }
     }
+}
+
+/// Loads a 2-branch pgbench dataset (500 accounts) on `spec`, runs 2 000
+/// point selects, kills the instance (drop + disk crash) and brings it back:
+/// the paged engines replay their WAL, the in-memory engine has nothing
+/// durable and reloads. Either way the recovered state must be the
+/// pre-crash state, digest and row count alike.
+fn pgbench_recovers_after_crash(spec: &str) {
+    let engine = StorageEngine::parse(spec).unwrap();
+    let disk = VDisk::new("bench");
+    let open = || Database::with_engine(version(), DbFlavor::Postgres, engine, &disk).unwrap();
+    let mut db = open();
+    let accounts = pgbench::load_scaled(&mut db, 2, 250).unwrap();
+    assert_eq!(accounts, 500);
+    let mut session = db.session("app");
+    let mut workload = SelectWorkload::new(accounts, 1);
+    for _ in 0..2000 {
+        db.execute(&mut session, &workload.next_query()).unwrap();
+    }
+    let digest = db.state_digest();
+
+    drop(db);
+    disk.crash();
+    let mut db = open();
+    if db.recovery_stats().is_none() {
+        pgbench::load_scaled(&mut db, 2, 250).unwrap();
+    }
+    assert_eq!(
+        db.state_digest(),
+        digest,
+        "{spec}: recovery must reproduce the pre-crash state"
+    );
+    let mut session = db.session("app");
+    let count = db
+        .execute(&mut session, "SELECT COUNT(*) FROM pgbench_accounts")
+        .unwrap();
+    assert_eq!(count.rows[0][0].to_string(), "500", "{spec}");
+}
+
+#[test]
+fn pgbench_memory_reloads_to_the_pre_crash_state() {
+    pgbench_recovers_after_crash("memory");
+}
+
+#[test]
+fn pgbench_replay_forward_recovers_the_pre_crash_state() {
+    pgbench_recovers_after_crash("paged:replay-forward");
+}
+
+#[test]
+fn pgbench_shadow_discard_recovers_the_pre_crash_state() {
+    pgbench_recovers_after_crash("paged:shadow-discard");
 }

@@ -26,6 +26,7 @@ fn all_ten_table_i_rows_are_mitigated() {
 fn rendered_table_lists_every_row() {
     let results = run_all();
     let table = rddr_repro::vulns::render_table(&results);
+    println!("{table}");
     for row in TABLE_I {
         assert!(table.contains(row.cve), "table must mention {}", row.cve);
     }
