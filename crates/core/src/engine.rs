@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::BytesMut;
-use rddr_telemetry::{AuditLog, DivergenceRecord, Registry, Span};
+use rddr_telemetry::{AuditLog, DivergenceRecord, Span};
 
 use crate::diff::diff_lists;
 use crate::metrics::EngineCounters;
@@ -132,7 +132,6 @@ pub struct NVersionEngine {
     state: SessionState,
     counters: EngineCounters,
     audit: Option<Arc<AuditLog>>,
-    service: String,
     span: Option<Arc<Span>>,
     // Token totals already folded into the (possibly shared) counters; the
     // ephemeral store reports running totals, so deltas are added.
@@ -173,6 +172,19 @@ impl NVersionEngine {
     /// Like [`NVersionEngine::new`] but accepting an already-boxed protocol
     /// (the proxies build protocols from runtime configuration).
     pub fn from_boxed(config: EngineConfig, protocol: Box<dyn Protocol>) -> Self {
+        Self::with_telemetry(config, protocol, EngineCounters::private(), None)
+    }
+
+    /// An engine on a shared telemetry surface: it increments `counters`
+    /// (so every engine holding a clone feeds one set of series, scraped
+    /// via the admin endpoint) and appends its divergences to `audit` when
+    /// provided, naming the counters' prefix as the service.
+    pub fn with_telemetry(
+        config: EngineConfig,
+        protocol: Box<dyn Protocol>,
+        counters: EngineCounters,
+        audit: Option<Arc<AuditLog>>,
+    ) -> Self {
         let n = config.instances();
         let throttle = config.throttle_budget().map(SignatureThrottle::new);
         Self {
@@ -182,9 +194,8 @@ impl NVersionEngine {
                 ephemeral: EphemeralStore::new(),
                 throttle,
             },
-            counters: EngineCounters::private(),
-            audit: None,
-            service: String::new(),
+            counters,
+            audit,
             span: None,
             tokens_captured_reported: 0,
             tokens_substituted_reported: 0,
@@ -198,25 +209,6 @@ impl NVersionEngine {
             last_request: None,
             direction: Direction::Response,
         }
-    }
-
-    /// Attaches this engine to a shared telemetry surface: its counters move
-    /// onto `registry` under `prefix` (so every session of a service feeds
-    /// one set of series, scraped via the admin endpoint) and divergences are
-    /// appended to `audit` when provided.
-    ///
-    /// Call before the first exchange — counts accumulated on the private
-    /// registry are not carried over.
-    pub fn with_telemetry(
-        mut self,
-        registry: Arc<Registry>,
-        prefix: &str,
-        audit: Option<Arc<AuditLog>>,
-    ) -> Self {
-        self.counters = EngineCounters::on(registry, prefix);
-        self.service = prefix.to_string();
-        self.audit = audit;
-        self
     }
 
     /// Associates the current exchange with a span; the engine records
@@ -249,11 +241,6 @@ impl NVersionEngine {
     /// registry prefix, not just this one.
     pub fn metrics(&self) -> EngineMetrics {
         self.counters.snapshot()
-    }
-
-    /// The registry-backed counter handles (shared with `/metrics`).
-    pub fn counters(&self) -> &EngineCounters {
-        &self.counters
     }
 
     /// The per-connection session state (ephemeral tokens, throttle).
@@ -675,7 +662,7 @@ impl NVersionEngine {
             .unwrap_or_else(|| format!("structural mismatch: instances {:?}", report.structural));
         DivergenceRecord {
             exchange_id: self.span.as_ref().map_or(0, |s| s.id()),
-            service: self.service.clone(),
+            service: self.counters.prefix.to_string(),
             offending_instance: (implicated.len() == 1).then(|| implicated[0]),
             signature: crate::report::excerpt(self.last_request.as_deref().unwrap_or(&[])),
             diff_positions: report.details.iter().map(|d| d.segment_index).collect(),
@@ -777,6 +764,20 @@ mod tests {
         NVersionEngine::new(
             EngineConfig::builder(n).build().unwrap(),
             LineProtocol::new(),
+        )
+    }
+
+    fn telemetry_engine(
+        n: usize,
+        registry: &rddr_telemetry::Registry,
+        prefix: &str,
+        audit: &Arc<AuditLog>,
+    ) -> NVersionEngine {
+        NVersionEngine::with_telemetry(
+            EngineConfig::builder(n).build().unwrap(),
+            Box::new(LineProtocol::new()),
+            EngineCounters::on(registry, prefix),
+            Some(Arc::clone(audit)),
         )
     }
 
@@ -1192,9 +1193,9 @@ mod tests {
 
     #[test]
     fn shared_telemetry_feeds_registry_and_audit() {
-        let registry = Arc::new(rddr_telemetry::Registry::new());
+        let registry = rddr_telemetry::Registry::new();
         let audit = Arc::new(AuditLog::new(8));
-        let mut e = engine(2).with_telemetry(registry.clone(), "rddr_test", Some(audit.clone()));
+        let mut e = telemetry_engine(2, &registry, "rddr_test", &audit);
         let span = Arc::new(Span::start("exchange"));
         e.set_span(span.clone());
         e.replicate_request(b"GET /secret\n").unwrap();
@@ -1234,9 +1235,9 @@ mod tests {
 
     #[test]
     fn unanimous_exchanges_leave_audit_empty() {
-        let registry = Arc::new(rddr_telemetry::Registry::new());
+        let registry = rddr_telemetry::Registry::new();
         let audit = Arc::new(AuditLog::new(8));
-        let mut e = engine(2).with_telemetry(registry, "rddr_quiet", Some(audit.clone()));
+        let mut e = telemetry_engine(2, &registry, "rddr_quiet", &audit);
         e.evaluate_responses(&[b"ok\n".to_vec(), b"ok\n".to_vec()])
             .unwrap();
         assert!(audit.is_empty());

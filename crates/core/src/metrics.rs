@@ -71,14 +71,15 @@ impl fmt::Display for EngineMetrics {
 
 /// Registry-backed handles behind an engine's [`EngineMetrics`].
 ///
-/// Every engine owns one. By default the handles live in a private
-/// [`Registry`], preserving per-engine counts; a deployment that wants one
-/// scrape surface for a whole service builds the counters on a shared
-/// registry ([`EngineCounters::on`]) so every session's engine increments
-/// the same series.
+/// A standalone engine owns a set on a private [`Registry`]. A deployment
+/// that wants one scrape surface for a whole service registers the set once
+/// on a shared registry ([`EngineCounters::on`]) and hands every session's
+/// engine a clone, so all of them increment the same series.
 #[derive(Debug, Clone)]
 pub struct EngineCounters {
-    registry: Arc<Registry>,
+    /// The series-name prefix, which is also the service name in the
+    /// engine's divergence audit records.
+    pub(crate) prefix: Arc<str>,
     pub(crate) exchanges: Arc<Counter>,
     pub(crate) divergences: Arc<Counter>,
     pub(crate) noise_masked: Arc<Counter>,
@@ -95,14 +96,15 @@ pub struct EngineCounters {
 impl EngineCounters {
     /// Counters on a fresh private registry (per-engine semantics).
     pub fn private() -> Self {
-        Self::on(Arc::new(Registry::new()), "rddr")
+        Self::on(&Registry::new(), "rddr")
     }
 
     /// Counters registered on `registry` under `prefix` (e.g. a prefix of
     /// `"rddr_pg"` yields `rddr_pg_exchanges_total`).
-    pub fn on(registry: Arc<Registry>, prefix: &str) -> Self {
+    pub fn on(registry: &Registry, prefix: &str) -> Self {
         let name = |suffix: &str| format!("{prefix}_{suffix}");
         EngineCounters {
+            prefix: prefix.into(),
             exchanges: registry.counter(&name("exchanges_total")),
             divergences: registry.counter(&name("divergences_total")),
             noise_masked: registry.counter(&name("noise_masked_total")),
@@ -113,13 +115,7 @@ impl EngineCounters {
             fastpath_hits: registry.counter(&name("fastpath_hits_total")),
             fastpath_misses: registry.counter(&name("fastpath_misses_total")),
             eval_latency_us: registry.histogram(&name("exchange_eval_latency_us")),
-            registry,
         }
-    }
-
-    /// The registry the counters live in.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 
     /// Reads the current counter values into a plain [`EngineMetrics`].
@@ -185,9 +181,9 @@ mod tests {
 
     #[test]
     fn shared_registry_sums_across_engines() {
-        let registry = Arc::new(Registry::new());
-        let a = EngineCounters::on(registry.clone(), "rddr_pg");
-        let b = EngineCounters::on(registry.clone(), "rddr_pg");
+        let registry = Registry::new();
+        let a = EngineCounters::on(&registry, "rddr_pg");
+        let b = EngineCounters::on(&registry, "rddr_pg");
         a.exchanges.inc();
         b.exchanges.inc();
         assert_eq!(a.snapshot().exchanges, 2, "sessions share service counters");

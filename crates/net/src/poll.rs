@@ -26,6 +26,7 @@
 //! deduplicated set of woken [`Token`]s.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -145,9 +146,15 @@ struct PollState {
     /// O(log n) — a full-map sweep per call is quadratic once thousands of
     /// sessions re-arm a deadline every exchange.
     deadline: BTreeMap<u64, (Instant, u64)>,
+    /// Reverse index of the `wake_after` one-shots: `(token, seq) ->
+    /// deadline`. Every entry of `timers` is in exactly one of the two
+    /// indexes, so deregistering a token range never sweeps `timers`.
+    oneshots: BTreeMap<(u64, u64), Instant>,
     timer_seq: u64,
     /// Kernel fds under watch: `fd -> token`.
     fds: BTreeMap<i32, u64>,
+    /// Reverse index of `fds`: `(token, fd)`.
+    fd_tokens: BTreeSet<(u64, i32)>,
     /// True while the owning thread is parked inside `poll(2)` (as opposed
     /// to the condvar) — tells wakers to poke the self-wake socket.
     in_syscall: bool,
@@ -193,8 +200,11 @@ impl Shared {
         let mut st = self.state.lock();
         let seq = st.timer_seq;
         st.timer_seq = st.timer_seq.wrapping_add(1);
+        let when = Instant::now() + after;
         // Set/map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
-        st.timers.insert((Instant::now() + after, seq), token);
+        st.timers.insert((when, seq), token);
+        // Set/map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
+        st.oneshots.insert((token, seq), when);
         // With a non-empty queue the poller is awake and recomputes its park
         // deadline (under this lock) before it can park again.
         if st.queued.is_empty() {
@@ -248,7 +258,11 @@ impl Readiness {
     pub fn register_fd(&self, fd: i32) {
         let mut st = self.shared.state.lock();
         // Map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
-        st.fds.insert(fd, self.token);
+        if let Some(previous) = st.fds.insert(fd, self.token) {
+            st.fd_tokens.remove(&(previous, fd));
+        }
+        // Set insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
+        st.fd_tokens.insert((self.token, fd));
         Shared::wake_syscall(&mut st);
         drop(st);
         self.shared.cond.notify_all();
@@ -289,8 +303,10 @@ impl Poller {
                     queued: BTreeSet::new(),
                     timers: BTreeMap::new(),
                     deadline: BTreeMap::new(),
+                    oneshots: BTreeMap::new(),
                     timer_seq: 0,
                     fds: BTreeMap::new(),
+                    fd_tokens: BTreeSet::new(),
                     in_syscall: false,
                     #[cfg(unix)]
                     waker: None,
@@ -346,21 +362,39 @@ impl Poller {
     /// Removes every trace of `token`: queued wakes, timers, and watched
     /// fds. Must be called before dropping a stream whose fd was registered.
     pub fn deregister(&self, token: Token) {
-        let mut st = self.shared.state.lock();
-        st.queued.remove(&token.0);
-        st.deadline.remove(&token.0);
-        st.timers.retain(|_, t| *t != token.0);
-        st.fds.retain(|_, t| *t != token.0);
+        self.deregister_range(token..=token);
     }
 
-    /// Removes every token for which `drop_token` returns true (used to tear
-    /// down all slots of a session in one sweep).
-    pub fn deregister_matching(&self, drop_token: impl Fn(u64) -> bool) {
+    /// [`Poller::deregister`] for every token in `tokens` (used to tear
+    /// down all slots of a session at once). Costs O(k log n) for the k
+    /// wakes, timers and fds the range holds, whatever else is registered.
+    pub fn deregister_range(&self, tokens: RangeInclusive<Token>) {
+        let (first, last) = (tokens.start().0, tokens.end().0);
+        if first > last {
+            return;
+        }
         let mut st = self.shared.state.lock();
-        st.queued.retain(|t| !drop_token(*t));
-        st.deadline.retain(|t, _| !drop_token(*t));
-        st.timers.retain(|_, t| !drop_token(*t));
-        st.fds.retain(|_, t| !drop_token(*t));
+        while let Some(&token) = st.queued.range(first..=last).next() {
+            st.queued.remove(&token);
+        }
+        while let Some((&token, &key)) = st.deadline.range(first..=last).next() {
+            st.deadline.remove(&token);
+            st.timers.remove(&key);
+        }
+        while let Some((&(token, seq), &when)) =
+            st.oneshots.range((first, 0)..=(last, u64::MAX)).next()
+        {
+            st.oneshots.remove(&(token, seq));
+            st.timers.remove(&(when, seq));
+        }
+        while let Some(&(token, fd)) = st
+            .fd_tokens
+            .range((first, i32::MIN)..=(last, i32::MAX))
+            .next()
+        {
+            st.fd_tokens.remove(&(token, fd));
+            st.fds.remove(&fd);
+        }
     }
 
     /// Blocks until at least one token wakes (or `timeout` expires), then
@@ -384,6 +418,8 @@ impl Poller {
                 st.timers.remove(&key);
                 if st.deadline.get(&tok) == Some(&key) {
                     st.deadline.remove(&tok);
+                } else {
+                    st.oneshots.remove(&(tok, key.1));
                 }
                 // Set/map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
                 st.queued.insert(tok);
@@ -547,6 +583,56 @@ mod tests {
         poller.deregister(Token(9));
         let mut out = Vec::new();
         assert_eq!(poller.poll(&mut out, Some(Duration::from_millis(50))), 0);
+    }
+
+    /// Tearing down one session's token range clears its queued wakes, its
+    /// `set_timer` deadline, its `wake_after` timers and its fds, and leaves
+    /// the neighbouring session's untouched.
+    #[cfg(unix)]
+    #[test]
+    fn deregister_range_clears_one_session_and_spares_its_neighbour() {
+        use crate::{Network, ServiceAddr, TcpNet};
+        let net = TcpNet::new();
+        let mut listener = net.listen(&ServiceAddr::new("127.0.0.1", 0)).unwrap();
+        let bound = listener.local_addr();
+        let poller = Poller::new();
+        let mut streams = Vec::new();
+        // Session s holds tokens `s << 8 ..= s << 8 | 0xff`.
+        for session in [1u64, 2] {
+            let base = session << 8;
+            poller.readiness(Token(base | 3)).wake();
+            poller
+                .readiness(Token(base | 4))
+                .wake_after(Duration::from_secs(60));
+            poller.set_timer(Token(base | 0xff), Duration::from_secs(60));
+            let mut client = net.dial(&bound).unwrap();
+            assert!(client.poll_register(poller.readiness(Token(base | 5))));
+            streams.push((client, listener.accept().unwrap()));
+        }
+        poller.deregister_range(Token(0x100)..=Token(0x1ff));
+        {
+            let st = poller.shared.state.lock();
+            assert_eq!(st.queued.iter().copied().collect::<Vec<_>>(), [0x203]);
+            assert_eq!(st.deadline.keys().copied().collect::<Vec<_>>(), [0x2ff]);
+            assert_eq!(st.oneshots.keys().map(|k| k.0).collect::<Vec<_>>(), [0x204]);
+            let mut timed: Vec<u64> = st.timers.values().copied().collect();
+            timed.sort_unstable();
+            assert_eq!(timed, [0x204, 0x2ff]);
+            assert_eq!(st.fds.values().copied().collect::<Vec<_>>(), [0x205]);
+            assert_eq!(
+                st.fd_tokens.iter().map(|k| k.0).collect::<Vec<_>>(),
+                [0x205]
+            );
+        }
+        // The survivor's fd still wakes its token; the removed one's never.
+        streams[0].1.write_all(b"x").unwrap();
+        streams[1].1.write_all(b"x").unwrap();
+        let mut out = Vec::new();
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_secs(5))), 1);
+        assert_eq!(out, vec![Token(0x203)]);
+        assert_eq!(poller.poll(&mut out, Some(Duration::from_secs(5))), 1);
+        assert_eq!(out, vec![Token(0x205)]);
+        poller.deregister_range(Token(0x200)..=Token(0x2ff));
     }
 
     #[test]

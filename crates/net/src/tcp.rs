@@ -5,6 +5,18 @@ use std::time::Duration;
 use crate::poll::{Readiness, TryRead};
 use crate::{BoxListener, BoxStream, Listener, NetError, Network, Result, ServiceAddr, Stream};
 
+/// Accept-queue depth asked of every listener. std binds with 128, so a
+/// burst of dials past it stalls each extra one for a SYN retransmit; the
+/// kernel clamps this request to `net.core.somaxconn`.
+#[cfg(unix)]
+const LISTEN_BACKLOG: i32 = 4096;
+
+#[cfg(unix)]
+extern "C" {
+    #[link_name = "listen"]
+    fn sys_listen(fd: i32, backlog: i32) -> i32;
+}
+
 /// A [`Network`] backed by the operating system's TCP stack.
 ///
 /// Deployments written against [`Network`] run unchanged over real sockets;
@@ -160,6 +172,16 @@ impl Listener for TcpAcceptor {
 impl Network for TcpNet {
     fn listen(&self, addr: &ServiceAddr) -> Result<BoxListener> {
         let listener = TcpListener::bind((addr.host(), addr.port()))?;
+        // Re-issuing listen(2) on a listening socket only resizes its
+        // accept queue.
+        #[cfg(unix)]
+        {
+            use std::os::unix::io::AsRawFd;
+            // SAFETY: the fd is the live listening socket `listener` owns.
+            if unsafe { sys_listen(listener.as_raw_fd(), LISTEN_BACKLOG) } != 0 {
+                return Err(std::io::Error::last_os_error().into());
+            }
+        }
         let local = listener.local_addr()?;
         Ok(Box::new(TcpAcceptor {
             inner: listener,
@@ -201,6 +223,34 @@ mod tests {
         client.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"world");
         server.join().unwrap();
+    }
+
+    /// A burst of dials that nobody accepts yet must all complete: each one
+    /// past the listen backlog would stall for a SYN retransmit (about 1 s).
+    #[test]
+    fn a_burst_of_dials_fits_the_listen_backlog() {
+        const DIALS: usize = 256;
+        let net = TcpNet::new();
+        let mut listener = net.listen(&ServiceAddr::new("127.0.0.1", 0)).unwrap();
+        let bound = listener.local_addr();
+        let dialer = std::thread::spawn(move || {
+            (0..DIALS)
+                .map(|_| net.dial(&bound))
+                .collect::<Result<Vec<_>>>()
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !dialer.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{DIALS} dials did not complete within 2 s without an accept"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let dialed = dialer.join().unwrap().unwrap();
+        for _ in 0..DIALS {
+            listener.accept().unwrap();
+        }
+        assert_eq!(dialed.len(), DIALS);
     }
 
     #[test]

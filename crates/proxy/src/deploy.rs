@@ -64,7 +64,7 @@ pub struct NVersion {
     protocol: ProtocolFactory,
     variants: Vec<(Image, Arc<dyn Service>)>,
     first_instance: Option<ServiceAddr>,
-    telemetry: Option<ProxyTelemetry>,
+    telemetry: ProxyTelemetry,
     proxy_net: Option<Arc<dyn Network>>,
 }
 
@@ -88,7 +88,7 @@ impl NVersion {
             protocol,
             variants: Vec::new(),
             first_instance: None,
-            telemetry: None,
+            telemetry: ProxyTelemetry::new("rddr"),
             proxy_net: None,
         }
     }
@@ -111,9 +111,10 @@ impl NVersion {
     /// `telemetry.registry` (series prefixed `{prefix}_in_*`) and its
     /// divergences to `telemetry.audit`. Serve both with an
     /// [`rddr_telemetry::AdminServer`] for live `/metrics` and
-    /// `/divergences` endpoints.
+    /// `/divergences` endpoints. Without it the proxy exports to a private
+    /// bundle under the prefix `rddr`.
     pub fn telemetry(mut self, telemetry: ProxyTelemetry) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -171,7 +172,7 @@ impl NVersion {
             instance_addrs,
             self.config,
             self.protocol,
-            self.telemetry,
+            Some(self.telemetry),
         )?;
         Ok(NVersionedService {
             proxy,

@@ -2,20 +2,17 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::BytesMut;
-use rddr_core::{
-    Direction, EngineConfig, Frame, NVersionEngine, Protocol, RddrError, INTERVENTION_PAGE,
-};
+use rddr_core::{Direction, EngineConfig, Frame, Protocol, RddrError, INTERVENTION_PAGE};
 use rddr_net::{BoxStream, Network, ServiceAddr, Stream};
 use rddr_telemetry::{Histogram, Span};
 
 use crate::plumbing::ProxyTelemetry;
 use crate::reactor::{Ctx, Flow, SessionTask, SLOT_PRIMARY};
-use crate::session::{drain_primary, run, Advance, NSide, Proxy, Shared, Verdict};
+use crate::session::{drain_primary, run, Advance, NSide, Proxy, ProxySeries, Verdict};
 use crate::{ProtocolFactory, ProxyError, Result, StatsSnapshot};
 
 /// The span label of a data wake on instance `i`: `instance:{i}:data`,
@@ -39,7 +36,7 @@ fn data_label(i: usize) -> Cow<'static, str> {
 
 /// The latency series only the incoming proxy maintains, under
 /// `{prefix}_in_*`.
-struct InTelemetry {
+struct InSeries {
     /// Client request accepted → response forwarded (or severed), µs.
     exchange_us: Arc<Histogram>,
     /// Writing the N replicated request copies, µs.
@@ -85,12 +82,13 @@ impl IncomingProxy {
         Self::start_with_telemetry(net, listen, instances, config, protocol, None)
     }
 
-    /// Like [`IncomingProxy::start`], but every session's engine feeds the
-    /// shared [`ProxyTelemetry`] bundle: exchange/divergence counters and
-    /// fan-out/merge latency histograms go to its registry (metric names
-    /// under `{prefix}_in_*`), divergence incidents to its audit log, and
-    /// the reactor exports its worker/session gauges under
-    /// `{prefix}_in_reactor_*`.
+    /// Like [`IncomingProxy::start`], but the proxy exports to the shared
+    /// [`ProxyTelemetry`] bundle: its counters and fan-out/merge latency
+    /// histograms go to the registry (metric names under `{prefix}_in_*`),
+    /// divergence incidents to the audit log, and the reactor exports its
+    /// worker/session gauges under `{prefix}_in_reactor_*`. With `None` the
+    /// proxy exports to a private bundle under the prefix `rddr`, readable
+    /// only through [`IncomingProxy::stats`].
     pub fn start_with_telemetry(
         net: Arc<dyn Network>,
         listen: &ServiceAddr,
@@ -106,26 +104,26 @@ impl IncomingProxy {
                 instances.len()
             )));
         }
-        let in_telemetry = telemetry.as_ref().map(|t| {
-            let histogram = |s: &str| t.registry.histogram(&format!("{}_in_{s}", t.prefix));
-            Arc::new(InTelemetry {
-                exchange_us: histogram("exchange_latency_us"),
-                fanout_us: histogram("fanout_latency_us"),
-                instance_us: histogram("instance_response_us"),
-            })
-        });
         let instances = Arc::new(instances);
         let session_net = Arc::clone(&net);
-        let proxy = Proxy::start(net, listen, "in", 1, telemetry, move |mut conns, shared| {
-            Some(Box::new(InSession::new(
-                conns.pop()?,
-                Arc::clone(&session_net),
-                Arc::clone(&instances),
-                config.clone(),
-                &protocol,
-                shared,
-                in_telemetry.clone(),
-            )))
+        let proxy = Proxy::start(net, listen, "in", 1, telemetry, |series| {
+            let own = Arc::new(InSeries {
+                exchange_us: series.histogram("exchange_latency_us"),
+                fanout_us: series.histogram("fanout_latency_us"),
+                instance_us: series.histogram("instance_response_us"),
+            });
+            let series = Arc::clone(series);
+            move |mut conns| {
+                Some(Box::new(InSession::new(
+                    conns.pop()?,
+                    Arc::clone(&session_net),
+                    Arc::clone(&instances),
+                    config.clone(),
+                    &protocol,
+                    &series,
+                    Arc::clone(&own),
+                )))
+            }
         })?;
         Ok(IncomingProxy(proxy))
     }
@@ -135,7 +133,9 @@ impl IncomingProxy {
         self.0.listen_addr()
     }
 
-    /// Point-in-time counters.
+    /// Point-in-time counters: a view of the proxy's `{prefix}_in_*`
+    /// series. Proxies started on one [`ProxyTelemetry`] prefix share those
+    /// series, so each one's view counts them all.
     pub fn stats(&self) -> StatsSnapshot {
         self.0.stats()
     }
@@ -175,7 +175,7 @@ struct InSession {
     instances: Arc<Vec<ServiceAddr>>,
     is_http: bool,
     request_protocol: Box<dyn Protocol>,
-    telemetry: Option<Arc<InTelemetry>>,
+    series: Arc<InSeries>,
 
     state: InState,
     request_buf: BytesMut,
@@ -185,7 +185,7 @@ struct InSession {
 
     // Per-batch state (valid while `state == Merge`).
     exchange_start: Instant,
-    span: Option<Arc<Span>>,
+    span: Arc<Span>,
     throttled_stop: bool,
     hard_stop: bool,
     units: usize,
@@ -201,10 +201,10 @@ impl InSession {
         instances: Arc<Vec<ServiceAddr>>,
         config: EngineConfig,
         protocol: &ProtocolFactory,
-        shared: Shared,
-        telemetry: Option<Arc<InTelemetry>>,
+        proxy_series: &Arc<ProxySeries>,
+        series: Arc<InSeries>,
     ) -> Self {
-        let nside = NSide::new(NVersionEngine::from_boxed(config, protocol()), shared);
+        let nside = NSide::new(config, protocol(), Direction::Response, proxy_series);
         let request_protocol = protocol();
         let is_http = request_protocol.name() == "http";
         let n = instances.len();
@@ -216,14 +216,14 @@ impl InSession {
             instances,
             is_http,
             request_protocol,
-            telemetry,
+            series,
             state: InState::Gather,
             request_buf: BytesMut::new(),
             request_frames: Vec::new(),
             next_frame: 0,
             pipelined: false,
             exchange_start: Instant::now(),
-            span: None,
+            span: Arc::new(Span::start("exchange")),
             throttled_stop: false,
             hard_stop: false,
             units: 0,
@@ -281,13 +281,8 @@ impl InSession {
         // One span per batch: it travels into the engine, shows up in any
         // divergence audit record, and times the proxy's own phases.
         self.exchange_start = Instant::now();
-        self.span = self
-            .telemetry
-            .as_ref()
-            .map(|_| Arc::new(Span::start("exchange")));
-        if let Some(span) = &self.span {
-            self.nside.engine.set_span(Arc::clone(span));
-        }
+        self.span = Arc::new(Span::start("exchange"));
+        self.nside.engine.set_span(Arc::clone(&self.span));
 
         // Replicate every frame of the batch up front. The signature
         // throttle is consulted per frame at fan-out time; a throttled
@@ -306,7 +301,6 @@ impl InSession {
             match self.nside.engine.replicate_request(&frame.bytes) {
                 Ok(copies) => unit_copies.push(copies),
                 Err(RddrError::Throttled) => {
-                    self.nside.stats.throttled.fetch_add(1, Ordering::Relaxed);
                     self.throttled_stop = true;
                     break;
                 }
@@ -364,12 +358,10 @@ impl InSession {
             }
             self.nside.eject(i, ctx);
         }
-        if let Some(t) = &self.telemetry {
-            t.fanout_us.record_duration(fanout_start.elapsed());
-            if let Some(span) = &self.span {
-                span.event("fanout:done");
-            }
-        }
+        self.series
+            .fanout_us
+            .record_duration(fanout_start.elapsed());
+        self.span.event("fanout:done");
 
         self.units = unit_copies.len();
         self.units_done = 0;
@@ -383,9 +375,7 @@ impl InSession {
     /// on data wakes, close processing and timer fires alike.
     fn merge(&mut self, ctx: &mut Ctx<'_>) -> Advance {
         while let Some(i) = self.nside.next_close() {
-            if let Some(span) = &self.span {
-                span.event(format!("instance:{i}:closed"));
-            }
+            self.span.event(format!("instance:{i}:closed"));
             self.nside.fault(i, ctx);
         }
         // Under the sever policy a session whose every instance has faulted
@@ -400,10 +390,10 @@ impl InSession {
         // unit per pass; the classic path takes everything buffered, so a
         // surplus frame still diffs against the exchange that provoked it.
         let verdict = self.nside.evaluate(ctx, self.pipelined);
-        if let Some(t) = &self.telemetry {
-            if !matches!(verdict, Verdict::Unevaluated) {
-                t.exchange_us.record_duration(self.exchange_start.elapsed());
-            }
+        if !matches!(verdict, Verdict::Unevaluated) {
+            self.series
+                .exchange_us
+                .record_duration(self.exchange_start.elapsed());
         }
         let Verdict::Forward(bytes) = verdict else {
             self.flush_forwards();
@@ -451,15 +441,8 @@ impl InSession {
             let Ok(mut conn) = self.net.dial(addr) else {
                 continue;
             };
-            if !ctx.register(&mut conn, i as u64) {
-                continue;
-            }
-            self.nside.admit(i, conn);
-            self.nside.engine.readmit(i);
-            self.nside.stats.rejoined.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.nside.telemetry {
-                t.rejoins.inc();
-                t.degraded_depth.add(-1);
+            if ctx.register(&mut conn, i as u64) {
+                self.nside.rejoin(i, conn);
             }
         }
     }
@@ -521,13 +504,11 @@ impl SessionTask for InSession {
             &mut self.request_buf,
         );
         let merging = self.state == InState::Merge;
-        let (telemetry, span) = (&self.telemetry, &self.span);
+        let (series, span) = (&self.series, &self.span);
         self.nside.drain(ctx, merging, |i, t0| {
-            if let (true, Some(t)) = (merging, telemetry) {
-                t.instance_us.record_duration(t0.elapsed());
-                if let Some(span) = span {
-                    span.event(data_label(i));
-                }
+            if merging {
+                series.instance_us.record_duration(t0.elapsed());
+                span.event(data_label(i));
             }
         });
         run(|| match self.state {

@@ -5,13 +5,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::BytesMut;
-use rddr_core::{Direction, EngineConfig, Frame, NVersionEngine, Protocol};
+use rddr_core::{Direction, EngineConfig, Frame, Protocol};
 use rddr_net::{BoxStream, Network, ServiceAddr, Stream};
 use rddr_telemetry::Histogram;
 
 use crate::plumbing::ProxyTelemetry;
 use crate::reactor::{Ctx, Flow, SessionTask, SLOT_PRIMARY};
-use crate::session::{drain_primary, run, Advance, NSide, Proxy, Shared, Verdict};
+use crate::session::{drain_primary, run, Advance, NSide, Proxy, ProxySeries, Verdict};
 use crate::{ProtocolFactory, Result, StatsSnapshot};
 
 /// The outgoing request proxy: the N protected instances connect *here*
@@ -61,10 +61,12 @@ impl OutgoingProxy {
         Self::start_with_telemetry(net, listen, backend, config, protocol, None)
     }
 
-    /// Like [`OutgoingProxy::start`], but every session's engine feeds the
-    /// shared [`ProxyTelemetry`] bundle (metric names under
-    /// `{prefix}_out_*`, divergences to its audit log) and the reactor
-    /// exports its worker/session gauges under `{prefix}_out_reactor_*`.
+    /// Like [`OutgoingProxy::start`], but the proxy exports to the shared
+    /// [`ProxyTelemetry`] bundle (metric names under `{prefix}_out_*`,
+    /// divergences to its audit log) and the reactor exports its
+    /// worker/session gauges under `{prefix}_out_reactor_*`. With `None`
+    /// the proxy exports to a private bundle under the prefix `rddr`,
+    /// readable only through [`OutgoingProxy::stats`].
     pub fn start_with_telemetry(
         net: Arc<dyn Network>,
         listen: &ServiceAddr,
@@ -73,31 +75,23 @@ impl OutgoingProxy {
         protocol: ProtocolFactory,
         telemetry: Option<ProxyTelemetry>,
     ) -> Result<OutgoingProxy> {
-        // Merged request written → complete backend response read, µs.
-        let backend_us = telemetry.as_ref().map(|t| {
-            t.registry
-                .histogram(&format!("{}_out_backend_latency_us", t.prefix))
-        });
         let session_net = Arc::clone(&net);
         let group = config.instances();
-        let proxy = Proxy::start(
-            net,
-            listen,
-            "out",
-            group,
-            telemetry,
-            move |members, shared| {
+        let proxy = Proxy::start(net, listen, "out", group, telemetry, |series| {
+            let backend_us = series.histogram("backend_latency_us");
+            let series = Arc::clone(series);
+            move |members| {
                 Some(Box::new(OutSession::new(
                     members,
                     Arc::clone(&session_net),
                     backend.clone(),
                     config.clone(),
                     &protocol,
-                    shared,
-                    backend_us.clone(),
+                    &series,
+                    Arc::clone(&backend_us),
                 )))
-            },
-        )?;
+            }
+        })?;
         Ok(OutgoingProxy(proxy))
     }
 
@@ -106,7 +100,9 @@ impl OutgoingProxy {
         self.0.listen_addr()
     }
 
-    /// Point-in-time counters.
+    /// Point-in-time counters: a view of the proxy's `{prefix}_out_*`
+    /// series. Proxies started on one [`ProxyTelemetry`] prefix share those
+    /// series, so each one's view counts them all.
     pub fn stats(&self) -> StatsSnapshot {
         self.0.stats()
     }
@@ -145,7 +141,7 @@ struct OutSession {
     backend_addr: ServiceAddr,
     response_protocol: Box<dyn Protocol>,
     /// Merged request written → complete backend response read, µs.
-    backend_us: Option<Arc<Histogram>>,
+    backend_us: Arc<Histogram>,
 
     backend: Option<BoxStream>,
     backend_open: bool,
@@ -173,14 +169,12 @@ impl OutSession {
         backend_addr: ServiceAddr,
         config: EngineConfig,
         protocol: &ProtocolFactory,
-        shared: Shared,
-        backend_us: Option<Arc<Histogram>>,
+        series: &Arc<ProxySeries>,
+        backend_us: Arc<Histogram>,
     ) -> Self {
         let n = config.instances();
         // The outgoing proxy diffs the instances' *requests*.
-        let engine =
-            NVersionEngine::from_boxed(config, protocol()).diff_direction(Direction::Request);
-        let mut nside = NSide::new(engine, shared);
+        let mut nside = NSide::new(config, protocol(), Direction::Request, series);
         for (i, conn) in members.into_iter().enumerate() {
             nside.admit(i, conn);
         }
@@ -310,9 +304,8 @@ impl OutSession {
             self.response_buf.extend_from_slice(&f.bytes);
         }
         self.collected.clear();
-        if let Some(h) = &self.backend_us {
-            h.record_duration(self.backend_start.elapsed());
-        }
+        self.backend_us
+            .record_duration(self.backend_start.elapsed());
 
         // Replicate the backend's response to every live member.
         let mut replicate_failed: Vec<usize> = Vec::new();

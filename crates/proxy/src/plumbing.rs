@@ -1,5 +1,4 @@
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rddr_core::Protocol;
@@ -112,21 +111,8 @@ impl ProxyTelemetry {
     }
 }
 
-/// Live counters shared by all sessions of one proxy.
-#[derive(Debug, Default)]
-pub(crate) struct ProxyStats {
-    pub(crate) sessions: AtomicU64,
-    pub(crate) exchanges: AtomicU64,
-    pub(crate) divergences: AtomicU64,
-    pub(crate) severed: AtomicU64,
-    pub(crate) throttled: AtomicU64,
-    pub(crate) ejected: AtomicU64,
-    pub(crate) quarantined: AtomicU64,
-    pub(crate) rejoined: AtomicU64,
-    pub(crate) pass_through: AtomicU64,
-}
-
-/// A point-in-time copy of a proxy's counters.
+/// A point-in-time view of a proxy's counters, read from its telemetry
+/// series (`{prefix}_{side}_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Client sessions accepted.
@@ -149,37 +135,9 @@ pub struct StatsSnapshot {
     pub pass_through: u64,
 }
 
-impl ProxyStats {
-    /// Reads the counters.
-    pub(crate) fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            sessions: self.sessions.load(Ordering::Relaxed),
-            exchanges: self.exchanges.load(Ordering::Relaxed),
-            divergences: self.divergences.load(Ordering::Relaxed),
-            severed: self.severed.load(Ordering::Relaxed),
-            throttled: self.throttled.load(Ordering::Relaxed),
-            ejected: self.ejected.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-            rejoined: self.rejoined.load(Ordering::Relaxed),
-            pass_through: self.pass_through.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_snapshot_reads_counters() {
-        let stats = ProxyStats::default();
-        stats.sessions.store(2, Ordering::Relaxed);
-        stats.divergences.store(1, Ordering::Relaxed);
-        let snap = stats.snapshot();
-        assert_eq!(snap.sessions, 2);
-        assert_eq!(snap.divergences, 1);
-        assert_eq!(snap.exchanges, 0);
-    }
 
     #[test]
     fn proxy_error_display() {

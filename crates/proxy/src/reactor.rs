@@ -31,6 +31,7 @@
 //!   (in-memory writes never block; non-blocking TCP writes ride out
 //!   `WouldBlock` in a bounded one-shot poll).
 
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,6 +85,11 @@ pub(crate) trait SessionTask: Send {
     fn state_ordinal(&self) -> u64;
 }
 
+/// Every token of session `id`, one per slot: a contiguous range.
+fn session_tokens(id: u64) -> RangeInclusive<Token> {
+    Token(id << SLOT_BITS)..=Token((id << SLOT_BITS) | SLOT_MASK)
+}
+
 /// Worker-side services a session uses during `init`/`step`.
 pub(crate) struct Ctx<'a> {
     poller: &'a Poller,
@@ -130,17 +136,21 @@ impl Ctx<'_> {
 
 /// Reactor observability, exported through the shared proxy registry:
 /// worker count, live sessions (total and per worker), ready-queue depth,
-/// and a histogram of session states after each step.
+/// and a histogram of session states after each step. The pool runs one
+/// worker per `worker_sessions` gauge.
 pub(crate) struct ReactorTelemetry {
-    pub(crate) workers: Arc<Gauge>,
-    pub(crate) sessions: Arc<Gauge>,
-    pub(crate) worker_sessions: Vec<Arc<Gauge>>,
-    pub(crate) ready_depth: Arc<Gauge>,
-    pub(crate) session_state: Arc<Histogram>,
+    workers: Arc<Gauge>,
+    sessions: Arc<Gauge>,
+    worker_sessions: Vec<Arc<Gauge>>,
+    ready_depth: Arc<Gauge>,
+    session_state: Arc<Histogram>,
 }
 
 impl ReactorTelemetry {
-    fn new(registry: &Registry, stem: &str, workers: usize) -> Self {
+    /// Registers the series of a `workers`-thread pool under
+    /// `{stem}_reactor_*`.
+    pub(crate) fn new(registry: &Registry, stem: &str, workers: usize) -> Self {
+        let workers = workers.max(1);
         let t = ReactorTelemetry {
             workers: registry.gauge(&format!("{stem}_reactor_workers")),
             sessions: registry.gauge(&format!("{stem}_reactor_sessions")),
@@ -190,26 +200,21 @@ pub(crate) fn default_workers() -> usize {
 }
 
 impl ReactorPool {
-    /// Spawns `workers` reactor threads named `rddr-rx-{label}-{i}`.
-    pub(crate) fn new(
-        label: &str,
-        workers: usize,
-        telemetry: Option<(&Registry, &str)>,
-    ) -> std::io::Result<Self> {
-        let workers = workers.max(1);
+    /// Spawns one reactor thread per worker `telemetry` was registered for,
+    /// named `rddr-rx-{label}-{i}`.
+    pub(crate) fn new(label: &str, telemetry: ReactorTelemetry) -> std::io::Result<Self> {
         let stop = Arc::new(AtomicBool::new(false));
-        let telemetry =
-            telemetry.map(|(reg, stem)| Arc::new(ReactorTelemetry::new(reg, stem, workers)));
-        let mut handles = Vec::with_capacity(workers);
-        for i in 0..workers {
+        let telemetry = Arc::new(telemetry);
+        let mut handles = Vec::with_capacity(telemetry.worker_sessions.len());
+        for (i, own) in telemetry.worker_sessions.iter().enumerate() {
             let poller = Poller::new();
             let wake = poller.readiness(Token(INJECT_TOKEN));
             let (inject_tx, inject_rx) = unbounded();
             let stop = Arc::clone(&stop);
-            let telemetry = telemetry.clone();
+            let (telemetry, own) = (Arc::clone(&telemetry), Arc::clone(own));
             let thread = std::thread::Builder::new()
                 .name(format!("rddr-rx-{label}-{i}"))
-                .spawn(move || worker_loop(poller, inject_rx, stop, telemetry, i))?;
+                .spawn(move || worker_loop(poller, inject_rx, stop, telemetry, own))?;
             handles.push(WorkerHandle {
                 inject: inject_tx,
                 wake,
@@ -264,7 +269,8 @@ impl Drop for ReactorPool {
 }
 
 /// One reactor worker: polls for readiness, adopts injected sessions, and
-/// advances woken sessions until the pool stops.
+/// advances woken sessions until the pool stops. `own` counts the sessions
+/// it holds.
 ///
 /// This is a blocking-hot-path sink for `rddr-analyze`: nothing reachable
 /// from here may call `sleep`/`read_to_end`-style blocking primitives,
@@ -273,8 +279,8 @@ pub(crate) fn worker_loop(
     poller: Poller,
     inject: Receiver<Box<dyn SessionTask>>,
     stop: Arc<AtomicBool>,
-    telemetry: Option<Arc<ReactorTelemetry>>,
-    index: usize,
+    telemetry: Arc<ReactorTelemetry>,
+    own: Arc<Gauge>,
 ) {
     use std::collections::BTreeMap;
     let mut sessions: BTreeMap<u64, Box<dyn SessionTask>> = BTreeMap::new();
@@ -282,14 +288,9 @@ pub(crate) fn worker_loop(
     let mut events: Vec<Token> = Vec::new();
     let mut slots: Vec<u64> = Vec::new();
     let mut scratch = vec![0u8; SCRATCH_SIZE];
-    let worker_gauge = telemetry
-        .as_ref()
-        .and_then(|t| t.worker_sessions.get(index).cloned());
     'run: loop {
         poller.poll(&mut events, None);
-        if let Some(t) = &telemetry {
-            t.ready_depth.set(events.len() as i64);
-        }
+        telemetry.ready_depth.set(events.len() as i64);
         // `poll` delivers tokens ascending and deduplicated, so one
         // session's slots form a consecutive run (and INJECT_TOKEN sorts
         // last) — wakes collapse into one step per woken session without
@@ -316,15 +317,11 @@ pub(crate) fn worker_loop(
                 match task.init(&mut ctx) {
                     Flow::Continue => {
                         sessions.insert(id, task);
-                        if let Some(t) = &telemetry {
-                            t.sessions.add(1);
-                        }
-                        if let Some(g) = &worker_gauge {
-                            g.add(1);
-                        }
+                        telemetry.sessions.add(1);
+                        own.add(1);
                     }
                     Flow::Done => {
-                        poller.deregister_matching(|tok| tok >> SLOT_BITS == id);
+                        poller.deregister_range(session_tokens(id));
                         task.teardown();
                     }
                 }
@@ -353,33 +350,23 @@ pub(crate) fn worker_loop(
                 woken: &slots,
             };
             let flow = task.step(&mut ctx);
-            if let Some(t) = &telemetry {
-                t.session_state.record(task.state_ordinal());
-            }
+            telemetry.session_state.record(task.state_ordinal());
             if flow == Flow::Done {
-                poller.deregister_matching(|tok| tok >> SLOT_BITS == id);
+                poller.deregister_range(session_tokens(id));
                 if let Some(mut task) = sessions.remove(&id) {
                     task.teardown();
                 }
-                if let Some(t) = &telemetry {
-                    t.sessions.add(-1);
-                }
-                if let Some(g) = &worker_gauge {
-                    g.add(-1);
-                }
+                telemetry.sessions.add(-1);
+                own.add(-1);
             }
         }
     }
     // Pool teardown: sever whatever is still live.
     for (id, mut task) in std::mem::take(&mut sessions) {
-        poller.deregister_matching(|tok| tok >> SLOT_BITS == id);
+        poller.deregister_range(session_tokens(id));
         task.teardown();
-        if let Some(t) = &telemetry {
-            t.sessions.add(-1);
-        }
-        if let Some(g) = &worker_gauge {
-            g.add(-1);
-        }
+        telemetry.sessions.add(-1);
+        own.add(-1);
     }
 }
 
@@ -418,7 +405,7 @@ mod tests {
     #[test]
     fn pool_runs_sessions_to_completion() {
         let registry = Registry::new();
-        let pool = ReactorPool::new("test", 2, Some((&registry, "t"))).unwrap();
+        let pool = ReactorPool::new("test", ReactorTelemetry::new(&registry, "t", 2)).unwrap();
         let flags: Vec<Arc<AtomicBool>> =
             (0..8).map(|_| Arc::new(AtomicBool::new(false))).collect();
         for f in &flags {
@@ -443,7 +430,8 @@ mod tests {
     #[test]
     fn pool_tears_down_live_sessions_on_drop() {
         let done = Arc::new(AtomicBool::new(false));
-        let pool = ReactorPool::new("drop", 1, None).unwrap();
+        let registry = Registry::new();
+        let pool = ReactorPool::new("drop", ReactorTelemetry::new(&registry, "t", 1)).unwrap();
         assert!(pool.submit(Box::new(CountdownTask {
             remaining: u32::MAX,
             done: Arc::clone(&done),

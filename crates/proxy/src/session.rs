@@ -21,64 +21,94 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use rddr_core::{DegradePolicy, NVersionEngine, RddrError, SurvivorPolicy};
+use rddr_core::{
+    DegradePolicy, Direction, EngineConfig, EngineCounters, NVersionEngine, Protocol, RddrError,
+    SurvivorPolicy,
+};
 use rddr_net::{BoxStream, Network, ServiceAddr, Stream, TryRead};
 use rddr_telemetry::{Counter, Gauge, Histogram};
 
-use crate::plumbing::ProxyStats;
-use crate::reactor::{default_workers, Ctx, Flow, ReactorPool, SessionTask, SLOT_PRIMARY};
+use crate::reactor::{
+    default_workers, Ctx, Flow, ReactorPool, ReactorTelemetry, SessionTask, SLOT_PRIMARY,
+};
 use crate::{ProxyError, ProxyTelemetry, Result, StatsSnapshot};
 
-/// The series the session core maintains for one proxy, registered once at
-/// start under `{prefix}_{side}_*`.
-pub(crate) struct CoreTelemetry {
+/// Every counter one proxy keeps, registered once at start under
+/// `{prefix}_{side}_*`: the engine's series (each session's engine holds
+/// clones of the handles), the accept loop's and the session core's.
+/// [`StatsSnapshot`] is a view of these.
+pub(crate) struct ProxySeries {
     shared: ProxyTelemetry,
     /// `{prefix}_{side}`: the stem of every series this proxy registers.
     stem: String,
+    engine: EngineCounters,
+    /// Sessions accepted.
+    sessions: Arc<Counter>,
+    /// Sessions severed: a divergence, too few survivors, or a pool that
+    /// was shutting down.
+    severed: Arc<Counter>,
     /// Waiting for the N sides' data until the exchange is ready, µs.
     merge_us: Arc<Histogram>,
     /// Instances currently ejected across all live sessions (gauge).
-    pub(crate) degraded_depth: Arc<Gauge>,
+    degraded_depth: Arc<Gauge>,
     /// Instance ejections after a fault (dial failure, reset, straggling).
     ejects: Arc<Counter>,
     /// Ejected instances readmitted after a successful warm-up probe.
-    pub(crate) rejoins: Arc<Counter>,
+    rejoins: Arc<Counter>,
     /// Instances quarantined after losing a quorum vote.
     quarantines: Arc<Counter>,
     /// Exchanges answered from a lone survivor without diffing.
     pass_through: Arc<Counter>,
 }
 
-impl CoreTelemetry {
+impl ProxySeries {
     fn new(shared: ProxyTelemetry, side: &str) -> Self {
         let stem = format!("{}_{side}", shared.prefix);
         let registry = &shared.registry;
-        CoreTelemetry {
+        let counter = |suffix: &str| registry.counter(&format!("{stem}_{suffix}"));
+        ProxySeries {
+            engine: EngineCounters::on(registry, &stem),
+            sessions: counter("sessions_total"),
+            severed: counter("severed_total"),
             merge_us: registry.histogram(&format!("{stem}_merge_latency_us")),
             degraded_depth: registry.gauge(&format!("{stem}_degraded_depth")),
-            ejects: registry.counter(&format!("{stem}_ejects_total")),
-            rejoins: registry.counter(&format!("{stem}_rejoins_total")),
-            quarantines: registry.counter(&format!("{stem}_quarantines_total")),
-            pass_through: registry.counter(&format!("{stem}_pass_through_total")),
+            ejects: counter("ejects_total"),
+            rejoins: counter("rejoins_total"),
+            quarantines: counter("quarantines_total"),
+            pass_through: counter("pass_through_total"),
             stem,
             shared,
         }
     }
+
+    /// Registers the proxy's own histogram `{prefix}_{side}_{suffix}`.
+    pub(crate) fn histogram(&self, suffix: &str) -> Arc<Histogram> {
+        self.shared
+            .registry
+            .histogram(&format!("{}_{suffix}", self.stem))
+    }
+
+    fn snapshot(&self) -> StatsSnapshot {
+        let engine = self.engine.snapshot();
+        StatsSnapshot {
+            sessions: self.sessions.get(),
+            exchanges: engine.exchanges,
+            divergences: engine.divergences,
+            severed: self.severed.get(),
+            throttled: engine.throttled,
+            ejected: self.ejects.get(),
+            quarantined: self.quarantines.get(),
+            rejoined: self.rejoins.get(),
+            pass_through: self.pass_through.get(),
+        }
+    }
 }
 
-/// What every session of one proxy shares: the counters and, with
-/// telemetry on, the core's series.
-#[derive(Clone)]
-pub(crate) struct Shared {
-    pub(crate) stats: Arc<ProxyStats>,
-    telemetry: Option<Arc<CoreTelemetry>>,
-}
-
-/// A running proxy: its listen address, counters, accept thread and
-/// reactor pool. Dropping it stops the accept loop, then the pool.
+/// A running proxy: its listen address, series, accept thread and reactor
+/// pool. Dropping it stops the accept loop, then the pool.
 pub(crate) struct Proxy {
     listen_addr: ServiceAddr,
-    stats: Arc<ProxyStats>,
+    series: Arc<ProxySeries>,
     stop: Arc<AtomicBool>,
     net: Arc<dyn Network>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
@@ -89,36 +119,37 @@ pub(crate) struct Proxy {
 
 impl Proxy {
     /// Binds `listen` and hands every `group` consecutively accepted
-    /// connections to `session` as one session on a reactor pool (a group
-    /// `session` declines is dropped, closing its connections). The accept
-    /// thread is `rddr-{side}-{listen}`, the workers `rddr-rx-{side}-{i}`,
-    /// and telemetry goes under `{prefix}_{side}_*`.
-    pub(crate) fn start(
+    /// connections to a session on a reactor pool (a group the session
+    /// factory declines is dropped, closing its connections). The accept
+    /// thread is `rddr-{side}-{listen}`, the workers `rddr-rx-{side}-{i}`.
+    ///
+    /// Every series goes under `{prefix}_{side}_*` of `telemetry`, or of a
+    /// private `ProxyTelemetry::new("rddr")` when there is none, and is
+    /// registered here: the shared ones, the reactor's, and the side's own,
+    /// which `factory` registers while it builds the session factory.
+    pub(crate) fn start<F>(
         net: Arc<dyn Network>,
         listen: &ServiceAddr,
         side: &str,
         group: usize,
         telemetry: Option<ProxyTelemetry>,
-        session: impl Fn(Vec<BoxStream>, Shared) -> Option<Box<dyn SessionTask>> + Send + 'static,
-    ) -> Result<Proxy> {
+        factory: impl FnOnce(&Arc<ProxySeries>) -> F,
+    ) -> Result<Proxy>
+    where
+        F: Fn(Vec<BoxStream>) -> Option<Box<dyn SessionTask>> + Send + 'static,
+    {
         let mut listener = net.listen(listen).map_err(ProxyError::Bind)?;
         // Report the resolved address (TCP port 0 binds to an ephemeral port).
         let listen_addr = listener.local_addr();
-        let telemetry = telemetry.map(|t| Arc::new(CoreTelemetry::new(t, side)));
-        let reactor_telemetry = telemetry
-            .as_ref()
-            .map(|t| (t.shared.registry.as_ref(), t.stem.as_str()));
-        let pool = Arc::new(
-            ReactorPool::new(side, default_workers(), reactor_telemetry)
-                .map_err(ProxyError::Spawn)?,
-        );
-        let shared = Shared {
-            stats: Arc::new(ProxyStats::default()),
-            telemetry,
-        };
+        let telemetry = telemetry.unwrap_or_else(|| ProxyTelemetry::new("rddr"));
+        let series = Arc::new(ProxySeries::new(telemetry, side));
+        let reactor =
+            ReactorTelemetry::new(&series.shared.registry, &series.stem, default_workers());
+        let pool = Arc::new(ReactorPool::new(side, reactor).map_err(ProxyError::Spawn)?);
+        let session = factory(&series);
         let stop = Arc::new(AtomicBool::new(false));
-        let (accept_stop, accept_pool, accept_shared) =
-            (Arc::clone(&stop), Arc::clone(&pool), shared.clone());
+        let (accept_stop, accept_pool, accept_series) =
+            (Arc::clone(&stop), Arc::clone(&pool), Arc::clone(&series));
         let accept_thread = std::thread::Builder::new()
             .name(format!("rddr-{side}-{listen}"))
             .spawn(move || loop {
@@ -132,22 +163,21 @@ impl Proxy {
                     }
                     conns.push(conn);
                 }
-                let stats = &accept_shared.stats;
-                stats.sessions.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = session(conns, accept_shared.clone()) else {
+                accept_series.sessions.inc();
+                let Some(task) = session(conns) else {
                     continue;
                 };
                 if !accept_pool.submit(task) {
                     // Pool shutting down: the dropped task closes its
                     // connections — a severed session, not a crashed
                     // accept loop.
-                    stats.severed.fetch_add(1, Ordering::Relaxed);
+                    accept_series.severed.inc();
                 }
             })
             .map_err(ProxyError::Spawn)?;
         Ok(Proxy {
             listen_addr,
-            stats: shared.stats,
+            series,
             stop,
             net,
             accept_thread: Some(accept_thread),
@@ -160,7 +190,7 @@ impl Proxy {
     }
 
     pub(crate) fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.series.snapshot()
     }
 
     pub(crate) fn workers(&self) -> usize {
@@ -184,7 +214,7 @@ impl Proxy {
     pub(crate) fn debug(&self, name: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct(name)
             .field("listen", &self.listen_addr)
-            .field("stats", &self.stats.snapshot())
+            .field("stats", &self.series.snapshot())
             .finish()
     }
 }
@@ -267,8 +297,7 @@ pub(crate) struct NSide {
     pub(crate) degrade: DegradePolicy,
     deadline: Duration,
     instance_deadline: Option<Duration>,
-    pub(crate) stats: Arc<ProxyStats>,
-    pub(crate) telemetry: Option<Arc<CoreTelemetry>>,
+    series: Arc<ProxySeries>,
 
     // Per-unit merge state.
     t0: Instant,
@@ -284,27 +313,31 @@ pub(crate) struct NSide {
 }
 
 impl NSide {
-    /// Wraps `engine`, feeding the proxy's telemetry when it has any.
-    pub(crate) fn new(mut engine: NVersionEngine, shared: Shared) -> Self {
-        let config = engine.config();
+    /// A session's N side: an engine diffing `direction` that feeds the
+    /// proxy's series and audit log.
+    pub(crate) fn new(
+        config: EngineConfig,
+        protocol: Box<dyn Protocol>,
+        direction: Direction,
+        series: &Arc<ProxySeries>,
+    ) -> Self {
         let (deadline, instance_deadline) =
             (config.response_deadline(), config.instance_deadline());
         let (degrade, n) = (config.degrade(), config.instances());
-        if let Some(t) = &shared.telemetry {
-            engine = engine.with_telemetry(
-                Arc::clone(&t.shared.registry),
-                &t.stem,
-                Some(Arc::clone(&t.shared.audit)),
-            );
-        }
+        let engine = NVersionEngine::with_telemetry(
+            config,
+            protocol,
+            series.engine.clone(),
+            Some(Arc::clone(&series.shared.audit)),
+        )
+        .diff_direction(direction);
         NSide {
             engine,
             streams: (0..n).map(|_| None).collect(),
             degrade,
             deadline,
             instance_deadline,
-            stats: shared.stats,
-            telemetry: shared.telemetry,
+            series: Arc::clone(series),
             t0: Instant::now(),
             failed: vec![false; n],
             first_complete: None,
@@ -325,6 +358,15 @@ impl NSide {
         if let Some(c) = self.closed_seen.get_mut(i) {
             *c = false;
         }
+    }
+
+    /// Readmits ejected instance `i` on `conn`, a fresh stream already
+    /// registered for readiness, and counts the rejoin.
+    pub(crate) fn rejoin(&mut self, i: usize, conn: BoxStream) {
+        self.admit(i, conn);
+        self.engine.readmit(i);
+        self.series.rejoins.inc();
+        self.series.degraded_depth.add(-1);
     }
 
     /// Registers every held stream for readiness. A stream that cannot
@@ -370,9 +412,7 @@ impl NSide {
         if let Some(mut conn) = self.streams.get_mut(i).and_then(Option::take) {
             conn.shutdown();
         }
-        if let Some(t) = &self.telemetry {
-            t.degraded_depth.add(1);
-        }
+        self.series.degraded_depth.add(1);
         true
     }
 
@@ -380,10 +420,7 @@ impl NSide {
     /// deadline) and counts the eject.
     pub(crate) fn eject(&mut self, i: usize, ctx: &Ctx<'_>) {
         if self.remove(i, ctx) {
-            self.stats.ejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.ejects.inc();
-            }
+            self.series.ejects.inc();
         }
     }
 
@@ -391,10 +428,7 @@ impl NSide {
     /// and counts the quarantine.
     fn quarantine(&mut self, i: usize, ctx: &Ctx<'_>) {
         if self.remove(i, ctx) {
-            self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.quarantines.inc();
-            }
+            self.series.quarantines.inc();
         }
     }
 
@@ -524,9 +558,7 @@ impl NSide {
     /// still incomplete. Under sever they stay for the diff to flag.
     pub(crate) fn settle(&mut self, ctx: &Ctx<'_>) {
         ctx.clear_timer();
-        if let Some(t) = &self.telemetry {
-            t.merge_us.record_duration(self.t0.elapsed());
-        }
+        self.series.merge_us.record_duration(self.t0.elapsed());
         if self.degrade.ejects() && !self.engine.exchange_ready() {
             for i in 0..self.streams.len() {
                 if self.incomplete(i) {
@@ -542,14 +574,11 @@ impl NSide {
     /// its quarantines and its sever.
     pub(crate) fn evaluate(&mut self, ctx: &Ctx<'_>, unit: bool) -> Verdict {
         if self.below_floor() {
-            self.stats.severed.fetch_add(1, Ordering::Relaxed);
+            self.series.severed.inc();
             return Verdict::Unevaluated;
         }
         if self.engine.active_count() == 1 {
-            self.stats.pass_through.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = &self.telemetry {
-                t.pass_through.inc();
-            }
+            self.series.pass_through.inc();
         }
         let finished = if unit {
             self.engine.finish_exchange_unit()
@@ -559,17 +588,13 @@ impl NSide {
         let Ok(outcome) = finished else {
             return Verdict::Unevaluated;
         };
-        self.stats.exchanges.fetch_add(1, Ordering::Relaxed);
-        if outcome.report.diverged() {
-            self.stats.divergences.fetch_add(1, Ordering::Relaxed);
-        }
         for &i in &outcome.quarantined {
             self.quarantine(i, ctx);
         }
         match outcome.forward {
             Some(bytes) => Verdict::Forward(bytes),
             None => {
-                self.stats.severed.fetch_add(1, Ordering::Relaxed);
+                self.series.severed.inc();
                 Verdict::Severed
             }
         }
@@ -586,14 +611,12 @@ impl NSide {
     /// of the degraded-depth gauge (its currently ejected instances).
     pub(crate) fn teardown(&mut self) {
         self.shutdown_all();
-        if let Some(t) = &self.telemetry {
-            let depth = self
-                .streams
-                .len()
-                .saturating_sub(self.engine.active_count());
-            if depth > 0 {
-                t.degraded_depth.add(-(depth as i64));
-            }
+        let depth = self
+            .streams
+            .len()
+            .saturating_sub(self.engine.active_count());
+        if depth > 0 {
+            self.series.degraded_depth.add(-(depth as i64));
         }
     }
 }

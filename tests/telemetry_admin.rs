@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rddr_repro::core::protocol::LineProtocol;
-use rddr_repro::core::EngineConfig;
+use rddr_repro::core::{DegradePolicy, EngineConfig, ResponsePolicy};
 use rddr_repro::net::{Network, ServiceAddr, SimNet, Stream, TcpNet};
 use rddr_repro::orchestra::{Cluster, FnService, Image, Service};
 use rddr_repro::protocols::{parse_json, JsonValue};
@@ -353,6 +353,9 @@ fn both_proxies_register_exactly_the_pinned_series() {
             "tokens_captured_total",
             "tokens_substituted_total",
             "variance_excluded_total",
+            // The accept loop and the Respond phase.
+            "sessions_total",
+            "severed_total",
             // Degraded mode.
             "degraded_depth",
             "ejects_total",
@@ -376,6 +379,178 @@ fn both_proxies_register_exactly_the_pinned_series() {
     assert_eq!(
         series_names(&telemetry.registry.render_prometheus()),
         expected
+    );
+}
+
+/// A line instance `index` of the view scenario. It echoes every line except:
+/// `vote` (instance 2 answers `odd`), `split` (every instance answers
+/// differently), `crash` (instance 1 hangs up) and `crash2` (instances 1
+/// and 2 hang up).
+fn spawn_scripted_instance(net: &SimNet, addr: ServiceAddr, index: usize) {
+    let mut listener = net.listen(&addr).unwrap();
+    std::thread::spawn(move || {
+        while let Ok(mut conn) = listener.accept() {
+            std::thread::spawn(move || {
+                let mut buf = Vec::new();
+                let mut chunk = [0u8; 256];
+                loop {
+                    match conn.read(&mut chunk) {
+                        Ok(0) | Err(_) => return,
+                        Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                    }
+                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
+                        let line: Vec<u8> = buf.drain(..=pos).collect();
+                        let reply = match (&line[..pos], index) {
+                            (b"vote", 2) => b"odd\n".to_vec(),
+                            (b"split", i) => format!("split{i}\n").into_bytes(),
+                            (b"crash", 1) | (b"crash2", 1 | 2) => {
+                                conn.shutdown();
+                                return;
+                            }
+                            _ => line,
+                        };
+                        if conn.write_all(&reply).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// The value of every counter and gauge line in a Prometheus rendering.
+fn rendered_values(rendered: &str) -> std::collections::BTreeMap<String, u64> {
+    rendered
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split_once(' '))
+        .filter_map(|(name, value)| Some((name.to_string(), value.parse().ok()?)))
+        .collect()
+}
+
+/// `stats()` is a view of `/metrics`: after a session that walks through a
+/// quarantine, an eject, rejoins, a lone-survivor pass-through and a
+/// throttle refusal, and a second session that is severed on divergence,
+/// every `StatsSnapshot` field equals the value `/metrics` renders for its
+/// series.
+#[test]
+fn stats_snapshot_equals_the_metrics_endpoint() {
+    let net = SimNet::new();
+    let instances: Vec<ServiceAddr> = (0..3).map(|i| ServiceAddr::new("app", 7000 + i)).collect();
+    for (i, addr) in instances.iter().enumerate() {
+        spawn_scripted_instance(&net, addr.clone(), i);
+    }
+    let telemetry = ProxyTelemetry::new("view");
+    let dyn_net: Arc<dyn Network> = Arc::new(net.clone());
+    let proxy = IncomingProxy::start_with_telemetry(
+        Arc::clone(&dyn_net),
+        &ServiceAddr::new("app-in", 80),
+        instances,
+        EngineConfig::builder(3)
+            .policy(ResponsePolicy::MajorityVote)
+            .degrade(DegradePolicy::eject_with_pass_through())
+            .throttle(0)
+            .build()
+            .unwrap(),
+        line(),
+        Some(telemetry.clone()),
+    )
+    .unwrap();
+
+    let read_line = |conn: &mut rddr_repro::net::BoxStream| {
+        let mut out = Vec::new();
+        let mut byte = [0u8; 1];
+        while conn.read(&mut byte).unwrap_or(0) == 1 && byte[0] != b'\n' {
+            out.push(byte[0]);
+        }
+        String::from_utf8(out).unwrap()
+    };
+    // Session 1: `vote` quarantines instance 2; `crash` rejoins it and
+    // ejects instance 1; `crash2` rejoins 1, ejects 1 and 2 and passes
+    // instance 0 through alone; the repeated `vote` rejoins both and is
+    // refused by the throttle, which closes the session.
+    let mut client = net.dial(proxy.listen_addr()).unwrap();
+    for line in ["ok", "vote", "crash", "crash2"] {
+        client.write_all(format!("{line}\n").as_bytes()).unwrap();
+        assert_eq!(read_line(&mut client), line);
+    }
+    client.write_all(b"vote\n").unwrap();
+    assert_eq!(
+        read_line(&mut client),
+        "",
+        "the throttle refuses the repeat"
+    );
+    // Session 2: no majority, so the divergence severs.
+    let mut client = net.dial(proxy.listen_addr()).unwrap();
+    client.write_all(b"split\n").unwrap();
+    assert_eq!(read_line(&mut client), "", "a split vote severs");
+
+    let sessions = telemetry.registry.gauge("view_in_reactor_sessions");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while sessions.get() != 0 || proxy.stats().divergences < 2 {
+        assert!(std::time::Instant::now() < deadline, "sessions never ended");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let admin = AdminServer::serve(
+        Arc::clone(&dyn_net),
+        &ServiceAddr::new("admin", 9902),
+        Arc::clone(&telemetry.registry),
+        Arc::clone(&telemetry.audit),
+    )
+    .unwrap();
+    let values = rendered_values(body(&admin_get(dyn_net.as_ref(), admin.addr(), "/metrics")));
+    admin.shutdown();
+    let stats = proxy.stats();
+    let series = |name: &str| values.get(&format!("view_in_{name}")).copied();
+    let view = [
+        ("sessions", stats.sessions, series("sessions_total")),
+        ("exchanges", stats.exchanges, series("exchanges_total")),
+        (
+            "divergences",
+            stats.divergences,
+            series("divergences_total"),
+        ),
+        ("severed", stats.severed, series("severed_total")),
+        ("throttled", stats.throttled, series("throttled_total")),
+        ("ejected", stats.ejected, series("ejects_total")),
+        (
+            "quarantined",
+            stats.quarantined,
+            series("quarantines_total"),
+        ),
+        ("rejoined", stats.rejoined, series("rejoins_total")),
+        (
+            "pass_through",
+            stats.pass_through,
+            series("pass_through_total"),
+        ),
+    ];
+    for (field, value, rendered) in view {
+        assert!(value > 0, "the scenario exercises {field}: {stats:?}");
+        assert_eq!(Some(value), rendered, "{field} differs from /metrics");
+    }
+    assert_eq!(
+        (
+            stats.sessions,
+            stats.exchanges,
+            stats.divergences,
+            stats.severed,
+            stats.throttled
+        ),
+        (2, 5, 2, 1, 1),
+        "{stats:?}"
+    );
+    assert_eq!(
+        (
+            stats.ejected,
+            stats.quarantined,
+            stats.rejoined,
+            stats.pass_through
+        ),
+        (3, 1, 4, 1),
+        "{stats:?}"
     );
 }
 
