@@ -90,6 +90,17 @@ struct DiskState {
     truncated_tails: u64,
 }
 
+impl DiskState {
+    /// `file`'s state, created empty on first use (always `Some`). Looks up
+    /// before it inserts, so only a file's first touch allocates its name.
+    fn touch(&mut self, file: &str) -> Option<&mut FileState> {
+        if !self.files.contains_key(file) {
+            self.files.insert(file.to_string(), FileState::default());
+        }
+        self.files.get_mut(file)
+    }
+}
+
 /// Counter snapshot of a disk's fault history.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
@@ -181,6 +192,25 @@ impl VDisk {
             .map_or_else(Vec::new, <[u8]>::to_vec)
     }
 
+    /// [`VDisk::read`] into `buf`: copies up to `buf.len()` bytes of `file`
+    /// at `off` from the cache view and returns how many it copied (fewer
+    /// at end-of-file; 0 for a missing file). Allocates nothing.
+    pub fn read_into(&self, file: &str, off: u64, buf: &mut [u8]) -> usize {
+        let state = self.state.lock();
+        let Some(f) = state.files.get(file) else {
+            return 0;
+        };
+        let start = (off as usize).min(f.cache.len());
+        let end = start.saturating_add(buf.len()).min(f.cache.len());
+        match (f.cache.get(start..end), buf.get_mut(..end - start)) {
+            (Some(src), Some(dst)) => {
+                dst.copy_from_slice(src);
+                src.len()
+            }
+            _ => 0,
+        }
+    }
+
     /// Writes `bytes` to `file` at `off`, extending it if needed. The
     /// write is cached, not durable, until [`VDisk::fsync`].
     pub fn write_at(&self, file: &str, off: u64, bytes: &[u8]) {
@@ -189,10 +219,7 @@ impl VDisk {
 
     /// Appends `bytes` to `file`, returning the offset written at.
     pub fn append(&self, file: &str, bytes: &[u8]) -> u64 {
-        let off = {
-            let mut state = self.state.lock();
-            state.files.entry(file.to_string()).or_default().cache.len()
-        };
+        let off = self.state.lock().touch(file).map_or(0, |f| f.cache.len());
         self.write_inner(file, off, bytes, true);
         off as u64
     }
@@ -203,7 +230,9 @@ impl VDisk {
         // released before calling out.
         let seq = {
             let mut state = self.state.lock();
-            let f = state.files.entry(file.to_string()).or_default();
+            let Some(f) = state.touch(file) else {
+                return;
+            };
             let seq = f.write_seq;
             f.write_seq += 1;
             seq
@@ -239,7 +268,9 @@ impl VDisk {
         let lost = {
             let mut state = self.state.lock();
             state.fsyncs += 1;
-            let f = state.files.entry(file.to_string()).or_default();
+            let Some(f) = state.touch(file) else {
+                return;
+            };
             let seq = f.fsync_seq;
             f.fsync_seq += 1;
             drop(state);
@@ -255,26 +286,32 @@ impl VDisk {
         let Some(f) = state.files.get_mut(file) else {
             return;
         };
-        for w in std::mem::take(&mut f.pending) {
+        let FileState {
+            durable,
+            cache,
+            pending,
+            last_append,
+            ..
+        } = f;
+        for w in pending.drain(..) {
             let end = w.off + w.len;
-            if f.durable.len() < end {
-                f.durable.resize(end, 0);
+            if durable.len() < end {
+                durable.resize(end, 0);
             }
             let keep = if w.torn { w.len / 2 } else { w.len };
-            let src: Vec<u8> = f
-                .cache
-                .get(w.off..w.off + keep)
-                .map_or_else(Vec::new, <[u8]>::to_vec);
-            if let Some(dst) = f.durable.get_mut(w.off..w.off + src.len()) {
-                dst.copy_from_slice(&src);
+            if let (Some(src), Some(dst)) = (
+                cache.get(w.off..w.off + keep),
+                durable.get_mut(w.off..w.off + keep),
+            ) {
+                dst.copy_from_slice(src);
             }
             if w.torn {
-                if let Some(rest) = f.durable.get_mut(w.off + keep..end) {
+                if let Some(rest) = durable.get_mut(w.off + keep..end) {
                     rest.fill(0);
                 }
             }
             if w.is_append {
-                f.last_append = Some((w.off, w.len));
+                *last_append = Some((w.off, w.len));
             }
         }
     }

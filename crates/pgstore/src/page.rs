@@ -3,7 +3,8 @@
 //! Layout (little-endian, [`PAGE_SIZE`] bytes):
 //!
 //! ```text
-//! 0..8    checksum   FNV-1a of bytes 8..PAGE_SIZE, stamped at seal time
+//! 0..8    checksum   word-wise FNV-1a of bytes 8..PAGE_SIZE (see below),
+//!                    stamped at seal time
 //! 8..16   next page  number of the next page in the table's chain (0 = end)
 //! 16..18  slot count
 //! 18..20  free offset — start of the tuple data region (grows downward)
@@ -26,9 +27,16 @@
 //!
 //! The checksum is what detects a torn page: a write that persisted only
 //! its leading sectors fails verification on the next read-from-disk,
-//! surfacing as [`StoreError::Corrupt`].
+//! surfacing as [`StoreError::Corrupt`]. It is FNV-1a's xor-multiply step
+//! taken a little-endian `u64` word at a time rather than a byte at a
+//! time, over four interleaved lanes (word `i` feeds lane `i % 4`) that
+//! are folded together at the end, so the multiplies of neighbouring words
+//! overlap. Every step is a bijection of the lane state, so a change
+//! confined to one word — any single flipped byte — always changes the sum.
+//! Each write-back stamps it and each read from disk verifies it, in place
+//! in the buffer-pool frame the page is read into.
 
-use crate::{fnv1a, Result, StoreError};
+use crate::{Result, StoreError};
 
 /// Size of one heap page in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -38,6 +46,44 @@ const HEADER: usize = 20;
 
 /// Bytes one slot-directory entry occupies.
 const SLOT_ENTRY: usize = 4;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Independent FNV lanes the checksum interleaves words over.
+const LANES: usize = 4;
+
+/// One FNV-1a step over a whole little-endian word.
+fn fnv_word(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    if let Some(dst) = word.get_mut(..bytes.len()) {
+        dst.copy_from_slice(bytes);
+    }
+    u64::from_le_bytes(word)
+}
+
+/// The page checksum of `body` (a page image past its checksum field):
+/// word-wise FNV-1a over [`LANES`] interleaved lanes, folded in lane order,
+/// then any words (and a zero-padded partial word) past the last full
+/// stride.
+fn checksum(body: &[u8]) -> u64 {
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut strides = body.chunks_exact(8 * LANES);
+    for stride in &mut strides {
+        for (lane, word) in lanes.iter_mut().zip(stride.chunks_exact(8)) {
+            *lane = fnv_word(*lane, le_word(word));
+        }
+    }
+    let folded = lanes.iter().fold(FNV_OFFSET, |h, &lane| fnv_word(h, lane));
+    strides
+        .remainder()
+        .chunks(8)
+        .fold(folded, |h, word| fnv_word(h, le_word(word)))
+}
 
 /// One in-memory heap page.
 #[derive(Debug, Clone)]
@@ -68,33 +114,40 @@ impl Page {
         PAGE_SIZE - HEADER - SLOT_ENTRY
     }
 
-    /// Validates length and checksum of bytes read back from disk.
+    /// Overwrites this page with an image read back from disk and
+    /// validates it: `read` copies the image into the page buffer it is
+    /// given and returns how many bytes it copied. The one read-from-disk
+    /// path, so a miss reuses its frame's buffer. On an error the page
+    /// holds whatever was read and must not be used.
     ///
     /// # Errors
     ///
     /// [`StoreError::Corrupt`] on a short read or checksum mismatch — the
     /// torn-page detection path.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(StoreError::Corrupt(format!(
-                "short page read: {} bytes",
-                bytes.len()
-            )));
+    pub(crate) fn read_from(&mut self, read: impl FnOnce(&mut [u8]) -> usize) -> Result<()> {
+        let n = read(&mut self.bytes);
+        if n != PAGE_SIZE {
+            return Err(StoreError::Corrupt(format!("short page read: {n} bytes")));
         }
-        let page = Self { bytes };
-        let stored = page.read_u64(0);
-        let actual = fnv1a(page.bytes.get(8..).unwrap_or(&[]));
+        let stored = self.read_u64(0);
+        let actual = checksum(self.bytes.get(8..).unwrap_or(&[]));
         if stored != actual {
             return Err(StoreError::Corrupt(format!(
                 "page checksum mismatch: stored {stored:#x}, computed {actual:#x}"
             )));
         }
-        Ok(page)
+        Ok(())
+    }
+
+    /// Empties the page in place, as [`Page::new`] would build it.
+    pub(crate) fn reset(&mut self) {
+        self.bytes.fill(0);
+        self.put_u16(18, PAGE_SIZE as u16);
     }
 
     /// Stamps the checksum and returns the full page image for writing.
     pub fn seal(&mut self) -> &[u8] {
-        let sum = fnv1a(self.bytes.get(8..).unwrap_or(&[]));
+        let sum = checksum(self.bytes.get(8..).unwrap_or(&[]));
         self.put_u64(0, sum);
         &self.bytes
     }
@@ -315,6 +368,20 @@ impl Page {
 mod tests {
     use super::*;
 
+    impl Page {
+        /// A page from an image read back from disk, validated as the
+        /// buffer pool validates a miss.
+        fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
+            let mut page = Self::new();
+            page.read_from(|buf| {
+                let n = bytes.len().min(buf.len());
+                buf[..n].copy_from_slice(&bytes[..n]);
+                n
+            })?;
+            Ok(page)
+        }
+    }
+
     #[test]
     fn insert_and_read_back_in_order() {
         let mut p = Page::new();
@@ -483,5 +550,35 @@ mod tests {
             Page::from_bytes(vec![0u8; 17]),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn checksum_known_answer() {
+        let mut p = Page::new();
+        p.insert(b"known answer").unwrap();
+        p.insert(&[0x5Au8; 300]).unwrap();
+        p.set_next(7);
+        let image = p.seal().to_vec();
+        // Worked out from the layout and the definition above by a
+        // separate implementation, not read back from this one.
+        const KNOWN: u64 = 0x490b_32dd_cc5a_a8f4;
+        assert_eq!(checksum(&image[8..]), KNOWN);
+        assert_eq!(&image[..8], &KNOWN.to_le_bytes());
+    }
+
+    #[test]
+    fn every_single_byte_flip_fails_verification() {
+        let mut p = Page::new();
+        p.insert(b"flip me").unwrap();
+        p.set_next(3);
+        let image = p.seal().to_vec();
+        for off in 8..PAGE_SIZE {
+            let mut bad = image.clone();
+            bad[off] ^= 0x01;
+            assert!(
+                matches!(Page::from_bytes(bad), Err(StoreError::Corrupt(_))),
+                "flip at {off} went unnoticed"
+            );
+        }
     }
 }

@@ -17,10 +17,11 @@
 //! Durability is WAL-first: every mutation is a logical record, applied to
 //! the heap by the same [`PagedStore::apply`] that replays it after a
 //! crash, and commit appends a `Commit` record and fsyncs — the only fsync
-//! on the write path. Heap pages are flushed lazily (eviction, commit) and
-//! the heap file is *rebuilt from the WAL* on open, so a torn heap page can
-//! never survive recovery; the heap exists to bound memory, not to be the
-//! source of truth. [`PagedStore::open`] replays the log under the
+//! on the write path. A dirty heap page reaches the heap file only when the
+//! buffer pool evicts it — never at commit or after replay — and the heap
+//! file is *rebuilt from the WAL* on open, so a torn heap page can never
+//! survive recovery; the heap exists to bound memory, not to be the source
+//! of truth. [`PagedStore::open`] replays the log under the
 //! instance's [`RecoveryPolicy`] and reports [`RecoveryStats`], which the
 //! chaos suite asserts on.
 //!
@@ -228,7 +229,6 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
         for op in &replay.ops {
             store.apply(op, None)?;
         }
-        store.flush_heap();
         Ok(store)
     }
 
@@ -678,12 +678,6 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
         }
         Ok(())
     }
-
-    /// Flushes dirty heap pages (unsynced; commit syncs only the WAL — the
-    /// heap is rebuilt from the log after a crash).
-    fn flush_heap(&self) {
-        self.pool.borrow_mut().flush_all(&self.disk);
-    }
 }
 
 fn store_len_delta(disk: &VDisk, valid_end: u64) -> u64 {
@@ -765,12 +759,12 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
             for &tid in index.get(key) {
                 let page_no = t.page_no(tid).ok_or_else(|| no_such_page(table, tid))?;
                 // A deleted row's entry lingers; its slot is a tombstone.
-                let tuple = pool.with_page(&self.disk, page_no, |p| {
-                    p.get(tid.slot).map(|t| t.map(<[u8]>::to_vec))
+                let row = pool.with_page(&self.disk, page_no, |p| {
+                    p.get(tid.slot)?.map(|t| self.codec.decode(t)).transpose()
                 })??;
-                if let Some(tuple) = tuple {
+                if let Some(row) = row {
                     candidates += 1;
-                    visit(RowId(address(tid)), self.codec.decode(&tuple)?);
+                    visit(RowId(address(tid)), row);
                 }
             }
             return Ok(candidates);
@@ -858,7 +852,6 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
                 self.free_chain(&t.pages);
             }
         }
-        self.flush_heap();
         Ok(())
     }
 
@@ -1438,6 +1431,39 @@ mod tests {
         roomy.insert("T", rows(2_000)).unwrap();
         roomy.commit().unwrap();
         assert_eq!(roomy.state_digest(), digest);
+    }
+
+    #[test]
+    fn autocommit_writes_leave_the_heap_file_alone() {
+        // A table that fits the default pool: commits write the WAL, and
+        // no dirty page goes back to the heap file until it is evicted.
+        let disk = VDisk::new("d");
+        let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
+        paged.create_table("T", b"meta").unwrap();
+        paged.begin().unwrap();
+        paged.insert("T", rows(2_000)).unwrap();
+        paged.commit().unwrap();
+        let targets = addresses(&paged, "T", |_| true);
+        let (before, heap_len) = (paged.pool_stats(), disk.len(HEAP_FILE));
+        for (i, (at, (key, _))) in targets.iter().step_by(10).take(200).enumerate() {
+            paged.begin().unwrap();
+            paged
+                .update("T", vec![(*at, (*key, format!("upd-{i:04}")))])
+                .unwrap();
+            paged.commit().unwrap();
+        }
+        let after = paged.pool_stats();
+        assert_eq!(after.evictions, before.evictions, "the table fits the pool");
+        assert_eq!(after.writebacks - before.writebacks, 0, "{after:?}");
+        assert_eq!(disk.len(HEAP_FILE), heap_len);
+        // Durability is the WAL's: the crash loses nothing committed.
+        let digest = paged.state_digest();
+        drop(paged);
+        disk.crash();
+        assert_eq!(
+            open(&disk, RecoveryPolicy::ReplayForward).state_digest(),
+            digest
+        );
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Frames cache [`Page`]s of one heap file. Lookups pin the frame for the
 //! duration of the visitor closure; eviction sweeps a clock hand over the
 //! frames, skipping pinned ones and clearing reference bits, and flushes
-//! dirty victims back to the [`VDisk`] before reuse. Everything is
+//! dirty victims back to the [`VDisk`] before reuse — the only write-back
+//! the engine's write path makes. A miss picks its victim first and then
+//! reads the page from disk straight into that frame's buffer, so a frame
+//! keeps one 4 KiB buffer for the life of the pool. Everything is
 //! deterministic: same access sequence, same hit/miss/eviction trace.
-
-use std::collections::BTreeMap;
 
 use crate::disk::VDisk;
 use crate::page::{Page, PAGE_SIZE};
@@ -38,6 +39,45 @@ impl Frame {
     }
 }
 
+/// Which frame holds which page: `(page number, frame index)` pairs sorted
+/// by page number. It holds at most one pair per frame, so it is allocated
+/// once, at the pool's capacity, and a miss's remove and insert shift a
+/// few hundred bytes instead of allocating tree nodes.
+#[derive(Debug)]
+struct PageMap(Vec<(u64, usize)>);
+
+impl PageMap {
+    fn with_capacity(frames: usize) -> Self {
+        Self(Vec::with_capacity(frames))
+    }
+
+    fn find(&self, page_no: u64) -> std::result::Result<usize, usize> {
+        self.0.binary_search_by_key(&page_no, |&(no, _)| no)
+    }
+
+    fn get(&self, page_no: &u64) -> Option<&usize> {
+        let at = self.find(*page_no).ok()?;
+        self.0.get(at).map(|(_, idx)| idx)
+    }
+
+    /// Maps `page_no`, which no frame holds, to frame `idx`.
+    fn insert(&mut self, page_no: u64, idx: usize) {
+        if let Err(at) = self.find(page_no) {
+            self.0.insert(at, (page_no, idx));
+        }
+    }
+
+    fn remove(&mut self, page_no: &u64) {
+        if let Ok(at) = self.find(*page_no) {
+            self.0.remove(at);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// Cache statistics, for benchmarks and eviction-determinism tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -56,7 +96,7 @@ pub struct PoolStats {
 pub struct BufferPool {
     file: String,
     frames: Vec<Frame>,
-    map: BTreeMap<u64, usize>,
+    map: PageMap,
     hand: usize,
     stats: PoolStats,
 }
@@ -69,7 +109,7 @@ impl BufferPool {
         Self {
             file: file.into(),
             frames: (0..capacity).map(|_| Frame::empty()).collect(),
-            map: BTreeMap::new(),
+            map: PageMap::with_capacity(capacity),
             hand: 0,
             stats: PoolStats::default(),
         }
@@ -139,30 +179,23 @@ impl BufferPool {
     ///
     /// [`StoreError::Corrupt`] if evicting a victim frame fails.
     pub fn create_page(&mut self, disk: &VDisk, page_no: u64) -> Result<()> {
-        if let Some(&idx) = self.map.get(&page_no) {
-            if let Some(frame) = self.frames.get_mut(idx) {
-                frame.page = Page::new();
-                frame.dirty = true;
-                frame.referenced = true;
-            }
-            return Ok(());
-        }
-        let idx = self.victim(disk)?;
+        let idx = match self.map.get(&page_no) {
+            Some(&idx) => idx,
+            None => self.take_victim(disk, page_no)?,
+        };
         if let Some(frame) = self.frames.get_mut(idx) {
-            if frame.occupied {
-                self.map.remove(&frame.page_no);
-            }
-            *frame = Frame::empty();
-            frame.page_no = page_no;
+            frame.page.reset();
             frame.dirty = true;
             frame.referenced = true;
-            frame.occupied = true;
         }
-        self.map.insert(page_no, idx);
         Ok(())
     }
 
     /// Writes every dirty frame back to `disk` (unsynced; callers fsync).
+    /// The storage engine never calls this — its heap is rebuilt from the
+    /// WAL on open, so dirty pages reach disk only when evicted — but a
+    /// caller that wants a file of sealed pages, such as a benchmark
+    /// preparing pages to fetch, can.
     pub fn flush_all(&mut self, disk: &VDisk) {
         for frame in &mut self.frames {
             if frame.occupied && frame.dirty {
@@ -195,16 +228,38 @@ impl BufferPool {
             return Ok(idx);
         }
         self.stats.misses += 1;
-        let bytes = disk.read(&self.file, page_no * PAGE_SIZE as u64, PAGE_SIZE);
-        let page = Page::from_bytes(bytes)
-            .map_err(|e| StoreError::Corrupt(format!("page {page_no} of {}: {e}", self.file)))?;
+        let idx = self.take_victim(disk, page_no)?;
+        let Some(frame) = self.frames.get_mut(idx) else {
+            return Err(StoreError::Corrupt("frame index out of range".into()));
+        };
+        let off = page_no * PAGE_SIZE as u64;
+        let read = frame
+            .page
+            .read_from(|buf| disk.read_into(&self.file, off, buf));
+        if let Err(e) = read {
+            // The victim is already gone (written back if it was dirty);
+            // the frame stays free and `page_no` unmapped.
+            frame.occupied = false;
+            frame.referenced = false;
+            self.map.remove(&page_no);
+            return Err(StoreError::Corrupt(format!(
+                "page {page_no} of {}: {e}",
+                self.file
+            )));
+        }
+        Ok(idx)
+    }
+
+    /// Evicts a victim (see [`BufferPool::victim`]) and maps `page_no` to
+    /// its frame, referenced and clean, with the old page still in the
+    /// buffer for the caller to overwrite.
+    fn take_victim(&mut self, disk: &VDisk, page_no: u64) -> Result<usize> {
         let idx = self.victim(disk)?;
         if let Some(frame) = self.frames.get_mut(idx) {
             if frame.occupied {
                 self.map.remove(&frame.page_no);
             }
             frame.page_no = page_no;
-            frame.page = page;
             frame.dirty = false;
             frame.pinned = false;
             frame.referenced = true;
@@ -334,9 +389,12 @@ mod tests {
         .unwrap();
         pool.flush_all(&disk);
         disk.fsync("heap");
-        let bytes = disk.read("heap", 0, PAGE_SIZE);
-        let p = Page::from_bytes(bytes).unwrap();
-        assert_eq!(p.tuple(0).unwrap(), b"fresh");
+        let mut fresh = BufferPool::new("heap", 1);
+        let t = fresh
+            .with_page(&disk, 0, |p| p.tuple(0).map(<[u8]>::to_vec))
+            .unwrap()
+            .unwrap();
+        assert_eq!(t, b"fresh");
     }
 
     #[test]
@@ -349,5 +407,37 @@ mod tests {
             pool.with_page(&disk, 0, |_| ()),
             Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_read_leaves_the_pool_consistent() {
+        let disk = seeded_disk(4);
+        disk.write_at("heap", 3 * PAGE_SIZE as u64, &[0xAAu8; PAGE_SIZE]);
+        let mut pool = BufferPool::new("heap", 2);
+        pool.with_page_mut(&disk, 0, |p| p.insert(b"unflushed"))
+            .unwrap();
+        pool.with_page(&disk, 1, |_| ()).unwrap();
+        // The clock picks page 0's frame, writes it back, then the read
+        // into it fails.
+        assert!(matches!(
+            pool.with_page(&disk, 3, |_| ()),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert!(pool.map.get(&3).is_none(), "no entry for the failed page");
+        assert!(pool.map.get(&0).is_none(), "page 0 was the victim");
+        assert_eq!(pool.stats().writebacks, 1, "the dirty victim went back");
+        let hits = pool.stats().hits;
+        pool.with_page(&disk, 1, |_| ()).unwrap();
+        assert_eq!(pool.stats().hits, hits + 1, "page 1 is still resident");
+        let t = pool
+            .with_page(&disk, 0, |p| p.tuple(1).map(<[u8]>::to_vec))
+            .unwrap()
+            .unwrap();
+        assert_eq!(t, b"unflushed", "the write-back lost nothing");
+        assert!(matches!(
+            pool.with_page(&disk, 3, |_| ()),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert!(pool.map.get(&3).is_none());
     }
 }

@@ -12,12 +12,18 @@
 //!
 //! A span event with a static label allocates nothing of its own: the
 //! event vector's growth is the only cost.
+//!
+//! A buffer-pool miss reads the page into its victim frame's buffer and
+//! the page map is a sorted vector sized to the pool, so a run of misses
+//! allocates nothing. A fresh 4 KiB buffer per miss and a `BTreeMap` page
+//! map made 10 000 misses cost 11 141 allocations and 41.2 MB.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rddr_repro::core::protocol::LineProtocol;
 use rddr_repro::core::{EngineConfig, NVersionEngine, Protocol, Verdict};
+use rddr_repro::pgstore::{BufferPool, Page, VDisk, PAGE_SIZE};
 use rddr_repro::protocols::HttpProtocol;
 use rddr_repro::telemetry::Span;
 
@@ -32,14 +38,16 @@ const PER_EXCHANGE: u64 = 2 * INSTANCES as u64;
 thread_local! {
     // Per thread, so tests running side by side do not count each other.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 impl Counting {
-    fn count() {
+    fn count(bytes: usize) {
         // Not `with`: the allocator also runs while a thread is torn down.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
     }
 }
 
@@ -47,7 +55,7 @@ impl Counting {
 // upholds the `GlobalAlloc` contract; counting touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -58,7 +66,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -69,9 +77,20 @@ static ALLOCATOR: Counting = Counting;
 
 /// Allocations (and reallocations) `f` performs on this thread.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let (value, count, _) = allocated_in(f);
+    (value, count)
+}
+
+/// Allocations `f` performs on this thread, and the bytes they asked for
+/// (a reallocation counts its new size).
+fn allocated_in<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
     let value = f();
-    (value, ALLOCATIONS.with(Cell::get) - before)
+    (
+        value,
+        ALLOCATIONS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
 }
 
 /// Instance `instance`'s response: the benchmark's `http_noisy` shape, with
@@ -162,4 +181,30 @@ fn static_span_labels_allocate_only_the_event_vector() {
     assert_eq!(span.timeline().len(), 64);
     println!("allocations for 64 static-label span events: {count}");
     assert!(count <= BUDGET, "{count} > {BUDGET}");
+}
+
+#[test]
+fn buffer_pool_misses_refill_frames_in_place() {
+    const PAGES: u64 = 256;
+    const MISSES: u64 = 10_000;
+    let disk = VDisk::new("alloc-budget");
+    for page_no in 0..PAGES {
+        let mut page = Page::new();
+        page.insert(format!("page-{page_no}").as_bytes());
+        disk.write_at("heap", page_no * PAGE_SIZE as u64, page.seal());
+    }
+    let mut pool = BufferPool::new("heap", 64);
+    let ((), count, bytes) = allocated_in(|| {
+        for i in 0..MISSES {
+            pool.with_page(&disk, i % PAGES, Page::slot_count).unwrap();
+        }
+    });
+    assert_eq!(
+        pool.stats().misses,
+        MISSES,
+        "a 64-frame pool cycling 256 pages"
+    );
+    println!("{MISSES} buffer-pool misses: {count} allocations, {bytes} bytes");
+    assert!(count <= 500, "{count} > 500 allocations");
+    assert!(bytes < 64 * 1024, "{bytes} bytes allocated");
 }
