@@ -254,3 +254,52 @@ fn write_baseline_then_rerun_is_clean() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn worker_loop_reaches_every_session_method_and_the_drain() {
+    use rddr_analyze::callgraph::CallGraph;
+    use rddr_analyze::source::SourceFile;
+    // The graph over the proxy crate alone: the reactor must reach both
+    // sessions through the `SessionTask` dispatch, not through some
+    // other crate's same-named function.
+    let root = workspace_root();
+    let mut files: Vec<SourceFile> = std::fs::read_dir(root.join("crates/proxy/src"))
+        .expect("proxy sources")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "rs"))
+        .map(|path| {
+            let rel = path.strip_prefix(&root).expect("under the root");
+            let rel = rel
+                .to_string_lossy()
+                .replace(std::path::MAIN_SEPARATOR, "/");
+            SourceFile::parse(rel, "proxy", &std::fs::read(&path).expect("read source"))
+        })
+        .collect();
+    files.sort_by(|a, b| a.path.cmp(&b.path));
+    let graph = CallGraph::build(&files);
+    let worker = graph
+        .node("proxy::reactor::worker_loop")
+        .expect("worker_loop node");
+    let reached = graph.reachable(&[worker]);
+    let mut wanted = vec![
+        "proxy::reactor::drain_and_step".to_string(),
+        "proxy::session::receive".to_string(),
+    ];
+    for side in ["incoming", "outgoing"] {
+        for method in [
+            "init",
+            "on_data",
+            "on_close",
+            "step",
+            "teardown",
+            "state_ordinal",
+        ] {
+            wanted.push(format!("proxy::{side}::{method}"));
+        }
+    }
+    let missed: Vec<&String> = wanted
+        .iter()
+        .filter(|id| graph.node(id).is_none_or(|n| !reached.contains_key(&n)))
+        .collect();
+    assert!(missed.is_empty(), "worker_loop does not reach {missed:?}");
+}

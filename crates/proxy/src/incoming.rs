@@ -7,12 +7,12 @@ use std::time::Instant;
 
 use bytes::BytesMut;
 use rddr_core::{Direction, EngineConfig, Frame, Protocol, RddrError, INTERVENTION_PAGE};
-use rddr_net::{BoxStream, Network, ServiceAddr, Stream};
+use rddr_net::{BoxStream, Network, ServiceAddr};
 use rddr_telemetry::{Histogram, Span};
 
 use crate::plumbing::ProxyTelemetry;
 use crate::reactor::{Ctx, Flow, SessionTask, SLOT_PRIMARY};
-use crate::session::{drain_primary, run, Advance, NSide, Proxy, ProxySeries, Verdict};
+use crate::session::{run, Advance, NSide, Proxy, ProxySeries, Verdict};
 use crate::{ProtocolFactory, ProxyError, Result, StatsSnapshot};
 
 /// The span label of a data wake on instance `i`: `instance:{i}:data`,
@@ -104,26 +104,9 @@ impl IncomingProxy {
                 instances.len()
             )));
         }
-        let instances = Arc::new(instances);
         let session_net = Arc::clone(&net);
         let proxy = Proxy::start(net, listen, "in", 1, telemetry, |series| {
-            let own = Arc::new(InSeries {
-                exchange_us: series.histogram("exchange_latency_us"),
-                fanout_us: series.histogram("fanout_latency_us"),
-                instance_us: series.histogram("instance_response_us"),
-            });
-            let series = Arc::clone(series);
-            move |mut conns| {
-                Some(Box::new(InSession::new(
-                    conns.pop()?,
-                    Arc::clone(&session_net),
-                    Arc::clone(&instances),
-                    config.clone(),
-                    &protocol,
-                    &series,
-                    Arc::clone(&own),
-                )))
-            }
+            sessions(session_net, instances, config, protocol, series)
         })?;
         Ok(IncomingProxy(proxy))
     }
@@ -152,6 +135,33 @@ impl IncomingProxy {
     }
 }
 
+/// The incoming proxy's session factory: one [`InSession`] per accepted
+/// client, on the proxy's series plus the latency series only it keeps.
+pub(crate) fn sessions(
+    net: Arc<dyn Network>,
+    instances: Vec<ServiceAddr>,
+    config: EngineConfig,
+    protocol: ProtocolFactory,
+    series: &Arc<ProxySeries>,
+) -> impl Fn() -> Box<dyn SessionTask> + Send + 'static {
+    let own = Arc::new(InSeries {
+        exchange_us: series.histogram("exchange_latency_us"),
+        fanout_us: series.histogram("fanout_latency_us"),
+        instance_us: series.histogram("instance_response_us"),
+    });
+    let (instances, series) = (Arc::new(instances), Arc::clone(series));
+    move || -> Box<dyn SessionTask> {
+        Box::new(InSession::new(
+            Arc::clone(&net),
+            Arc::clone(&instances),
+            config.clone(),
+            &protocol,
+            &series,
+            Arc::clone(&own),
+        ))
+    }
+}
+
 /// Where an incoming session currently is in its exchange cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum InState {
@@ -163,14 +173,12 @@ enum InState {
 
 /// One client session of the incoming proxy, driven by the reactor.
 ///
-/// `Gather` reads the client until a request frame is complete; `Merge`
+/// `Gather` buffers client bytes until a request frame is complete; `Merge`
 /// waits for the instances' responses unit by unit, through the shared
 /// [`NSide`] core. Instance data arriving before its unit starts merging is
 /// pushed straight into the engine, which buffers it.
 struct InSession {
     nside: NSide,
-    client: BoxStream,
-    client_open: bool,
     net: Arc<dyn Network>,
     instances: Arc<Vec<ServiceAddr>>,
     is_http: bool,
@@ -184,7 +192,7 @@ struct InSession {
     pipelined: bool,
 
     // Per-batch state (valid while `state == Merge`).
-    exchange_start: Instant,
+    exchange_start: Option<Instant>,
     span: Arc<Span>,
     throttled_stop: bool,
     hard_stop: bool,
@@ -196,7 +204,6 @@ struct InSession {
 
 impl InSession {
     fn new(
-        client: BoxStream,
         net: Arc<dyn Network>,
         instances: Arc<Vec<ServiceAddr>>,
         config: EngineConfig,
@@ -210,8 +217,6 @@ impl InSession {
         let n = instances.len();
         InSession {
             nside,
-            client,
-            client_open: true,
             net,
             instances,
             is_http,
@@ -222,7 +227,7 @@ impl InSession {
             request_frames: Vec::new(),
             next_frame: 0,
             pipelined: false,
-            exchange_start: Instant::now(),
+            exchange_start: None,
             span: Arc::new(Span::start("exchange")),
             throttled_stop: false,
             hard_stop: false,
@@ -234,7 +239,8 @@ impl InSession {
     }
 
     /// `Gather`: split complete request frames out of the buffer and start
-    /// the next fan-out window, or park until more client bytes arrive.
+    /// the next fan-out window, or park until more client bytes arrive (or
+    /// finish once the client has closed).
     fn gather(&mut self, ctx: &mut Ctx<'_>) -> Advance {
         if self.next_frame < self.request_frames.len() {
             return self.start_window(ctx);
@@ -249,12 +255,8 @@ impl InSession {
                 self.next_frame = 0;
                 self.start_window(ctx)
             }
-            Ok(_) => {
-                if !self.client_open {
-                    return Advance::Finish;
-                }
-                Advance::Park
-            }
+            Ok(_) if ctx.at_eof(SLOT_PRIMARY) => Advance::Finish,
+            Ok(_) => Advance::Park,
             Err(_) => Advance::Finish,
         }
     }
@@ -280,7 +282,7 @@ impl InSession {
 
         // One span per batch: it travels into the engine, shows up in any
         // divergence audit record, and times the proxy's own phases.
-        self.exchange_start = Instant::now();
+        self.exchange_start = Some(ctx.now());
         self.span = Arc::new(Span::start("exchange"));
         self.nside.engine.set_span(Arc::clone(&self.span));
 
@@ -295,9 +297,7 @@ impl InSession {
             return Advance::Finish;
         };
         self.next_frame = batch_end;
-        let mut replicated: Vec<&Frame> = Vec::with_capacity(batch.len());
-        replicated.extend(batch.iter());
-        for frame in replicated {
+        for frame in batch {
             match self.nside.engine.replicate_request(&frame.bytes) {
                 Ok(copies) => unit_copies.push(copies),
                 Err(RddrError::Throttled) => {
@@ -312,62 +312,43 @@ impl InSession {
         }
         if unit_copies.is_empty() {
             if self.throttled_stop {
-                self.sever();
+                self.sever(ctx);
             }
             return Advance::Finish;
         }
 
         // Fan out: one write per instance covering the whole batch.
-        let fanout_start = Instant::now();
-        let mut fanout_failed: Vec<usize> = Vec::new();
-        if let [copies] = unit_copies.as_slice() {
-            for (i, (slot, copy)) in self.nside.streams.iter_mut().zip(copies).enumerate() {
-                let Some(writer) = slot else {
-                    continue;
-                };
-                if writer.write_all(copy).is_err() {
-                    fanout_failed.push(i);
-                }
-            }
+        let fanout_start = ctx.now();
+        let written = if let [copies] = unit_copies.as_slice() {
+            self.nside
+                .write_live(ctx, |i| copies.get(i).map_or(&[], |c| c.as_bytes()))
         } else {
-            for (i, (slot, buf)) in self
-                .nside
-                .streams
-                .iter_mut()
-                .zip(self.fanout_bufs.iter_mut())
-                .enumerate()
-            {
-                let Some(writer) = slot else {
-                    continue;
-                };
+            for (i, buf) in self.fanout_bufs.iter_mut().enumerate() {
                 buf.clear();
-                for copies in &unit_copies {
-                    if let Some(copy) = copies.get(i) {
+                if self.nside.engine.is_active(i) {
+                    for copy in unit_copies.iter().filter_map(|copies| copies.get(i)) {
                         buf.extend_from_slice(copy);
                     }
                 }
-                if writer.write_all(buf).is_err() {
-                    fanout_failed.push(i);
-                }
             }
-        }
-        for i in fanout_failed {
-            if !self.nside.degrade.ejects() {
-                self.sever();
-                return Advance::Finish;
-            }
-            self.nside.eject(i, ctx);
+            let bufs = &self.fanout_bufs;
+            self.nside
+                .write_live(ctx, |i| bufs.get(i).map_or(&[], Vec::as_slice))
+        };
+        if !written {
+            self.sever(ctx);
+            return Advance::Finish;
         }
         self.series
             .fanout_us
-            .record_duration(fanout_start.elapsed());
+            .record_duration(ctx.since(Some(fanout_start)));
         self.span.event("fanout:done");
 
         self.units = unit_copies.len();
         self.units_done = 0;
         self.forward_buf.clear();
         self.state = InState::Merge;
-        self.nside.begin();
+        self.nside.begin(ctx.now());
         Advance::Again
     }
 
@@ -390,14 +371,19 @@ impl InSession {
         // unit per pass; the classic path takes everything buffered, so a
         // surplus frame still diffs against the exchange that provoked it.
         let verdict = self.nside.evaluate(ctx, self.pipelined);
-        if !matches!(verdict, Verdict::Unevaluated) {
+        if matches!(verdict, Verdict::Forward(_) | Verdict::Severed) {
             self.series
                 .exchange_us
-                .record_duration(self.exchange_start.elapsed());
+                .record_duration(ctx.since(self.exchange_start));
         }
         let Verdict::Forward(bytes) = verdict else {
-            self.flush_forwards();
-            self.sever();
+            if matches!(verdict, Verdict::Silent) {
+                // Every live instance stayed silent past the deadline: a
+                // sever like any other.
+                self.nside.count_sever();
+            }
+            self.flush_forwards(ctx);
+            self.sever(ctx);
             return Advance::Finish;
         };
         // Forwards for a batch accumulate and reach the client in one write
@@ -405,21 +391,21 @@ impl InSession {
         self.forward_buf.extend_from_slice(&bytes);
         self.units_done += 1;
         if self.units_done < self.units {
-            self.nside.begin();
+            self.nside.begin(ctx.now());
             // Data for the next unit may already be buffered in the engine.
             return Advance::Again;
         }
 
         // Batch complete: flush forwards, then back to gathering (or stop).
         if !self.forward_buf.is_empty() {
-            let flushed = self.client.write_all(&self.forward_buf);
+            let flushed = ctx.write(SLOT_PRIMARY, &self.forward_buf);
             self.forward_buf.clear();
-            if flushed.is_err() {
+            if !flushed {
                 return Advance::Finish;
             }
         }
         if self.throttled_stop {
-            self.sever();
+            self.sever(ctx);
             return Advance::Finish;
         }
         if self.hard_stop {
@@ -433,84 +419,80 @@ impl InSession {
     /// readiness registration is the warm-up check that readmits the
     /// replica into the diff set.
     fn attempt_rejoins(&mut self, ctx: &mut Ctx<'_>) {
-        let instances = Arc::clone(&self.instances);
-        for (i, addr) in instances.iter().enumerate() {
+        for (i, addr) in self.instances.iter().enumerate() {
             if self.nside.engine.is_active(i) {
                 continue;
             }
-            let Ok(mut conn) = self.net.dial(addr) else {
-                continue;
-            };
-            if ctx.register(&mut conn, i as u64) {
-                self.nside.rejoin(i, conn);
+            if let Ok(conn) = self.net.dial(addr) {
+                self.nside.rejoin(ctx, i, conn);
             }
         }
     }
 
     /// Writes any accumulated batch forwards to the client before the
     /// session is severed, so units answered ahead of a mid-batch sever
-    /// still reach the client in order.
-    fn flush_forwards(&mut self) {
+    /// still reach the client in order. Best-effort: a failed write
+    /// changes nothing on a session being severed anyway.
+    fn flush_forwards(&mut self, ctx: &mut Ctx<'_>) {
         if !self.forward_buf.is_empty() {
-            // Best-effort on a session being severed anyway; a failed write
-            // changes nothing. rddr-analyze: allow(error-swallow)
-            let _ = self.client.write_all(&self.forward_buf);
+            let _ = ctx.write(SLOT_PRIMARY, &self.forward_buf);
             self.forward_buf.clear();
         }
     }
 
-    /// Severs the session: optionally sends the HTTP intervention page, then
-    /// closes the client and all remaining instance connections.
-    fn sever(&mut self) {
+    /// Severs the session: sends the HTTP intervention page, best-effort.
+    /// The session then finishes, and the reactor closes the client and
+    /// every instance.
+    fn sever(&mut self, ctx: &mut Ctx<'_>) {
         if self.is_http {
-            // Best-effort courtesy page on a connection being severed
-            // anyway; a failed write changes nothing.
-            // rddr-analyze: allow(error-swallow)
-            let _ = self.client.write_all(INTERVENTION_PAGE.as_bytes());
+            let _ = ctx.write(SLOT_PRIMARY, INTERVENTION_PAGE.as_bytes());
         }
-        self.client.shutdown();
-        self.nside.shutdown_all();
     }
 }
 
 impl SessionTask for InSession {
-    fn init(&mut self, ctx: &mut Ctx<'_>) -> Flow {
+    fn init(&mut self, ctx: &mut Ctx<'_>, accepted: Vec<BoxStream>) -> Flow {
+        let Some(client) = accepted.into_iter().next() else {
+            return Flow::Done;
+        };
+        if !ctx.attach(SLOT_PRIMARY, client) {
+            return Flow::Done;
+        }
         // Dial every instance. Under the default sever policy any
         // unreachable instance aborts the whole session; under an eject
         // policy it is ejected and the session starts degraded, as long as
         // enough survivors remain.
-        let instances = Arc::clone(&self.instances);
-        for (i, addr) in instances.iter().enumerate() {
-            match self.net.dial(addr) {
-                Ok(conn) => self.nside.admit(i, conn),
-                Err(_) if self.nside.degrade.ejects() => self.nside.eject(i, ctx),
-                Err(_) => return Flow::Done,
+        for (i, addr) in self.instances.iter().enumerate() {
+            if !self.nside.attach(ctx, i, self.net.dial(addr).ok()) {
+                return Flow::Done;
             }
         }
-        if self.nside.below_floor()
-            || !ctx.register(&mut self.client, SLOT_PRIMARY)
-            || !self.nside.register(ctx)
-        {
+        if self.nside.below_floor() {
             return Flow::Done;
         }
         Flow::Continue
     }
 
-    fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow {
-        drain_primary(
-            ctx,
-            &mut self.client,
-            &mut self.client_open,
-            &mut self.request_buf,
-        );
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, slot: u64, bytes: &[u8]) -> bool {
+        if slot == SLOT_PRIMARY {
+            self.request_buf.extend_from_slice(bytes);
+            return true;
+        }
         let merging = self.state == InState::Merge;
-        let (series, span) = (&self.series, &self.span);
-        self.nside.drain(ctx, merging, |i, t0| {
-            if merging {
-                series.instance_us.record_duration(t0.elapsed());
-                span.event(data_label(i));
-            }
-        });
+        if merging {
+            self.series
+                .instance_us
+                .record_duration(ctx.since(self.nside.t0));
+            self.span.event(data_label(slot as usize));
+        }
+        self.nside.receive(ctx, slot as usize, bytes, merging)
+    }
+
+    fn on_close(&mut self, slot: u64) {
+        self.nside.closed(slot);
+    }
+
+    fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow {
         run(|| match self.state {
             InState::Gather => self.gather(ctx),
             InState::Merge => self.merge(ctx),
@@ -518,7 +500,6 @@ impl SessionTask for InSession {
     }
 
     fn teardown(&mut self) {
-        self.client.shutdown();
         self.nside.teardown();
     }
 

@@ -26,14 +26,20 @@
 //! proxy and the members for the outgoing proxy. It also has a single
 //! stream, which is the client or the backend. One proxy handle serves
 //! both: it binds, runs the reactor pool and the accept loop, and stops.
+//!
+//! The reactor worker is the only code that touches a session's streams
+//! and its clock: it owns each session's stream table, drains every woken
+//! stream in one loop, and hands the session its bytes and EOFs per slot;
+//! the session writes, closes and arms its timer through the worker.
 //! One session core runs the N side:
 //! - fault, eject and quarantine;
-//! - the drain;
+//! - the bytes and EOFs the drain hands it;
 //! - the deadline and straggler wait;
+//! - the write to every live instance;
 //! - the completion accounting.
 //!
-//! `incoming` and `outgoing` keep only their single stream and the rules
-//! that differ by direction.
+//! `incoming` and `outgoing` keep only their single stream's state and the
+//! rules that differ by direction.
 //!
 //! [`NVersion`] is the one way to stand a protected service up on an
 //! [`rddr_orchestra::Cluster`]: it starts the N variants as containers

@@ -6,12 +6,12 @@ use std::time::Instant;
 
 use bytes::BytesMut;
 use rddr_core::{Direction, EngineConfig, Frame, Protocol};
-use rddr_net::{BoxStream, Network, ServiceAddr, Stream};
+use rddr_net::{BoxStream, Network, ServiceAddr};
 use rddr_telemetry::Histogram;
 
 use crate::plumbing::ProxyTelemetry;
 use crate::reactor::{Ctx, Flow, SessionTask, SLOT_PRIMARY};
-use crate::session::{drain_primary, run, Advance, NSide, Proxy, ProxySeries, Verdict};
+use crate::session::{run, Advance, NSide, Proxy, ProxySeries, Verdict};
 use crate::{ProtocolFactory, Result, StatsSnapshot};
 
 /// The outgoing request proxy: the N protected instances connect *here*
@@ -78,19 +78,7 @@ impl OutgoingProxy {
         let session_net = Arc::clone(&net);
         let group = config.instances();
         let proxy = Proxy::start(net, listen, "out", group, telemetry, |series| {
-            let backend_us = series.histogram("backend_latency_us");
-            let series = Arc::clone(series);
-            move |members| {
-                Some(Box::new(OutSession::new(
-                    members,
-                    Arc::clone(&session_net),
-                    backend.clone(),
-                    config.clone(),
-                    &protocol,
-                    &series,
-                    Arc::clone(&backend_us),
-                )))
-            }
+            sessions(session_net, backend, config, protocol, series)
         })?;
         Ok(OutgoingProxy(proxy))
     }
@@ -119,6 +107,29 @@ impl OutgoingProxy {
     }
 }
 
+/// The outgoing proxy's session factory: one [`OutSession`] per group of N
+/// accepted members, on the proxy's series plus its backend latency.
+pub(crate) fn sessions(
+    net: Arc<dyn Network>,
+    backend: ServiceAddr,
+    config: EngineConfig,
+    protocol: ProtocolFactory,
+    series: &Arc<ProxySeries>,
+) -> impl Fn() -> Box<dyn SessionTask> + Send + 'static {
+    let backend_us = series.histogram("backend_latency_us");
+    let series = Arc::clone(series);
+    move || -> Box<dyn SessionTask> {
+        Box::new(OutSession::new(
+            Arc::clone(&net),
+            backend.clone(),
+            config.clone(),
+            &protocol,
+            &series,
+            Arc::clone(&backend_us),
+        ))
+    }
+}
+
 /// Where an outgoing session currently is in its exchange cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OutState {
@@ -131,7 +142,7 @@ enum OutState {
 /// One merge session of the outgoing proxy, driven by the reactor.
 ///
 /// `MergeRequests` waits, through the shared [`NSide`] core, for one
-/// complete request from every live member; `BackendRead` reads the
+/// complete request from every live member; `BackendRead` parses the
 /// backend's whole response and replicates it to the members. Member data
 /// arriving during the backend read is buffered by the engine for the next
 /// merge.
@@ -143,8 +154,6 @@ struct OutSession {
     /// Merged request written → complete backend response read, µs.
     backend_us: Arc<Histogram>,
 
-    backend: Option<BoxStream>,
-    backend_open: bool,
     backend_buf: BytesMut,
 
     state: OutState,
@@ -157,14 +166,13 @@ struct OutSession {
     saw_data: bool,
 
     // Per-exchange backend-read state.
-    backend_start: Instant,
+    backend_start: Option<Instant>,
     collected: Vec<Frame>,
     response_buf: Vec<u8>,
 }
 
 impl OutSession {
     fn new(
-        members: Vec<BoxStream>,
         net: Arc<dyn Network>,
         backend_addr: ServiceAddr,
         config: EngineConfig,
@@ -174,23 +182,18 @@ impl OutSession {
     ) -> Self {
         let n = config.instances();
         // The outgoing proxy diffs the instances' *requests*.
-        let mut nside = NSide::new(config, protocol(), Direction::Request, series);
-        for (i, conn) in members.into_iter().enumerate() {
-            nside.admit(i, conn);
-        }
+        let nside = NSide::new(config, protocol(), Direction::Request, series);
         OutSession {
             nside,
             net,
             backend_addr,
             response_protocol: protocol(),
             backend_us,
-            backend: None,
-            backend_open: false,
             backend_buf: BytesMut::new(),
             state: OutState::MergeRequests,
             closed: vec![false; n],
             saw_data: false,
-            backend_start: Instant::now(),
+            backend_start: None,
             collected: Vec::new(),
             response_buf: Vec::new(),
         }
@@ -226,10 +229,9 @@ impl OutSession {
         // the previous backend read) starts the straggler clock now.
         let engine = &self.nside.engine;
         if self.nside.first_complete.is_none()
-            && (0..self.nside.streams.len())
-                .any(|i| engine.is_active(i) && engine.instance_complete(i))
+            && (0..self.closed.len()).any(|i| engine.is_active(i) && engine.instance_complete(i))
         {
-            self.nside.first_complete = Some(Instant::now());
+            self.nside.first_complete = Some(ctx.now());
         }
 
         if self.nside.deadline_wait(ctx) {
@@ -244,12 +246,8 @@ impl OutSession {
         };
 
         // Forward the single merged request to the real backend.
-        self.backend_start = Instant::now();
-        let written = match self.backend.as_mut() {
-            Some(conn) => conn.write_all(&merged).is_ok(),
-            None => false,
-        };
-        if !written {
+        self.backend_start = Some(ctx.now());
+        if !ctx.write(SLOT_PRIMARY, &merged) {
             return Advance::Finish;
         }
         self.response_buf.clear();
@@ -260,10 +258,10 @@ impl OutSession {
         Advance::Again
     }
 
-    /// `BackendRead`: parse one complete backend response out of the drain
-    /// buffer, then replicate it to the live members. A backend EOF or split
-    /// error mid-exchange still replicates the partial frames collected so
-    /// far; before any frame it ends the session.
+    /// `BackendRead`: parse one complete backend response out of the
+    /// buffered backend bytes, then replicate it to the live members. A
+    /// backend EOF or split error mid-exchange still replicates the partial
+    /// frames collected so far; before any frame it ends the session.
     fn backend_read(&mut self, ctx: &mut Ctx<'_>) -> Advance {
         if self.collected.is_empty() {
             match self
@@ -271,12 +269,8 @@ impl OutSession {
                 .split_frames(&mut self.backend_buf, Direction::Response)
             {
                 Ok(frames) if !frames.is_empty() => self.collected = frames,
-                Ok(_) => {
-                    if !self.backend_open {
-                        return Advance::Finish;
-                    }
-                    return Advance::Park;
-                }
+                Ok(_) if ctx.at_eof(SLOT_PRIMARY) => return Advance::Finish,
+                Ok(_) => return Advance::Park,
                 Err(_) => return Advance::Finish,
             }
         }
@@ -291,12 +285,9 @@ impl OutSession {
                 .split_frames(&mut self.backend_buf, Direction::Response)
             {
                 Ok(more) if !more.is_empty() => self.collected.extend(more),
-                Ok(_) => {
-                    if self.backend_open {
-                        return Advance::Park;
-                    }
-                    break; // EOF mid-exchange: replicate the partial frames
-                }
+                // EOF mid-exchange: replicate the partial frames.
+                Ok(_) if ctx.at_eof(SLOT_PRIMARY) => break,
+                Ok(_) => return Advance::Park,
                 Err(_) => break, // parse error mid-exchange: same
             }
         }
@@ -305,64 +296,61 @@ impl OutSession {
         }
         self.collected.clear();
         self.backend_us
-            .record_duration(self.backend_start.elapsed());
+            .record_duration(ctx.since(self.backend_start));
 
         // Replicate the backend's response to every live member.
-        let mut replicate_failed: Vec<usize> = Vec::new();
-        for (i, slot) in self.nside.streams.iter_mut().enumerate() {
-            let Some(w) = slot else {
-                continue;
-            };
-            if w.write_all(&self.response_buf).is_err() {
-                replicate_failed.push(i);
-            }
-        }
-        for i in replicate_failed {
-            if !self.nside.degrade.ejects() {
-                return Advance::Finish;
-            }
-            self.nside.eject(i, ctx);
-        }
-        if self.nside.engine.active_count() == 0 {
+        let response = &self.response_buf;
+        if !self.nside.write_live(ctx, |_| response) || self.nside.engine.active_count() == 0 {
             return Advance::Finish;
         }
-        self.begin_exchange();
+        self.begin_exchange(ctx.now());
         self.state = OutState::MergeRequests;
         Advance::Again
     }
 
-    fn begin_exchange(&mut self) {
-        self.nside.begin();
+    fn begin_exchange(&mut self, now: Instant) {
+        self.nside.begin(now);
         self.closed.fill(false);
     }
 }
 
 impl SessionTask for OutSession {
-    fn init(&mut self, ctx: &mut Ctx<'_>) -> Flow {
-        // A member that cannot register for readiness is ejected under an
-        // eject policy and fatal under sever.
-        if !self.nside.register(ctx) {
+    fn init(&mut self, ctx: &mut Ctx<'_>, accepted: Vec<BoxStream>) -> Flow {
+        // A member that cannot join the reactor is ejected under an eject
+        // policy and fatal under sever.
+        for (i, conn) in accepted.into_iter().enumerate() {
+            if !self.nside.attach(ctx, i, Some(conn)) {
+                return Flow::Done;
+            }
+        }
+        if self.nside.below_floor() {
             return Flow::Done;
         }
-        let Ok(mut backend) = self.net.dial(&self.backend_addr) else {
+        let Ok(backend) = self.net.dial(&self.backend_addr) else {
             return Flow::Done;
         };
-        if !ctx.register(&mut backend, SLOT_PRIMARY) {
+        if !ctx.attach(SLOT_PRIMARY, backend) {
             return Flow::Done;
         }
-        self.backend = Some(backend);
-        self.backend_open = true;
-        self.begin_exchange();
+        self.begin_exchange(ctx.now());
         Flow::Continue
     }
 
-    fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow {
-        let merging = self.state == OutState::MergeRequests;
-        let saw_data = &mut self.saw_data;
-        self.nside.drain(ctx, merging, |_, _| *saw_data = true);
-        if let Some(conn) = self.backend.as_mut() {
-            drain_primary(ctx, conn, &mut self.backend_open, &mut self.backend_buf);
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, slot: u64, bytes: &[u8]) -> bool {
+        if slot == SLOT_PRIMARY {
+            self.backend_buf.extend_from_slice(bytes);
+            return true;
         }
+        self.saw_data = true;
+        let merging = self.state == OutState::MergeRequests;
+        self.nside.receive(ctx, slot as usize, bytes, merging)
+    }
+
+    fn on_close(&mut self, slot: u64) {
+        self.nside.closed(slot);
+    }
+
+    fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow {
         run(|| match self.state {
             OutState::MergeRequests => self.merge_requests(ctx),
             OutState::BackendRead => self.backend_read(ctx),
@@ -370,9 +358,6 @@ impl SessionTask for OutSession {
     }
 
     fn teardown(&mut self) {
-        if let Some(conn) = self.backend.as_mut() {
-            conn.shutdown();
-        }
         self.nside.teardown();
     }
 

@@ -1,47 +1,51 @@
 //! The shared session reactor: a fixed pool of worker threads, each owning
-//! many proxy sessions as explicit state machines.
+//! many proxy sessions as explicit state machines, and the only code that
+//! touches a session's streams.
 //!
-//! Before this module existed every session cost one thread per direction
-//! plus a reader thread per instance connection — O(sessions × N) threads,
-//! which re-created the paper's own concurrency ceiling ("pgbench tapers off
-//! above 16 simultaneous clients") as scheduler pressure. Now each proxy owns
-//! a [`ReactorPool`] of O(cores) workers; the accept loop stays a thread (it
-//! must block in `accept`), but everything after the handshake is a
-//! [`SessionTask`] driven by readiness events from one
+//! Each proxy owns a [`ReactorPool`] of O(cores) workers. The accept loop
+//! stays a thread (it must block in `accept`), but everything after the
+//! handshake is a [`SessionTask`] driven by readiness events from one
 //! [`Poller`](rddr_net::Poller) per worker.
 //!
 //! The contract between a worker and its sessions:
 //!
-//! - Every *woken* stream is drained with `try_read` until `WouldBlock` on
-//!   every step: wakes may be edge-triggered (duplex pipes) or
-//!   level-triggered (TCP fds), and drain-to-`WouldBlock` makes both behave,
-//!   while the per-step slot set ([`Ctx::woken`]) spares the session
-//!   `try_read`-ing streams that never fired. Early data is pushed into the
-//!   engine, which buffers it — exactly what the per-instance reader
-//!   threads' channel used to do.
-//! - EOF and read errors are *observed* during the drain (and the slot's
-//!   token deregistered so a permanently-readable closed fd cannot spin),
-//!   but *processed* at the same point in the exchange state machine where
-//!   the thread model consumed its `Closed` event — preserving clean-close
-//!   vs fault semantics.
-//! - Deadlines are poller timers on a dedicated per-session timer slot; a
-//!   timer fire re-runs the same checks the blocking `recv_timeout` loop ran
-//!   on timeout.
-//! - A step never blocks: writes are the only remaining synchronous I/O
-//!   (in-memory writes never block; non-blocking TCP writes ride out
-//!   `WouldBlock` in a bounded one-shot poll).
+//! - **Streams.** The worker owns each session's stream table: instance or
+//!   member `i` is slot `i`, the client or backend is [`SLOT_PRIMARY`]. The
+//!   connections the accept loop grouped reach [`SessionTask::init`], and a
+//!   session hands every stream it dials to [`Ctx::attach`] at once. From
+//!   then on it only asks [`Ctx`] to write to a slot, close a slot or set
+//!   and clear its timer.
+//! - **Drain.** [`drain_and_step`] is the one read loop. It drains every
+//!   *woken* slot with `try_read` until `WouldBlock` (wakes may be
+//!   edge-triggered, as on duplex pipes, or level-triggered, as on TCP fds;
+//!   draining to `WouldBlock` makes both behave) and hands the session each
+//!   chunk through [`SessionTask::on_data`], then steps it. Slots that did
+//!   not fire are not read: every arrival wakes its slot, and registration
+//!   re-wakes for bytes that landed first.
+//! - **Closes.** EOF and read errors are *observed* in the drain: the slot's
+//!   token is deregistered, so a permanently-readable closed fd cannot spin,
+//!   the slot is never read again, and the session hears
+//!   [`SessionTask::on_close`]. The session *processes* the close at its own
+//!   point in the exchange state machine, which keeps clean-close and fault
+//!   apart.
+//! - **Clock.** Deadlines are poller timers on a dedicated per-session timer
+//!   slot, and time comes from [`Ctx::now`]: the wall clock under a worker,
+//!   a scripted instant under a test driver.
+//! - A step never blocks: writes are the only synchronous I/O (in-memory
+//!   writes never block; non-blocking TCP writes ride out `WouldBlock` in a
+//!   bounded one-shot poll).
 
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rddr_net::{BoxStream, Poller, Stream, Token};
+use rddr_net::{BoxStream, Poller, Stream, Token, TryRead};
 use rddr_telemetry::{Gauge, Histogram, Registry};
 
 /// Bits of a token reserved for the per-session slot index.
-pub(crate) const SLOT_BITS: u32 = 8;
+const SLOT_BITS: u32 = 8;
 const SLOT_MASK: u64 = 0xff;
 /// Slot of the session's primary stream (client for incoming, backend for
 /// outgoing). Instance/member streams use slots `0..=SLOT_PRIMARY-1`.
@@ -66,18 +70,24 @@ pub(crate) enum Flow {
 
 /// One proxy session, owned by a reactor worker and advanced by wakes.
 pub(crate) trait SessionTask: Send {
-    /// Runs once when a worker adopts the session: dial/register streams,
-    /// arm initial timers. Registration must use [`Ctx::register`] so wakes
-    /// route back to this session.
-    fn init(&mut self, ctx: &mut Ctx<'_>) -> Flow;
+    /// Runs once when a worker adopts the session, with the connections the
+    /// accept loop grouped for it: attach streams, arm initial timers.
+    fn init(&mut self, ctx: &mut Ctx<'_>, accepted: Vec<BoxStream>) -> Flow;
 
-    /// Runs on every wake (stream readiness or timer fire). Must drain the
-    /// streams named by [`Ctx::woken`] to `WouldBlock` before parking again.
+    /// Takes one chunk the drain read from `slot`. Returns whether to keep
+    /// draining the slot this step.
+    fn on_data(&mut self, ctx: &mut Ctx<'_>, slot: u64, bytes: &[u8]) -> bool;
+
+    /// The drain saw EOF or a read error on `slot`, which is never read
+    /// again. The session handles the close in its next step.
+    fn on_close(&mut self, slot: u64);
+
+    /// Runs after the drain of every wake (stream readiness or timer fire).
     fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow;
 
-    /// Tears the session down (shut connections, return gauges). Runs
-    /// exactly once, after `init`/`step` returns [`Flow::Done`] or when the
-    /// pool shuts down with the session still live.
+    /// Returns the session's gauges. Runs exactly once, after `init`/`step`
+    /// returns [`Flow::Done`] or when the pool shuts down with the session
+    /// still live; the worker then shuts the session's streams.
     fn teardown(&mut self);
 
     /// Small-integer encoding of the session's current state, recorded into
@@ -90,37 +100,102 @@ fn session_tokens(id: u64) -> RangeInclusive<Token> {
     Token(id << SLOT_BITS)..=Token((id << SLOT_BITS) | SLOT_MASK)
 }
 
-/// Worker-side services a session uses during `init`/`step`.
+/// One attached stream of a session.
+struct Attached {
+    slot: u64,
+    stream: BoxStream,
+    /// The drain saw EOF or a read error; the slot is not read again.
+    eof: bool,
+}
+
+/// One session's stream table, owned by its worker: a handful of slots, so
+/// lookups scan.
+#[derive(Default)]
+pub(crate) struct Streams(Vec<Attached>);
+
+impl Streams {
+    fn find(&mut self, slot: u64) -> Option<&mut Attached> {
+        self.0.iter_mut().find(|a| a.slot == slot)
+    }
+}
+
+/// Worker-side services a session uses during `init`, the drain and `step`.
 pub(crate) struct Ctx<'a> {
     poller: &'a Poller,
     session: u64,
-    /// Shared read scratch, valid for the duration of one step.
-    pub(crate) scratch: &'a mut [u8],
-    /// Slots whose tokens fired for this step, ascending and deduplicated.
-    /// Sessions drain exactly these streams (every empty→non-empty arrival
-    /// and every EOF produces a slot wake, and registration re-wakes for
-    /// bytes that landed first, so targeted draining observes everything the
-    /// old drain-all did without paying O(streams) `try_read` calls per
-    /// wake). Empty during `init`.
-    pub(crate) woken: &'a [u64],
+    streams: &'a mut Streams,
+    /// A scripted instant, or `None` for the wall clock.
+    clock: Option<Instant>,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    /// The context of session `session` over its stream table, on the wall
+    /// clock (`clock: None`) or a scripted instant.
+    pub(crate) fn new(
+        poller: &'a Poller,
+        session: u64,
+        streams: &'a mut Streams,
+        clock: Option<Instant>,
+    ) -> Self {
+        Ctx {
+            poller,
+            session,
+            streams,
+            clock,
+        }
+    }
+
     fn token(&self, slot: u64) -> Token {
         Token((self.session << SLOT_BITS) | (slot & SLOT_MASK))
     }
 
-    /// Registers `stream` so readiness on it wakes this session. Returns
-    /// `false` if the transport cannot deliver readiness natively (caller
-    /// treats the stream as dead).
-    pub(crate) fn register(&self, stream: &mut BoxStream, slot: u64) -> bool {
-        stream.poll_register(self.poller.readiness(self.token(slot)))
+    /// The session's clock.
+    pub(crate) fn now(&self) -> Instant {
+        self.clock.unwrap_or_else(Instant::now)
     }
 
-    /// Stops all wakes for `slot` (queued, timers, watched fds). Must run
-    /// before the slot's stream is dropped if it registered an fd.
-    pub(crate) fn deregister(&self, slot: u64) {
+    /// Time on the session's clock since `start` (zero if it is unset).
+    pub(crate) fn since(&self, start: Option<Instant>) -> Duration {
+        start.map_or(Duration::ZERO, |t| self.now().saturating_duration_since(t))
+    }
+
+    /// Takes `stream` as `slot` (which must be free) and registers it so
+    /// readiness on it wakes this session. Returns `false`, shutting the
+    /// stream, if the transport cannot deliver readiness natively: the
+    /// caller treats the stream as dead.
+    pub(crate) fn attach(&mut self, slot: u64, mut stream: BoxStream) -> bool {
+        if !stream.poll_register(self.poller.readiness(self.token(slot))) {
+            stream.shutdown();
+            return false;
+        }
+        self.streams.0.push(Attached {
+            slot,
+            stream,
+            eof: false,
+        });
+        true
+    }
+
+    /// Writes all of `bytes` to `slot`. Returns `false` if the slot has no
+    /// stream or the write failed.
+    #[must_use]
+    pub(crate) fn write(&mut self, slot: u64, bytes: &[u8]) -> bool {
+        self.streams
+            .find(slot)
+            .is_some_and(|a| a.stream.write_all(bytes).is_ok())
+    }
+
+    /// Whether `slot` has nothing more to read: no stream, or its EOF seen.
+    pub(crate) fn at_eof(&mut self, slot: u64) -> bool {
+        self.streams.find(slot).is_none_or(|a| a.eof)
+    }
+
+    /// Stops all wakes for `slot`, then shuts and drops its stream.
+    pub(crate) fn close(&mut self, slot: u64) {
         self.poller.deregister(self.token(slot));
+        if let Some(at) = self.streams.0.iter().position(|a| a.slot == slot) {
+            self.streams.0.remove(at).stream.shutdown();
+        }
     }
 
     /// Arms (replacing) the session's deadline timer.
@@ -131,6 +206,46 @@ impl Ctx<'_> {
     /// Cancels the session's deadline timer.
     pub(crate) fn clear_timer(&self) {
         self.poller.clear_timer(self.token(SLOT_TIMER));
+    }
+}
+
+/// Drains every `woken` slot of one session to `WouldBlock`, handing it
+/// each chunk and each EOF, then steps it. The only read loop: workers run
+/// it on every wake, test drivers with a scripted clock.
+pub(crate) fn drain_and_step(
+    task: &mut dyn SessionTask,
+    ctx: &mut Ctx<'_>,
+    woken: &[u64],
+    scratch: &mut [u8],
+) -> Flow {
+    for &slot in woken {
+        while let Some(attached) = ctx.streams.find(slot).filter(|a| !a.eof) {
+            match attached.stream.try_read(scratch) {
+                Ok(TryRead::Data(n)) => {
+                    if !task.on_data(ctx, slot, scratch.get(..n).unwrap_or_default()) {
+                        break;
+                    }
+                }
+                Ok(TryRead::WouldBlock) => break,
+                Ok(TryRead::Eof) | Err(_) => {
+                    attached.eof = true;
+                    ctx.poller.deregister(ctx.token(slot));
+                    task.on_close(slot);
+                    break;
+                }
+            }
+        }
+    }
+    task.step(ctx)
+}
+
+/// Ends session `id`: stops its wakes, tears it down, then shuts its
+/// streams.
+pub(crate) fn finish(poller: &Poller, id: u64, task: &mut dyn SessionTask, streams: &mut Streams) {
+    poller.deregister_range(session_tokens(id));
+    task.teardown();
+    for mut attached in streams.0.drain(..) {
+        attached.stream.shutdown();
     }
 }
 
@@ -165,8 +280,11 @@ impl ReactorTelemetry {
     }
 }
 
+/// A session on its way to a worker, with the connections accepted for it.
+type Adoption = (Box<dyn SessionTask>, Vec<BoxStream>);
+
 struct WorkerHandle {
-    inject: Sender<Box<dyn SessionTask>>,
+    inject: Sender<Adoption>,
     wake: rddr_net::Readiness,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -233,9 +351,9 @@ impl ReactorPool {
         self.workers.len()
     }
 
-    /// Hands a session to the next worker (round-robin). Returns `false` if
-    /// the pool is already stopping.
-    pub(crate) fn submit(&self, task: Box<dyn SessionTask>) -> bool {
+    /// Hands a session and its accepted connections to the next worker
+    /// (round-robin). Returns `false` if the pool is already stopping.
+    pub(crate) fn submit(&self, task: Box<dyn SessionTask>, accepted: Vec<BoxStream>) -> bool {
         if self.stop.load(Ordering::Relaxed) || self.workers.is_empty() {
             return false;
         }
@@ -243,7 +361,7 @@ impl ReactorPool {
         let Some(w) = self.workers.get(i) else {
             return false;
         };
-        if w.inject.send(task).is_err() {
+        if w.inject.send((task, accepted)).is_err() {
             return false;
         }
         w.wake.wake();
@@ -268,22 +386,28 @@ impl Drop for ReactorPool {
     }
 }
 
+/// A session a worker holds: its state machine and its stream table.
+struct Live {
+    task: Box<dyn SessionTask>,
+    streams: Streams,
+}
+
 /// One reactor worker: polls for readiness, adopts injected sessions, and
-/// advances woken sessions until the pool stops. `own` counts the sessions
-/// it holds.
+/// drains and steps woken sessions until the pool stops. `own` counts the
+/// sessions it holds.
 ///
 /// This is a blocking-hot-path sink for `rddr-analyze`: nothing reachable
 /// from here may call `sleep`/`read_to_end`-style blocking primitives,
 /// because one blocked worker stalls every session it owns.
 pub(crate) fn worker_loop(
     poller: Poller,
-    inject: Receiver<Box<dyn SessionTask>>,
+    inject: Receiver<Adoption>,
     stop: Arc<AtomicBool>,
     telemetry: Arc<ReactorTelemetry>,
     own: Arc<Gauge>,
 ) {
     use std::collections::BTreeMap;
-    let mut sessions: BTreeMap<u64, Box<dyn SessionTask>> = BTreeMap::new();
+    let mut sessions: BTreeMap<u64, Live> = BTreeMap::new();
     let mut next_id: u64 = 1;
     let mut events: Vec<Token> = Vec::new();
     let mut slots: Vec<u64> = Vec::new();
@@ -305,25 +429,21 @@ pub(crate) fn worker_loop(
             break 'run;
         }
         if injected {
-            while let Ok(mut task) = inject.try_recv() {
+            while let Ok((task, accepted)) = inject.try_recv() {
                 let id = next_id;
                 next_id += 1;
-                let mut ctx = Ctx {
-                    poller: &poller,
-                    session: id,
-                    scratch: &mut scratch,
-                    woken: &[],
+                let mut live = Live {
+                    task,
+                    streams: Streams::default(),
                 };
-                match task.init(&mut ctx) {
+                let mut ctx = Ctx::new(&poller, id, &mut live.streams, None);
+                match live.task.init(&mut ctx, accepted) {
                     Flow::Continue => {
-                        sessions.insert(id, task);
+                        sessions.insert(id, live);
                         telemetry.sessions.add(1);
                         own.add(1);
                     }
-                    Flow::Done => {
-                        poller.deregister_range(session_tokens(id));
-                        task.teardown();
-                    }
+                    Flow::Done => finish(&poller, id, live.task.as_mut(), &mut live.streams),
                 }
             }
         }
@@ -338,23 +458,17 @@ pub(crate) fn worker_loop(
                 slots.push(t.0 & SLOT_MASK);
                 next += 1;
             }
-            let Some(task) = sessions.get_mut(&id) else {
+            let Some(live) = sessions.get_mut(&id) else {
                 // A wake for a session already torn down (e.g. a watcher
                 // surviving in a peer's stream handle); ignore.
                 continue;
             };
-            let mut ctx = Ctx {
-                poller: &poller,
-                session: id,
-                scratch: &mut scratch,
-                woken: &slots,
-            };
-            let flow = task.step(&mut ctx);
-            telemetry.session_state.record(task.state_ordinal());
+            let mut ctx = Ctx::new(&poller, id, &mut live.streams, None);
+            let flow = drain_and_step(live.task.as_mut(), &mut ctx, &slots, &mut scratch);
+            telemetry.session_state.record(live.task.state_ordinal());
             if flow == Flow::Done {
-                poller.deregister_range(session_tokens(id));
-                if let Some(mut task) = sessions.remove(&id) {
-                    task.teardown();
+                if let Some(mut live) = sessions.remove(&id) {
+                    finish(&poller, id, live.task.as_mut(), &mut live.streams);
                 }
                 telemetry.sessions.add(-1);
                 own.add(-1);
@@ -362,9 +476,8 @@ pub(crate) fn worker_loop(
         }
     }
     // Pool teardown: sever whatever is still live.
-    for (id, mut task) in std::mem::take(&mut sessions) {
-        poller.deregister_range(session_tokens(id));
-        task.teardown();
+    for (id, mut live) in std::mem::take(&mut sessions) {
+        finish(&poller, id, live.task.as_mut(), &mut live.streams);
         telemetry.sessions.add(-1);
         own.add(-1);
     }
@@ -381,10 +494,14 @@ mod tests {
     }
 
     impl SessionTask for CountdownTask {
-        fn init(&mut self, ctx: &mut Ctx<'_>) -> Flow {
+        fn init(&mut self, ctx: &mut Ctx<'_>, _: Vec<BoxStream>) -> Flow {
             ctx.set_timer(Duration::from_millis(1));
             Flow::Continue
         }
+        fn on_data(&mut self, _: &mut Ctx<'_>, _: u64, _: &[u8]) -> bool {
+            true
+        }
+        fn on_close(&mut self, _: u64) {}
         fn step(&mut self, ctx: &mut Ctx<'_>) -> Flow {
             self.state += 1;
             if self.remaining == 0 {
@@ -409,11 +526,14 @@ mod tests {
         let flags: Vec<Arc<AtomicBool>> =
             (0..8).map(|_| Arc::new(AtomicBool::new(false))).collect();
         for f in &flags {
-            assert!(pool.submit(Box::new(CountdownTask {
-                remaining: 3,
-                done: Arc::clone(f),
-                state: 0,
-            })));
+            assert!(pool.submit(
+                Box::new(CountdownTask {
+                    remaining: 3,
+                    done: Arc::clone(f),
+                    state: 0,
+                }),
+                Vec::new()
+            ));
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while std::time::Instant::now() < deadline
@@ -432,11 +552,14 @@ mod tests {
         let done = Arc::new(AtomicBool::new(false));
         let registry = Registry::new();
         let pool = ReactorPool::new("drop", ReactorTelemetry::new(&registry, "t", 1)).unwrap();
-        assert!(pool.submit(Box::new(CountdownTask {
-            remaining: u32::MAX,
-            done: Arc::clone(&done),
-            state: 0,
-        })));
+        assert!(pool.submit(
+            Box::new(CountdownTask {
+                remaining: u32::MAX,
+                done: Arc::clone(&done),
+                state: 0,
+            }),
+            Vec::new()
+        ));
         std::thread::sleep(Duration::from_millis(30));
         drop(pool);
         assert!(done.load(Ordering::SeqCst), "teardown must run on drop");

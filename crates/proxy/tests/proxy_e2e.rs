@@ -206,6 +206,46 @@ fn incoming_proxy_times_out_hung_instance() {
 }
 
 #[test]
+fn incoming_proxy_counts_the_sever_when_every_instance_stays_silent() {
+    let net = SimNet::new();
+    // Both instances accept and hold the connection, never replying.
+    for port in [9000, 9001] {
+        let mut hung = net.listen(&ServiceAddr::new("svc", port)).unwrap();
+        std::thread::spawn(move || {
+            let mut conns = Vec::new();
+            while let Ok(conn) = hung.accept() {
+                conns.push(conn);
+            }
+        });
+    }
+    let telemetry = ProxyTelemetry::new("t");
+    let proxy = IncomingProxy::start_with_telemetry(
+        Arc::new(net.clone()),
+        &ServiceAddr::new("rddr", 80),
+        vec![ServiceAddr::new("svc", 9000), ServiceAddr::new("svc", 9001)],
+        EngineConfig::builder(2)
+            .response_deadline(Duration::from_millis(200))
+            .build()
+            .unwrap(),
+        line_protocol(),
+        Some(telemetry.clone()),
+    )
+    .unwrap();
+
+    let mut client = net.dial(&ServiceAddr::new("rddr", 80)).unwrap();
+    client.write_all(b"probe\n").unwrap();
+    assert_eq!(
+        read_line(&mut client),
+        None,
+        "silence past the deadline severs"
+    );
+    wait_until("the session to end", || sessions_drained(&telemetry, "in"));
+    let s = proxy.stats();
+    assert_eq!((s.severed, s.exchanges), (1, 0), "{s:?}");
+    assert_eq!(telemetry.registry.counter("t_in_severed_total").get(), 1);
+}
+
+#[test]
 fn incoming_proxy_throttles_repeated_diverging_input() {
     let net = SimNet::new();
     spawn_line_server(&net, ServiceAddr::new("svc", 9000), |req| {
