@@ -661,14 +661,35 @@ impl NVersionEngine {
             })
             .unwrap_or_else(|| format!("structural mismatch: instances {:?}", report.structural));
         DivergenceRecord {
+            offending_instance: (implicated.len() == 1).then(|| implicated[0]),
+            diff_positions: report.details.iter().map(|d| d.segment_index).collect(),
+            structural: !report.structural.is_empty(),
+            ..self.audit_record(detail)
+        }
+    }
+
+    /// An audit-log record of this exchange: its id, service, request
+    /// signature and timeline, with `detail` and nothing implicated.
+    fn audit_record(&self, detail: String) -> DivergenceRecord {
+        DivergenceRecord {
             exchange_id: self.span.as_ref().map_or(0, |s| s.id()),
             service: self.counters.prefix.to_string(),
-            offending_instance: (implicated.len() == 1).then(|| implicated[0]),
+            offending_instance: None,
             signature: crate::report::excerpt(self.last_request.as_deref().unwrap_or(&[])),
-            diff_positions: report.details.iter().map(|d| d.segment_index).collect(),
+            diff_positions: Vec::new(),
             detail,
-            structural: !report.structural.is_empty(),
+            structural: false,
             timeline: self.span.as_ref().map(|s| s.timeline()).unwrap_or_default(),
+        }
+    }
+
+    /// Records in the audit log that the exchange was severed because
+    /// every live instance failed ([`NVersionEngine::mark_failed`]) before
+    /// answering: there was nothing to diff, and identical failure markers
+    /// are not agreement.
+    pub fn audit_all_failed(&self) {
+        if let Some(audit) = &self.audit {
+            audit.record(self.audit_record("every instance failed before answering".into()));
         }
     }
 

@@ -22,6 +22,10 @@ struct PipeBuf {
     /// `WouldBlock` on every wake. Blocking `read`ers coexist through the
     /// condvar path.
     watcher: Option<Readiness>,
+    /// Blocking readers parked on the condvar. Writers notify only when
+    /// one is: a notify costs a futex call whether or not anyone waits,
+    /// and a reactor-driven pipe never has a parked reader.
+    parked: usize,
 }
 
 impl PipeBuf {
@@ -61,6 +65,7 @@ impl Pipe {
                 data: VecDeque::new(),
                 closed: false,
                 watcher: None,
+                parked: 0,
             }),
             readable: Condvar::new(),
         })
@@ -86,12 +91,15 @@ impl Pipe {
             return Ok(());
         }
         let watcher = guard.watcher.clone();
+        let parked = guard.parked > 0;
         drop(guard);
         // A pipe direction has exactly one logical consumer (the peer's
         // reader); waking one waiter suffices and skips the thundering herd
         // a `try_clone`'d endpoint would otherwise pay per write. `close`
         // still notifies all: every waiter must observe EOF.
-        self.readable.notify_one();
+        if parked {
+            self.readable.notify_one();
+        }
         if let Some(w) = watcher {
             w.wake();
         }
@@ -99,9 +107,10 @@ impl Pipe {
     }
 
     fn read(&self, out: &mut [u8], timeout: Option<Duration>) -> Result<usize> {
-        // One deadline per read: a wake that brings no data must not re-arm
-        // the full timeout. A timeout too large to add is no deadline.
-        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        // One deadline per read, taken when the read first has to wait: a
+        // wake that brings no data must not re-arm the full timeout. A
+        // timeout too large to add is no deadline.
+        let mut deadline = None;
         let mut guard = self.buf.lock();
         loop {
             match guard.take(out) {
@@ -109,17 +118,23 @@ impl Pipe {
                 TryRead::Eof => return Ok(0),
                 TryRead::WouldBlock => {}
             }
-            match deadline {
+            if deadline.is_none() {
+                deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+            }
+            guard.parked += 1;
+            let timed_out = match deadline {
                 Some(at) => {
                     let left = at.saturating_duration_since(Instant::now());
-                    if self.readable.wait_for(&mut guard, left).timed_out()
-                        && guard.data.is_empty()
-                        && !guard.closed
-                    {
-                        return Err(NetError::TimedOut);
-                    }
+                    self.readable.wait_for(&mut guard, left).timed_out()
                 }
-                None => self.readable.wait(&mut guard),
+                None => {
+                    self.readable.wait(&mut guard);
+                    false
+                }
+            };
+            guard.parked -= 1;
+            if timed_out && guard.data.is_empty() && !guard.closed {
+                return Err(NetError::TimedOut);
             }
         }
     }
@@ -128,8 +143,11 @@ impl Pipe {
         let mut guard = self.buf.lock();
         guard.closed = true;
         let watcher = guard.watcher.clone();
+        let parked = guard.parked > 0;
         drop(guard);
-        self.readable.notify_all();
+        if parked {
+            self.readable.notify_all();
+        }
         if let Some(w) = watcher {
             w.wake();
         }

@@ -30,7 +30,7 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::{NetError, Result};
 
@@ -158,6 +158,10 @@ struct PollState {
     /// True while the owning thread is parked inside `poll(2)` (as opposed
     /// to the condvar) — tells wakers to poke the self-wake socket.
     in_syscall: bool,
+    /// True while the owning thread is parked on the condvar — tells wakers
+    /// to notify it. A notify costs a futex call whether or not anyone
+    /// waits, so wakers skip it while the thread is running.
+    parked: bool,
     #[cfg(unix)]
     waker: Option<Waker>,
 }
@@ -180,19 +184,43 @@ impl Shared {
     #[cfg(not(unix))]
     fn wake_syscall(_state: &mut PollState) {}
 
+    /// Wakes the owning thread if it is parked, after the caller recorded
+    /// its change under `st`: through the self-wake socket when it sits in
+    /// `poll(2)`, through the condvar when it waits there.
+    fn wake_parked(&self, mut st: MutexGuard<'_, PollState>) {
+        Self::wake_syscall(&mut st);
+        let parked = st.parked;
+        drop(st);
+        if parked {
+            self.cond.notify_all();
+        }
+    }
+
+    /// Parks the owning thread on the condvar until a waker notifies it or
+    /// `wake_at` passes.
+    fn wait_for_wake(&self, st: &mut MutexGuard<'_, PollState>, wake_at: Option<Instant>) {
+        st.parked = true;
+        match wake_at {
+            Some(at) => {
+                let wait = at.saturating_duration_since(Instant::now());
+                let _ = self.cond.wait_for(st, wait);
+            }
+            None => self.cond.wait(st),
+        }
+        st.parked = false;
+    }
+
     fn enqueue(&self, token: u64) {
         let mut st = self.state.lock();
         let was_idle = st.queued.is_empty();
         // Set/map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
         st.queued.insert(token);
-        // Notify only on the empty→non-empty transition: the poller drains
+        // Wake only on the empty→non-empty transition: the poller drains
         // `queued` under this lock before parking, so a non-empty queue
         // means it is either running or was already poked — skipping the
-        // redundant futex wake matters when wakes arrive in bursts.
+        // redundant wake matters when wakes arrive in bursts.
         if was_idle {
-            Self::wake_syscall(&mut st);
-            drop(st);
-            self.cond.notify_all();
+            self.wake_parked(st);
         }
     }
 
@@ -208,9 +236,7 @@ impl Shared {
         // With a non-empty queue the poller is awake and recomputes its park
         // deadline (under this lock) before it can park again.
         if st.queued.is_empty() {
-            Self::wake_syscall(&mut st);
-            drop(st);
-            self.cond.notify_all();
+            self.wake_parked(st);
         }
     }
 }
@@ -263,9 +289,7 @@ impl Readiness {
         }
         // Set insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
         st.fd_tokens.insert((self.token, fd));
-        Shared::wake_syscall(&mut st);
-        drop(st);
-        self.shared.cond.notify_all();
+        self.shared.wake_parked(st);
     }
 
     /// No kernel polling off unix; fd registration is unsupported.
@@ -308,6 +332,7 @@ impl Poller {
                     fds: BTreeMap::new(),
                     fd_tokens: BTreeSet::new(),
                     in_syscall: false,
+                    parked: false,
                     #[cfg(unix)]
                     waker: None,
                 }),
@@ -345,9 +370,7 @@ impl Poller {
         // Set/map insert, not `Storage::insert`. rddr-analyze: allow(lock-order)
         st.deadline.insert(token.0, key);
         if st.queued.is_empty() {
-            Shared::wake_syscall(&mut st);
-            drop(st);
-            self.shared.cond.notify_all();
+            self.shared.wake_parked(st);
         }
     }
 
@@ -440,13 +463,7 @@ impl Poller {
                 (a, b) => a.or(b),
             };
             if st.fds.is_empty() {
-                match wake_at {
-                    Some(at) => {
-                        let wait = at.saturating_duration_since(Instant::now());
-                        let _ = self.shared.cond.wait_for(&mut st, wait);
-                    }
-                    None => self.shared.cond.wait(&mut st),
-                }
+                self.shared.wait_for_wake(&mut st, wake_at);
                 continue;
             }
             #[cfg(unix)]
@@ -457,7 +474,8 @@ impl Poller {
                         Err(_) => {
                             // Loopback unavailable: degrade to short condvar
                             // waits so in-memory wakes are still seen.
-                            let _ = self.shared.cond.wait_for(&mut st, Duration::from_millis(5));
+                            let soon = Instant::now() + Duration::from_millis(5);
+                            self.shared.wait_for_wake(&mut st, Some(soon));
                             continue;
                         }
                     }
@@ -519,13 +537,7 @@ impl Poller {
             #[cfg(not(unix))]
             {
                 // Off unix there is no fd polling; wait on the condvar.
-                match wake_at {
-                    Some(at) => {
-                        let wait = at.saturating_duration_since(Instant::now());
-                        let _ = self.shared.cond.wait_for(&mut st, wait);
-                    }
-                    None => self.shared.cond.wait(&mut st),
-                }
+                self.shared.wait_for_wake(&mut st, wake_at);
                 continue;
             }
         }

@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use crate::value::{SqlType, Value};
 
 /// A column reference, possibly qualified (`lineitem.l_quantity`).
@@ -18,8 +20,9 @@ pub enum Expr {
     Column(ColumnRef),
     /// Binary operation (built-in or user-defined operator).
     Binary {
-        /// Operator symbol or keyword (`=`, `<=`, `AND`, `LIKE`, `>>>`, …).
-        op: String,
+        /// Operator symbol or keyword (`=`, `<=`, `AND`, `LIKE`, `>>>`, …):
+        /// borrowed for built-ins, owned for user-defined operators.
+        op: Cow<'static, str>,
         /// Left operand.
         left: Box<Expr>,
         /// Right operand.
@@ -28,7 +31,7 @@ pub enum Expr {
     /// Unary operation (`NOT`, `-`).
     Unary {
         /// Operator (`NOT` or `-`).
-        op: String,
+        op: &'static str,
         /// Operand.
         expr: Box<Expr>,
     },
@@ -93,6 +96,17 @@ pub enum Expr {
     },
     /// Positional function parameter (`$1`) inside a UDF body.
     Param(usize),
+}
+
+impl Expr {
+    /// A binary node for the built-in operator `op`.
+    pub fn binary(op: &'static str, left: Expr, right: Expr) -> Expr {
+        Expr::Binary {
+            op: Cow::Borrowed(op),
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
 }
 
 /// One item in a `SELECT` list.

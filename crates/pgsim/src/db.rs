@@ -15,7 +15,7 @@ use std::fmt;
 use rddr_pgstore::{RecoveryStats, RowId, StoreError, VDisk};
 
 use crate::ast::{ColumnDef, Expr, Select, Statement};
-use crate::eval::{eval, Env, ExecCtx};
+use crate::eval::{eval, Env, ExecCtx, Schema};
 use crate::exec::run_select;
 use crate::parser::parse_statement;
 use crate::storage::{
@@ -354,7 +354,7 @@ impl Database {
         match stmt {
             Statement::Select(select) => {
                 if let Some(plan) = self.point_query_plan(session, &select) {
-                    self.store.ensure_index(&plan.table).map_err(store_err)?;
+                    self.store.ensure_index(plan.table).map_err(store_err)?;
                     return self.run_point_query(session, &select, &plan);
                 }
                 self.run_query(session, &select, false)
@@ -605,7 +605,7 @@ impl Database {
     /// Recognizes the indexable point-query shape:
     /// `SELECT cols FROM t WHERE pkey = literal [AND simple-conjuncts]` on a
     /// sizeable table without row security.
-    fn point_query_plan(&self, session: &Session, select: &Select) -> Option<PointPlan> {
+    fn point_query_plan<'s>(&self, session: &Session, select: &'s Select) -> Option<PointPlan<'s>> {
         if select.from.len() != 1
             || select.distinct
             || !select.group_by.is_empty()
@@ -634,8 +634,8 @@ impl Database {
         }
         let key = self.pkey_probe(&tref.name, &tref.alias, select.where_clause.as_ref())?;
         Some(PointPlan {
-            table: tref.name.clone(),
-            alias: tref.alias.clone(),
+            table: &tref.name,
+            alias: &tref.alias,
             key,
         })
     }
@@ -644,136 +644,109 @@ impl Database {
     /// `table`'s first column to, when the table is sizeable enough for an
     /// index probe to beat a scan. `alias` is the name the statement knows
     /// the table by.
-    fn pkey_probe(&self, table: &str, alias: &str, where_clause: Option<&Expr>) -> Option<Value> {
+    fn pkey_probe<'e>(
+        &self,
+        table: &str,
+        alias: &str,
+        where_clause: Option<&'e Expr>,
+    ) -> Option<&'e Value> {
         const INDEX_THRESHOLD: u64 = 128;
         let pkey = &self.tables.get(table)?.columns.first()?.name;
         if self.store.row_count(table).unwrap_or(0) < INDEX_THRESHOLD {
             return None;
         }
-        for c in &flatten_and(where_clause?) {
-            if let Expr::Binary { op, left, right } = c {
-                if op == "=" {
-                    for (a, b) in [(left, right), (right, left)] {
-                        if let (Expr::Column(col), Expr::Literal(v)) = (a.as_ref(), b.as_ref()) {
-                            if &col.column == pkey && col.table.as_ref().is_none_or(|q| q == alias)
-                            {
-                                return Some(v.clone());
-                            }
-                        }
-                    }
-                }
+        find_conjunct(where_clause?, &mut |c| {
+            let Expr::Binary { op, left, right } = c else {
+                return None;
+            };
+            if op != "=" {
+                return None;
             }
-        }
-        None
+            [(left, right), (right, left)]
+                .into_iter()
+                .find_map(|(a, b)| match (a.as_ref(), b.as_ref()) {
+                    (Expr::Column(col), Expr::Literal(v))
+                        if &col.column == pkey && col.table.as_ref().is_none_or(|q| q == alias) =>
+                    {
+                        Some(v)
+                    }
+                    _ => None,
+                })
+        })
     }
 
+    /// Runs a point query: probes the index, keeps the candidates every
+    /// `WHERE` conjunct holds for, and projects them. The rows move from
+    /// the probe to the result; the schema is the catalog's own columns.
     fn run_point_query(
         &self,
         session: &Session,
         select: &Select,
-        plan: &PointPlan,
+        plan: &PointPlan<'_>,
     ) -> Result<QueryResult, SqlError> {
         let ctx = ExecCtx::new(self, session);
-        let t = self.tables.get(&plan.table).expect("plan checked table");
-        let schema: Vec<(String, String)> = t
-            .columns
-            .iter()
-            .map(|c| (plan.alias.clone(), c.name.clone()))
-            .collect();
-        let key_bytes = plan.key.group_key().into_bytes();
-        let mut candidate_rows: Vec<Vec<Value>> = Vec::new();
+        let t = self.tables.get(plan.table).expect("plan checked table");
+        let schema = Schema::Table {
+            alias: plan.alias,
+            columns: &t.columns,
+        };
+        let mut rows: Vec<Vec<Value>> = Vec::new();
         let candidates = self
             .store
-            .lookup(&plan.table, &key_bytes, &mut |r| candidate_rows.push(r))
+            .lookup(plan.table, plan.key.group_key().as_bytes(), &mut |r| {
+                rows.push(r)
+            })
             .map_err(store_err)?;
         ctx.charge_scan(candidates + 1); // index probe + matches
-        let conjuncts = flatten_and(select.where_clause.as_ref().expect("plan has WHERE"));
-        let mut rows = Vec::new();
-        for row in &candidate_rows {
+        let where_clause = select.where_clause.as_ref().expect("plan has WHERE");
+        // Keep the matches in place, in candidate order.
+        let mut kept = 0;
+        for i in 0..rows.len() {
             let env = Env {
-                schema: &schema,
-                row,
+                schema,
+                row: &rows[i],
                 parent: None,
             };
-            let mut keep = true;
-            for c in &conjuncts {
-                if !eval(&ctx, c, &env)?.is_truthy() {
-                    keep = false;
-                    break;
-                }
-            }
-            if keep {
-                rows.push(row.clone());
+            if conjuncts_hold(&ctx, where_clause, &env)? {
+                rows.swap(kept, i);
+                kept += 1;
             }
         }
+        rows.truncate(kept);
         // Project through the ordinary item machinery for identical output.
-        let mut columns = Vec::new();
-        let mut out_rows: Vec<Vec<Value>> = Vec::with_capacity(rows.len());
-        for row in &rows {
+        for row in &mut rows {
             let env = Env {
-                schema: &schema,
+                schema,
                 row,
                 parent: None,
             };
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(select.items.len());
             for item in &select.items {
                 match &item.expr {
-                    None => {
-                        for (i, col) in t.columns.iter().enumerate() {
-                            out.push(row[i].clone());
-                            if out_rows.is_empty() {
-                                columns.push(col.name.to_ascii_lowercase());
-                            }
-                        }
-                    }
-                    Some(e) => {
-                        out.push(eval(&ctx, e, &env)?);
-                        if out_rows.is_empty() {
-                            columns.push(item.alias.as_ref().map_or_else(
-                                || match e {
-                                    Expr::Column(c) => c.column.to_ascii_lowercase(),
-                                    _ => "?column?".to_string(),
-                                },
-                                |a| a.to_ascii_lowercase(),
-                            ));
-                        }
-                    }
+                    None => out.extend(env.row.iter().take(t.columns.len()).cloned()),
+                    Some(e) => out.push(eval(&ctx, e, &env)?),
                 }
             }
-            out_rows.push(out);
+            *row = out;
         }
-        if out_rows.is_empty() {
-            // Column names even for empty results.
-            for item in &select.items {
-                match &item.expr {
-                    None => {
-                        for col in &t.columns {
-                            columns.push(col.name.to_ascii_lowercase());
-                        }
-                    }
-                    Some(Expr::Column(c)) => columns.push(
-                        item.alias
-                            .clone()
-                            .unwrap_or_else(|| c.column.clone())
-                            .to_ascii_lowercase(),
-                    ),
-                    Some(_) => columns.push(
-                        item.alias
-                            .clone()
-                            .unwrap_or_else(|| "?column?".into())
-                            .to_ascii_lowercase(),
-                    ),
-                }
-            }
-        }
-        let mut limited = out_rows;
         if let Some(limit) = select.limit {
-            limited.truncate(limit as usize);
+            rows.truncate(limit as usize);
         }
-        let n = limited.len();
+        let mut columns = Vec::with_capacity(select.items.len());
+        for item in &select.items {
+            match (&item.expr, &item.alias) {
+                (None, _) => {
+                    columns.extend(t.columns.iter().map(|c| c.name.to_ascii_lowercase()));
+                }
+                (Some(_), Some(alias)) => columns.push(alias.to_ascii_lowercase()),
+                (Some(Expr::Column(c)), None) => columns.push(c.column.to_ascii_lowercase()),
+                (Some(_), None) => columns.push("?column?".to_string()),
+            }
+        }
+        let n = rows.len();
         Ok(QueryResult {
             columns,
-            rows: limited,
+            rows,
             notices: ctx.notices.into_inner(),
             tag: format!("SELECT {n}"),
             scanned: ctx.scanned.get(),
@@ -864,15 +837,14 @@ impl Database {
             )));
         }
         // Evaluate the operator over stored rows ("statistics") — the leak.
-        let schema: Vec<(String, String)> = t
-            .columns
-            .iter()
-            .map(|c| (alias.to_string(), c.name.clone()))
-            .collect();
+        let schema = Schema::Table {
+            alias,
+            columns: &t.columns,
+        };
         let rows = self.stored_rows(table)?;
         for row in &rows {
             let env = Env {
-                schema: &schema,
+                schema,
                 row,
                 parent: None,
             };
@@ -908,17 +880,16 @@ impl Database {
         if custom.is_empty() {
             return Ok(());
         }
-        let schema: Vec<(String, String)> = t
-            .columns
-            .iter()
-            .map(|c| (alias.to_string(), c.name.clone()))
-            .collect();
+        let schema = Schema::Table {
+            alias,
+            columns: &t.columns,
+        };
         // Only the *hidden* rows constitute the leak; visible rows are
         // evaluated by the ordinary filter anyway.
         let rows = self.stored_rows(table)?;
         for row in &rows {
             let env = Env {
-                schema: &schema,
+                schema,
                 row,
                 parent: None,
             };
@@ -938,13 +909,11 @@ impl Database {
         table: &Table,
         row: &[Value],
     ) -> Result<bool, SqlError> {
-        let schema: Vec<(String, String)> = table
-            .columns
-            .iter()
-            .map(|c| (String::new(), c.name.clone()))
-            .collect();
         let env = Env {
-            schema: &schema,
+            schema: Schema::Table {
+                alias: "",
+                columns: &table.columns,
+            },
             row,
             parent: None,
         };
@@ -1007,7 +976,7 @@ impl Database {
         }
         let mut rows = Vec::new();
         let key = self.pkey_probe(table, table, where_clause);
-        if let Some(key) = key.filter(index_key_is_exact) {
+        if let Some(key) = key.filter(|k| index_key_is_exact(k)) {
             self.store.ensure_index(table).map_err(store_err)?;
             let candidates = self
                 .store
@@ -1060,7 +1029,7 @@ impl Database {
             let mut row = vec![Value::Null; t.columns.len()];
             for (expr, &pos) in exprs.iter().zip(&positions) {
                 let env = Env {
-                    schema: &[],
+                    schema: Schema::Pairs(&[]),
                     row: &[],
                     parent: None,
                 };
@@ -1086,11 +1055,10 @@ impl Database {
     ) -> Result<QueryResult, SqlError> {
         let (candidates, charge) = self.write_candidates(table, where_clause)?;
         let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
-        let schema: Vec<(String, String)> = t
-            .columns
-            .iter()
-            .map(|c| (table.to_string(), c.name.clone()))
-            .collect();
+        let schema = Schema::Table {
+            alias: table,
+            columns: &t.columns,
+        };
         let set_positions: Vec<(usize, &Expr)> = sets
             .iter()
             .map(|(c, e)| {
@@ -1107,7 +1075,7 @@ impl Database {
         let mut changed = Vec::new();
         for (at, row) in candidates {
             let env = Env {
-                schema: &schema,
+                schema,
                 row: &row,
                 parent: None,
             };
@@ -1146,16 +1114,15 @@ impl Database {
     ) -> Result<QueryResult, SqlError> {
         let (candidates, charge) = self.write_candidates(table, where_clause)?;
         let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
-        let schema: Vec<(String, String)> = t
-            .columns
-            .iter()
-            .map(|c| (table.to_string(), c.name.clone()))
-            .collect();
+        let schema = Schema::Table {
+            alias: table,
+            columns: &t.columns,
+        };
         let ctx = ExecCtx::new(self, session);
         let mut doomed = Vec::new();
         for (at, row) in &candidates {
             let env = Env {
-                schema: &schema,
+                schema,
                 row,
                 parent: None,
             };
@@ -1319,7 +1286,7 @@ fn custom_operator_conjuncts(
     fn walk(db: &Database, e: &Expr, out: &mut Vec<Expr>) {
         match e {
             Expr::Binary { op, left, right } => {
-                if db.operators.contains_key(op) {
+                if db.operators.contains_key(op.as_ref()) {
                     out.push(e.clone());
                 } else {
                     walk(db, left, out);
@@ -1376,11 +1343,11 @@ fn not_found(table: &str) -> SqlError {
 /// A stored row with the address an UPDATE/DELETE names it by.
 type AddressedRow = (RowId, Vec<Value>);
 
-/// The recognized point-query pattern.
-struct PointPlan {
-    table: String,
-    alias: String,
-    key: Value,
+/// The recognized point-query pattern, borrowed from the statement.
+struct PointPlan<'s> {
+    table: &'s str,
+    alias: &'s str,
+    key: &'s Value,
 }
 
 /// Whether the rows a WHERE's `pkey = v` accepts are exactly the rows
@@ -1391,14 +1358,25 @@ fn index_key_is_exact(v: &Value) -> bool {
     v.as_f64().is_none_or(|f| f.abs() < 1e15)
 }
 
-fn flatten_and(expr: &Expr) -> Vec<Expr> {
+/// The first `Some` that `f` returns over `expr`'s `AND` conjuncts, left to
+/// right.
+fn find_conjunct<'e, T>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr) -> Option<T>) -> Option<T> {
     match expr {
         Expr::Binary { op, left, right } if op == "AND" => {
-            let mut out = flatten_and(left);
-            out.extend(flatten_and(right));
-            out
+            find_conjunct(left, f).or_else(|| find_conjunct(right, f))
         }
-        other => vec![other.clone()],
+        other => f(other),
+    }
+}
+
+/// Whether every `AND` conjunct of `expr` is true in `env`, judged left to
+/// right up to the first that is not.
+fn conjuncts_hold(ctx: &ExecCtx<'_>, expr: &Expr, env: &Env<'_>) -> Result<bool, SqlError> {
+    match expr {
+        Expr::Binary { op, left, right } if op == "AND" => {
+            Ok(conjuncts_hold(ctx, left, env)? && conjuncts_hold(ctx, right, env)?)
+        }
+        other => Ok(eval(ctx, other, env)?.is_truthy()),
     }
 }
 

@@ -2,23 +2,60 @@
 
 use std::cell::{Cell, RefCell};
 
-use crate::ast::{ColumnRef, Expr, Select};
+use crate::ast::{ColumnDef, ColumnRef, Expr, Select};
 use crate::db::{Database, Session, SqlError};
 use crate::value::Value;
 
-/// A row environment: flat schema of `(table-alias, column)` pairs plus the
-/// current row's values. `parent` links to the outer query's environment for
-/// correlated subqueries.
+/// The `(table alias, column)` names of a row's values, in order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Schema<'a> {
+    /// Pairs built for a join, a derived table or a grouped row.
+    Pairs(&'a [(String, String)]),
+    /// One catalog table's columns under one alias, read from the catalog
+    /// as they stand rather than copied into pairs per statement.
+    Table {
+        alias: &'a str,
+        columns: &'a [ColumnDef],
+    },
+}
+
+impl<'a> Schema<'a> {
+    /// The `(alias, column)` names, in row order.
+    pub fn names(self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        let (pairs, alias, columns) = match self {
+            Schema::Pairs(pairs) => (pairs, "", &[][..]),
+            Schema::Table { alias, columns } => (&[][..], alias, columns),
+        };
+        pairs
+            .iter()
+            .map(|(alias, name)| (alias.as_str(), name.as_str()))
+            .chain(columns.iter().map(move |c| (alias, c.name.as_str())))
+    }
+
+    /// Whether `col` names one of these columns.
+    pub fn resolves(self, col: &ColumnRef) -> bool {
+        self.names()
+            .any(|(alias, name)| names_column(col, alias, name))
+    }
+}
+
+/// Whether `col` (qualified or bare) names column `name` of `alias`.
+fn names_column(col: &ColumnRef, alias: &str, name: &str) -> bool {
+    name == col.column && col.table.as_ref().is_none_or(|t| t == alias)
+}
+
+/// A row environment: the schema naming the current row's values. `parent`
+/// links to the outer query's environment for correlated subqueries.
 pub(crate) struct Env<'a> {
-    pub schema: &'a [(String, String)],
+    pub schema: Schema<'a>,
     pub row: &'a [Value],
     pub parent: Option<&'a Env<'a>>,
 }
 
 impl<'a> Env<'a> {
     pub fn lookup(&self, col: &ColumnRef) -> Option<Value> {
-        for (i, (alias, name)) in self.schema.iter().enumerate() {
-            if name == &col.column && col.table.as_ref().is_none_or(|t| t == alias) {
+        for (i, (alias, name)) in self.schema.names().enumerate() {
+            if names_column(col, alias, name) {
                 // The row can be narrower than the schema when an aggregate
                 // output row is evaluated against the source-table schema
                 // (e.g. `SELECT COUNT(*) .. ORDER BY col`): treat the
@@ -81,7 +118,7 @@ pub(crate) fn eval(ctx: &ExecCtx<'_>, expr: &Expr, env: &Env<'_>) -> Result<Valu
         ),
         Expr::Binary { op, left, right } => {
             // Short-circuit three-valued logic for AND/OR.
-            match op.as_str() {
+            match op.as_ref() {
                 "AND" => {
                     let l = eval(ctx, left, env)?;
                     if matches!(l, Value::Bool(false)) {
@@ -114,7 +151,7 @@ pub(crate) fn eval(ctx: &ExecCtx<'_>, expr: &Expr, env: &Env<'_>) -> Result<Valu
         }
         Expr::Unary { op, expr } => {
             let v = eval(ctx, expr, env)?;
-            match op.as_str() {
+            match *op {
                 "NOT" => Ok(match v {
                     Value::Bool(b) => Value::Bool(!b),
                     Value::Null => Value::Null,

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use crate::ast::{ColumnRef, Expr, OrderKey, Select, SelectItem, TableRef};
 use crate::db::SqlError;
-use crate::eval::{eval, Env, ExecCtx};
+use crate::eval::{eval, Env, ExecCtx, Schema};
 use crate::value::Value;
 
 /// The rows and column names produced by a `SELECT`.
@@ -72,7 +72,7 @@ pub(crate) fn run_select(
     let mut filtered = Vec::with_capacity(rows.len());
     for row in rows {
         let env = Env {
-            schema: &schema,
+            schema: Schema::Pairs(&schema),
             row: &row,
             parent: outer,
         };
@@ -128,7 +128,7 @@ pub(crate) fn run_select(
         let mut index: BTreeMap<String, usize> = BTreeMap::new();
         for row in rows {
             let env = Env {
-                schema: &schema,
+                schema: Schema::Pairs(&schema),
                 row: &row,
                 parent: outer,
             };
@@ -170,7 +170,7 @@ pub(crate) fn run_select(
     } else {
         for row in rows {
             let env = Env {
-                schema: &schema,
+                schema: Schema::Pairs(&schema),
                 row: &row,
                 parent: outer,
             };
@@ -359,21 +359,14 @@ pub(crate) fn contains_aggregate(expr: &Expr) -> bool {
 }
 
 fn resolvable(col: &ColumnRef, schema: &[(String, String)], outer: Option<&Env<'_>>) -> bool {
-    let here = schema
-        .iter()
-        .any(|(alias, name)| name == &col.column && col.table.as_ref().is_none_or(|t| t == alias));
-    if here {
+    if Schema::Pairs(schema).resolves(col) {
         return true;
     }
     if col.table.is_none() && col.column == "CURRENT_USER" {
         return true;
     }
     match outer {
-        Some(env) => {
-            env.schema.iter().any(|(alias, name)| {
-                name == &col.column && col.table.as_ref().is_none_or(|t| t == alias)
-            }) || resolvable(col, &[], env.parent)
-        }
+        Some(env) => env.schema.resolves(col) || resolvable(col, &[], env.parent),
         None => false,
     }
 }
@@ -420,7 +413,7 @@ fn join_step(
                 let mut combined = row.clone();
                 combined.extend(srow.iter().cloned());
                 let env = Env {
-                    schema,
+                    schema: Schema::Pairs(schema),
                     row: &combined,
                     parent: outer,
                 };
@@ -439,7 +432,7 @@ fn join_step(
         let mut filtered = Vec::with_capacity(out.len());
         for row in out {
             let env = Env {
-                schema,
+                schema: Schema::Pairs(schema),
                 row: &row,
                 parent: outer,
             };
@@ -494,7 +487,7 @@ fn join_step(
         }
         for row in &bound_rows {
             let env = Env {
-                schema: &old_schema,
+                schema: Schema::Pairs(&old_schema),
                 row,
                 parent: outer,
             };
@@ -507,7 +500,7 @@ fn join_step(
                     let mut combined = row.clone();
                     combined.extend(source.rows[ri].iter().cloned());
                     let env = Env {
-                        schema,
+                        schema: Schema::Pairs(schema),
                         row: &combined,
                         parent: outer,
                     };
@@ -530,7 +523,7 @@ fn join_step(
                 let mut combined = row.clone();
                 combined.extend(srow.iter().cloned());
                 let env = Env {
-                    schema,
+                    schema: Schema::Pairs(schema),
                     row: &combined,
                     parent: outer,
                 };
@@ -599,7 +592,7 @@ fn eval_grouped(
     let empty: Vec<Value> = Vec::new();
     let first = group_rows.first().map(Vec::as_slice).unwrap_or(&empty);
     let env = Env {
-        schema,
+        schema: Schema::Pairs(schema),
         row: first,
         parent: outer,
     };
@@ -633,7 +626,7 @@ fn rewrite_aggregates(
             right: Box::new(rewrite_aggregates(ctx, right, schema, rows, outer)?),
         },
         Expr::Unary { op, expr } => Expr::Unary {
-            op: op.clone(),
+            op,
             expr: Box::new(rewrite_aggregates(ctx, expr, schema, rows, outer)?),
         },
         Expr::Between { expr, low, high } => Expr::Between {
@@ -679,7 +672,7 @@ fn compute_aggregate(
     let mut values = Vec::with_capacity(rows.len());
     for row in rows {
         let env = Env {
-            schema,
+            schema: Schema::Pairs(schema),
             row,
             parent: outer,
         };

@@ -1,5 +1,7 @@
 //! Recursive-descent parser for the SQL subset.
 
+use std::borrow::Cow;
+
 use crate::ast::*;
 use crate::db::SqlError;
 use crate::lexer::{tokenize, Token};
@@ -12,7 +14,10 @@ use crate::value::{SqlType, Value};
 /// Returns [`SqlError::Parse`] on malformed input.
 pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens: &tokens,
+        pos: 0,
+    };
     let stmt = p.statement()?;
     p.eat_sym(";");
     if !p.at_end() {
@@ -32,47 +37,46 @@ pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>, SqlError> {
     let tokens = tokenize(sql)?;
     let mut statements = Vec::new();
-    let mut start = 0;
-    let mut i = 0;
-    while i <= tokens.len() {
-        let at_sep = i == tokens.len() || tokens[i].is_sym(";");
-        if at_sep {
-            if i > start {
-                let mut p = Parser {
-                    tokens: tokens[start..i].to_vec(),
-                    pos: 0,
-                };
-                statements.push(p.statement()?);
-                if !p.at_end() {
-                    return Err(SqlError::Parse(format!(
-                        "trailing tokens after statement: {}",
-                        p.peek_text()
-                    )));
-                }
-            }
-            start = i + 1;
+    for part in tokens.split(|t| t.is_sym(";")) {
+        if part.is_empty() {
+            continue;
         }
-        i += 1;
+        let mut p = Parser {
+            tokens: part,
+            pos: 0,
+        };
+        statements.push(p.statement()?);
+        if !p.at_end() {
+            return Err(SqlError::Parse(format!(
+                "trailing tokens after statement: {}",
+                p.peek_text()
+            )));
+        }
     }
     Ok(statements)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'t, 'a> {
+    tokens: &'t [Token<'a>],
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'_, 'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn peek_at(&self, offset: usize) -> Option<&Token> {
-        self.tokens.get(self.pos + offset)
+    fn peek_at(&self, offset: usize) -> Option<Token<'a>> {
+        self.tokens.get(self.pos + offset).copied()
+    }
+
+    /// Whether the next token is a word whose folded spelling `matches`.
+    fn peek_keyword(&self, matches: fn(&str) -> bool) -> bool {
+        self.peek().is_some_and(|t| matches(t.keyword().as_str()))
     }
 
     fn peek_text(&self) -> String {
@@ -81,8 +85,8 @@ impl Parser {
             .unwrap_or_else(|| "<end>".into())
     }
 
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn bump(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -127,10 +131,13 @@ impl Parser {
         }
     }
 
+    /// The next token's AST name, if it is a word. Otherwise an error
+    /// naming the token before it when the input has run out, as the
+    /// parser always has.
     fn expect_word(&mut self) -> Result<String, SqlError> {
-        match self.bump() {
-            Some(Token::Word(w)) => Ok(w),
-            _ => {
+        match self.bump().and_then(|t| t.name()) {
+            Some(name) => Ok(name),
+            None => {
                 self.pos = self.pos.saturating_sub(1);
                 Err(self.err("expected identifier"))
             }
@@ -138,9 +145,9 @@ impl Parser {
     }
 
     fn expect_str(&mut self) -> Result<String, SqlError> {
-        match self.bump() {
-            Some(Token::Str(s)) => Ok(s),
-            _ => {
+        match self.bump().and_then(|t| t.text()) {
+            Some(text) => Ok(text),
+            None => {
                 self.pos = self.pos.saturating_sub(1);
                 Err(self.err("expected string literal"))
             }
@@ -153,7 +160,7 @@ impl Parser {
         let Some(first) = self.peek() else {
             return Err(SqlError::Parse("empty statement".into()));
         };
-        let head = first.word().unwrap_or("").to_string();
+        let head = first.keyword();
         match head.as_str() {
             "SELECT" => Ok(Statement::Select(self.select()?)),
             "EXPLAIN" => {
@@ -202,7 +209,7 @@ impl Parser {
                 self.bump();
                 let mut key = self.expect_word()?;
                 // Multi-word keys: SET client_min_messages, SET default_transaction_isolation
-                while self.peek().is_some_and(|t| matches!(t, Token::Word(_)))
+                while self.peek().is_some_and(|t| matches!(t, Token::Word { .. }))
                     && !self.peek().is_some_and(|t| t.is_kw("TO"))
                 {
                     key.push('_');
@@ -212,8 +219,8 @@ impl Parser {
                     return Err(self.err("expected TO or ="));
                 }
                 let value = match self.bump() {
-                    Some(Token::Word(w)) => w,
-                    Some(Token::Str(s)) => s,
+                    Some(t @ Token::Word { .. }) => t.name().unwrap_or_default(),
+                    Some(t @ Token::Str { .. }) => t.text().unwrap_or_default(),
                     Some(Token::Int(i)) => i.to_string(),
                     _ => return Err(self.err("expected setting value")),
                 };
@@ -227,10 +234,12 @@ impl Parser {
             "BEGIN" | "COMMIT" | "ROLLBACK" | "END" => {
                 self.bump();
                 // Swallow modifiers like BEGIN TRANSACTION / BEGIN ISOLATION LEVEL ...
-                while self.peek().is_some_and(|t| matches!(t, Token::Word(_))) {
+                while self.peek().is_some_and(|t| matches!(t, Token::Word { .. })) {
                     self.bump();
                 }
-                Ok(Statement::Transaction { verb: head })
+                Ok(Statement::Transaction {
+                    verb: head.as_str().to_string(),
+                })
             }
             _ => Err(self.err("expected a statement keyword")),
         }
@@ -276,8 +285,8 @@ impl Parser {
             let mut arg_count = 0;
             while !self.eat_sym(")") {
                 match self.bump() {
-                    Some(Token::Word(_)) => arg_count += 1,
-                    Some(Token::Sym(s)) if s == "," => {}
+                    Some(Token::Word { .. }) => arg_count += 1,
+                    Some(Token::Sym(",")) => {}
                     _ => return Err(self.err("expected argument type")),
                 }
             }
@@ -286,7 +295,7 @@ impl Parser {
             self.expect_kw("AS")?;
             let body = self.expect_str()?;
             // Swallow trailing qualifiers: LANGUAGE plpgsql immutable etc.
-            while self.peek().is_some_and(|t| matches!(t, Token::Word(_))) {
+            while self.peek().is_some_and(|t| matches!(t, Token::Word { .. })) {
                 self.bump();
             }
             return Ok(Statement::CreateFunction {
@@ -297,7 +306,7 @@ impl Parser {
         }
         if self.eat_kw("OPERATOR") {
             let symbol = match self.bump() {
-                Some(Token::Sym(s)) => s,
+                Some(Token::Sym(s)) => s.to_string(),
                 _ => return Err(self.err("expected operator symbol")),
             };
             self.expect_sym("(")?;
@@ -444,17 +453,15 @@ impl Parser {
                 let expr = self.expr()?;
                 let alias = if self.eat_kw("AS") {
                     Some(self.expect_word()?)
-                } else if let Some(Token::Word(w)) = self.peek() {
-                    // Bare alias, but not a clause keyword.
-                    if is_clause_keyword(w) {
-                        None
-                    } else {
-                        let w = w.clone();
-                        self.bump();
-                        Some(w)
-                    }
-                } else {
+                } else if self.peek_keyword(is_clause_keyword) {
                     None
+                } else {
+                    // Bare alias, but not a clause keyword.
+                    let alias = self.peek().and_then(|t| t.name());
+                    if alias.is_some() {
+                        self.pos += 1;
+                    }
+                    alias
                 };
                 select.items.push(SelectItem {
                     expr: Some(expr),
@@ -489,11 +496,7 @@ impl Parser {
                         t.left_join_on = None;
                         select.from.push(t);
                         select.where_clause = Some(match select.where_clause.take() {
-                            Some(w) => Expr::Binary {
-                                op: "AND".into(),
-                                left: Box::new(w),
-                                right: Box::new(cond),
-                            },
+                            Some(w) => Expr::binary("AND", w, cond),
                             None => cond,
                         });
                     } else {
@@ -508,11 +511,7 @@ impl Parser {
         if self.eat_kw("WHERE") {
             let cond = self.expr()?;
             select.where_clause = Some(match select.where_clause.take() {
-                Some(w) => Expr::Binary {
-                    op: "AND".into(),
-                    left: Box::new(w),
-                    right: Box::new(cond),
-                },
+                Some(w) => Expr::binary("AND", w, cond),
                 None => cond,
             });
         }
@@ -569,16 +568,16 @@ impl Parser {
             let name = self.expect_word()?;
             let alias = if self.eat_kw("AS") {
                 self.expect_word()?
-            } else if let Some(Token::Word(w)) = self.peek() {
-                if is_from_keyword(w) {
-                    name.clone()
-                } else {
-                    let w = w.clone();
-                    self.bump();
-                    w
-                }
-            } else {
+            } else if self.peek_keyword(is_from_keyword) {
                 name.clone()
+            } else {
+                match self.peek().and_then(|t| t.name()) {
+                    Some(alias) => {
+                        self.pos += 1;
+                        alias
+                    }
+                    None => name.clone(),
+                }
             };
             TableRef {
                 name,
@@ -604,11 +603,7 @@ impl Parser {
         let mut left = self.and_expr()?;
         while self.eat_kw("OR") {
             let right = self.and_expr()?;
-            left = Expr::Binary {
-                op: "OR".into(),
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = Expr::binary("OR", left, right);
         }
         Ok(left)
     }
@@ -617,11 +612,7 @@ impl Parser {
         let mut left = self.not_expr()?;
         while self.eat_kw("AND") {
             let right = self.not_expr()?;
-            left = Expr::Binary {
-                op: "AND".into(),
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = Expr::binary("AND", left, right);
         }
         Ok(left)
     }
@@ -643,7 +634,7 @@ impl Parser {
         if self.eat_kw("NOT") {
             let inner = self.not_expr()?;
             return Ok(Expr::Unary {
-                op: "NOT".into(),
+                op: "NOT",
                 expr: Box::new(inner),
             });
         }
@@ -684,7 +675,7 @@ impl Parser {
             };
             return Ok(if negated {
                 Expr::Unary {
-                    op: "NOT".into(),
+                    op: "NOT",
                     expr: Box::new(between),
                 }
             } else {
@@ -720,14 +711,10 @@ impl Parser {
         }
         if self.eat_kw("LIKE") {
             let pattern = self.additive()?;
-            let like = Expr::Binary {
-                op: "LIKE".into(),
-                left: Box::new(left),
-                right: Box::new(pattern),
-            };
+            let like = Expr::binary("LIKE", left, pattern);
             return Ok(if negated {
                 Expr::Unary {
-                    op: "NOT".into(),
+                    op: "NOT",
                     expr: Box::new(like),
                 }
             } else {
@@ -736,15 +723,15 @@ impl Parser {
         }
         // Built-in comparison symbols and user-defined operators.
         if let Some(Token::Sym(s)) = self.peek() {
-            let s = s.clone();
-            if !matches!(
-                s.as_str(),
-                "(" | ")" | "," | ";" | "." | "*" | "+" | "-" | "/" | "%"
-            ) {
+            if !matches!(s, "(" | ")" | "," | ";" | "." | "*" | "+" | "-" | "/" | "%") {
                 self.bump();
                 let right = self.additive()?;
+                let op = match BUILTIN_COMPARISONS.into_iter().find(|&b| b == s) {
+                    Some(builtin) => Cow::Borrowed(builtin),
+                    None => Cow::Owned(s.to_string()),
+                };
                 return Ok(Expr::Binary {
-                    op: s,
+                    op,
                     left: Box::new(left),
                     right: Box::new(right),
                 });
@@ -766,11 +753,7 @@ impl Parser {
                 break;
             };
             let right = self.multiplicative()?;
-            left = Expr::Binary {
-                op: op.into(),
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = Expr::binary(op, left, right);
         }
         Ok(left)
     }
@@ -788,11 +771,7 @@ impl Parser {
                 break;
             };
             let right = self.unary()?;
-            left = Expr::Binary {
-                op: op.into(),
-                left: Box::new(left),
-                right: Box::new(right),
-            };
+            left = Expr::binary(op, left, right);
         }
         Ok(left)
     }
@@ -801,7 +780,7 @@ impl Parser {
         if self.eat_sym("-") {
             let inner = self.unary()?;
             return Ok(Expr::Unary {
-                op: "-".into(),
+                op: "-",
                 expr: Box::new(inner),
             });
         }
@@ -809,7 +788,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, SqlError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Token::Int(i)) => {
                 self.bump();
                 Ok(Expr::Literal(Value::Int(i)))
@@ -818,11 +797,11 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Literal(Value::Float(f)))
             }
-            Some(Token::Str(s)) => {
+            Some(t @ Token::Str { .. }) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Text(s)))
+                Ok(Expr::Literal(Value::Text(t.text().unwrap_or_default())))
             }
-            Some(Token::Sym(s)) if s == "(" => {
+            Some(Token::Sym("(")) => {
                 self.bump();
                 if self.peek().is_some_and(|t| t.is_kw("SELECT")) {
                     let sub = self.select()?;
@@ -834,13 +813,14 @@ impl Parser {
                     Ok(inner)
                 }
             }
-            Some(Token::Word(w)) => self.word_expr(w),
+            Some(t @ Token::Word { .. }) => self.word_expr(t),
             _ => Err(self.err("expected expression")),
         }
     }
 
-    fn word_expr(&mut self, w: String) -> Result<Expr, SqlError> {
-        match w.as_str() {
+    fn word_expr(&mut self, w: Token<'a>) -> Result<Expr, SqlError> {
+        let keyword = w.keyword();
+        match keyword.as_str() {
             "NULL" => {
                 self.bump();
                 return Ok(Expr::Literal(Value::Null));
@@ -855,7 +835,7 @@ impl Parser {
             }
             "DATE" => {
                 // `date 'YYYY-MM-DD'` literal.
-                if let Some(Token::Str(_)) = self.peek_at(1) {
+                if let Some(Token::Str { .. }) = self.peek_at(1) {
                     self.bump();
                     let s = self.expect_str()?;
                     return Ok(Expr::Literal(Value::Text(s)));
@@ -924,10 +904,12 @@ impl Parser {
             _ => {}
         }
 
+        let name = w.name().unwrap_or_default();
         // Aggregates and function calls: word followed by '('.
         if self.peek_at(1).is_some_and(|t| t.is_sym("(")) {
             self.bump(); // name
             self.bump(); // '('
+            let w = name;
             if matches!(w.as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX") {
                 if w == "COUNT" && self.eat_sym("*") {
                     self.expect_sym(")")?;
@@ -961,25 +943,30 @@ impl Parser {
 
         // Column reference, possibly qualified. Reserved words cannot name
         // columns — this is what rejects `SELECT FROM`.
-        if is_reserved(&w) {
+        if is_reserved(keyword.as_str()) {
             return Err(self.err("expected expression"));
         }
         self.bump();
         if self.eat_sym(".") {
             let column = self.expect_word()?;
             Ok(Expr::Column(ColumnRef {
-                table: Some(w),
+                table: Some(name),
                 column,
             }))
         } else {
             Ok(Expr::Column(ColumnRef {
                 table: None,
-                column: w,
+                column: name,
             }))
         }
     }
 }
 
+/// Comparison symbols with a built-in meaning, kept as static operator
+/// names; any other symbol names a user-defined operator.
+const BUILTIN_COMPARISONS: [&str; 8] = ["=", "<>", "!=", "<", "<=", ">", ">=", "||"];
+
+/// Words that cannot name a column — this is what rejects `SELECT FROM`.
 fn is_reserved(w: &str) -> bool {
     matches!(
         w,
@@ -1016,6 +1003,7 @@ fn is_reserved(w: &str) -> bool {
     )
 }
 
+/// Words that end a select item rather than alias it.
 fn is_clause_keyword(w: &str) -> bool {
     matches!(
         w,
@@ -1023,6 +1011,7 @@ fn is_clause_keyword(w: &str) -> bool {
     )
 }
 
+/// Words that end a `FROM` table rather than alias it.
 fn is_from_keyword(w: &str) -> bool {
     matches!(
         w,
@@ -1256,5 +1245,77 @@ mod tests {
     fn select_without_from() {
         let s = sel("SELECT 1 + 2");
         assert!(s.from.is_empty());
+    }
+
+    /// Undoes the snapshot file's escapes (`\\`, `\n`, `\r`, `\t`).
+    fn unescape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        let mut chars = s.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                Some('n') => out.push('\n'),
+                Some('r') => out.push('\r'),
+                Some('t') => out.push('\t'),
+                Some(other) => out.push(other),
+                None => {}
+            }
+        }
+        out
+    }
+
+    /// `testdata/parse_snapshot.txt` pins the `Debug` of `parse_statement`
+    /// — the AST or the error — for every SQL string the repo ships: the
+    /// pgbench and TPC-H sets, the CVE listings of `rddr-vulns`, the
+    /// `pg-*` fuzz corpus, and the SQL literals of the tests, benchmarks
+    /// and examples (a `format!` placeholder stands as `1`), plus lexer
+    /// edge cases. A lexer or parser change that moves one AST node or one
+    /// error message fails here.
+    #[test]
+    fn parse_snapshot_is_unchanged() {
+        let snapshot = include_str!("../testdata/parse_snapshot.txt");
+        let mut pinned = std::collections::BTreeSet::new();
+        let mut lines = snapshot.lines();
+        while let Some(line) = lines.next() {
+            if line.is_empty() {
+                continue;
+            }
+            let sql = unescape(line.strip_prefix("sql: ").expect("an sql: line"));
+            let ast = unescape(
+                lines
+                    .next()
+                    .and_then(|l| l.strip_prefix("ast: "))
+                    .expect("ast:"),
+            );
+            assert_eq!(format!("{:?}", parse_statement(&sql)), ast, "{sql}");
+            pinned.insert(sql);
+        }
+        assert!(pinned.len() > 300, "{} statements", pinned.len());
+
+        // The shipped sets stay covered.
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+        let mut shipped: Vec<String> = crate::tpch::QUERIES.iter().map(|q| q.sql.into()).collect();
+        shipped.extend(crate::tpch::SCHEMA.iter().map(|s| s.to_string()));
+        shipped.extend(crate::pgbench::SCHEMA.iter().map(|s| s.to_string()));
+        for entry in std::fs::read_dir(corpus).expect("the fuzz corpus") {
+            let path = entry.expect("a corpus entry").path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if !name.starts_with("pg-") {
+                continue;
+            }
+            let case = std::fs::read_to_string(&path).expect("a corpus case");
+            shipped.extend(
+                case.lines()
+                    .filter_map(|l| l.strip_prefix("item: "))
+                    .filter(|item| !item.starts_with('!'))
+                    .map(str::to_string),
+            );
+        }
+        for sql in &shipped {
+            assert!(pinned.contains(sql), "not in the parse snapshot: {sql}");
+        }
     }
 }

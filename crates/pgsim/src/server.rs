@@ -2,6 +2,8 @@
 //! [`Database`] on the cluster network, charging simulated CPU and memory
 //! to its container.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,9 +12,9 @@ use bytes::BytesMut;
 use parking_lot::Mutex;
 use rddr_net::{BoxStream, Stream};
 use rddr_orchestra::{Service, ServiceCtx};
-use rddr_protocols::pg::PgMessage;
+use rddr_protocols::pg::{message_at, PgMessage};
 
-use crate::db::{Database, SqlError};
+use crate::db::{Database, QueryResult, SqlError};
 
 /// Cost model for simulated query execution.
 #[derive(Debug, Clone, Copy)]
@@ -80,6 +82,11 @@ impl PgServer {
     /// current simulated storage.
     fn sync_memory(&self, ctx: &ServiceCtx) {
         let current = self.db.lock().storage_bytes();
+        self.charge_memory(ctx, current);
+    }
+
+    /// Brings the container's memory meter to `current` bytes.
+    fn charge_memory(&self, ctx: &ServiceCtx, current: u64) {
         let charged = self.mem_charged.swap(current, Ordering::Relaxed);
         match current.cmp(&charged) {
             std::cmp::Ordering::Greater => ctx.alloc(current - charged),
@@ -105,8 +112,79 @@ fn startup_user(payload: &[u8]) -> String {
     "app".to_string()
 }
 
-fn msg(tag: u8, payload: Vec<u8>) -> Vec<u8> {
-    PgMessage { tag, payload }.encode()
+/// Appends one wire message to `out`: `tag`, the length, then the payload
+/// `payload` writes — the bytes [`PgMessage::encode`] makes, built in place.
+fn put_message(
+    out: &mut Vec<u8>,
+    tag: u8,
+    payload: impl FnOnce(&mut Vec<u8>) -> io::Result<()>,
+) -> io::Result<()> {
+    out.push(tag);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out)?;
+    let len = (out.len() - len_at) as i32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+/// Appends the handshake's answer: `AuthenticationOk`, the version banner,
+/// `BackendKeyData` and `ReadyForQuery`.
+fn put_greeting(out: &mut Vec<u8>, banner: &str, backend: u64) -> io::Result<()> {
+    put_message(out, b'R', |o| o.write_all(&0i32.to_be_bytes()))?;
+    put_message(out, b'S', |o| {
+        o.write_all(b"server_version\0")?;
+        o.write_all(banner.as_bytes())?;
+        o.write_all(b"\0")
+    })?;
+    // BackendKeyData: pid + secret are instance-specific (non-critical on
+    // the wire, excluded from diffing by the protocol module).
+    put_message(out, b'K', |o| {
+        o.write_all(&(backend as i32).to_be_bytes())?;
+        o.write_all(&0x5ec2e7i32.to_be_bytes())
+    })?;
+    put_message(out, b'Z', |o| o.write_all(b"I"))
+}
+
+/// Appends the response to one simple query: notices, then the row
+/// description and data rows (fields joined by `\x1f`) of a result with
+/// columns, then its command tag — or the error — and `ReadyForQuery`.
+fn put_response(out: &mut Vec<u8>, result: &Result<QueryResult, SqlError>) -> io::Result<()> {
+    match result {
+        Ok(r) => {
+            for notice in &r.notices {
+                put_message(out, b'N', |o| o.write_all(notice.as_bytes()))?;
+            }
+            if !r.columns.is_empty() {
+                put_message(out, b'T', |o| put_fields(o, &r.columns))?;
+                for row in &r.rows {
+                    put_message(out, b'D', |o| put_fields(o, row))?;
+                }
+            }
+            put_message(out, b'C', |o| o.write_all(r.tag.as_bytes()))?;
+        }
+        Err(e) => {
+            let code = match e {
+                SqlError::PermissionDenied(_) => "42501",
+                SqlError::Unsupported(_) => "0A000",
+                SqlError::Parse(_) => "42601",
+                SqlError::Exec(_) => "XX000",
+            };
+            put_message(out, b'E', |o| write!(o, "ERROR: {code} {e}"))?;
+        }
+    }
+    put_message(out, b'Z', |o| o.write_all(b"I"))
+}
+
+/// Writes `fields` as text, separated by `\x1f`.
+fn put_fields(out: &mut Vec<u8>, fields: &[impl fmt::Display]) -> io::Result<()> {
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(0x1f);
+        }
+        write!(out, "{field}")?;
+    }
+    Ok(())
 }
 
 impl Service for PgServer {
@@ -115,16 +193,16 @@ impl Service for PgServer {
     }
 
     fn handle(&self, mut conn: BoxStream, ctx: &ServiceCtx) {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let mut chunk = [0u8; 16 * 1024];
+        // Every response is built here, reused across the connection's
+        // queries.
+        let mut out = Vec::new();
 
         // ---- startup handshake --------------------------------------------
         let startup = loop {
-            match PgMessage::decode(&buf, true) {
-                Ok(Some((m, used))) => {
-                    let _ = buf.split_to(used);
-                    break m;
-                }
+            match message_at(&buf, true) {
+                Ok(Some((_, payload))) => break payload,
                 Ok(None) => match conn.read(&mut chunk) {
                     Ok(0) | Err(_) => return,
                     Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -132,35 +210,22 @@ impl Service for PgServer {
                 Err(_) => return,
             }
         };
-        let user = startup_user(&startup.payload);
+        let user = startup_user(&buf[startup.clone()]);
+        buf.drain(..startup.end);
         let mut session = self.db.lock().session(&user);
         self.sync_memory(ctx);
 
-        let mut greeting = msg(b'R', 0i32.to_be_bytes().to_vec()); // AuthenticationOk
         let banner = self.db.lock().version_banner();
-        let mut ps = b"server_version\0".to_vec();
-        ps.extend_from_slice(banner.as_bytes());
-        ps.push(0);
-        greeting.extend(msg(b'S', ps));
-        // BackendKeyData: pid + secret are instance-specific (non-critical
-        // on the wire, excluded from diffing by the protocol module).
         let backend = self.backend_counter.fetch_add(1, Ordering::Relaxed);
-        let mut key = (backend as i32).to_be_bytes().to_vec();
-        key.extend(0x5ec2e7i32.to_be_bytes());
-        greeting.extend(msg(b'K', key));
-        greeting.extend(msg(b'Z', b"I".to_vec()));
-        if conn.write_all(&greeting).is_err() {
+        if put_greeting(&mut out, &banner, backend).is_err() || conn.write_all(&out).is_err() {
             return;
         }
 
         // ---- query loop ----------------------------------------------------
         loop {
-            let message = loop {
-                match PgMessage::decode(&buf, false) {
-                    Ok(Some((m, used))) => {
-                        let _ = buf.split_to(used);
-                        break m;
-                    }
+            let (tag, payload) = loop {
+                match message_at(&buf, false) {
+                    Ok(Some(found)) => break found,
                     Ok(None) => match conn.read(&mut chunk) {
                         Ok(0) | Err(_) => return,
                         Ok(n) => buf.extend_from_slice(&chunk[..n]),
@@ -168,60 +233,39 @@ impl Service for PgServer {
                     Err(_) => return,
                 }
             };
-            match message.tag {
+            out.clear();
+            let encoded = match tag {
                 b'Q' => {
-                    let sql = String::from_utf8_lossy(
-                        message.payload.split(|&b| b == 0).next().unwrap_or(&[]),
-                    )
-                    .into_owned();
-                    let result = self.db.lock().execute(&mut session, &sql);
-                    let mut out = Vec::new();
-                    match result {
+                    let text = buf[payload.clone()]
+                        .split(|&b| b == 0)
+                        .next()
+                        .unwrap_or(&[]);
+                    // Borrowed unless the text is not UTF-8.
+                    let sql = String::from_utf8_lossy(text);
+                    let (result, stored) = {
+                        let mut db = self.db.lock();
+                        let result = db.execute(&mut session, &sql);
+                        (result, db.storage_bytes())
+                    };
+                    let cost = match &result {
                         Ok(r) => {
-                            ctx.compute(
-                                self.config.base_cost + self.config.cost_per_row * r.scanned as u32,
-                            );
-                            for notice in &r.notices {
-                                out.extend(msg(b'N', notice.clone().into_bytes()));
-                            }
-                            if !r.columns.is_empty() {
-                                out.extend(msg(b'T', r.columns.join("\u{1f}").into_bytes()));
-                                for row in &r.rows {
-                                    let line: Vec<String> =
-                                        row.iter().map(|v| v.to_string()).collect();
-                                    out.extend(msg(b'D', line.join("\u{1f}").into_bytes()));
-                                }
-                            }
-                            out.extend(msg(b'C', r.tag.into_bytes()));
+                            self.config.base_cost + self.config.cost_per_row * r.scanned as u32
                         }
-                        Err(e) => {
-                            ctx.compute(self.config.base_cost);
-                            let code = match e {
-                                SqlError::PermissionDenied(_) => "42501",
-                                SqlError::Unsupported(_) => "0A000",
-                                SqlError::Parse(_) => "42601",
-                                SqlError::Exec(_) => "XX000",
-                            };
-                            out.extend(msg(b'E', format!("ERROR: {code} {e}").into_bytes()));
-                        }
-                    }
-                    out.extend(msg(b'Z', b"I".to_vec()));
-                    self.sync_memory(ctx);
-                    if conn.write_all(&out).is_err() {
-                        return;
-                    }
+                        Err(_) => self.config.base_cost,
+                    };
+                    ctx.compute(cost);
+                    self.charge_memory(ctx, stored);
+                    put_response(&mut out, &result)
                 }
                 b'X' => return,
-                _ => {
-                    let mut out = msg(
-                        b'E',
-                        b"ERROR: 0A000 extended protocol not supported".to_vec(),
-                    );
-                    out.extend(msg(b'Z', b"I".to_vec()));
-                    if conn.write_all(&out).is_err() {
-                        return;
-                    }
-                }
+                _ => put_message(&mut out, b'E', |o| {
+                    o.write_all(b"ERROR: 0A000 extended protocol not supported")
+                })
+                .and_then(|()| put_message(&mut out, b'Z', |o| o.write_all(b"I"))),
+            };
+            buf.drain(..payload.end);
+            if encoded.is_err() || conn.write_all(&out).is_err() {
+                return;
             }
         }
     }
@@ -231,7 +275,7 @@ impl Service for PgServer {
 pub fn query_message(sql: &str) -> Vec<u8> {
     let mut payload = sql.as_bytes().to_vec();
     payload.push(0);
-    msg(b'Q', payload)
+    PgMessage { tag: b'Q', payload }.encode()
 }
 
 /// Builds a startup wire message for clients.

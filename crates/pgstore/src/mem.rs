@@ -2,11 +2,12 @@
 //! [`Storage`] trait.
 //!
 //! Rows live in insertion-order vectors with a lazily-built primary-key
-//! index (`BTreeMap<key bytes, Vec<row position>>`). A row's position is its
-//! [`RowId`] and never changes: UPDATE replaces the row where it is, DELETE
-//! leaves a `None` behind (and the row's index entry, which lookups skip —
-//! the same dead-entry rule as the paged engine's B+Tree; rolling a DELETE
-//! back drops the index, which may have been built without the row).
+//! index (the paged engine's [`BTree`], with row positions for postings).
+//! A row's position is its [`RowId`] and never changes: UPDATE replaces the
+//! row where it is, DELETE leaves a `None` behind (and the row's index
+//! entry, which lookups skip — the same dead-entry rule as the paged
+//! engine; rolling a DELETE back drops the index, which may have been built
+//! without the row).
 //! Nothing survives a restart — the behaviour the recovery chaos suite
 //! contrasts against the paged engine.
 //!
@@ -16,7 +17,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::{fnv1a_extend, no_such_table, Result, RowId, Storage, StoreError, TupleCodec};
+use crate::{fnv1a_extend, no_such_table, BTree, Result, RowId, Storage, StoreError, TupleCodec};
 
 struct MemTable<R> {
     meta: Vec<u8>,
@@ -24,7 +25,7 @@ struct MemTable<R> {
     rows: Vec<Option<R>>,
     live: u64,
     heap_bytes: u64,
-    index: Option<BTreeMap<Vec<u8>, Vec<usize>>>,
+    index: Option<BTree<usize>>,
 }
 
 impl<R> MemTable<R> {
@@ -208,10 +209,10 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
             .get_mut(table)
             .ok_or_else(|| no_such_table(table))?;
         if t.index.is_none() {
-            let mut index: BTreeMap<Vec<u8>, Vec<usize>> = BTreeMap::new();
+            let mut index = BTree::new();
             for (at, row) in t.rows.iter().enumerate() {
                 if let Some(row) = row {
-                    index.entry(codec.key(row)).or_default().push(at);
+                    index.insert(&codec.key(row), at);
                 }
             }
             t.index = Some(index);
@@ -227,7 +228,7 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         let t = self.table(table)?;
         let mut candidates = 0u64;
         if let Some(index) = &t.index {
-            for &at in index.get(key).into_iter().flatten() {
+            for &at in index.get(key) {
                 // A deleted row's entry lingers; its slot is empty.
                 if let Some(Some(row)) = t.rows.get(at) {
                     candidates += 1;
@@ -262,7 +263,7 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
             t.live += 1;
             t.heap_bytes += codec.heap_bytes(&row);
             if let Some(index) = &mut t.index {
-                index.entry(codec.key(&row)).or_default().push(t.rows.len());
+                index.insert(&codec.key(&row), t.rows.len());
             }
             t.rows.push(Some(row));
         }

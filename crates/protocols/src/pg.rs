@@ -60,8 +60,12 @@ impl PgMessage {
 
 /// Locates the message at the front of `buf`, if complete: its tag (`0` for
 /// an untagged startup message) and the range of its payload, which ends
-/// where the message does.
-fn message_at(buf: &[u8], startup_allowed: bool) -> Result<Option<(u8, Range<usize>)>> {
+/// where the message does. [`PgMessage::decode`] without the copy.
+///
+/// # Errors
+///
+/// [`RddrError::Protocol`] when the length field is below 4.
+pub fn message_at(buf: &[u8], startup_allowed: bool) -> Result<Option<(u8, Range<usize>)>> {
     let Some(&first) = buf.first() else {
         return Ok(None);
     };

@@ -360,10 +360,16 @@ impl InSession {
             self.nside.fault(i, ctx);
         }
         // Under the sever policy a session whose every instance has faulted
-        // has nothing left to wait for: evaluate immediately (the diff over
-        // the failure markers severs it).
-        let all_failed = !self.nside.degrade.ejects() && self.nside.failed.iter().all(|&f| f);
-        if !all_failed && self.nside.deadline_wait(ctx) {
+        // has nothing left to wait for and nothing to compare — identical
+        // failure markers are not agreement: sever at once.
+        if !self.nside.degrade.ejects() && self.nside.failed.iter().all(|&f| f) {
+            self.nside.count_sever();
+            self.nside.engine.audit_all_failed();
+            self.flush_forwards(ctx);
+            self.sever(ctx);
+            return Advance::Finish;
+        }
+        if self.nside.deadline_wait(ctx) {
             return Advance::Park;
         }
         self.nside.settle(ctx);

@@ -624,6 +624,10 @@ mod tests {
         stats: StatsSnapshot,
         /// Every byte each current peer read, by slot.
         heard: BTreeMap<u64, String>,
+        /// The slots whose peer read EOF once the bytes ran out.
+        closed: Vec<u64>,
+        /// The details of the audit log's records.
+        audited: Vec<String>,
     }
 
     /// Runs `script` (each event at its millisecond on the scripted clock)
@@ -695,12 +699,20 @@ mod tests {
             finish(&poller, 1, task.as_mut(), &mut streams);
         }
         adopt_dials(&mut peers);
+        let mut closed = Vec::new();
         let heard = peers
             .iter_mut()
             .map(|(&slot, peer)| {
                 let mut text = Vec::new();
-                while let Ok(TryRead::Data(n)) = peer.try_read(&mut scratch) {
-                    text.extend_from_slice(&scratch[..n]);
+                loop {
+                    match peer.try_read(&mut scratch) {
+                        Ok(TryRead::Data(n)) => text.extend_from_slice(&scratch[..n]),
+                        Ok(TryRead::Eof) => {
+                            closed.push(slot);
+                            break;
+                        }
+                        _ => break,
+                    }
                 }
                 (slot, String::from_utf8(text).unwrap())
             })
@@ -709,6 +721,14 @@ mod tests {
             flow,
             stats: series.snapshot(),
             heard,
+            closed,
+            audited: series
+                .shared
+                .audit
+                .recent()
+                .into_iter()
+                .map(|r| r.detail)
+                .collect(),
         }
     }
 
@@ -806,15 +826,13 @@ mod tests {
             counts: (0, 0, 0, 0),
             heard: &[(P, "")],
         },
-        // The unanimous failure markers forward nothing, and the session
-        // gathers again instead of severing: a known gap, pinned as it is.
         Case {
-            name: "3 in, sever: every instance failed evaluates before the deadline",
+            name: "3 in, sever: every instance failed severs before the deadline",
             side: Side::In,
             config: sever,
             script: &[(0, Data(P, "a\n")), (1, Eof(0)), (2, Eof(1)), (3, Eof(2))],
-            flow: Flow::Continue,
-            counts: (1, 0, 0, 0),
+            flow: Flow::Done,
+            counts: (0, 1, 0, 0),
             heard: &[(P, "")],
         },
         Case {
@@ -898,6 +916,17 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_instance_failing_is_an_audited_sever() {
+        let config = sever(EngineConfig::builder(N)).build().unwrap();
+        let script = &[(0, Data(P, "a\n")), (1, Eof(0)), (2, Eof(1)), (3, Eof(2))];
+        let run = drive(Side::In, config, script);
+        assert_eq!(run.flow, Flow::Done);
+        assert_eq!(run.stats.severed, 1);
+        assert!(run.closed.contains(&P), "the client reads EOF");
+        assert_eq!(run.audited, ["every instance failed before answering"]);
     }
 
     #[test]

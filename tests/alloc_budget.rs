@@ -17,12 +17,27 @@
 //! the page map is a sorted vector sized to the pool, so a run of misses
 //! allocates nothing. A fresh 4 KiB buffer per miss and a `BTreeMap` page
 //! map made 10 000 misses cost 11 141 allocations and 41.2 MB.
+//!
+//! A pgbench point SELECT on the paged engine costs what its result needs:
+//! tokens borrow the SQL text, the point executor walks the `WHERE` by
+//! reference, reads the schema from the catalog and moves the matched rows,
+//! and `PgServer` encodes into one reused buffer. Before, `Database::execute`
+//! of the SELECT took 56 allocations, the UPDATE 81 and the INSERT 51, and
+//! a `PgServer` round trip of the SELECT 71.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Duration;
 
 use rddr_repro::core::protocol::LineProtocol;
 use rddr_repro::core::{EngineConfig, NVersionEngine, Protocol, Verdict};
+use rddr_repro::net::{duplex_pair, BoxStream, SimNet, Stream};
+use rddr_repro::orchestra::{CpuGovernor, ResourceMeter, Service, ServiceCtx};
+use rddr_repro::pgsim::{
+    pgbench, query_message, startup_message, Database, DbFlavor, PgServer, PgServerConfig,
+    PgVersion, Session, StorageEngine,
+};
 use rddr_repro::pgstore::{BufferPool, Page, VDisk, PAGE_SIZE};
 use rddr_repro::protocols::HttpProtocol;
 use rddr_repro::telemetry::Span;
@@ -207,4 +222,93 @@ fn buffer_pool_misses_refill_frames_in_place() {
     println!("{MISSES} buffer-pool misses: {count} allocations, {bytes} bytes");
     assert!(count <= 500, "{count} > 500 allocations");
     assert!(bytes < 64 * 1024, "{bytes} bytes allocated");
+}
+
+/// A `paged:replay-forward` database holding the pgbench tables with
+/// 20 000 accounts, as `pg_read` serves them, plus a session on it.
+fn pgbench_paged() -> (Database, Session) {
+    let version = PgVersion::parse("10.7").unwrap();
+    let engine = StorageEngine::parse("paged:replay-forward").unwrap();
+    let disk = VDisk::new("alloc-budget-pg");
+    let mut db = Database::with_engine(version, DbFlavor::Postgres, engine, &disk).unwrap();
+    pgbench::load_scaled(&mut db, 20, 1000).unwrap();
+    let session = db.session("app");
+    (db, session)
+}
+
+/// Allocations of one `Database::execute` of `sql` after one warm-up call
+/// of `warm_up` (which builds the index a point statement probes).
+fn statement_allocations(sql: &str, warm_up: &str, expect_tag: &str) -> u64 {
+    let (mut db, mut session) = pgbench_paged();
+    db.execute(&mut session, warm_up).unwrap();
+    let (result, count) = allocations_in(|| db.execute(&mut session, sql).unwrap());
+    assert_eq!(result.tag, expect_tag);
+    count
+}
+
+const POINT_SELECT: &str = "SELECT abalance FROM pgbench_accounts WHERE aid = 7001";
+
+#[test]
+fn pgbench_point_statements_allocate_within_budget() {
+    let select = statement_allocations(
+        POINT_SELECT,
+        "SELECT abalance FROM pgbench_accounts WHERE aid = 3",
+        "SELECT 1",
+    );
+    let update = statement_allocations(
+        "UPDATE pgbench_accounts SET abalance = abalance + 17 WHERE aid = 7001",
+        "UPDATE pgbench_accounts SET abalance = abalance + 5 WHERE aid = 3",
+        "UPDATE 1",
+    );
+    let insert = statement_allocations(
+        "INSERT INTO pgbench_history VALUES (12, 1, 7001, 17, 't')",
+        "INSERT INTO pgbench_history VALUES (11, 1, 3, 5, 't')",
+        "INSERT 0 1",
+    );
+    println!("pgbench statement allocations: select {select}, update {update}, insert {insert}");
+    assert!(select <= 26, "SELECT: {select} > 26");
+    assert!(update <= 81, "UPDATE: {update} > 81");
+    assert!(insert <= 51, "INSERT: {insert} > 51");
+}
+
+/// Allocations of one `PgServer::handle` serving a startup message and
+/// `queries` copies of `sql`, pre-filled into a duplex pipe whose client
+/// end is closed, so the server runs on this thread until EOF.
+fn pg_server_allocations(server: &PgServer, sql: &str, queries: usize) -> u64 {
+    let (mut client, conn) = duplex_pair("client", "pg");
+    client.write_all(&startup_message("app")).unwrap();
+    for _ in 0..queries {
+        client.write_all(&query_message(sql)).unwrap();
+    }
+    drop(client);
+    let ctx = ServiceCtx {
+        meter: ResourceMeter::new(),
+        governor: CpuGovernor::new(1),
+        net: Arc::new(SimNet::new()),
+    };
+    let conn: BoxStream = Box::new(conn);
+    let ((), count) = allocations_in(|| server.handle(conn, &ctx));
+    count
+}
+
+#[test]
+fn pg_server_round_trip_allocates_within_budget() {
+    const ZERO_COST: PgServerConfig = PgServerConfig {
+        base_cost: Duration::ZERO,
+        cost_per_row: Duration::ZERO,
+    };
+    let (mut db, mut session) = pgbench_paged();
+    db.execute(&mut session, POINT_SELECT).unwrap();
+    let server = PgServer::with_config(db, ZERO_COST);
+    // The difference of two connections isolates the queries from the
+    // handshake; over 16 queries the pipe's growth rounds away.
+    const QUERIES: u64 = 16;
+    let short = pg_server_allocations(&server, POINT_SELECT, QUERIES as usize);
+    let long = pg_server_allocations(&server, POINT_SELECT, 2 * QUERIES as usize);
+    let per_query = (long - short) / QUERIES;
+    println!(
+        "PgServer round trip: {per_query} allocations ({short} for {QUERIES} queries, {long} for {})",
+        2 * QUERIES
+    );
+    assert!(per_query <= 30, "{per_query} > 30");
 }
