@@ -257,14 +257,15 @@ fn materialize(
     })
 }
 
-fn split_conjuncts(expr: &Expr) -> Vec<Expr> {
+/// `expr`'s `AND` conjuncts, left to right, borrowed.
+fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
     match expr {
         Expr::Binary { op, left, right } if op == "AND" => {
             let mut out = split_conjuncts(left);
             out.extend(split_conjuncts(right));
             out
         }
-        other => vec![other.clone()],
+        other => vec![other],
     }
 }
 
@@ -380,7 +381,7 @@ fn join_step(
     schema: &mut Vec<(String, String)>,
     bound_rows: Vec<Vec<Value>>,
     source: &Source,
-    conjuncts: &[Expr],
+    conjuncts: &[&Expr],
     applied: &mut [bool],
     outer: Option<&Env<'_>>,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
@@ -438,7 +439,7 @@ fn join_step(
             };
             let mut keep = true;
             for &i in &newly {
-                if !eval(ctx, &conjuncts[i], &env)?.is_truthy() {
+                if !eval(ctx, conjuncts[i], &env)?.is_truthy() {
                     keep = false;
                     break;
                 }
@@ -506,7 +507,7 @@ fn join_step(
                     };
                     let mut keep = true;
                     for &i in &newly {
-                        if !eval(ctx, &conjuncts[i], &env)?.is_truthy() {
+                        if !eval(ctx, conjuncts[i], &env)?.is_truthy() {
                             keep = false;
                             break;
                         }
@@ -529,7 +530,7 @@ fn join_step(
                 };
                 let mut keep = true;
                 for &i in &newly {
-                    if !eval(ctx, &conjuncts[i], &env)?.is_truthy() {
+                    if !eval(ctx, conjuncts[i], &env)?.is_truthy() {
                         keep = false;
                         break;
                     }
