@@ -8,7 +8,7 @@
 # /proc/<pid>/task/*/stat at a third and at the end of the run, and prints
 # the CPU each thread name spent in between, as a share of the process.
 # Threads of the same role share a name (`bench-inst0-con`, `rddr-rx-in-0`,
-# the driver is `rddr-benchmark`). Linux only.
+# the load generator is `rddr-benchmark`). Linux only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
