@@ -18,15 +18,8 @@
 //! # label-glob <whitespace> payload-glob
 //! pg:ParameterStatus server_version*
 //! http:header:server *
-//!
-//! [storage]
-//! # per-instance storage engine (opaque spec strings; the database
-//! # layer parses them). `default` covers instances with no override.
-//! default = paged:replay-forward
-//! 2 = paged:shadow-discard
 //! ```
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::{EngineConfig, RddrError, ResponsePolicy, Result, VarianceRule, VarianceRules};
@@ -54,46 +47,6 @@ pub struct ConfigFile {
     /// The protocol-module name (`"http"`, `"postgres"`, `"json"`,
     /// `"line"`, `"raw"`). The proxy crate resolves it to a factory.
     pub protocol: String,
-    /// Per-instance storage-engine selection (`[storage]` section).
-    pub storage: StorageConfig,
-}
-
-/// Per-instance storage-engine specs from the `[storage]` section.
-///
-/// The specs are opaque strings here — core knows nothing about storage
-/// engines; the database layer parses them (e.g. `rddr_pgsim`'s
-/// `StorageEngine::parse`). Diversifying *recovery policy* across
-/// instances (one `paged:replay-forward`, one `paged:shadow-discard`)
-/// turns crash-recovery behaviour itself into a diversity axis the
-/// divergence detector can observe.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StorageConfig {
-    default: Option<String>,
-    overrides: BTreeMap<usize, String>,
-}
-
-impl StorageConfig {
-    /// The engine spec for instance `index`: its override if present,
-    /// else the section's `default`, else `None` (caller picks its own
-    /// default, conventionally in-memory).
-    pub fn engine_spec(&self, index: usize) -> Option<&str> {
-        self.overrides
-            .get(&index)
-            .map(String::as_str)
-            .or(self.default.as_deref())
-    }
-
-    /// Whether the configuration file had no `[storage]` entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.default.is_none() && self.overrides.is_empty()
-    }
-}
-
-/// Which configuration section the parser is inside.
-enum Section {
-    Top,
-    Variance,
-    Storage,
 }
 
 impl ConfigFile {
@@ -111,8 +64,7 @@ impl ConfigFile {
         let mut deadline: Option<Duration> = None;
         let mut throttle: Option<u32> = None;
         let mut variance = VarianceRules::new();
-        let mut storage = StorageConfig::default();
-        let mut section = Section::Top;
+        let mut in_variance = false;
 
         for (lineno, raw_line) in text.lines().enumerate() {
             let line = strip_comment(raw_line).trim();
@@ -120,11 +72,7 @@ impl ConfigFile {
                 continue;
             }
             if line.eq_ignore_ascii_case("[variance]") {
-                section = Section::Variance;
-                continue;
-            }
-            if line.eq_ignore_ascii_case("[storage]") {
-                section = Section::Storage;
+                in_variance = true;
                 continue;
             }
             if line.starts_with('[') {
@@ -133,7 +81,7 @@ impl ConfigFile {
                     lineno + 1
                 )));
             }
-            if let Section::Variance = section {
+            if in_variance {
                 let (label, payload) = line.split_once(char::is_whitespace).ok_or_else(|| {
                     RddrError::InvalidConfig(format!(
                         "variance rule needs `label-glob payload-glob` on line {}",
@@ -148,26 +96,6 @@ impl ConfigFile {
             })?;
             let key = key.trim().to_ascii_lowercase();
             let value = value.trim();
-            if let Section::Storage = section {
-                if value.is_empty() {
-                    return Err(RddrError::InvalidConfig(format!(
-                        "storage: empty engine spec on line {}",
-                        lineno + 1
-                    )));
-                }
-                if key == "default" {
-                    storage.default = Some(value.to_string());
-                } else {
-                    let index: usize = key.parse().map_err(|_| {
-                        RddrError::InvalidConfig(format!(
-                            "storage: key must be `default` or an instance index, got {key:?} on line {}",
-                            lineno + 1
-                        ))
-                    })?;
-                    storage.overrides.insert(index, value.to_string());
-                }
-                continue;
-            }
             match key.as_str() {
                 "instances" => {
                     instances = Some(parse_num(&key, value)?);
@@ -207,11 +135,6 @@ impl ConfigFile {
 
         let instances = instances
             .ok_or_else(|| RddrError::InvalidConfig("missing required key `instances`".into()))?;
-        if let Some(&bad) = storage.overrides.keys().find(|&&i| i >= instances) {
-            return Err(RddrError::InvalidConfig(format!(
-                "storage: instance index {bad} out of range (instances = {instances})"
-            )));
-        }
         let mut builder = EngineConfig::builder(instances)
             .policy(policy)
             .variance(variance);
@@ -227,7 +150,6 @@ impl ConfigFile {
         Ok(ConfigFile {
             engine: builder.build()?,
             protocol,
-            storage,
         })
     }
 }
@@ -312,40 +234,13 @@ mod tests {
     }
 
     #[test]
-    fn storage_section_selects_engines_per_instance() {
-        let cfg = ConfigFile::parse(
-            "instances = 3\n[storage]\ndefault = paged:replay-forward\n2 = paged:shadow-discard",
-        )
-        .unwrap();
-        assert_eq!(cfg.storage.engine_spec(0), Some("paged:replay-forward"));
-        assert_eq!(cfg.storage.engine_spec(1), Some("paged:replay-forward"));
-        assert_eq!(cfg.storage.engine_spec(2), Some("paged:shadow-discard"));
-        assert!(!cfg.storage.is_empty());
-    }
-
-    #[test]
-    fn storage_section_is_optional_and_defaults_to_none() {
-        let cfg = ConfigFile::parse("instances = 2").unwrap();
-        assert!(cfg.storage.is_empty());
-        assert_eq!(cfg.storage.engine_spec(0), None);
-    }
-
-    #[test]
-    fn storage_override_without_default_leaves_others_unset() {
-        let cfg = ConfigFile::parse("instances = 2\n[storage]\n1 = memory").unwrap();
-        assert_eq!(cfg.storage.engine_spec(0), None);
-        assert_eq!(cfg.storage.engine_spec(1), Some("memory"));
-    }
-
-    #[test]
-    fn storage_index_out_of_range_is_rejected() {
-        assert!(ConfigFile::parse("instances = 2\n[storage]\n5 = memory").is_err());
-    }
-
-    #[test]
-    fn storage_bad_key_or_empty_spec_is_rejected() {
-        assert!(ConfigFile::parse("instances = 2\n[storage]\nfirst = memory").is_err());
-        assert!(ConfigFile::parse("instances = 2\n[storage]\n0 =").is_err());
+    fn a_storage_section_is_an_unknown_section() {
+        let err = ConfigFile::parse("instances = 3\n[storage]\ndefault = paged:replay-forward")
+            .unwrap_err();
+        assert!(
+            matches!(&err, RddrError::InvalidConfig(why) if why == "unknown section \"[storage]\" on line 2"),
+            "{err:?}"
+        );
     }
 
     #[test]

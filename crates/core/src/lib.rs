@@ -66,7 +66,7 @@ mod signature;
 mod variance;
 
 pub use config::{EngineConfig, EngineConfigBuilder};
-pub use configfile::{ConfigFile, StorageConfig};
+pub use configfile::ConfigFile;
 pub use denoise::{NoiseMask, SegmentMask};
 pub use diff::{diff_segments, DiffOutcome};
 pub use engine::{ExchangeOutcome, NVersionEngine, RequestCopy, SessionState, Verdict};

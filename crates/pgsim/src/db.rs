@@ -1,26 +1,23 @@
 //! The database catalog and statement executor.
 //!
-//! Since the storage split, the executor owns only the *catalog* (column
-//! definitions, ownership, privileges, row security) and runs all row
-//! access through an `rddr_pgstore::Storage` backend — in-memory or paged
-//! — chosen per instance via [`crate::storage::StorageEngine`]. Every
-//! mutation is transactional: explicit `BEGIN`/`COMMIT`/`ROLLBACK` map to
-//! storage transactions, and standalone mutations are wrapped in an
-//! implicit one, so on the paged engine every change reaches the WAL with
-//! a commit record.
+//! The executor owns only the *catalog* (column definitions, ownership,
+//! privileges, row security) and runs all row access through the paged
+//! engine, `rddr_pgstore::PagedStore`, whose recovery policy is chosen per
+//! instance via [`crate::storage::StorageEngine`]. Every mutation is
+//! transactional: explicit `BEGIN`/`COMMIT`/`ROLLBACK` map to storage
+//! transactions, and standalone mutations are wrapped in an implicit one,
+//! so every change reaches the WAL with a commit record.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use rddr_pgstore::{RecoveryStats, RowId, StoreError, VDisk};
+use rddr_pgstore::{PagedStore, RecoveryStats, RowId, Storage, StoreError, VDisk};
 
 use crate::ast::{ColumnDef, Expr, Select, Statement};
 use crate::eval::{eval, Env, ExecCtx, Schema};
 use crate::exec::run_select;
 use crate::parser::parse_statement;
-use crate::storage::{
-    decode_table_meta, encode_table_meta, open_storage, DynStorage, StorageEngine,
-};
+use crate::storage::{decode_table_meta, encode_table_meta, StorageEngine, ValueCodec};
 use crate::value::{SqlType, Value};
 use crate::version::PgVersion;
 
@@ -152,7 +149,7 @@ pub struct QueryResult {
     pub scanned: u64,
 }
 
-/// A SQL database: catalog and executor over a pluggable storage backend.
+/// A SQL database: catalog and executor over the paged storage engine.
 pub struct Database {
     version: PgVersion,
     flavor: DbFlavor,
@@ -160,9 +157,7 @@ pub struct Database {
     functions: BTreeMap<String, PlFunction>,
     operators: BTreeMap<String, Operator>,
     users: BTreeSet<String>,
-    store: DynStorage,
-    engine: StorageEngine,
-    recovery: Option<RecoveryStats>,
+    store: PagedStore<Vec<Value>, ValueCodec>,
     /// Catalog undo log while an explicit transaction is open: table name →
     /// its pre-transaction catalog entry (`None` = did not exist).
     catalog_undo: Option<BTreeMap<String, Option<Table>>>,
@@ -173,7 +168,7 @@ impl fmt::Debug for Database {
         f.debug_struct("Database")
             .field("version", &self.version)
             .field("flavor", &self.flavor)
-            .field("engine", &self.engine)
+            .field("policy", &self.store.policy())
             .field("tables", &self.tables.len())
             .finish()
     }
@@ -183,27 +178,26 @@ impl fmt::Debug for Database {
 pub const SUPERUSER: &str = "APP";
 
 impl Database {
-    /// Creates a MiniPg database at the given version (in-memory storage).
+    /// Creates a MiniPg database at the given version, on a fresh disk.
     pub fn new(version: PgVersion) -> Self {
         Self::with_flavor(version, DbFlavor::Postgres)
     }
 
-    /// Creates a database with an explicit flavor (in-memory storage).
+    /// Creates a database with an explicit flavor, on a fresh disk.
     pub fn with_flavor(version: PgVersion, flavor: DbFlavor) -> Self {
-        let disk = VDisk::new("mem");
-        match Self::with_engine(version, flavor, StorageEngine::InMemory, &disk) {
+        let disk = VDisk::new("db");
+        match Self::with_engine(version, flavor, StorageEngine::default(), &disk) {
             Ok(db) => db,
-            // In-memory open cannot fail (no WAL to replay); satisfy the
-            // type without a panic path.
-            Err(_) => unreachable!("in-memory storage open is infallible"),
+            // A fresh disk holds no WAL, so there is nothing to replay and
+            // nothing to fail; satisfy the type without a panic path.
+            Err(_) => unreachable!("opening a fresh disk is infallible"),
         }
     }
 
-    /// Creates a database on an explicit storage engine. For
-    /// [`StorageEngine::Paged`], `disk` carries state across restarts —
+    /// Creates a database on `disk`, which carries state across restarts —
     /// clone the same [`VDisk`] into a respawned instance and its WAL is
-    /// replayed under the engine's recovery policy, with the catalog
-    /// rebuilt from the recovered tables.
+    /// replayed under `engine`'s recovery policy, with the catalog rebuilt
+    /// from the recovered tables.
     ///
     /// # Errors
     ///
@@ -215,7 +209,7 @@ impl Database {
         engine: StorageEngine,
         disk: &VDisk,
     ) -> Result<Self, SqlError> {
-        let (store, recovery) = open_storage(engine, disk)?;
+        let store = PagedStore::open(disk.clone(), ValueCodec, engine.policy).map_err(store_err)?;
         let mut users = BTreeSet::new();
         users.insert(SUPERUSER.to_string());
         let mut db = Self {
@@ -226,8 +220,6 @@ impl Database {
             operators: BTreeMap::new(),
             users,
             store,
-            engine,
-            recovery,
             catalog_undo: None,
         };
         for name in db.store.table_names() {
@@ -262,25 +254,18 @@ impl Database {
         &self.version
     }
 
-    /// Total bytes of simulated row storage (logical heap bytes in-memory,
-    /// live heap pages paged).
+    /// Total bytes of simulated row storage: the live heap pages.
     pub fn storage_bytes(&self) -> u64 {
         self.store.bytes()
     }
 
-    /// The storage engine this instance was opened with.
-    pub fn storage_engine(&self) -> StorageEngine {
-        self.engine
-    }
-
-    /// What WAL replay found when the instance opened, if the engine
-    /// recovers at all (`None` for in-memory storage).
-    pub fn recovery_stats(&self) -> Option<RecoveryStats> {
-        self.recovery
+    /// What WAL replay found when the instance opened.
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        self.store.recovery_stats()
     }
 
     /// Deterministic digest of the full logical row state — the
-    /// replay-equivalence probe recovery tests compare across engines,
+    /// replay-equivalence probe recovery tests compare across instances,
     /// restarts, and recovery policies.
     pub fn state_digest(&self) -> u64 {
         self.store.state_digest()
@@ -1398,51 +1383,42 @@ fn render_expr(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rddr_pgstore::RecoveryPolicy;
 
-    /// Runs `check` against a 500-account pgbench database on each engine.
-    /// The load leaves no index behind: only point statements build one.
-    fn on_both_engines(check: impl Fn(StorageEngine, &mut Database, &mut Session)) {
-        let paged = StorageEngine::Paged {
-            policy: RecoveryPolicy::ReplayForward,
-        };
-        for engine in [StorageEngine::InMemory, paged] {
-            let version = PgVersion::parse("10.7").unwrap();
-            let disk = VDisk::new("db");
-            let mut db = Database::with_engine(version, DbFlavor::Postgres, engine, &disk).unwrap();
-            crate::pgbench::load_scaled(&mut db, 1, 500).unwrap();
-            assert!(!db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
-            let mut session = db.session("app");
-            check(engine, &mut db, &mut session);
-        }
+    /// Runs `check` against a 500-account pgbench database. The load
+    /// leaves no index behind: only point statements build one.
+    fn on_pgbench(check: impl Fn(&mut Database, &mut Session)) {
+        let mut db = Database::new(PgVersion::parse("10.7").unwrap());
+        crate::pgbench::load_scaled(&mut db, 1, 500).unwrap();
+        assert!(!db.store.has_index("PGBENCH_ACCOUNTS"));
+        let mut session = db.session("app");
+        check(&mut db, &mut session);
     }
 
     /// UPDATE/DELETE by primary key go through the index and leave it
-    /// standing, on both engines: the statement after them is as cheap as
-    /// the one before.
+    /// standing: the statement after them is as cheap as the one before.
     #[test]
     fn point_writes_probe_the_index_and_keep_it() {
-        on_both_engines(|engine, db, session| {
+        on_pgbench(|db, session| {
             let mut run = |db: &mut Database, sql: &str| db.execute(session, sql).unwrap();
 
             let r = run(
                 db,
                 "UPDATE pgbench_accounts SET abalance = abalance + 7 WHERE aid = 250",
             );
-            assert_eq!(r.tag, "UPDATE 1", "{engine}");
-            assert_eq!(r.scanned, 2, "{engine}: one candidate plus the probe");
-            assert!(db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
+            assert_eq!(r.tag, "UPDATE 1");
+            assert_eq!(r.scanned, 2, "one candidate plus the probe");
+            assert!(db.store.has_index("PGBENCH_ACCOUNTS"));
             let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 250");
-            assert!(r.scanned < 10, "{engine}: scanned {}", r.scanned);
+            assert!(r.scanned < 10, "scanned {}", r.scanned);
 
             let r = run(db, "DELETE FROM pgbench_accounts WHERE aid = 251");
-            assert_eq!((r.tag.as_str(), r.scanned), ("DELETE 1", 2), "{engine}");
-            assert!(db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
+            assert_eq!((r.tag.as_str(), r.scanned), ("DELETE 1", 2));
+            assert!(db.store.has_index("PGBENCH_ACCOUNTS"));
             let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 251");
             assert_eq!(
                 (r.rows.len(), r.scanned),
                 (0, 1),
-                "{engine}: dead entry not a candidate"
+                "dead entry not a candidate"
             );
 
             // A WHERE the index cannot serve still reads (and charges) the
@@ -1451,7 +1427,7 @@ mod tests {
                 db,
                 "UPDATE pgbench_accounts SET abalance = 0 WHERE abalance > 100000",
             );
-            assert_eq!((r.tag.as_str(), r.scanned), ("UPDATE 0", 499), "{engine}");
+            assert_eq!((r.tag.as_str(), r.scanned), ("UPDATE 0", 499));
         });
     }
 
@@ -1460,33 +1436,71 @@ mod tests {
     /// rollback must find them all the same.
     #[test]
     fn rows_a_rollback_revives_are_found_by_point_statements() {
-        on_both_engines(|engine, db, session| {
+        on_pgbench(|db, session| {
             let mut run = |db: &mut Database, sql: &str| db.execute(session, sql).unwrap();
             run(db, "BEGIN");
             let r = run(
                 db,
                 "DELETE FROM pgbench_accounts WHERE aid > 10 AND aid < 20",
             );
-            assert_eq!(r.tag, "DELETE 9", "{engine}");
+            assert_eq!(r.tag, "DELETE 9");
             let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 50");
-            assert_eq!(r.rows.len(), 1, "{engine}");
-            assert!(db.store.has_index("PGBENCH_ACCOUNTS"), "{engine}");
+            assert_eq!(r.rows.len(), 1);
+            assert!(db.store.has_index("PGBENCH_ACCOUNTS"));
             let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 15");
-            assert_eq!(r.rows.len(), 0, "{engine}: deleted inside the transaction");
+            assert_eq!(r.rows.len(), 0, "deleted inside the transaction");
             run(db, "ROLLBACK");
 
             let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 15");
-            assert_eq!(r.rows.len(), 1, "{engine}");
+            assert_eq!(r.rows.len(), 1);
             let r = run(
                 db,
                 "UPDATE pgbench_accounts SET abalance = 1 WHERE aid = 16",
             );
-            assert_eq!(r.tag, "UPDATE 1", "{engine}");
+            assert_eq!(r.tag, "UPDATE 1");
             let r = run(db, "DELETE FROM pgbench_accounts WHERE aid = 17");
-            assert_eq!(r.tag, "DELETE 1", "{engine}");
+            assert_eq!(r.tag, "DELETE 1");
             let r = run(db, "SELECT count(*) FROM pgbench_accounts");
-            assert_eq!(r.rows, [[Value::Int(499)]], "{engine}");
+            assert_eq!(r.rows, [[Value::Int(499)]]);
         });
+    }
+
+    /// A row no heap page can hold (the engine's 4 KiB page) is an error
+    /// result like any failed statement: nothing changes, and the session
+    /// carries on, inside a transaction or not.
+    #[test]
+    fn an_oversize_row_is_an_error_that_changes_nothing() {
+        let mut db = Database::new(PgVersion::parse("10.7").unwrap());
+        let mut session = db.session("app");
+        let mut run = |db: &mut Database, sql: &str| db.execute(&mut session, sql);
+        run(&mut db, "CREATE TABLE t (id INT, note TEXT)").unwrap();
+        run(&mut db, "INSERT INTO t VALUES (1, 'small')").unwrap();
+        let digest = db.state_digest();
+        let big = "x".repeat(5 * 1024);
+        for sql in [
+            format!("INSERT INTO t VALUES (2, '{big}')"),
+            format!("UPDATE t SET note = '{big}' WHERE id = 1"),
+        ] {
+            for in_txn in [false, true] {
+                if in_txn {
+                    run(&mut db, "BEGIN").unwrap();
+                }
+                let err = run(&mut db, &sql).unwrap_err();
+                assert!(err.to_string().contains("exceeds page capacity"), "{err}");
+                assert_eq!(db.state_digest(), digest, "{sql:.30}");
+                let r = run(&mut db, "SELECT count(*) FROM t").unwrap();
+                assert_eq!(r.rows, [[Value::Int(1)]]);
+                if in_txn {
+                    run(&mut db, "COMMIT").unwrap();
+                }
+            }
+        }
+        run(&mut db, "INSERT INTO t VALUES (3, 'after')").unwrap();
+        let r = run(&mut db, "SELECT note FROM t").unwrap();
+        assert_eq!(
+            r.rows,
+            [["small"], ["after"]].map(|[n]| [Value::Text(n.into())])
+        );
     }
 
     /// Index keys spell numerics past 1e15 by type, a WHERE's `=` compares
@@ -1494,7 +1508,7 @@ mod tests {
     /// it through the index, so such writes scan.
     #[test]
     fn writes_by_keys_the_index_spells_by_type_scan() {
-        on_both_engines(|engine, db, session| {
+        on_pgbench(|db, session| {
             let mut run = |db: &mut Database, sql: &str| db.execute(session, sql).unwrap();
             run(
                 db,
@@ -1502,21 +1516,21 @@ mod tests {
             );
             // Make sure an index is there to be (wrongly) probed.
             let r = run(db, "SELECT abalance FROM pgbench_accounts WHERE aid = 7");
-            assert!(r.scanned < 10, "{engine}: scanned {}", r.scanned);
+            assert!(r.scanned < 10, "scanned {}", r.scanned);
             for literal in ["2000000000000000", "2000000000000000.0"] {
                 let r = run(
                     db,
                     &format!("UPDATE pgbench_accounts SET abalance = 6 WHERE aid = {literal}"),
                 );
-                assert_eq!(r.tag, "UPDATE 1", "{engine}, {literal}");
+                assert_eq!(r.tag, "UPDATE 1", "{literal}");
             }
             let r = run(
                 db,
                 "DELETE FROM pgbench_accounts WHERE aid = 2000000000000000.0",
             );
-            assert_eq!(r.tag, "DELETE 1", "{engine}");
+            assert_eq!(r.tag, "DELETE 1");
             let r = run(db, "SELECT count(*) FROM pgbench_accounts");
-            assert_eq!(r.rows, [[Value::Int(500)]], "{engine}");
+            assert_eq!(r.rows, [[Value::Int(500)]]);
         });
     }
 }

@@ -9,9 +9,12 @@
 //!
 //! This crate rebuilds that substrate from scratch:
 //!
-//! * [`Database`] — an in-memory SQL engine: DDL/DML, multi-table joins,
-//!   aggregates, `ORDER BY`/`LIMIT`, subqueries, users and privileges,
-//!   row-level security, user-defined functions and operators, `EXPLAIN`.
+//! * [`Database`] — a SQL engine: DDL/DML, multi-table joins, aggregates,
+//!   `ORDER BY`/`LIMIT`, subqueries, users and privileges, row-level
+//!   security, user-defined functions and operators, `EXPLAIN`. Its rows
+//!   live in `rddr-pgstore`'s paged engine on a simulated disk, so an
+//!   instance recovers its committed state after a crash under a
+//!   per-instance [`RecoveryPolicy`] ([`storage`]).
 //! * [`PgVersion`]-gated bugs reproducing both CVEs' leak channels (a
 //!   planner that runs user-defined operators over rows the caller may not
 //!   see, emitting `NOTICE`s).
@@ -56,7 +59,7 @@ mod version;
 pub use db::{CockroachFlavor, Database, DbFlavor, QueryResult, Session, SqlError};
 pub use rddr_pgstore::{RecoveryPolicy, RecoveryStats, VDisk};
 pub use server::{query_message, startup_message, PgClient, PgResponse, PgServer, PgServerConfig};
-pub use storage::{open_storage, PlanDiskFaults, StorageEngine, ValueCodec};
+pub use storage::{PlanDiskFaults, StorageEngine, ValueCodec};
 pub use value::{SqlType, Value};
 pub use version::PgVersion;
 

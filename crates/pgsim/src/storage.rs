@@ -1,46 +1,25 @@
-//! Glue between MiniPg and the `rddr-pgstore` storage engines: the value
-//! codec, the catalog blob, per-instance engine selection, and the adapter
-//! that feeds `rddr-net`'s seeded fault plan into the simulated disk.
+//! Glue between MiniPg and the `rddr-pgstore` paged engine: the value
+//! codec, the catalog blob, the per-instance recovery policy, and the
+//! adapter that feeds `rddr-net`'s seeded fault plan into the simulated
+//! disk.
 //!
-//! The executor ([`crate::Database`]) runs against `rddr_pgstore::Storage`
-//! and never sees which engine is underneath. [`StorageEngine`] is the
-//! per-instance knob — parsed from a spec string like `"memory"` or
-//! `"paged:shadow-discard"` (the scenario config's `[storage]` section) —
-//! so an RDDR deployment can mix engines, or mix *recovery policies* of
-//! the same engine, behind one wire protocol.
+//! Every [`crate::Database`] runs on a `PagedStore` over a [`VDisk`].
+//! [`StorageEngine`] is the per-instance knob — parsed from a spec string
+//! like `"paged"` or `"paged:shadow-discard"` — so an RDDR deployment can
+//! mix *recovery policies* behind one wire protocol.
 
 use std::sync::Arc;
 
 use rddr_net::{FaultPlan, StorageFault};
 use rddr_pgstore::disk::DiskFaults;
-use rddr_pgstore::{
-    MemStore, PagedStore, RecoveryPolicy, RecoveryStats, Storage, StoreError, TupleCodec, VDisk,
-};
+use rddr_pgstore::{RecoveryPolicy, StoreError, TupleCodec, VDisk};
 
 use crate::ast::ColumnDef;
 use crate::db::SqlError;
 use crate::value::{SqlType, Value};
 
-/// The boxed storage type [`crate::Database`] executes against.
-pub(crate) type DynStorage = Box<dyn Storage<Vec<Value>> + Send>;
-
-/// Simulated heap bytes one row occupies (per-value payload plus a 24-byte
-/// row header) — the figure the memory meter charges.
-pub(crate) fn row_bytes(row: &[Value]) -> u64 {
-    row.iter()
-        .map(|v| match v {
-            Value::Null => 1,
-            Value::Int(_) => 8,
-            Value::Float(_) => 8,
-            Value::Bool(_) => 1,
-            Value::Text(t) => 16 + t.len() as u64,
-        })
-        .sum::<u64>()
-        + 24 // per-row header
-}
-
-/// Maps MiniPg rows (`Vec<Value>`) to tuple bytes, index keys, and heap
-/// accounting for the storage engines.
+/// Maps MiniPg rows (`Vec<Value>`) to tuple bytes and index keys for the
+/// storage engine.
 ///
 /// Encoding (little-endian): value count `u16`, then per value a tag byte —
 /// 0 `NULL`, 1 `Int` (+8 bytes), 2 `Float` (+8 bytes bits), 3 `Bool`
@@ -131,10 +110,6 @@ impl TupleCodec<Vec<Value>> for ValueCodec {
             .map(|v| v.group_key().into_bytes())
             .unwrap_or_default()
     }
-
-    fn heap_bytes(&self, row: &Vec<Value>) -> u64 {
-        row_bytes(row)
-    }
 }
 
 /// Serializes the catalog blob stored next to each table: owner, then one
@@ -189,53 +164,45 @@ pub(crate) fn decode_table_meta(meta: &[u8]) -> Result<(String, Vec<ColumnDef>),
     Ok((owner, columns))
 }
 
-/// Which storage backend an instance runs — the per-instance diversity
-/// knob the scenario config's `[storage]` section selects.
+/// How an instance's storage recovers after a crash — the per-instance
+/// diversity knob. Every instance runs the paged engine (WAL + heap pages
+/// on a simulated disk); what differs is how recovery treats a torn WAL
+/// tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageEngine {
-    /// The original in-memory engine; restart loses everything.
-    #[default]
-    InMemory,
-    /// The paged engine: WAL + heap pages on a simulated disk, recovering
-    /// under the given policy after a crash.
-    Paged {
-        /// How recovery treats a torn WAL tail.
-        policy: RecoveryPolicy,
-    },
+pub struct StorageEngine {
+    /// How recovery treats a torn WAL tail.
+    pub policy: RecoveryPolicy,
 }
 
 impl StorageEngine {
-    /// Parses a spec string: `"memory"`, `"paged"` (replay-forward),
+    /// Parses a spec string: `"paged"` (replay-forward),
     /// `"paged:replay-forward"`, or `"paged:shadow-discard"`.
     ///
     /// # Errors
     ///
-    /// [`SqlError::Parse`] on an unknown spec.
+    /// [`SqlError::Parse`] on any other spec.
     pub fn parse(spec: &str) -> Result<Self, SqlError> {
         let spec = spec.trim();
-        match spec.to_ascii_lowercase().as_str() {
-            "memory" | "in-memory" | "mem" => Ok(Self::InMemory),
-            "paged" => Ok(Self::Paged {
-                policy: RecoveryPolicy::ReplayForward,
-            }),
-            other => match other.strip_prefix("paged:").and_then(RecoveryPolicy::parse) {
-                Some(policy) => Ok(Self::Paged { policy }),
-                None => Err(SqlError::Parse(format!("unknown storage engine {spec:?}"))),
-            },
-        }
+        let lower = spec.to_ascii_lowercase();
+        let policy = match lower.strip_prefix("paged") {
+            Some("") => Some(RecoveryPolicy::ReplayForward),
+            Some(rest) => rest.strip_prefix(':').and_then(RecoveryPolicy::parse),
+            None => None,
+        };
+        policy.map(|policy| Self { policy }).ok_or_else(|| {
+            SqlError::Parse(format!(
+                "unknown storage engine {spec:?}: expected \"paged\", \"paged:replay-forward\" \
+                 or \"paged:shadow-discard\""
+            ))
+        })
     }
 
     /// The canonical spec string.
     #[must_use]
     pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::InMemory => "memory",
-            Self::Paged {
-                policy: RecoveryPolicy::ReplayForward,
-            } => "paged:replay-forward",
-            Self::Paged {
-                policy: RecoveryPolicy::ShadowDiscard,
-            } => "paged:shadow-discard",
+        match self.policy {
+            RecoveryPolicy::ReplayForward => "paged:replay-forward",
+            RecoveryPolicy::ShadowDiscard => "paged:shadow-discard",
         }
     }
 }
@@ -243,28 +210,6 @@ impl StorageEngine {
 impl std::fmt::Display for StorageEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Opens a storage backend per `engine`. The [`VDisk`] carries state across
-/// instance restarts (clone it into each respawn); in-memory engines ignore
-/// it. Returns the backend plus the recovery stats if a WAL was replayed.
-///
-/// # Errors
-///
-/// [`SqlError::Exec`] when WAL replay finds interior corruption.
-pub fn open_storage(
-    engine: StorageEngine,
-    disk: &VDisk,
-) -> Result<(DynStorage, Option<RecoveryStats>), SqlError> {
-    match engine {
-        StorageEngine::InMemory => Ok((Box::new(MemStore::new(ValueCodec)), None)),
-        StorageEngine::Paged { policy } => {
-            let store = PagedStore::open(disk.clone(), ValueCodec, policy)
-                .map_err(|e| SqlError::Exec(format!("storage: {e}")))?;
-            let stats = store.recovery_stats();
-            Ok((Box::new(store), Some(stats)))
-        }
     }
 }
 
@@ -329,7 +274,6 @@ mod tests {
         let mut bytes = Vec::new();
         codec.encode(&row, &mut bytes);
         assert_eq!(codec.decode(&bytes).unwrap(), row);
-        assert_eq!(codec.heap_bytes(&row), row_bytes(&row));
     }
 
     #[test]
@@ -379,22 +323,41 @@ mod tests {
     #[test]
     fn engine_specs_parse_and_render() {
         assert_eq!(
-            StorageEngine::parse("memory").unwrap(),
-            StorageEngine::InMemory
+            StorageEngine::parse("paged").unwrap(),
+            StorageEngine::default()
         );
         assert_eq!(
             StorageEngine::parse("paged").unwrap().as_str(),
             "paged:replay-forward"
         );
         assert_eq!(
-            StorageEngine::parse("paged:shadow-discard").unwrap(),
-            StorageEngine::Paged {
+            StorageEngine::parse(" Paged:Shadow-Discard ").unwrap(),
+            StorageEngine {
                 policy: RecoveryPolicy::ShadowDiscard
             }
         );
-        assert!(StorageEngine::parse("floppy").is_err());
-        let e = StorageEngine::parse("paged:replay-forward").unwrap();
-        assert_eq!(StorageEngine::parse(e.as_str()).unwrap(), e);
+        for spec in ["paged:replay-forward", "paged:shadow-discard"] {
+            let e = StorageEngine::parse(spec).unwrap();
+            assert_eq!(e.to_string(), spec);
+            assert_eq!(StorageEngine::parse(e.as_str()).unwrap(), e);
+        }
+        // Anything else, the retired in-memory specs included, is an error
+        // that names the spec and the forms that parse.
+        for spec in [
+            "floppy",
+            "pagedx",
+            "paged:",
+            "paged:floppy",
+            "memory",
+            "mem",
+            "in-memory",
+        ] {
+            let err = StorageEngine::parse(spec).unwrap_err();
+            assert!(
+                matches!(&err, SqlError::Parse(why) if why.contains(spec) && why.contains("\"paged\"")),
+                "{spec}: {err}"
+            );
+        }
     }
 
     #[test]

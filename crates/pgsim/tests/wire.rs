@@ -8,8 +8,8 @@ use std::time::Duration;
 use rddr_net::{duplex_pair, Network, ServiceAddr, SimNet, Stream};
 use rddr_orchestra::{Cluster, CpuGovernor, Image, ResourceMeter, Service, ServiceCtx};
 use rddr_pgsim::{
-    query_message, startup_message, Database, DbFlavor, PgClient, PgServer, PgServerConfig,
-    PgVersion, SqlError, StorageEngine, VDisk,
+    query_message, startup_message, Database, PgClient, PgServer, PgServerConfig, PgVersion,
+    SqlError,
 };
 use rddr_protocols::pg::PgMessage;
 
@@ -349,89 +349,75 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn server_bytes_equal_the_message_encoder_reference() {
-    let paged = StorageEngine::parse("paged:replay-forward").unwrap();
-    for engine in [StorageEngine::InMemory, paged] {
-        let version = PgVersion::parse("10.7").unwrap();
-        let open = |name: &str| {
-            Database::with_engine(version, DbFlavor::Postgres, engine, &VDisk::new(name)).unwrap()
-        };
-        let zero = PgServerConfig {
-            base_cost: Duration::ZERO,
-            cost_per_row: Duration::ZERO,
-        };
-        let server = PgServer::with_config(open("wire"), zero);
-        let script = wire_script();
+    let version = PgVersion::parse("10.7").unwrap();
+    let zero = PgServerConfig {
+        base_cost: Duration::ZERO,
+        cost_per_row: Duration::ZERO,
+    };
+    let server = PgServer::with_config(Database::new(version), zero);
+    let script = wire_script();
 
-        // The server's bytes: every message pre-filled, the client's write
-        // side closed, the server run on this thread until EOF.
-        let (mut client, conn) = duplex_pair("client", "pg");
-        client.write_all(&startup_message("app")).unwrap();
-        for m in &script {
-            client.write_all(m).unwrap();
-        }
-        let mut reader = client.try_clone().unwrap();
-        drop(client);
-        let ctx = ServiceCtx {
-            meter: ResourceMeter::new(),
-            governor: CpuGovernor::new(1),
-            net: Arc::new(SimNet::new()),
-        };
-        server.handle(Box::new(conn), &ctx);
-        let mut got = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            match reader.read(&mut chunk).unwrap() {
-                0 => break,
-                n => got.extend_from_slice(&chunk[..n]),
-            }
-        }
-
-        // The reference: the same statements on a twin database, each
-        // result encoded message by message.
-        let mut twin = open("twin");
-        let mut session = twin.session("app");
-        let msg = |tag: u8, payload: Vec<u8>| PgMessage { tag, payload }.encode();
-        let mut expected = msg(b'R', 0i32.to_be_bytes().to_vec());
-        expected.extend(msg(b'S', b"server_version\x0010.7\0".to_vec()));
-        let mut key = 1i32.to_be_bytes().to_vec();
-        key.extend(0x5ec2e7i32.to_be_bytes());
-        expected.extend(msg(b'K', key));
-        expected.extend(msg(b'Z', b"I".to_vec()));
-        for m in &script {
-            let (decoded, _) = PgMessage::decode(m, false).unwrap().unwrap();
-            if decoded.tag != b'Q' {
-                expected.extend(msg(
-                    b'E',
-                    b"ERROR: 0A000 extended protocol not supported".to_vec(),
-                ));
-                expected.extend(msg(b'Z', b"I".to_vec()));
-                continue;
-            }
-            let text = decoded.payload.split(|&b| b == 0).next().unwrap_or(&[]);
-            let sql = String::from_utf8_lossy(text);
-            expected.extend(reference_response(twin.execute(&mut session, &sql)));
-        }
-        assert!(
-            got == expected,
-            "{engine}: server bytes differ from the encoder reference"
-        );
-        let mut ready = 0;
-        let mut rest = got.as_slice();
-        while let Some((m, used)) = PgMessage::decode(rest, false).unwrap() {
-            ready += usize::from(m.tag == b'Z');
-            rest = &rest[used..];
-        }
-        assert_eq!(
-            ready,
-            script.len() + 1,
-            "{engine}: one ReadyForQuery per message"
-        );
-        // The transcript itself is pinned too: the reference above runs the
-        // same executor, so this is what holds the results still.
-        assert_eq!(
-            (got.len(), fnv1a(&got)),
-            TRANSCRIPT,
-            "{engine}: the transcript moved"
-        );
+    // The server's bytes: every message pre-filled, the client's write
+    // side closed, the server run on this thread until EOF.
+    let (mut client, conn) = duplex_pair("client", "pg");
+    client.write_all(&startup_message("app")).unwrap();
+    for m in &script {
+        client.write_all(m).unwrap();
     }
+    let mut reader = client.try_clone().unwrap();
+    drop(client);
+    let ctx = ServiceCtx {
+        meter: ResourceMeter::new(),
+        governor: CpuGovernor::new(1),
+        net: Arc::new(SimNet::new()),
+    };
+    server.handle(Box::new(conn), &ctx);
+    let mut got = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match reader.read(&mut chunk).unwrap() {
+            0 => break,
+            n => got.extend_from_slice(&chunk[..n]),
+        }
+    }
+
+    // The reference: the same statements on a twin database, each
+    // result encoded message by message.
+    let mut twin = Database::new(version);
+    let mut session = twin.session("app");
+    let msg = |tag: u8, payload: Vec<u8>| PgMessage { tag, payload }.encode();
+    let mut expected = msg(b'R', 0i32.to_be_bytes().to_vec());
+    expected.extend(msg(b'S', b"server_version\x0010.7\0".to_vec()));
+    let mut key = 1i32.to_be_bytes().to_vec();
+    key.extend(0x5ec2e7i32.to_be_bytes());
+    expected.extend(msg(b'K', key));
+    expected.extend(msg(b'Z', b"I".to_vec()));
+    for m in &script {
+        let (decoded, _) = PgMessage::decode(m, false).unwrap().unwrap();
+        if decoded.tag != b'Q' {
+            expected.extend(msg(
+                b'E',
+                b"ERROR: 0A000 extended protocol not supported".to_vec(),
+            ));
+            expected.extend(msg(b'Z', b"I".to_vec()));
+            continue;
+        }
+        let text = decoded.payload.split(|&b| b == 0).next().unwrap_or(&[]);
+        let sql = String::from_utf8_lossy(text);
+        expected.extend(reference_response(twin.execute(&mut session, &sql)));
+    }
+    assert!(
+        got == expected,
+        "server bytes differ from the encoder reference"
+    );
+    let mut ready = 0;
+    let mut rest = got.as_slice();
+    while let Some((m, used)) = PgMessage::decode(rest, false).unwrap() {
+        ready += usize::from(m.tag == b'Z');
+        rest = &rest[used..];
+    }
+    assert_eq!(ready, script.len() + 1, "one ReadyForQuery per message");
+    // The transcript itself is pinned too: the reference above runs the
+    // same executor, so this is what holds the results still.
+    assert_eq!((got.len(), fnv1a(&got)), TRANSCRIPT, "the transcript moved");
 }

@@ -1,5 +1,5 @@
 //! An in-memory B+Tree mapping primary-key bytes to posting lists: heap
-//! tuple locations in the paged engine, row positions in the memory engine.
+//! tuple locations in the paged engine, row positions in the tests' reference model.
 //!
 //! Nodes live in an arena (`Vec<Node>`) and reference each other by index,
 //! sidestepping ownership cycles. Duplicate keys append to the existing

@@ -2,19 +2,15 @@
 //! divergence surface RDDR can vote on.
 //!
 //! The paper's evaluation treats its N-versioned databases as opaque; this
-//! crate opens the box. It provides two interchangeable backends behind one
-//! [`Storage`] trait:
-//!
-//! * [`MemStore`] — the original in-memory engine: rows in insertion-order
-//!   vectors with a lazily-built primary-key index. Restart loses
-//!   everything (the pre-PR behaviour the orchestra Supervisor exposed).
-//! * [`PagedStore`] — slotted heap pages ([`page`]) over a fixed-size
-//!   buffer pool with deterministic clock eviction ([`pool`]), a
-//!   write-ahead log with commit records ([`wal`]), and a B+Tree
-//!   primary-key index ([`btree`]), all on a simulated crash-faulty disk
-//!   ([`disk::VDisk`]). Restart replays the WAL, so a respawned instance
-//!   rejoins with its committed state — and *how* it treats a torn log
-//!   tail is a [`RecoveryPolicy`] that diverse versions may disagree on.
+//! crate opens the box. [`PagedStore`] keeps slotted heap pages ([`page`])
+//! behind a fixed-size buffer pool with deterministic clock eviction
+//! ([`pool`]), a write-ahead log with commit records ([`wal`]), and a
+//! B+Tree primary-key index ([`btree`]), all on a simulated crash-faulty
+//! disk ([`disk::VDisk`]). Restart replays the WAL, so a respawned instance
+//! rejoins with its committed state — and *how* it treats a torn log tail
+//! is a [`RecoveryPolicy`] that diverse versions may disagree on. The
+//! executor runs against the [`Storage`] trait, which the unit tests'
+//! in-memory reference model also implements.
 //!
 //! Writes are row-addressed: a scan or lookup hands out a [`RowId`] with
 //! each row, and [`Storage::update`] / [`Storage::delete`] touch only the
@@ -22,19 +18,14 @@
 //! it where it is, a DELETE leaves a tombstone — and a transaction
 //! remembers only the before-images of what it touched.
 //!
-//! Both engines promise byte-identical observable behaviour for the same
-//! statement stream (scan order, point-lookup candidate order, row
-//! contents); the pgsim proptest suite enforces this. The deliberate
-//! divergence corners are:
-//!
-//! * **Torn WAL tail ending in a commit record** — [`RecoveryPolicy::ReplayForward`]
-//!   trusts the readable commit kind byte and applies the transaction;
-//!   [`RecoveryPolicy::ShadowDiscard`] discards any transaction whose
-//!   commit record does not verify. Same bytes, two honest recoveries,
-//!   different states — exactly the rarely-exercised corner where
-//!   independently-written engines disagree.
-//! * **Oversize tuples** — a row larger than a heap page fails on the
-//!   paged engine only ([`StoreError::TupleTooLarge`]).
+//! The deliberate divergence corner is a **torn WAL tail ending in a
+//! commit record**: [`RecoveryPolicy::ReplayForward`] trusts the readable
+//! commit kind byte and applies the transaction;
+//! [`RecoveryPolicy::ShadowDiscard`] discards any transaction whose commit
+//! record does not verify. Same bytes, two honest recoveries, different
+//! states — exactly the rarely-exercised corner where independently-written
+//! engines disagree. A row larger than a heap page fails cleanly with
+//! [`StoreError::TupleTooLarge`].
 //!
 //! The crate is dependency-free (the `parking_lot` shim is the workspace's
 //! mandated lock type) and fully deterministic: no wall-clock, no hash
@@ -44,7 +35,8 @@
 
 pub mod btree;
 pub mod disk;
-pub mod mem;
+#[cfg(test)]
+mod mem;
 pub mod page;
 pub mod paged;
 pub mod pool;
@@ -52,7 +44,6 @@ pub mod wal;
 
 pub use btree::{BTree, TupleId};
 pub use disk::{DiskFaults, NoFaults, VDisk};
-pub use mem::MemStore;
 pub use page::{Page, PAGE_SIZE};
 pub use paged::{PagedStore, RecoveryStats};
 pub use pool::BufferPool;
@@ -67,8 +58,7 @@ pub enum StoreError {
     NoSuchTable(String),
     /// The named table already exists in the store.
     TableExists(String),
-    /// An encoded tuple exceeds the heap page capacity (paged engine only —
-    /// a deliberate diff-reaching corner between the backends).
+    /// An encoded tuple exceeds the heap page capacity.
     TupleTooLarge {
         /// Encoded tuple size.
         bytes: usize,
@@ -107,14 +97,12 @@ fn no_such_table(table: &str) -> StoreError {
     StoreError::NoSuchTable(table.into())
 }
 
-/// How rows of the host's tuple type map to bytes, keys and accounting.
+/// How rows of the host's tuple type map to bytes and index keys.
 ///
-/// The storage engines are generic over the tuple type `R` so the
-/// in-memory engine pays no encode cost; the codec supplies the paged
-/// engine's serialization, the primary-key bytes both engines index by,
-/// and the simulated heap accounting the memory meter charges.
+/// The storage engine is generic over the tuple type `R`; the codec
+/// supplies its serialization and the primary-key bytes it indexes by.
 pub trait TupleCodec<R>: Send {
-    /// Serializes a row (paged heap + WAL representation).
+    /// Serializes a row (heap + WAL representation).
     fn encode(&self, row: &R, out: &mut Vec<u8>);
     /// Deserializes a row.
     ///
@@ -125,8 +113,6 @@ pub trait TupleCodec<R>: Send {
     /// The primary-key bytes for the index (the first column's grouping
     /// key, in the host's semantics).
     fn key(&self, row: &R) -> Vec<u8>;
-    /// Simulated heap bytes the row occupies (for memory metering).
-    fn heap_bytes(&self, row: &R) -> u64;
 }
 
 /// Where a row lives inside its table, as handed out by
@@ -138,19 +124,16 @@ pub trait TupleCodec<R>: Send {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RowId(pub(crate) u64);
 
-/// The storage backend contract MiniPg's executor runs against.
+/// The storage contract MiniPg's executor runs against.
 ///
-/// Both engines preserve insertion order in [`Storage::scan`] and per-key
-/// candidate order in [`Storage::lookup`], so swapping backends is
-/// wire-invisible. Transactions are serialized (one open at a time, as the
-/// executor holds the database lock); `begin`/`commit`/`rollback` back the
-/// SQL transaction verbs, and the executor wraps each standalone mutation
-/// in an implicit transaction so every change reaches the WAL with a
-/// commit record.
+/// [`Storage::scan`] preserves insertion order and [`Storage::lookup`]
+/// per-key candidate order; the wire answers depend on both.
+/// Transactions are serialized (one open at a time, as the executor holds
+/// the database lock); `begin`/`commit`/`rollback` back the SQL
+/// transaction verbs, and the executor wraps each standalone mutation in
+/// an implicit transaction so every change reaches the WAL with a commit
+/// record.
 pub trait Storage<R>: Send {
-    /// Short engine name (`"memory"` / `"paged"`), for banners and reports.
-    fn engine(&self) -> &'static str;
-
     /// Creates a table. `meta` is an opaque catalog blob (column
     /// definitions, owner) that recovery hands back via
     /// [`Storage::table_meta`] so the executor can rebuild its catalog.
@@ -235,9 +218,8 @@ pub trait Storage<R>: Send {
 
     /// Replaces each addressed row with the row paired with it. Every row
     /// of the table keeps its scan position. The index survives unless a
-    /// row's key changed. On the paged engine a row that outgrows its page
-    /// makes the engine rebuild that table's chain, which reassigns the
-    /// table's addresses.
+    /// row's key changed. A row that outgrows its page makes the engine
+    /// rebuild that table's chain, which reassigns the table's addresses.
     ///
     /// # Errors
     ///
@@ -271,8 +253,8 @@ pub trait Storage<R>: Send {
     /// [`StoreError::TransactionOpen`] if one is already open.
     fn begin(&mut self) -> Result<()>;
 
-    /// Commits the open transaction (paged: appends the commit record and
-    /// fsyncs the WAL — the durability point).
+    /// Commits the open transaction: appends the commit record and fsyncs
+    /// the WAL — the durability point.
     ///
     /// # Errors
     ///
@@ -291,8 +273,7 @@ pub trait Storage<R>: Send {
     /// Whether a transaction is open.
     fn in_txn(&self) -> bool;
 
-    /// Simulated resident bytes (memory metering): logical heap bytes for
-    /// the in-memory engine, live heap pages for the paged engine.
+    /// Simulated resident bytes (memory metering): the live heap pages.
     fn bytes(&self) -> u64;
 
     /// Deterministic digest of the full logical state (tables, rows, in

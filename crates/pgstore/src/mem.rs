@@ -1,5 +1,5 @@
-//! The in-memory storage engine: MiniPg's original row vectors behind the
-//! [`Storage`] trait.
+//! The reference model the paged engine is tested against: the same
+//! [`Storage`] contract over plain row vectors.
 //!
 //! Rows live in insertion-order vectors with a lazily-built primary-key
 //! index (the paged engine's [`BTree`], with row positions for postings).
@@ -7,9 +7,7 @@
 //! row where it is, DELETE leaves a `None` behind (and the row's index
 //! entry, which lookups skip — the same dead-entry rule as the paged
 //! engine; rolling a DELETE back drops the index, which may have been built
-//! without the row).
-//! Nothing survives a restart — the behaviour the recovery chaos suite
-//! contrasts against the paged engine.
+//! without the row). Nothing is durable and nothing is metered.
 //!
 //! A transaction keeps an undo log of what it touched — how long a table
 //! was before an append, the row an UPDATE or DELETE replaced, the whole
@@ -24,7 +22,6 @@ struct MemTable<R> {
     /// Insertion order; `None` marks a deleted row.
     rows: Vec<Option<R>>,
     live: u64,
-    heap_bytes: u64,
     index: Option<BTree<usize>>,
 }
 
@@ -34,7 +31,6 @@ impl<R> MemTable<R> {
             meta,
             rows: Vec::new(),
             live: 0,
-            heap_bytes: 0,
             index: None,
         }
     }
@@ -54,9 +50,9 @@ enum Undo<R> {
     },
 }
 
-/// The in-memory engine. `C` supplies key extraction and heap accounting;
-/// rows are stored as-is, so scans are clone-only.
-pub struct MemStore<R, C> {
+/// The model store. `C` supplies key extraction; rows are stored as-is,
+/// so scans are clone-only.
+pub(crate) struct MemStore<R, C> {
     codec: C,
     tables: BTreeMap<String, MemTable<R>>,
     /// `Some` while a transaction is open: its steps, oldest first.
@@ -69,8 +65,7 @@ fn no_such_row(table: &str, at: usize) -> StoreError {
 
 impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
     /// An empty store using `codec`.
-    #[must_use]
-    pub fn new(codec: C) -> Self {
+    pub(crate) fn new(codec: C) -> Self {
         Self {
             codec,
             tables: BTreeMap::new(),
@@ -102,7 +97,7 @@ impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
     }
 
     /// Puts `row` at `at` — over a live row, or (`revive`, undoing a DELETE)
-    /// over a deleted one — keeping the counters right and dropping the
+    /// over a deleted one — keeping the row count right and dropping the
     /// index if the key under `at` changed or the row came back from the
     /// dead. Returns what was there.
     fn put(&mut self, table: &str, at: usize, row: R, revive: bool) -> Result<Option<R>> {
@@ -114,7 +109,6 @@ impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
         let slot = t.rows.get_mut(at).ok_or_else(|| no_such_row(table, at))?;
         match slot {
             Some(old) => {
-                t.heap_bytes -= codec.heap_bytes(old);
                 if t.index.is_some() && codec.key(old) != codec.key(&row) {
                     t.index = None;
                 }
@@ -126,7 +120,6 @@ impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
             }
             None => return Err(no_such_row(table, at)),
         }
-        t.heap_bytes += codec.heap_bytes(&row);
         Ok(slot.replace(row))
     }
 
@@ -134,15 +127,12 @@ impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
     fn revert(&mut self, step: Undo<R>) -> Result<()> {
         match step {
             Undo::Append { table, len } => {
-                let codec = &self.codec;
                 let t = self
                     .tables
                     .get_mut(&table)
                     .ok_or_else(|| no_such_table(&table))?;
-                for row in t.rows.drain(len..).flatten() {
-                    t.live -= 1;
-                    t.heap_bytes -= codec.heap_bytes(&row);
-                }
+                let dropped = t.rows.drain(len..).flatten().count();
+                t.live -= dropped as u64;
                 // Its entries for the positions just given up would lie.
                 t.index = None;
             }
@@ -163,10 +153,6 @@ impl<R: Clone, C: TupleCodec<R>> MemStore<R, C> {
 }
 
 impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
-    fn engine(&self) -> &'static str {
-        "memory"
-    }
-
     fn create_table(&mut self, table: &str, meta: &[u8]) -> Result<()> {
         if self.tables.contains_key(table) {
             return Err(StoreError::TableExists(table.into()));
@@ -261,7 +247,6 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         };
         for row in rows {
             t.live += 1;
-            t.heap_bytes += codec.heap_bytes(&row);
             if let Some(index) = &mut t.index {
                 index.insert(&codec.key(&row), t.rows.len());
             }
@@ -288,7 +273,6 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         self.table(table)?;
         for &RowId(at) in rows {
             let at = at as usize;
-            let codec = &self.codec;
             let Some(t) = self.tables.get_mut(table) else {
                 return Err(no_such_table(table));
             };
@@ -296,7 +280,6 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
                 return Err(no_such_row(table, at));
             };
             t.live -= 1;
-            t.heap_bytes -= codec.heap_bytes(&old);
             self.log(Undo::Row {
                 table: table.to_string(),
                 at,
@@ -315,7 +298,6 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
     fn rewrite(&mut self, table: &str, rows: Vec<R>) -> Result<()> {
         let mut fresh = MemTable::new(self.table(table)?.meta.clone());
         fresh.live = rows.len() as u64;
-        fresh.heap_bytes = rows.iter().map(|r| self.codec.heap_bytes(r)).sum();
         fresh.rows = rows.into_iter().map(Some).collect();
         self.swap_table(table, Some(fresh));
         Ok(())
@@ -350,8 +332,9 @@ impl<R: Clone + Send, C: TupleCodec<R>> Storage<R> for MemStore<R, C> {
         self.undo.is_some()
     }
 
+    /// The model meters nothing.
     fn bytes(&self) -> u64 {
-        self.tables.values().map(|t| t.heap_bytes).sum()
+        0
     }
 
     fn state_digest(&self) -> u64 {
@@ -397,10 +380,6 @@ pub(crate) mod tests {
 
         fn key(&self, row: &(u64, String)) -> Vec<u8> {
             row.0.to_be_bytes().to_vec()
-        }
-
-        fn heap_bytes(&self, row: &(u64, String)) -> u64 {
-            24 + 8 + 16 + row.1.len() as u64
         }
     }
 
@@ -463,15 +442,5 @@ pub(crate) mod tests {
         assert_eq!(s.row_count("T").unwrap(), 1);
         assert!(!s.in_txn());
         assert!(matches!(s.commit(), Err(StoreError::NoTransaction)));
-    }
-
-    #[test]
-    fn bytes_metering_tracks_rows() {
-        let mut s = store();
-        assert_eq!(s.bytes(), 0);
-        s.insert("T", vec![(1, "ab".into())]).unwrap();
-        assert_eq!(s.bytes(), 24 + 8 + 16 + 2);
-        s.rewrite("T", Vec::new()).unwrap();
-        assert_eq!(s.bytes(), 0);
     }
 }

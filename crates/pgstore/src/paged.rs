@@ -75,7 +75,6 @@ struct PagedTable {
     /// this, so scans and lookups never chase `next` through the pool.
     pages: Vec<u64>,
     rows: u64,
-    heap_bytes: u64,
     index: Option<BTree>,
 }
 
@@ -85,7 +84,6 @@ impl PagedTable {
             meta,
             pages: Vec::new(),
             rows: 0,
-            heap_bytes: 0,
             index: None,
         }
     }
@@ -103,14 +101,12 @@ fn no_such_page(table: &str, tid: TupleId) -> StoreError {
 /// One step of an open transaction, with what it takes to take it back.
 enum Undo {
     /// Tuples were appended to a chain that was `pages` long with
-    /// `tail_slots` slots on its last page, when the table's counters read
-    /// `rows` and `heap_bytes`.
+    /// `tail_slots` slots on its last page, when the table held `rows`.
     Append {
         table: String,
         pages: usize,
         tail_slots: u16,
         rows: u64,
-        heap_bytes: u64,
     },
     /// The tuple at `tid` was replaced or tombstoned; `image` is what it
     /// was.
@@ -291,7 +287,6 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
             pages: t.pages.len(),
             tail_slots,
             rows: t.rows,
-            heap_bytes: t.heap_bytes,
         };
         self.log(step);
         Ok(())
@@ -455,7 +450,6 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
             let codec = &self.codec;
             if let Some(t) = self.tables.get_mut(table) {
                 t.rows += 1;
-                t.heap_bytes += codec.heap_bytes(row);
                 if let Some(index) = &mut t.index {
                     let page = t.pages.len().saturating_sub(1) as u64;
                     index.insert(&codec.key(row), TupleId { page, slot });
@@ -566,16 +560,14 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
         Ok(())
     }
 
-    /// Brings `table`'s counters and index in line with one slot going from
-    /// `old` to `new` (`None` = a tombstone).
+    /// Brings `table`'s row count and index in line with one slot going
+    /// from `old` to `new` (`None` = a tombstone).
     fn account(&mut self, table: &str, old: Option<&R>, new: Option<&R>) -> Result<()> {
         let codec = &self.codec;
         let t = self
             .tables
             .get_mut(table)
             .ok_or_else(|| no_such_table(table))?;
-        t.heap_bytes -= old.map_or(0, |r| codec.heap_bytes(r));
-        t.heap_bytes += new.map_or(0, |r| codec.heap_bytes(r));
         match (old, new) {
             (Some(old), Some(new)) => {
                 // The entry under the old key would lie.
@@ -604,14 +596,13 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
                 pages,
                 tail_slots,
                 rows,
-                heap_bytes,
             } => {
                 let t = self
                     .tables
                     .get_mut(&table)
                     .ok_or_else(|| no_such_table(&table))?;
                 let dropped = t.pages.split_off(pages);
-                (t.rows, t.heap_bytes) = (rows, heap_bytes);
+                t.rows = rows;
                 // Its entries for the slots just given up would lie.
                 t.index = None;
                 let tail = t.pages.last().copied();
@@ -685,10 +676,6 @@ fn store_len_delta(disk: &VDisk, valid_end: u64) -> u64 {
 }
 
 impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
-    fn engine(&self) -> &'static str {
-        "paged"
-    }
-
     fn create_table(&mut self, table: &str, meta: &[u8]) -> Result<()> {
         if self.tables.contains_key(table) {
             return Err(StoreError::TableExists(table.into()));
@@ -882,8 +869,7 @@ impl<R: Clone + Send, C: TupleCodec<R> + Send> Storage<R> for PagedStore<R, C> {
         for (name, t) in &self.tables {
             h = fnv1a_extend(h, name.as_bytes());
             h = fnv1a_extend(h, &t.meta);
-            // Stored tuples are the codec's encoding of the rows, which is
-            // what the memory engine digests.
+            // Stored tuples are the codec's encoding of the rows.
             let scan = self.scan_tuples(name, &mut |_, tuple| {
                 h = fnv1a_extend(h, tuple);
                 Ok(())
@@ -916,7 +902,7 @@ mod tests {
     }
 
     #[test]
-    fn paged_matches_memory_digest() {
+    fn paged_matches_model_digest() {
         let disk = VDisk::new("d");
         let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
         let mut mem = MemStore::new(PairCodec);
@@ -941,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn lookup_candidates_match_memory_engine() {
+    fn lookup_candidates_match_the_model() {
         let disk = VDisk::new("d");
         let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
         let mut mem = MemStore::new(PairCodec);
@@ -1073,11 +1059,14 @@ mod tests {
     }
 
     #[test]
-    fn row_addressed_writes_match_memory_and_replay() {
+    fn row_addressed_writes_match_the_model_and_replay() {
         let disk = VDisk::new("d");
         let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
         let mut mem = MemStore::new(PairCodec);
-        for s in [&mut paged as &mut dyn Storage<Row>, &mut mem] {
+        for (engine, s) in [
+            ("paged", &mut paged as &mut dyn Storage<Row>),
+            ("model", &mut mem),
+        ] {
             s.create_table("T", b"meta").unwrap();
             s.begin().unwrap();
             s.insert("T", rows(400)).unwrap();
@@ -1085,11 +1074,7 @@ mod tests {
             s.ensure_index("T").unwrap();
             churn(s);
             churn(s);
-            assert!(
-                s.has_index("T"),
-                "{}: key-preserving writes keep it",
-                s.engine()
-            );
+            assert!(s.has_index("T"), "{engine}: key-preserving writes keep it");
         }
         assert_eq!(scan(&paged, "T"), scan(&mem, "T"));
         assert_eq!(paged.state_digest(), mem.state_digest());
@@ -1176,7 +1161,10 @@ mod tests {
         let disk = VDisk::new("d");
         let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
         let mut mem = MemStore::new(PairCodec);
-        for s in [&mut paged as &mut dyn Storage<Row>, &mut mem] {
+        for (engine, s) in [
+            ("paged", &mut paged as &mut dyn Storage<Row>),
+            ("model", &mut mem),
+        ] {
             s.create_table("T", b"t").unwrap();
             s.create_table("U", b"u").unwrap();
             s.begin().unwrap();
@@ -1219,7 +1207,6 @@ mod tests {
             s.insert("V", rows(5)).unwrap();
             s.rollback().unwrap();
 
-            let engine = s.engine();
             assert_eq!(
                 (s.state_digest(), s.bytes(), s.row_count("T").unwrap()),
                 before,
@@ -1252,8 +1239,10 @@ mod tests {
         let disk = VDisk::new("d");
         let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
         let mut mem = MemStore::new(PairCodec);
-        for s in [&mut paged as &mut dyn Storage<Row>, &mut mem] {
-            let engine = s.engine();
+        for (engine, s) in [
+            ("paged", &mut paged as &mut dyn Storage<Row>),
+            ("model", &mut mem),
+        ] {
             s.create_table("T", b"").unwrap();
             s.begin().unwrap();
             s.insert("T", rows(100)).unwrap();
@@ -1394,19 +1383,31 @@ mod tests {
         assert!(!second.recovery_stats().torn_tail);
     }
 
+    /// The engine rule for a row no heap page can hold: INSERT, UPDATE and
+    /// `rewrite` fail with `TupleTooLarge` before anything is logged, and the
+    /// store is left as it was.
     #[test]
-    fn oversize_tuple_fails_on_paged_only() {
+    fn oversize_tuple_is_rejected_and_leaves_the_store_unchanged() {
         let disk = VDisk::new("d");
         let mut paged = open(&disk, RecoveryPolicy::ReplayForward);
-        let mut mem = MemStore::new(PairCodec);
-        let big = vec![(1u64, "x".repeat(Page::max_tuple() + 100))];
         paged.create_table("T", b"").unwrap();
-        mem.create_table("T", b"").unwrap();
-        assert!(matches!(
-            paged.insert("T", big.clone()),
-            Err(StoreError::TupleTooLarge { .. })
-        ));
-        assert!(mem.insert("T", big).is_ok());
+        paged.insert("T", rows(3)).unwrap();
+        let (digest, wal_len) = (paged.state_digest(), disk.len(WAL_FILE));
+        let big = (1u64, "x".repeat(Page::max_tuple() + 100));
+        let at = addresses(&paged, "T", |_| true)[0].0;
+        for result in [
+            paged.insert("T", vec![big.clone()]),
+            paged.update("T", vec![(at, big.clone())]),
+            paged.rewrite("T", vec![big]),
+        ] {
+            assert!(
+                matches!(result, Err(StoreError::TupleTooLarge { .. })),
+                "{result:?}"
+            );
+        }
+        assert_eq!(paged.state_digest(), digest);
+        assert_eq!(paged.row_count("T").unwrap(), 3);
+        assert_eq!(disk.len(WAL_FILE), wal_len, "nothing reached the log");
     }
 
     #[test]
@@ -1464,6 +1465,266 @@ mod tests {
             open(&disk, RecoveryPolicy::ReplayForward).state_digest(),
             digest
         );
+    }
+
+    /// The model property's tables: three, so DDL and writes interleave.
+    const MODEL_TABLES: [&str; 3] = ["T0", "T1", "T2"];
+
+    /// The steps of the model property's op stream.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum ModelOp {
+        Create,
+        Drop,
+        Insert,
+        Update,
+        Delete,
+        Rewrite,
+        Index,
+        Begin,
+        /// Commit, or one time in four roll back.
+        End,
+        /// A DELETE, then an index built over what is left, inside a
+        /// transaction (opened here unless one is) that later ops end.
+        DeleteThenIndex,
+    }
+
+    /// How often each op is drawn: mostly row writes, so tables grow to
+    /// several pages, with DDL and transaction verbs in between.
+    const MODEL_MIX: [ModelOp; 34] = {
+        use ModelOp::*;
+        [
+            Create,
+            Create,
+            Create,
+            Drop,
+            Insert,
+            Insert,
+            Insert,
+            Insert,
+            Insert,
+            Insert,
+            Insert,
+            Insert,
+            Insert,
+            Update,
+            Update,
+            Update,
+            Update,
+            Update,
+            Delete,
+            Delete,
+            Delete,
+            Rewrite,
+            Rewrite,
+            Index,
+            Index,
+            Begin,
+            Begin,
+            Begin,
+            End,
+            End,
+            End,
+            DeleteThenIndex,
+            DeleteThenIndex,
+            DeleteThenIndex,
+        ]
+    };
+
+    /// A fresh row for the model property, numbered `n` so every row is
+    /// distinct: keys in `0..8`, so a lookup has several candidates, and
+    /// text of 1 to 900 bytes, so a page holds a few rows and a 4-frame
+    /// pool evicts.
+    fn model_row(n: &mut u64, bits: u64) -> Row {
+        *n += 1;
+        let len = [1, 12, 120, 900][(bits >> 3 & 3) as usize];
+        (bits % 8, format!("{n}:{}", "m".repeat(len)))
+    }
+
+    /// Up to `k` distinct scan positions of a `len`-row table, ascending,
+    /// drawn from `bits`.
+    fn model_positions(len: usize, bits: u64, k: usize) -> Vec<usize> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let step = 1 + (bits >> 16) as usize % 5;
+        let mut at: Vec<usize> = (0..k.min(len))
+            .map(|i| (bits as usize + i * step) % len)
+            .collect();
+        at.sort_unstable();
+        at.dedup();
+        at
+    }
+
+    /// The addresses `s` hands out for the rows at `positions` of its scan.
+    fn model_ids(s: &dyn Storage<Row>, table: &str, positions: &[usize]) -> Vec<RowId> {
+        if positions.is_empty() {
+            return Vec::new();
+        }
+        let all = addresses(s, table, |_| true);
+        positions.iter().map(|&i| all[i].0).collect()
+    }
+
+    /// Everything the executor can observe of a store: tables, their
+    /// catalog blobs, scans, per-key lookup candidates with their counts,
+    /// row counts, the open transaction and the digest.
+    fn observe(s: &dyn Storage<Row>) -> String {
+        let mut out = format!("txn={} digest={:x}\n", s.in_txn(), s.state_digest());
+        for table in s.table_names() {
+            out += &format!(
+                "{table} meta={:?} rows={:?} scan={:?}\n",
+                s.table_meta(&table),
+                s.row_count(&table),
+                scan(s, &table)
+            );
+            for key in 0u64..8 {
+                let mut seen = Vec::new();
+                let n = s.lookup(&table, &key.to_be_bytes(), &mut |r| seen.push(r));
+                out += &format!("  {key}: {n:?} {seen:?}\n");
+            }
+        }
+        out
+    }
+
+    /// Applies one generated op to `s`. A write outside an explicit
+    /// transaction runs in an implicit one, committed if it succeeds and
+    /// rolled back if not, as the executor runs every standalone statement.
+    fn model_step(s: &mut dyn Storage<Row>, op: ModelOp, bits: u64) -> Result<()> {
+        use ModelOp::*;
+        if s.in_txn() || matches!(op, Index | Begin | End | DeleteThenIndex) {
+            return model_op(s, op, bits);
+        }
+        s.begin()?;
+        let result = model_op(s, op, bits);
+        match result {
+            Ok(()) => s.commit()?,
+            Err(_) => s.rollback()?,
+        }
+        result
+    }
+
+    /// One generated op; `bits` picks its table, rows and targets.
+    /// Row-addressed ops name rows by scan position, so both stores get
+    /// the same statement.
+    fn model_op(s: &mut dyn Storage<Row>, op: ModelOp, bits: u64) -> Result<()> {
+        let table = MODEL_TABLES[(bits >> 40) as usize % MODEL_TABLES.len()];
+        let mut n = bits >> 24 & 0xFFFF;
+        let len = s.row_count(table).map_or(0, |rows| rows as usize);
+        let k = 1 + (bits >> 12) as usize % 6;
+        match op {
+            ModelOp::Create => s.create_table(table, table.as_bytes()),
+            ModelOp::Drop => s.drop_table(table),
+            ModelOp::Insert => s.insert(
+                table,
+                (0..k).map(|i| model_row(&mut n, bits >> i)).collect(),
+            ),
+            ModelOp::Update => {
+                let at = model_positions(len, bits, k);
+                let ids = model_ids(s, table, &at);
+                let mut rows = Vec::new();
+                s.scan(table, &mut |r| rows.push(r))?;
+                let updates = ids
+                    .into_iter()
+                    .zip(at)
+                    .enumerate()
+                    .map(|(i, (id, at))| {
+                        let (key, text) = rows[at].clone();
+                        // Same size, shrunk, grown past its page, rekeyed.
+                        let row = match (bits >> (2 * i + 20)) & 3 {
+                            0 => (key, text.to_uppercase()),
+                            1 => (key, "s".into()),
+                            2 => (key, text.repeat(3).chars().take(3_000).collect()),
+                            _ => ((key + 1) % 8, text),
+                        };
+                        (id, row)
+                    })
+                    .collect();
+                s.update(table, updates)
+            }
+            ModelOp::Delete => {
+                let ids = model_ids(s, table, &model_positions(len, bits, k));
+                s.delete(table, &ids)
+            }
+            ModelOp::Rewrite => s.rewrite(
+                table,
+                (0..k).map(|i| model_row(&mut n, bits >> (i + 5))).collect(),
+            ),
+            ModelOp::Index => s.ensure_index(table),
+            ModelOp::Begin => s.begin(),
+            ModelOp::End if bits & 3 != 0 => s.commit(),
+            ModelOp::End => s.rollback(),
+            ModelOp::DeleteThenIndex => {
+                if !s.in_txn() {
+                    s.begin()?;
+                }
+                let ids = model_ids(s, table, &model_positions(len, bits, k));
+                if !ids.is_empty() {
+                    s.delete(table, &ids)?;
+                }
+                s.ensure_index(table)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The paged engine on a 4-frame pool observes exactly what the
+        /// in-memory model does after every op of a generated stream, and
+        /// a reopen replays the log to the model's final state.
+        #[test]
+        fn paged_store_matches_the_model(
+            ops in proptest::collection::vec(
+                (0..MODEL_MIX.len(), proptest::prelude::any::<u64>()),
+                1..120,
+            )
+        ) {
+            let disk = VDisk::new("model");
+            let open = |disk: &VDisk| {
+                PagedStore::open_with_frames(
+                    disk.clone(),
+                    PairCodec,
+                    RecoveryPolicy::ReplayForward,
+                    4,
+                )
+            };
+            let mut paged = open(&disk).unwrap();
+            let mut model = MemStore::new(PairCodec);
+            for s in [&mut paged as &mut dyn Storage<Row>, &mut model] {
+                s.begin().unwrap();
+                for (t, table) in (0u64..).zip(MODEL_TABLES) {
+                    s.create_table(table, table.as_bytes()).unwrap();
+                    s.insert(table, (0..12).map(|i| model_row(&mut (t * 100), i * 9)).collect())
+                        .unwrap();
+                }
+                s.commit().unwrap();
+            }
+            for (i, &(pick, bits)) in ops.iter().enumerate() {
+                let op = MODEL_MIX[pick];
+                // Row-addressed writes need rows to address: an empty one
+                // is a no-op whose return the engines need not agree on.
+                let table = MODEL_TABLES[(bits >> 40) as usize % MODEL_TABLES.len()];
+                if matches!(op, ModelOp::Update | ModelOp::Delete)
+                    && model.row_count(table).map_or(true, |rows| rows == 0)
+                {
+                    continue;
+                }
+                let want = model_step(&mut model, op, bits);
+                let got = model_step(&mut paged, op, bits);
+                proptest::prop_assert_eq!(&got, &want, "op {} {:?} {:#x}", i, op, bits);
+                proptest::prop_assert_eq!(
+                    observe(&paged),
+                    observe(&model),
+                    "after op {} {:?} {:#x}",
+                    i,
+                    op,
+                    bits
+                );
+            }
+            if model.in_txn() {
+                model.rollback().unwrap();
+                paged.rollback().unwrap();
+            }
+            drop(paged);
+            proptest::prop_assert_eq!(open(&disk).unwrap().state_digest(), model.state_digest());
+        }
     }
 
     #[test]

@@ -62,4 +62,10 @@ for seed in 1 271828 3141592653; do
   RDDR_CHAOS_SEED=$seed cargo test -q --test recovery_chaos
 done
 
+echo "==> paged store against its reference model under the three CI seeds"
+for seed in 1 271828 3141592653; do
+  echo "    seed $seed"
+  PROPTEST_SEED=$seed cargo test -q -p rddr-pgstore --lib paged_store_matches_the_model
+done
+
 echo "OK"

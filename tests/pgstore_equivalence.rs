@@ -1,14 +1,15 @@
-//! Storage-engine equivalence properties (proptest).
+//! Storage-engine equivalence: golden wire answers and crash recovery.
 //!
-//! The paged engine is only a valid diversity axis if it is *behaviourally
-//! invisible*: for any seeded statement stream, a MiniPg backed by
-//! `rddr-pgstore` must answer byte-identically on the wire to one backed by
-//! the in-memory store — tags, rows, notices, and error frames alike.
-//! Otherwise every mixed-engine deployment would drown RDDR in false
-//! divergences. The second property pins crash recovery itself: killing a
-//! paged instance mid-transaction and replaying the WAL is deterministic —
-//! the same seed leaves the same WAL image, recovery stats, and state
-//! digest every time.
+//! MiniPg's rows live in `rddr-pgstore`'s paged engine. It took over from
+//! an in-memory store, and it must answer byte-identically on the wire to
+//! what that store answered — tags, rows, notices, and error frames alike —
+//! or the change of engine would have changed what RDDR votes on. The
+//! in-memory store's answers to 128 seeded statement streams are kept as
+//! digests in `tests/data/memory_engine_wire.txt`. The properties pin crash
+//! recovery itself: killing an instance mid-transaction and replaying the
+//! WAL is deterministic — the same seed leaves the same WAL image, recovery
+//! stats, and state digest every time — and lands on the pre-transaction
+//! state under either recovery policy.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -163,19 +164,17 @@ impl WireSession {
     }
 }
 
-/// Runs the same seeded stream against both engines and the list of
-/// per-statement wire responses each produced.
-fn wire_responses(engine: StorageEngine, stmts: &[String]) -> Vec<Vec<u8>> {
+/// Runs a seeded stream against one instance and returns the wire response
+/// to each statement.
+fn wire_responses(stmts: &[String]) -> Vec<Vec<u8>> {
     let cluster = Cluster::new(1);
     let addr = ServiceAddr::new("db", 5432);
-    let disk = VDisk::new("db-0");
-    let db = Database::with_engine(version(), DbFlavor::Postgres, engine, &disk).unwrap();
     let _c = cluster
         .run_container(
             "db-0",
-            Image::new("minipg", engine.as_str()),
+            Image::new("minipg", "paged"),
             &addr,
-            std::sync::Arc::new(PgServer::new(db)),
+            std::sync::Arc::new(PgServer::new(Database::new(version()))),
         )
         .unwrap();
     let mut session = WireSession::connect(&cluster, &addr);
@@ -187,9 +186,7 @@ fn wire_responses(engine: StorageEngine, stmts: &[String]) -> Vec<Vec<u8>> {
 /// the recovered WAL image, recovery stats, the post-recovery digest, and
 /// how many phantom (uncommitted) rows survived.
 fn recovered_state(seed: u64) -> (Vec<u8>, rddr_repro::pgsim::RecoveryStats, u64, usize) {
-    let engine = StorageEngine::Paged {
-        policy: RecoveryPolicy::ReplayForward,
-    };
+    let engine = StorageEngine::default();
     let disk = VDisk::new("db-0");
     let mut db = Database::with_engine(version(), DbFlavor::Postgres, engine, &disk).unwrap();
     let mut session = db.session("app");
@@ -203,7 +200,7 @@ fn recovered_state(seed: u64) -> (Vec<u8>, rddr_repro::pgsim::RecoveryStats, u64
     drop(db);
     disk.crash();
     let mut db = Database::with_engine(version(), DbFlavor::Postgres, engine, &disk).unwrap();
-    let stats = db.recovery_stats().expect("paged engine reports recovery");
+    let stats = db.recovery_stats();
     let wal = disk.read("wal", 0, disk.len("wal") as usize);
     let digest = db.state_digest();
     let mut session = db.session("app");
@@ -220,7 +217,7 @@ fn recovered_state(seed: u64) -> (Vec<u8>, rddr_repro::pgsim::RecoveryStats, u64
 /// kills the instance before it commits. Returns the digest before the
 /// transaction and the digest recovery reaches under `policy`.
 fn killed_mid_update(seed: u64, policy: RecoveryPolicy) -> (u64, u64) {
-    let engine = StorageEngine::Paged { policy };
+    let engine = StorageEngine { policy };
     let disk = VDisk::new("db-0");
     let mut db = Database::with_engine(version(), DbFlavor::Postgres, engine, &disk).unwrap();
     let mut session = db.session("app");
@@ -248,25 +245,37 @@ fn killed_mid_update(seed: u64, policy: RecoveryPolicy) -> (u64, u64) {
     (committed, db.state_digest())
 }
 
-proptest! {
-    /// Byte-identical wire responses: memory vs paged, any seeded stream.
-    #[test]
-    fn paged_engine_is_wire_identical_to_memory(seed in any::<u64>(), len in 6usize..40) {
-        let stmts = statement_stream(seed, len);
-        let memory = wire_responses(StorageEngine::InMemory, &stmts);
-        let paged = wire_responses(
-            StorageEngine::Paged { policy: RecoveryPolicy::ReplayForward },
-            &stmts,
-        );
-        for (i, (m, p)) in memory.iter().zip(&paged).enumerate() {
-            prop_assert_eq!(
-                m, p,
-                "statement {} diverged on the wire: {:?}",
-                i, &stmts[i]
-            );
-        }
-    }
+/// Per-seed FNV-1a digests of the in-memory engine's wire responses to
+/// `statement_stream(seed, 40)`, seeds `0..128`, one `seed digest` line
+/// each, captured while that engine still shipped.
+const MEMORY_WIRE_GOLDEN: &str = include_str!("data/memory_engine_wire.txt");
 
+/// FNV-1a of every response to `statement_stream(seed, 40)`, in order.
+fn wire_digest(seed: u64) -> u64 {
+    let responses = wire_responses(&statement_stream(seed, 40));
+    rddr_repro::pgstore::fnv1a(&responses.concat())
+}
+
+/// Byte-identical wire responses: the paged engine answers every seeded
+/// stream exactly as the in-memory engine did.
+#[test]
+fn paged_engine_is_wire_identical_to_memory() {
+    let mut seeds = 0;
+    for line in MEMORY_WIRE_GOLDEN.lines().filter(|l| !l.starts_with('#')) {
+        let (seed, digest) = line.split_once(' ').expect("`seed digest` line");
+        let seed: u64 = seed.parse().unwrap();
+        let want = u64::from_str_radix(digest, 16).unwrap();
+        assert_eq!(
+            wire_digest(seed),
+            want,
+            "seed {seed}: the paged engine's wire responses differ from the in-memory engine's"
+        );
+        seeds += 1;
+    }
+    assert_eq!(seeds, 128);
+}
+
+proptest! {
     /// Byte-identical WAL replay: the same seed and the same mid-transaction
     /// kill leave the same durable state, bit for bit.
     #[test]
@@ -300,9 +309,8 @@ proptest! {
 
 /// Loads a 2-branch pgbench dataset (500 accounts) on `spec`, runs 2 000
 /// point selects, kills the instance (drop + disk crash) and brings it back:
-/// the paged engines replay their WAL, the in-memory engine has nothing
-/// durable and reloads. Either way the recovered state must be the
-/// pre-crash state, digest and row count alike.
+/// replaying the WAL must reproduce the pre-crash state, digest and row
+/// count alike.
 fn pgbench_recovers_after_crash(spec: &str) {
     let engine = StorageEngine::parse(spec).unwrap();
     let disk = VDisk::new("bench");
@@ -320,9 +328,6 @@ fn pgbench_recovers_after_crash(spec: &str) {
     drop(db);
     disk.crash();
     let mut db = open();
-    if db.recovery_stats().is_none() {
-        pgbench::load_scaled(&mut db, 2, 250).unwrap();
-    }
     assert_eq!(
         db.state_digest(),
         digest,
@@ -333,11 +338,6 @@ fn pgbench_recovers_after_crash(spec: &str) {
         .execute(&mut session, "SELECT COUNT(*) FROM pgbench_accounts")
         .unwrap();
     assert_eq!(count.rows[0][0].to_string(), "500", "{spec}");
-}
-
-#[test]
-fn pgbench_memory_reloads_to_the_pre_crash_state() {
-    pgbench_recovers_after_crash("memory");
 }
 
 #[test]

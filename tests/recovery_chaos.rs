@@ -133,9 +133,7 @@ fn run_scenario(seed: u64, third_policy: &str) -> RunResult {
                     &factory_disk,
                 )
                 .map_err(|e| e.to_string())?;
-                if let Some(stats) = db.recovery_stats() {
-                    *slot.lock().unwrap() = Some((stats, db.state_digest()));
-                }
+                *slot.lock().unwrap() = Some((db.recovery_stats(), db.state_digest()));
                 Ok(Arc::new(PgServer::new(db)) as Arc<dyn Service>)
             },
         );
