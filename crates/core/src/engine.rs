@@ -218,11 +218,6 @@ impl NVersionEngine {
         self.span = Some(span);
     }
 
-    /// Detaches and returns the current span, if any.
-    pub fn take_span(&mut self) -> Option<Arc<Span>> {
-        self.span.take()
-    }
-
     /// Configures which traffic direction this engine diffs. The incoming
     /// proxy diffs instance *responses* (the default); the outgoing proxy
     /// diffs instance *requests* to a shared backend (§IV-B).

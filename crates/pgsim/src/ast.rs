@@ -107,6 +107,27 @@ impl Expr {
             right: Box::new(right),
         }
     }
+
+    /// Whether `f` holds for any direct child of this expression, tried
+    /// left to right. A subquery is no child: it names its own scope.
+    pub(crate) fn any_child<'e>(&'e self, mut f: impl FnMut(&'e Expr) -> bool) -> bool {
+        match self {
+            Expr::Binary { left, right, .. } => f(left) || f(right),
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => f(expr),
+            Expr::Between { expr, low, high } => f(expr) || f(low) || f(high),
+            Expr::In { expr, list, .. } => f(expr) || list.iter().any(f),
+            Expr::Case { arms, otherwise } => {
+                arms.iter().any(|(c, r)| f(c) || f(r)) || otherwise.as_deref().is_some_and(f)
+            }
+            Expr::Call { args, .. } => args.iter().any(f),
+            Expr::Aggregate { arg, .. } => arg.as_deref().is_some_and(f),
+            Expr::Literal(_)
+            | Expr::Column(_)
+            | Expr::Exists { .. }
+            | Expr::Subquery(_)
+            | Expr::Param(_) => false,
+        }
+    }
 }
 
 /// One item in a `SELECT` list.

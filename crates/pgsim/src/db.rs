@@ -15,7 +15,7 @@ use rddr_pgstore::{PagedStore, RecoveryStats, RowId, Storage, StoreError, VDisk}
 
 use crate::ast::{ColumnDef, Expr, Select, Statement};
 use crate::eval::{eval, Env, ExecCtx, Schema};
-use crate::exec::run_select;
+use crate::exec::{resolve, retain_ok, run_select, single_table, unknown_column};
 use crate::parser::parse_statement;
 use crate::storage::{decode_table_meta, encode_table_meta, StorageEngine, ValueCodec};
 use crate::value::{SqlType, Value};
@@ -271,11 +271,6 @@ impl Database {
         self.store.state_digest()
     }
 
-    /// Whether an explicit transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.store.in_txn()
-    }
-
     /// Opens a session as `user` (created implicitly if unknown — the wire
     /// server authenticates upstream).
     pub fn session(&mut self, user: &str) -> Session {
@@ -307,25 +302,6 @@ impl Database {
         self.execute_statement(session, stmt)
     }
 
-    /// Executes a `;`-separated script, returning the last statement's
-    /// result (like `psql -c` with multiple statements).
-    ///
-    /// # Errors
-    ///
-    /// Stops at and returns the first failing statement's error.
-    pub fn execute_script(
-        &mut self,
-        session: &mut Session,
-        sql: &str,
-    ) -> Result<QueryResult, SqlError> {
-        let statements = crate::parser::parse_script(sql)?;
-        let mut last = QueryResult::default();
-        for stmt in statements {
-            last = self.execute_statement(session, stmt)?;
-        }
-        Ok(last)
-    }
-
     /// Executes an already-parsed statement.
     ///
     /// # Errors
@@ -338,9 +314,9 @@ impl Database {
     ) -> Result<QueryResult, SqlError> {
         match stmt {
             Statement::Select(select) => {
-                if let Some(plan) = self.point_query_plan(session, &select) {
-                    self.store.ensure_index(plan.table).map_err(store_err)?;
-                    return self.run_point_query(session, &select, &plan);
+                if let Some(t) = single_table(&select) {
+                    let key = self.pinned_key(&t.name, &t.alias, select.where_clause.as_ref());
+                    self.prepare_probe(&t.name, key)?;
                 }
                 self.run_query(session, &select, false)
             }
@@ -372,10 +348,7 @@ impl Database {
             Statement::DropTable { name } => {
                 let table = self.tables.get(&name).ok_or_else(|| not_found(&name))?;
                 if table.owner != session.user && session.user != SUPERUSER {
-                    return Err(SqlError::PermissionDenied(format!(
-                        "table {}",
-                        name.to_lowercase()
-                    )));
+                    return Err(permission_denied(&name));
                 }
                 self.remember_catalog(&name);
                 let implicit = self.begin_implicit()?;
@@ -587,59 +560,18 @@ impl Database {
         Ok(rows)
     }
 
-    /// Recognizes the indexable point-query shape:
-    /// `SELECT cols FROM t WHERE pkey = literal [AND simple-conjuncts]` on a
-    /// sizeable table without row security.
-    fn point_query_plan<'s>(&self, session: &Session, select: &'s Select) -> Option<PointPlan<'s>> {
-        if select.from.len() != 1
-            || select.distinct
-            || !select.group_by.is_empty()
-            || select.having.is_some()
-            || !select.order_by.is_empty()
-        {
-            return None;
-        }
-        let tref = &select.from[0];
-        if tref.subquery.is_some() || tref.left_join_on.is_some() {
-            return None;
-        }
-        let t = self.tables.get(&tref.name)?;
-        if t.rls_enabled && t.owner != session.user && session.user != SUPERUSER {
-            return None;
-        }
-        if !self.can_select(&session.user, &tref.name) {
-            return None; // let the slow path produce the proper error
-        }
-        if select
-            .items
-            .iter()
-            .any(|i| i.expr.as_ref().is_some_and(crate::exec::contains_aggregate))
-        {
-            return None;
-        }
-        let key = self.pkey_probe(&tref.name, &tref.alias, select.where_clause.as_ref())?;
-        Some(PointPlan {
-            table: &tref.name,
-            alias: &tref.alias,
-            key,
-        })
-    }
-
-    /// The literal a `pkey = literal` conjunct of `where_clause` pins
-    /// `table`'s first column to, when the table is sizeable enough for an
-    /// index probe to beat a scan. `alias` is the name the statement knows
-    /// the table by.
-    fn pkey_probe<'e>(
+    /// The literal a top-level `AND` conjunct `pkey = literal` of
+    /// `where_clause` pins `table`'s first column to, as the statement
+    /// knows the table by `alias`. A key pins only when the index spells
+    /// it exactly: index keys merge `2` and `2.0` but spell numerics past
+    /// 1e15 by type, while `=` compares them as `f64`. NULL equals nothing.
+    pub(crate) fn pinned_key<'e>(
         &self,
         table: &str,
         alias: &str,
         where_clause: Option<&'e Expr>,
     ) -> Option<&'e Value> {
-        const INDEX_THRESHOLD: u64 = 128;
         let pkey = &self.tables.get(table)?.columns.first()?.name;
-        if self.store.row_count(table).unwrap_or(0) < INDEX_THRESHOLD {
-            return None;
-        }
         find_conjunct(where_clause?, &mut |c| {
             let Expr::Binary { op, left, right } = c else {
                 return None;
@@ -658,84 +590,64 @@ impl Database {
                     _ => None,
                 })
         })
+        .filter(|v| !v.is_null() && v.as_f64().is_none_or(|f| f.abs() < 1e15))
     }
 
-    /// Runs a point query: probes the index, keeps the candidates every
-    /// `WHERE` conjunct holds for, and projects them. The rows move from
-    /// the probe to the result; the schema is the catalog's own columns.
-    fn run_point_query(
+    /// Whether a statement pinning `table`'s key reads it through the
+    /// index: when the table is sizeable enough for a probe to beat a scan.
+    fn probes(&self, table: &str) -> bool {
+        const INDEX_THRESHOLD: u64 = 128;
+        self.store.row_count(table).unwrap_or(0) >= INDEX_THRESHOLD
+    }
+
+    /// Builds the index a statement pinning `key` on `table` will probe.
+    fn prepare_probe(&mut self, table: &str, key: Option<&Value>) -> Result<(), SqlError> {
+        if key.is_some() && self.probes(table) {
+            self.store.ensure_index(table).map_err(store_err)?;
+        }
+        Ok(())
+    }
+
+    /// The access path: `table`'s stored rows in scan order, each passed
+    /// through `wrap` with its address — with a pinned `key`, only the rows
+    /// whose first column equals it. A sizeable table with its index built
+    /// is probed (charged as the probe plus its candidates), any other is
+    /// scanned (charged per row). The rows are the same either way: the
+    /// index lists a key's rows in scan order, since it is built by a scan,
+    /// grows by appends, and is dropped by whatever would reorder it.
+    fn read_rows<T>(
         &self,
-        session: &Session,
-        select: &Select,
-        plan: &PointPlan<'_>,
-    ) -> Result<QueryResult, SqlError> {
-        let ctx = ExecCtx::new(self, session);
-        let t = self.tables.get(plan.table).expect("plan checked table");
-        let schema = Schema::Table {
-            alias: plan.alias,
-            columns: &t.columns,
-        };
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let candidates = self
-            .store
-            .lookup(plan.table, plan.key.group_key().as_bytes(), &mut |r| {
-                rows.push(r)
+        ctx: &ExecCtx<'_>,
+        table: &str,
+        key: Option<&Value>,
+        wrap: impl Fn(RowId, Vec<Value>) -> T,
+    ) -> Result<Vec<T>, SqlError> {
+        let pinned =
+            |row: &[Value]| key.is_none_or(|k| row.first().and_then(|v| v.sql_eq(k)) == Some(true));
+        let mut rows = Vec::new();
+        if let Some(k) = key.filter(|_| self.probes(table) && self.store.has_index(table)) {
+            let candidates = self
+                .store
+                .lookup_rows(table, k.group_key().as_bytes(), &mut |at, row| {
+                    if pinned(&row) {
+                        rows.push(wrap(at, row));
+                    }
+                })
+                .map_err(store_err)?;
+            ctx.charge_scan(candidates + 1);
+            return Ok(rows);
+        }
+        let mut read = 0;
+        self.store
+            .scan_rows(table, &mut |at, row| {
+                read += 1;
+                if pinned(&row) {
+                    rows.push(wrap(at, row));
+                }
             })
             .map_err(store_err)?;
-        ctx.charge_scan(candidates + 1); // index probe + matches
-        let where_clause = select.where_clause.as_ref().expect("plan has WHERE");
-        // Keep the matches in place, in candidate order.
-        let mut kept = 0;
-        for i in 0..rows.len() {
-            let env = Env {
-                schema,
-                row: &rows[i],
-                parent: None,
-            };
-            if conjuncts_hold(&ctx, where_clause, &env)? {
-                rows.swap(kept, i);
-                kept += 1;
-            }
-        }
-        rows.truncate(kept);
-        // Project through the ordinary item machinery for identical output.
-        for row in &mut rows {
-            let env = Env {
-                schema,
-                row,
-                parent: None,
-            };
-            let mut out = Vec::with_capacity(select.items.len());
-            for item in &select.items {
-                match &item.expr {
-                    None => out.extend(env.row.iter().take(t.columns.len()).cloned()),
-                    Some(e) => out.push(eval(&ctx, e, &env)?),
-                }
-            }
-            *row = out;
-        }
-        if let Some(limit) = select.limit {
-            rows.truncate(limit as usize);
-        }
-        let mut columns = Vec::with_capacity(select.items.len());
-        for item in &select.items {
-            match (&item.expr, &item.alias) {
-                (None, _) => {
-                    columns.extend(t.columns.iter().map(|c| c.name.to_ascii_lowercase()));
-                }
-                (Some(_), Some(alias)) => columns.push(alias.to_ascii_lowercase()),
-                (Some(Expr::Column(c)), None) => columns.push(c.column.to_ascii_lowercase()),
-                (Some(_), None) => columns.push("?column?".to_string()),
-            }
-        }
-        let n = rows.len();
-        Ok(QueryResult {
-            columns,
-            rows,
-            notices: ctx.notices.into_inner(),
-            tag: format!("SELECT {n}"),
-            scanned: ctx.scanned.get(),
-        })
+        ctx.charge_scan(read);
+        Ok(rows)
     }
 
     fn run_query(
@@ -807,44 +719,30 @@ impl Database {
         alias: &str,
         where_clause: &Expr,
     ) -> Result<(), SqlError> {
-        let Some(t) = self.tables.get(table) else {
-            return Ok(()); // scan error surfaces later
-        };
-        let custom_conjuncts = custom_operator_conjuncts(self, where_clause, alias, &t.columns);
-        if custom_conjuncts.is_empty() {
-            return Ok(());
-        }
-        let readable = self.can_select(&ctx.session.user, table);
-        if !self.version.leaks_planner_stats() && !readable {
-            return Err(SqlError::PermissionDenied(format!(
-                "table {}",
-                table.to_lowercase()
-            )));
-        }
-        // Evaluate the operator over stored rows ("statistics") — the leak.
-        let schema = Schema::Table {
-            alias,
-            columns: &t.columns,
-        };
-        let rows = self.stored_rows(table)?;
-        for row in &rows {
-            let env = Env {
-                schema,
-                row,
-                parent: None,
+        let admitted =
+            if self.version.leaks_planner_stats() || self.can_select(&ctx.session.user, table) {
+                Ok(true)
+            } else {
+                Err(permission_denied(table))
             };
-            for c in &custom_conjuncts {
-                let _ = eval(ctx, c, &env)?;
-            }
-        }
-        ctx.charge_scan(rows.len() as u64);
+        let read = self.estimate_custom_operators(
+            ctx,
+            table,
+            alias,
+            where_clause,
+            |_| admitted,
+            |_, _| Ok(true),
+        )?;
+        ctx.charge_scan(read);
         Ok(())
     }
 
     /// The RLS-pushdown leak probe (CVE-2019-10130): on vulnerable versions,
     /// a `WHERE` containing a user-defined operator is evaluated over *all*
     /// rows — row-security filtering happens above the scan — so the
-    /// operator's `RAISE NOTICE` leaks protected rows.
+    /// operator's `RAISE NOTICE` leaks protected rows. Only the *hidden*
+    /// rows constitute the leak; visible rows are evaluated by the ordinary
+    /// filter anyway.
     pub(crate) fn leak_probe(
         &self,
         ctx: &ExecCtx<'_>,
@@ -855,37 +753,52 @@ impl Database {
         if !self.version.leaks_rls_rows() {
             return Ok(());
         }
+        let user = &ctx.session.user;
+        self.estimate_custom_operators(
+            ctx,
+            table,
+            alias,
+            where_clause,
+            |t| Ok(t.rls_enabled && &t.owner != user && user != SUPERUSER),
+            |t, row| Ok(!self.row_visible(ctx, t, row)?),
+        )?;
+        Ok(())
+    }
+
+    /// What a planner's selectivity estimator does with the conjuncts of a
+    /// `WHERE` that apply a user-defined operator to one table's columns
+    /// alone: evaluates them over the stored rows `pick` chooses, for their
+    /// notices, once `admit` lets it. Returns the number of stored rows read.
+    fn estimate_custom_operators(
+        &self,
+        ctx: &ExecCtx<'_>,
+        table: &str,
+        alias: &str,
+        where_clause: &Expr,
+        admit: impl FnOnce(&Table) -> Result<bool, SqlError>,
+        pick: impl Fn(&Table, &[Value]) -> Result<bool, SqlError>,
+    ) -> Result<u64, SqlError> {
         let Some(t) = self.tables.get(table) else {
-            return Ok(());
+            return Ok(0); // the scan reports the missing table
         };
-        if !t.rls_enabled || t.owner == ctx.session.user || ctx.session.user == SUPERUSER {
-            return Ok(()); // nothing hidden to leak
-        }
         let custom = custom_operator_conjuncts(self, where_clause, alias, &t.columns);
-        if custom.is_empty() {
-            return Ok(());
+        if custom.is_empty() || !admit(t)? {
+            return Ok(0);
         }
         let schema = Schema::Table {
             alias,
             columns: &t.columns,
         };
-        // Only the *hidden* rows constitute the leak; visible rows are
-        // evaluated by the ordinary filter anyway.
         let rows = self.stored_rows(table)?;
         for row in &rows {
-            let env = Env {
-                schema,
-                row,
-                parent: None,
-            };
-            let visible = self.row_visible(ctx, t, row)?;
-            if !visible {
+            if pick(t, row)? {
+                let env = Env::new(schema, row, None);
                 for c in &custom {
-                    let _ = eval(ctx, c, &env)?;
+                    eval(ctx, c, &env)?;
                 }
             }
         }
-        Ok(())
+        Ok(rows.len() as u64)
     }
 
     fn row_visible(
@@ -894,14 +807,11 @@ impl Database {
         table: &Table,
         row: &[Value],
     ) -> Result<bool, SqlError> {
-        let env = Env {
-            schema: Schema::Table {
-                alias: "",
-                columns: &table.columns,
-            },
-            row,
-            parent: None,
+        let schema = Schema::Table {
+            alias: "",
+            columns: &table.columns,
         };
+        let env = Env::new(schema, row, None);
         for p in &table.policies {
             if eval(ctx, p, &env)?.is_truthy() {
                 return Ok(true);
@@ -917,65 +827,82 @@ impl Database {
         user == SUPERUSER || t.owner == user || t.select_grants.contains(user)
     }
 
-    /// Rows visible to the session: privilege check plus row-level security.
+    /// `table`'s catalog columns, when it exists and the session may read it.
+    pub(crate) fn readable_columns(
+        &self,
+        ctx: &ExecCtx<'_>,
+        table: &str,
+    ) -> Result<&[ColumnDef], SqlError> {
+        let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
+        if !self.can_select(&ctx.session.user, table) {
+            return Err(permission_denied(table));
+        }
+        Ok(&t.columns)
+    }
+
+    /// The rows of `table` a `SELECT` sees through the access path (all of
+    /// them, or those with a pinned `key`): row-level security applied.
     pub(crate) fn visible_rows(
         &self,
         ctx: &ExecCtx<'_>,
         table: &str,
-    ) -> Result<(Vec<String>, Vec<Vec<Value>>), SqlError> {
+        key: Option<&Value>,
+    ) -> Result<Vec<Vec<Value>>, SqlError> {
         let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
-        if !self.can_select(&ctx.session.user, table) {
-            return Err(SqlError::PermissionDenied(format!(
-                "table {}",
-                table.to_lowercase()
-            )));
-        }
-        let cols: Vec<String> = t.columns.iter().map(|c| c.name.clone()).collect();
-        let exempt = t.owner == ctx.session.user || ctx.session.user == SUPERUSER;
-        let stored = self.stored_rows(table)?;
-        let mut rows = Vec::with_capacity(stored.len());
-        for row in stored {
-            if !t.rls_enabled || exempt || self.row_visible(ctx, t, &row)? {
-                rows.push(row);
-            }
+        let mut rows = self.read_rows(ctx, table, key, |_, row| row)?;
+        if t.rls_enabled && t.owner != ctx.session.user && ctx.session.user != SUPERUSER {
+            retain_ok(&mut rows, |row| self.row_visible(ctx, t, row))?;
         }
         if let DbFlavor::Cockroach(c) = &self.flavor {
             if c.scramble_row_order {
                 rows.reverse();
             }
         }
-        Ok((cols, rows))
+        Ok(rows)
     }
 
-    /// The rows an UPDATE/DELETE must judge its WHERE on, with their
-    /// storage addresses, and the scan charge for fetching them: through
-    /// the index when the WHERE pins the primary key (`candidates + 1`, as
-    /// the point SELECT charges), every row otherwise.
-    fn write_candidates(
+    /// Resolves the names an UPDATE's or DELETE's expressions use against
+    /// `table`, then builds the index its pinned key (returned) will probe.
+    fn prepare_write<'e>(
         &mut self,
         table: &str,
+        exprs: impl IntoIterator<Item = &'e Expr>,
+        where_clause: Option<&'e Expr>,
+    ) -> Result<Option<&'e Value>, SqlError> {
+        let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
+        let schema = Schema::Table {
+            alias: table,
+            columns: &t.columns,
+        };
+        resolve(exprs.into_iter().chain(where_clause), schema, None)?;
+        let key = self.pinned_key(table, table, where_clause);
+        self.prepare_probe(table, key)?;
+        Ok(key)
+    }
+
+    /// The matching step of UPDATE and DELETE: reads `table` through the
+    /// access path and hands `hit` each row `where_clause` holds for, in
+    /// scan order, with its address.
+    fn for_each_match(
+        &self,
+        ctx: &ExecCtx<'_>,
+        table: &str,
+        key: Option<&Value>,
         where_clause: Option<&Expr>,
-    ) -> Result<(Vec<AddressedRow>, u64), SqlError> {
-        if !self.tables.contains_key(table) {
-            return Err(not_found(table));
+        mut hit: impl FnMut(RowId, &Env<'_>) -> Result<(), SqlError>,
+    ) -> Result<(), SqlError> {
+        let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
+        let schema = Schema::Table {
+            alias: table,
+            columns: &t.columns,
+        };
+        for (at, row) in self.read_rows(ctx, table, key, |at, row| (at, row))? {
+            let env = Env::new(schema, &row, None);
+            if where_clause.map_or(Ok(true), |w| eval(ctx, w, &env).map(|v| v.is_truthy()))? {
+                hit(at, &env)?;
+            }
         }
-        let mut rows = Vec::new();
-        let key = self.pkey_probe(table, table, where_clause);
-        if let Some(key) = key.filter(|k| index_key_is_exact(k)) {
-            self.store.ensure_index(table).map_err(store_err)?;
-            let candidates = self
-                .store
-                .lookup_rows(table, key.group_key().as_bytes(), &mut |at, r| {
-                    rows.push((at, r));
-                })
-                .map_err(store_err)?;
-            return Ok((rows, candidates + 1));
-        }
-        self.store
-            .scan_rows(table, &mut |at, r| rows.push((at, r)))
-            .map_err(store_err)?;
-        let charge = rows.len() as u64;
-        Ok((rows, charge))
+        Ok(())
     }
 
     fn insert(
@@ -992,14 +919,7 @@ impl Database {
         } else {
             columns
                 .iter()
-                .map(|c| {
-                    t.columns
-                        .iter()
-                        .position(|cd| &cd.name == c)
-                        .ok_or_else(|| {
-                            SqlError::Exec(format!("column {} does not exist", c.to_lowercase()))
-                        })
-                })
+                .map(|c| column_position(&t.columns, c))
                 .collect::<Result<_, _>>()?
         };
         let mut new_rows = Vec::with_capacity(rows.len());
@@ -1013,11 +933,7 @@ impl Database {
             }
             let mut row = vec![Value::Null; t.columns.len()];
             for (expr, &pos) in exprs.iter().zip(&positions) {
-                let env = Env {
-                    schema: Schema::Pairs(&[]),
-                    row: &[],
-                    parent: None,
-                };
+                let env = Env::new(Schema::Pairs(&[]), &[], None);
                 let v = eval(&ctx, expr, &env)?;
                 row[pos] = coerce(v, t.columns[pos].ty)?;
             }
@@ -1038,46 +954,23 @@ impl Database {
         sets: &[(String, Expr)],
         where_clause: Option<&Expr>,
     ) -> Result<QueryResult, SqlError> {
-        let (candidates, charge) = self.write_candidates(table, where_clause)?;
         let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
-        let schema = Schema::Table {
-            alias: table,
-            columns: &t.columns,
-        };
         let set_positions: Vec<(usize, &Expr)> = sets
             .iter()
-            .map(|(c, e)| {
-                t.columns
-                    .iter()
-                    .position(|cd| &cd.name == c)
-                    .map(|p| (p, e))
-                    .ok_or_else(|| {
-                        SqlError::Exec(format!("column {} does not exist", c.to_lowercase()))
-                    })
-            })
-            .collect::<Result<_, _>>()?;
+            .map(|(c, e)| Ok((column_position(&t.columns, c)?, e)))
+            .collect::<Result<_, SqlError>>()?;
+        let key = self.prepare_write(table, sets.iter().map(|(_, e)| e), where_clause)?;
         let ctx = ExecCtx::new(self, session);
+        let columns = &self.tables[table].columns;
         let mut changed = Vec::new();
-        for (at, row) in candidates {
-            let env = Env {
-                schema,
-                row: &row,
-                parent: None,
-            };
-            let hit = match where_clause {
-                Some(w) => eval(&ctx, w, &env)?.is_truthy(),
-                None => true,
-            };
-            if hit {
-                let mut updated = row.clone();
-                for (pos, expr) in &set_positions {
-                    let v = eval(&ctx, expr, &env)?;
-                    updated[*pos] = coerce(v, t.columns[*pos].ty)?;
-                }
-                changed.push((at, updated));
+        self.for_each_match(&ctx, table, key, where_clause, |at, env| {
+            let mut updated = env.row.to_vec();
+            for &(pos, expr) in &set_positions {
+                updated[pos] = coerce(eval(&ctx, expr, env)?, columns[pos].ty)?;
             }
-        }
-        ctx.charge_scan(charge);
+            changed.push((at, updated));
+            Ok(())
+        })?;
         let scanned = ctx.scanned.get();
         drop(ctx);
         let count = changed.len();
@@ -1097,29 +990,13 @@ impl Database {
         table: &str,
         where_clause: Option<&Expr>,
     ) -> Result<QueryResult, SqlError> {
-        let (candidates, charge) = self.write_candidates(table, where_clause)?;
-        let t = self.tables.get(table).ok_or_else(|| not_found(table))?;
-        let schema = Schema::Table {
-            alias: table,
-            columns: &t.columns,
-        };
+        let key = self.prepare_write(table, None, where_clause)?;
         let ctx = ExecCtx::new(self, session);
         let mut doomed = Vec::new();
-        for (at, row) in &candidates {
-            let env = Env {
-                schema,
-                row,
-                parent: None,
-            };
-            let hit = match where_clause {
-                Some(w) => eval(&ctx, w, &env)?.is_truthy(),
-                None => true,
-            };
-            if hit {
-                doomed.push(*at);
-            }
-        }
-        ctx.charge_scan(charge);
+        self.for_each_match(&ctx, table, key, where_clause, |at, _| {
+            doomed.push(at);
+            Ok(())
+        })?;
         let scanned = ctx.scanned.get();
         drop(ctx);
         let removed = doomed.len();
@@ -1285,12 +1162,11 @@ fn custom_operator_conjuncts(
     let mut found = Vec::new();
     walk(db, where_clause, &mut found);
     found.retain(|e| {
-        let mut refs = Vec::new();
-        crate::exec::column_refs(e, &mut refs);
-        refs.iter().all(|r| {
+        unknown_column(e, &|r| {
             columns.iter().any(|c| c.name == r.column)
                 && r.table.as_ref().is_none_or(|t| t == alias)
         })
+        .is_none()
     });
     found
 }
@@ -1318,29 +1194,23 @@ fn tag(t: &str) -> QueryResult {
     }
 }
 
+/// Where the column an INSERT or UPDATE names by `name` sits in a row.
+fn column_position(columns: &[ColumnDef], name: &str) -> Result<usize, SqlError> {
+    columns
+        .iter()
+        .position(|c| c.name == name)
+        .ok_or_else(|| SqlError::Exec(format!("column {} does not exist", name.to_lowercase())))
+}
+
+fn permission_denied(table: &str) -> SqlError {
+    SqlError::PermissionDenied(format!("table {}", table.to_lowercase()))
+}
+
 fn not_found(table: &str) -> SqlError {
     SqlError::Exec(format!(
         "relation \"{}\" does not exist",
         table.to_lowercase()
     ))
-}
-
-/// A stored row with the address an UPDATE/DELETE names it by.
-type AddressedRow = (RowId, Vec<Value>);
-
-/// The recognized point-query pattern, borrowed from the statement.
-struct PointPlan<'s> {
-    table: &'s str,
-    alias: &'s str,
-    key: &'s Value,
-}
-
-/// Whether the rows a WHERE's `pkey = v` accepts are exactly the rows
-/// indexed under `v`'s key. Index keys merge `2` and `2.0` but spell
-/// numerics past 1e15 by type, while `=` compares them as `f64` — there an
-/// UPDATE/DELETE probing the index would miss a row its WHERE matches.
-fn index_key_is_exact(v: &Value) -> bool {
-    v.as_f64().is_none_or(|f| f.abs() < 1e15)
 }
 
 /// The first `Some` that `f` returns over `expr`'s `AND` conjuncts, left to
@@ -1351,17 +1221,6 @@ fn find_conjunct<'e, T>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr) -> Option<T
             find_conjunct(left, f).or_else(|| find_conjunct(right, f))
         }
         other => f(other),
-    }
-}
-
-/// Whether every `AND` conjunct of `expr` is true in `env`, judged left to
-/// right up to the first that is not.
-fn conjuncts_hold(ctx: &ExecCtx<'_>, expr: &Expr, env: &Env<'_>) -> Result<bool, SqlError> {
-    match expr {
-        Expr::Binary { op, left, right } if op == "AND" => {
-            Ok(conjuncts_hold(ctx, left, env)? && conjuncts_hold(ctx, right, env)?)
-        }
-        other => Ok(eval(ctx, other, env)?.is_truthy()),
     }
 }
 

@@ -44,6 +44,20 @@ fn names_column(col: &ColumnRef, alias: &str, name: &str) -> bool {
     name == col.column && col.table.as_ref().is_none_or(|t| t == alias)
 }
 
+/// Whether `col` is the bare `CURRENT_USER`, which every scope knows.
+pub(crate) fn is_current_user(col: &ColumnRef) -> bool {
+    col.table.is_none() && col.column == "CURRENT_USER"
+}
+
+/// PostgreSQL's error for a column no scope has, named in lower case.
+pub(crate) fn no_such_column(col: &ColumnRef) -> SqlError {
+    let column = col.column.to_lowercase();
+    SqlError::Exec(match &col.table {
+        Some(t) => format!("column {}.{column} does not exist", t.to_lowercase()),
+        None => format!("column {column} does not exist"),
+    })
+}
+
 /// A row environment: the schema naming the current row's values. `parent`
 /// links to the outer query's environment for correlated subqueries.
 pub(crate) struct Env<'a> {
@@ -53,6 +67,14 @@ pub(crate) struct Env<'a> {
 }
 
 impl<'a> Env<'a> {
+    pub fn new(schema: Schema<'a>, row: &'a [Value], parent: Option<&'a Env<'a>>) -> Self {
+        Self {
+            schema,
+            row,
+            parent,
+        }
+    }
+
     pub fn lookup(&self, col: &ColumnRef) -> Option<Value> {
         for (i, (alias, name)) in self.schema.names().enumerate() {
             if names_column(col, alias, name) {
@@ -102,16 +124,10 @@ pub(crate) fn eval(ctx: &ExecCtx<'_>, expr: &Expr, env: &Env<'_>) -> Result<Valu
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Column(c) => env.lookup(c).map_or_else(
             || {
-                if c.table.is_none() && c.column == "CURRENT_USER" {
+                if is_current_user(c) {
                     Ok(Value::Text(ctx.session.user.to_ascii_lowercase()))
                 } else {
-                    Err(SqlError::Exec(format!(
-                        "column {} does not exist",
-                        match &c.table {
-                            Some(t) => format!("{t}.{}", c.column),
-                            None => c.column.clone(),
-                        }
-                    )))
+                    Err(no_such_column(c))
                 }
             },
             Ok,

@@ -1,11 +1,13 @@
-//! `SELECT` execution: join planning with predicate pushdown and hash
-//! lookups, grouping/aggregation, ordering, and subquery support.
+//! `SELECT` execution: name resolution, the access path, join planning
+//! with predicate pushdown and hash lookups, grouping/aggregation,
+//! ordering, and subquery support.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{ColumnRef, Expr, OrderKey, Select, SelectItem, TableRef};
 use crate::db::SqlError;
-use crate::eval::{eval, Env, ExecCtx, Schema};
+use crate::eval::{eval, is_current_user, no_such_column, Env, ExecCtx, Schema};
 use crate::value::Value;
 
 /// The rows and column names produced by a `SELECT`.
@@ -15,12 +17,20 @@ pub(crate) struct SelectResult {
     pub rows: Vec<Vec<Value>>,
 }
 
-/// One materialized `FROM` source.
-struct Source {
-    alias: String,
+/// One source of a join: its column names, then its rows.
+struct Source<'s> {
+    tref: &'s TableRef,
     cols: Vec<String>,
     rows: Vec<Vec<Value>>,
-    left_join_on: Option<Expr>,
+}
+
+/// The catalog table a `SELECT` reads when it reads one alone: the shape
+/// whose `WHERE` can pin the table's key.
+pub(crate) fn single_table(select: &Select) -> Option<&TableRef> {
+    match select.from.as_slice() {
+        [t] if t.subquery.is_none() && t.left_join_on.is_none() => Some(t),
+        _ => None,
+    }
 }
 
 /// Runs a `SELECT`, optionally inside an outer row context (correlated
@@ -30,180 +40,152 @@ pub(crate) fn run_select(
     select: &Select,
     outer: Option<&Env<'_>>,
 ) -> Result<SelectResult, SqlError> {
-    // ---- materialize FROM sources -----------------------------------------
-    let mut sources = Vec::with_capacity(select.from.len());
-    for tref in &select.from {
-        sources.push(materialize(ctx, tref, outer)?);
-    }
-    // CVE leak hook: a vulnerable planner evaluates user-defined operators
-    // over rows the caller may not see (see `Database::leak_probe`).
-    if let Some(where_clause) = &select.where_clause {
-        for tref in &select.from {
-            if tref.subquery.is_none() {
-                ctx.db
-                    .leak_probe(ctx, &tref.name, &tref.alias, where_clause)?;
+    // ---- names -------------------------------------------------------------
+    // Every column the statement names resolves before a row is read: in its
+    // sources (catalog columns, a derived table's output), among the output
+    // names (ORDER BY), or in an enclosing query — Postgres errors at plan
+    // time, whatever the table holds.
+    let single = single_table(select);
+    let mut sources = Vec::new();
+    let mut pairs = Vec::new();
+    let schema = match single {
+        Some(t) => Schema::Table {
+            alias: &t.alias,
+            columns: ctx.db.readable_columns(ctx, &t.name)?,
+        },
+        None => {
+            for tref in &select.from {
+                let source = source_names(ctx, tref, outer)?;
+                pairs.extend(source.cols.iter().map(|c| (tref.alias.clone(), c.clone())));
+                sources.push(source);
             }
+            Schema::Pairs(&pairs)
         }
-    }
+    };
+    let items = expand_items(&select.items, schema);
+    let columns: Vec<String> = items.iter().map(output_name).collect();
+    let named = items
+        .iter()
+        .filter_map(|i| i.expr.as_ref())
+        .chain(&select.where_clause)
+        .chain(select.from.iter().filter_map(|t| t.left_join_on.as_ref()))
+        .chain(&select.group_by)
+        .chain(&select.having)
+        .chain(
+            select
+                .order_by
+                .iter()
+                .map(|k| &k.expr)
+                .filter(|e| !names_output(e, &columns)),
+        );
+    resolve(named, schema, outer)?;
 
-    // ---- join with pushdown ------------------------------------------------
-    let conjuncts = select
-        .where_clause
-        .as_ref()
-        .map(split_conjuncts)
-        .unwrap_or_default();
-    let mut applied = vec![false; conjuncts.len()];
-
-    let mut schema: Vec<(String, String)> = Vec::new();
-    let mut rows: Vec<Vec<Value>> = vec![Vec::new()]; // one empty binding
-    for source in &sources {
-        rows = join_step(
-            ctx,
-            &mut schema,
-            rows,
-            source,
-            &conjuncts,
-            &mut applied,
-            outer,
-        )?;
-    }
-
-    // ---- residual filter (subquery conjuncts and anything unapplied) ------
-    let mut filtered = Vec::with_capacity(rows.len());
-    for row in rows {
-        let env = Env {
-            schema: Schema::Pairs(&schema),
-            row: &row,
-            parent: outer,
-        };
-        let mut keep = true;
-        for (i, c) in conjuncts.iter().enumerate() {
-            if applied[i] {
-                continue;
+    // ---- rows: the access path, then WHERE ----------------------------------
+    let rows = match single {
+        Some(t) => {
+            let key = ctx
+                .db
+                .pinned_key(&t.name, &t.alias, select.where_clause.as_ref());
+            let mut rows = ctx.db.visible_rows(ctx, &t.name, key)?;
+            if let Some(w) = &select.where_clause {
+                ctx.db.leak_probe(ctx, &t.name, &t.alias, w)?;
+                retain_ok(&mut rows, |row| {
+                    passes(ctx, w, &Env::new(schema, row, outer))
+                })?;
             }
-            if !eval(ctx, c, &env)?.is_truthy() {
-                keep = false;
-                break;
-            }
+            rows
         }
-        if keep {
-            filtered.push(row);
-        }
-    }
-    let rows = filtered;
+        None => join(ctx, select, &mut sources, &pairs, outer)?,
+    };
 
     // ---- projection --------------------------------------------------------
-    let items = expand_items(&select.items, &schema);
-    // Static column validation: even a zero-row scan must reject unknown
-    // columns (Postgres errors at plan time).
-    for item in &items {
-        let mut refs = Vec::new();
-        column_refs(
-            item.expr.as_ref().expect("expanded items are exprs"),
-            &mut refs,
-        );
-        for r in &refs {
-            if !resolvable(r, &schema, outer) {
-                return Err(SqlError::Exec(format!(
-                    "column {} does not exist",
-                    match &r.table {
-                        Some(t) => format!("{}.{}", t.to_lowercase(), r.column.to_lowercase()),
-                        None => r.column.to_lowercase(),
-                    }
-                )));
-            }
-        }
-    }
-    let columns: Vec<String> = items.iter().map(output_name).collect();
     let grouped = !select.group_by.is_empty()
         || items
             .iter()
-            .any(|i| contains_aggregate(i.expr.as_ref().unwrap()))
+            .any(|i| i.expr.as_ref().is_some_and(contains_aggregate))
         || select.having.as_ref().is_some_and(contains_aggregate);
-
-    // Each output row keeps the context rows needed to evaluate ORDER BY.
-    let mut output: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
-    if grouped {
-        let mut groups: Vec<(String, Vec<Vec<Value>>)> = Vec::new();
+    // ORDER BY evaluates its keys on the rows behind each output row.
+    let ordered = !select.order_by.is_empty();
+    let mut contexts: Vec<Vec<Vec<Value>>> = Vec::new();
+    let mut output = if grouped {
+        let mut groups: Vec<Vec<Vec<Value>>> = Vec::new();
         let mut index: BTreeMap<String, usize> = BTreeMap::new();
         for row in rows {
-            let env = Env {
-                schema: Schema::Pairs(&schema),
-                row: &row,
-                parent: outer,
-            };
+            let env = Env::new(schema, &row, outer);
             let mut key = String::new();
             for g in &select.group_by {
                 key.push_str(&eval(ctx, g, &env)?.group_key());
                 key.push('\u{1f}');
             }
             match index.get(&key) {
-                Some(&i) => groups[i].1.push(row),
+                Some(&i) => groups[i].push(row),
                 None => {
-                    index.insert(key.clone(), groups.len());
-                    groups.push((key, vec![row]));
+                    index.insert(key, groups.len());
+                    groups.push(vec![row]);
                 }
             }
         }
         if groups.is_empty() && select.group_by.is_empty() {
-            groups.push((String::new(), Vec::new())); // global aggregate over 0 rows
+            groups.push(Vec::new()); // global aggregate over 0 rows
         }
-        for (_, group_rows) in groups {
+        let mut output = Vec::with_capacity(groups.len());
+        for group_rows in groups {
             if let Some(having) = &select.having {
-                let v = eval_grouped(ctx, having, &schema, &group_rows, outer)?;
-                if !v.is_truthy() {
+                if !eval_grouped(ctx, having, schema, &group_rows, outer)?.is_truthy() {
                     continue;
                 }
             }
-            let mut out = Vec::with_capacity(items.len());
-            for item in &items {
-                out.push(eval_grouped(
-                    ctx,
-                    item.expr.as_ref().unwrap(),
-                    &schema,
-                    &group_rows,
-                    outer,
-                )?);
+            output.push(project(&items, |e| {
+                eval_grouped(ctx, e, schema, &group_rows, outer)
+            })?);
+            if ordered {
+                contexts.push(group_rows);
             }
-            output.push((out, group_rows));
         }
+        output
     } else {
-        for row in rows {
-            let env = Env {
-                schema: Schema::Pairs(&schema),
-                row: &row,
-                parent: outer,
-            };
-            let mut out = Vec::with_capacity(items.len());
-            for item in &items {
-                out.push(eval(ctx, item.expr.as_ref().unwrap(), &env)?);
+        let mut rows = rows;
+        for row in &mut rows {
+            let env = Env::new(schema, row, outer);
+            let out = project(&items, |e| eval(ctx, e, &env))?;
+            let context = std::mem::replace(row, out);
+            if ordered {
+                contexts.push(vec![context]);
             }
-            output.push((out, vec![row]));
         }
-    }
+        rows
+    };
 
     // ---- DISTINCT ----------------------------------------------------------
     if select.distinct {
-        let mut seen = std::collections::BTreeSet::new();
-        output.retain(|(out, _)| {
-            let key: String = out.iter().map(|v| v.group_key() + "\u{1f}").collect();
-            seen.insert(key)
-        });
+        let mut seen = BTreeSet::new();
+        let first: Vec<bool> = output
+            .iter()
+            .map(|out| {
+                seen.insert(
+                    out.iter()
+                        .map(|v| v.group_key() + "\u{1f}")
+                        .collect::<String>(),
+                )
+            })
+            .collect();
+        let mut keep = first.iter();
+        output.retain(|_| keep.next() == Some(&true));
+        let mut keep = first.iter();
+        contexts.retain(|_| keep.next() == Some(&true));
     }
 
     // ---- ORDER BY ----------------------------------------------------------
-    // (sort keys, (projected row, the context rows that produced it))
-    type Keyed = Vec<(Vec<Value>, (Vec<Value>, Vec<Vec<Value>>))>;
-    if !select.order_by.is_empty() {
-        let mut keyed: Keyed = Vec::new();
-        for (out, ctx_rows) in output {
+    if ordered {
+        let mut keyed = Vec::with_capacity(output.len());
+        for (out, ctx_rows) in output.into_iter().zip(contexts) {
             let mut keys = Vec::with_capacity(select.order_by.len());
             for ok in &select.order_by {
                 keys.push(order_key_value(
-                    ctx, ok, &items, &columns, &out, &schema, &ctx_rows, outer,
+                    ctx, ok, &items, &columns, &out, schema, &ctx_rows, outer,
                 )?);
             }
-            keyed.push((keys, (out, ctx_rows)));
+            keyed.push((keys, out));
         }
         keyed.sort_by(|a, b| {
             for (i, ok) in select.order_by.iter().enumerate() {
@@ -215,7 +197,7 @@ pub(crate) fn run_select(
             }
             std::cmp::Ordering::Equal
         });
-        output = keyed.into_iter().map(|(_, v)| v).collect();
+        output = keyed.into_iter().map(|(_, out)| out).collect();
     }
 
     // ---- LIMIT -------------------------------------------------------------
@@ -225,36 +207,150 @@ pub(crate) fn run_select(
 
     Ok(SelectResult {
         columns,
-        rows: output.into_iter().map(|(o, _)| o).collect(),
+        rows: output,
     })
 }
 
-fn materialize(
+/// A source's column names; a derived table runs here to learn them.
+fn source_names<'s>(
     ctx: &ExecCtx<'_>,
-    tref: &TableRef,
+    tref: &'s TableRef,
     outer: Option<&Env<'_>>,
-) -> Result<Source, SqlError> {
+) -> Result<Source<'s>, SqlError> {
     if let Some(sub) = &tref.subquery {
         let result = run_select(ctx, sub, outer)?;
         return Ok(Source {
-            alias: tref.alias.clone(),
+            tref,
             cols: result
                 .columns
                 .iter()
                 .map(|c| c.to_ascii_uppercase())
                 .collect(),
             rows: result.rows,
-            left_join_on: tref.left_join_on.clone(),
         });
     }
-    let (cols, rows) = ctx.db.visible_rows(ctx, &tref.name)?;
-    ctx.charge_scan(rows.len() as u64);
+    let columns = ctx.db.readable_columns(ctx, &tref.name)?;
     Ok(Source {
-        alias: tref.alias.clone(),
-        cols,
-        rows,
-        left_join_on: tref.left_join_on.clone(),
+        tref,
+        cols: columns.iter().map(|c| c.name.clone()).collect(),
+        rows: Vec::new(),
     })
+}
+
+/// Reads the catalog sources, then joins every source left to right,
+/// applying each `WHERE` conjunct as soon as its columns are bound and the
+/// rest (subqueries, aggregates) after the last.
+fn join(
+    ctx: &ExecCtx<'_>,
+    select: &Select,
+    sources: &mut [Source<'_>],
+    pairs: &[(String, String)],
+    outer: Option<&Env<'_>>,
+) -> Result<Vec<Vec<Value>>, SqlError> {
+    for source in sources.iter_mut() {
+        if source.tref.subquery.is_none() {
+            source.rows = ctx.db.visible_rows(ctx, &source.tref.name, None)?;
+        }
+    }
+    // CVE leak hook: a vulnerable planner evaluates user-defined operators
+    // over rows the caller may not see (see `Database::leak_probe`).
+    if let Some(where_clause) = &select.where_clause {
+        for tref in &select.from {
+            if tref.subquery.is_none() {
+                ctx.db
+                    .leak_probe(ctx, &tref.name, &tref.alias, where_clause)?;
+            }
+        }
+    }
+    let conjuncts = select
+        .where_clause
+        .as_ref()
+        .map(split_conjuncts)
+        .unwrap_or_default();
+    let mut applied = vec![false; conjuncts.len()];
+    let mut rows: Vec<Vec<Value>> = vec![Vec::new()]; // one empty binding
+    let mut bound = 0;
+    for source in sources.iter() {
+        let end = bound + source.cols.len();
+        rows = join_step(
+            ctx,
+            &pairs[..bound],
+            &pairs[..end],
+            rows,
+            source,
+            &conjuncts,
+            &mut applied,
+            outer,
+        )?;
+        bound = end;
+    }
+    retain_ok(&mut rows, |row| {
+        let env = Env::new(Schema::Pairs(pairs), row, outer);
+        for (c, _) in conjuncts.iter().zip(&applied).filter(|(_, done)| !**done) {
+            if !eval(ctx, c, &env)?.is_truthy() {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    })?;
+    Ok(rows)
+}
+
+/// Whether `row` of the one table passes every `AND` conjunct of
+/// `where_clause`, judged in the join's order: the conjuncts on the table's
+/// columns first, left to right, then the rest — subqueries, aggregates,
+/// and conjuncts on constants or outer columns alone.
+fn passes(ctx: &ExecCtx<'_>, where_clause: &Expr, env: &Env<'_>) -> Result<bool, SqlError> {
+    let first = |c: &Expr| applies_at(c, Schema::Pairs(&[]), env.schema, env.parent);
+    Ok(holds(ctx, where_clause, env, &first)? && holds(ctx, where_clause, env, &|c| !first(c))?)
+}
+
+/// Whether the join applies conjunct `c` at the step that binds the columns
+/// `schema` adds to `before`: one without a subquery or an aggregate is
+/// applied where its last column is bound.
+fn applies_at(c: &Expr, before: Schema<'_>, schema: Schema<'_>, outer: Option<&Env<'_>>) -> bool {
+    !contains_subquery(c)
+        && !contains_aggregate(c)
+        && bound(c, schema, outer)
+        && !bound(c, before, outer)
+}
+
+/// Whether every column `expr` names is in `schema` or an enclosing query.
+fn bound(expr: &Expr, schema: Schema<'_>, outer: Option<&Env<'_>>) -> bool {
+    unknown_column(expr, &|c| resolvable(c, schema, outer)).is_none()
+}
+
+/// Whether every `AND` conjunct of `expr` that `pick` selects is true in
+/// `env`, judged left to right up to the first that is not.
+fn holds(
+    ctx: &ExecCtx<'_>,
+    expr: &Expr,
+    env: &Env<'_>,
+    pick: &dyn Fn(&Expr) -> bool,
+) -> Result<bool, SqlError> {
+    match expr {
+        Expr::Binary { op, left, right } if op == "AND" => {
+            Ok(holds(ctx, left, env, pick)? && holds(ctx, right, env, pick)?)
+        }
+        c if pick(c) => Ok(eval(ctx, c, env)?.is_truthy()),
+        _ => Ok(true),
+    }
+}
+
+/// Keeps the rows `keep` accepts, in order, failing on its first error.
+pub(crate) fn retain_ok(
+    rows: &mut Vec<Vec<Value>>,
+    mut keep: impl FnMut(&[Value]) -> Result<bool, SqlError>,
+) -> Result<(), SqlError> {
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        if keep(&rows[i])? {
+            rows.swap(kept, i);
+            kept += 1;
+        }
+    }
+    rows.truncate(kept);
+    Ok(())
 }
 
 /// `expr`'s `AND` conjuncts, left to right, borrowed.
@@ -269,155 +365,110 @@ fn split_conjuncts(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Collects the free column references of an expression. Columns used inside
-/// subqueries are ignored (they resolve against the subquery's own sources or
-/// correlate outward at eval time).
-pub(crate) fn column_refs(expr: &Expr, out: &mut Vec<ColumnRef>) {
-    match expr {
-        Expr::Column(c) => out.push(c.clone()),
-        Expr::Binary { left, right, .. } => {
-            column_refs(left, out);
-            column_refs(right, out);
+/// Fails with Postgres's error on the first column `exprs` name that
+/// neither `schema` nor an enclosing query has.
+pub(crate) fn resolve<'e>(
+    exprs: impl IntoIterator<Item = &'e Expr>,
+    schema: Schema<'_>,
+    outer: Option<&Env<'_>>,
+) -> Result<(), SqlError> {
+    for expr in exprs {
+        if let Some(c) = unknown_column(expr, &|c| resolvable(c, schema, outer)) {
+            return Err(no_such_column(c));
         }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => column_refs(expr, out),
-        Expr::Between { expr, low, high } => {
-            column_refs(expr, out);
-            column_refs(low, out);
-            column_refs(high, out);
-        }
-        Expr::In { expr, list, .. } => {
-            column_refs(expr, out);
-            for e in list {
-                column_refs(e, out);
-            }
-        }
-        Expr::Case { arms, otherwise } => {
-            for (c, r) in arms {
-                column_refs(c, out);
-                column_refs(r, out);
-            }
-            if let Some(e) = otherwise {
-                column_refs(e, out);
-            }
-        }
-        Expr::Call { args, .. } => {
-            for a in args {
-                column_refs(a, out);
-            }
-        }
-        Expr::Aggregate { arg, .. } => {
-            if let Some(a) = arg {
-                column_refs(a, out);
-            }
-        }
-        Expr::Literal(_) | Expr::Exists { .. } | Expr::Subquery(_) | Expr::Param(_) => {}
     }
+    Ok(())
+}
+
+/// The first column `expr` names that `known` rejects, left to right.
+/// Columns inside subqueries are not `expr`'s: they resolve against the
+/// subquery's own sources, or outward, when it runs.
+pub(crate) fn unknown_column<'e>(
+    expr: &'e Expr,
+    known: &dyn Fn(&ColumnRef) -> bool,
+) -> Option<&'e ColumnRef> {
+    if let Expr::Column(c) = expr {
+        return (!known(c)).then_some(c);
+    }
+    let mut found = None;
+    expr.any_child(|child| {
+        found = unknown_column(child, known);
+        found.is_some()
+    });
+    found
 }
 
 fn contains_subquery(expr: &Expr) -> bool {
-    match expr {
-        Expr::Subquery(_) | Expr::Exists { .. } => true,
-        Expr::In {
-            subquery,
-            list,
-            expr,
-            ..
-        } => subquery.is_some() || contains_subquery(expr) || list.iter().any(contains_subquery),
-        Expr::Binary { left, right, .. } => contains_subquery(left) || contains_subquery(right),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => contains_subquery(expr),
-        Expr::Between { expr, low, high } => {
-            contains_subquery(expr) || contains_subquery(low) || contains_subquery(high)
-        }
-        Expr::Case { arms, otherwise } => {
-            arms.iter()
-                .any(|(c, r)| contains_subquery(c) || contains_subquery(r))
-                || otherwise.as_deref().is_some_and(contains_subquery)
-        }
-        Expr::Call { args, .. } => args.iter().any(contains_subquery),
-        _ => false,
-    }
+    matches!(
+        expr,
+        Expr::Subquery(_)
+            | Expr::Exists { .. }
+            | Expr::In {
+                subquery: Some(_),
+                ..
+            }
+    ) || expr.any_child(contains_subquery)
 }
 
-pub(crate) fn contains_aggregate(expr: &Expr) -> bool {
-    match expr {
-        Expr::Aggregate { .. } => true,
-        Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => contains_aggregate(expr),
-        Expr::Between { expr, low, high } => {
-            contains_aggregate(expr) || contains_aggregate(low) || contains_aggregate(high)
-        }
-        Expr::Case { arms, otherwise } => {
-            arms.iter()
-                .any(|(c, r)| contains_aggregate(c) || contains_aggregate(r))
-                || otherwise.as_deref().is_some_and(contains_aggregate)
-        }
-        Expr::Call { args, .. } => args.iter().any(contains_aggregate),
-        Expr::In { expr, list, .. } => {
-            contains_aggregate(expr) || list.iter().any(contains_aggregate)
-        }
-        _ => false,
-    }
+fn contains_aggregate(expr: &Expr) -> bool {
+    matches!(expr, Expr::Aggregate { .. }) || expr.any_child(contains_aggregate)
 }
 
-fn resolvable(col: &ColumnRef, schema: &[(String, String)], outer: Option<&Env<'_>>) -> bool {
-    if Schema::Pairs(schema).resolves(col) {
-        return true;
-    }
-    if col.table.is_none() && col.column == "CURRENT_USER" {
+/// Whether `expr` is a bare name of one of the output `columns`, which
+/// ORDER BY may sort by.
+fn names_output(expr: &Expr, columns: &[String]) -> bool {
+    matches!(expr, Expr::Column(c) if c.table.is_none()
+        && columns.iter().any(|name| name.eq_ignore_ascii_case(&c.column)))
+}
+
+fn resolvable(col: &ColumnRef, schema: Schema<'_>, outer: Option<&Env<'_>>) -> bool {
+    if schema.resolves(col) || is_current_user(col) {
         return true;
     }
     match outer {
-        Some(env) => env.schema.resolves(col) || resolvable(col, &[], env.parent),
+        Some(env) => resolvable(col, env.schema, env.parent),
         None => false,
     }
 }
 
 /// Joins `source` onto the accumulated binding rows, applying every WHERE
 /// conjunct that becomes fully bound and using a hash lookup when an
-/// equi-join condition is available.
+/// equi-join condition is available. `old_schema` names the binding rows'
+/// columns before the join, `schema` after it.
 #[allow(clippy::too_many_arguments)]
 fn join_step(
     ctx: &ExecCtx<'_>,
-    schema: &mut Vec<(String, String)>,
+    old_schema: &[(String, String)],
+    schema: &[(String, String)],
     bound_rows: Vec<Vec<Value>>,
-    source: &Source,
+    source: &Source<'_>,
     conjuncts: &[&Expr],
     applied: &mut [bool],
     outer: Option<&Env<'_>>,
 ) -> Result<Vec<Vec<Value>>, SqlError> {
-    let old_schema = schema.clone();
-    for col in &source.cols {
-        schema.push((source.alias.clone(), col.clone()));
-    }
-
-    // Which conjuncts become newly applicable once this source is bound?
-    let mut newly: Vec<usize> = Vec::new();
-    for (i, c) in conjuncts.iter().enumerate() {
-        if applied[i] || contains_subquery(c) || contains_aggregate(c) {
-            continue;
+    let before = Schema::Pairs(old_schema);
+    let newly: Vec<usize> = (0..conjuncts.len())
+        .filter(|&i| !applied[i] && applies_at(conjuncts[i], before, Schema::Pairs(schema), outer))
+        .collect();
+    let keep = |row: &[Value]| -> Result<bool, SqlError> {
+        let env = Env::new(Schema::Pairs(schema), row, outer);
+        for &i in &newly {
+            if !eval(ctx, conjuncts[i], &env)?.is_truthy() {
+                return Ok(false);
+            }
         }
-        let mut refs = Vec::new();
-        column_refs(c, &mut refs);
-        let was_bound = refs.iter().all(|r| resolvable(r, &old_schema, outer));
-        let now_bound = refs.iter().all(|r| resolvable(r, schema, outer));
-        if now_bound && !was_bound {
-            newly.push(i);
-        }
-    }
+        Ok(true)
+    };
 
     // LEFT JOIN: evaluate ON per candidate, pad with NULLs when unmatched.
-    if let Some(on) = &source.left_join_on {
+    if let Some(on) = &source.tref.left_join_on {
         let mut out = Vec::new();
         for row in &bound_rows {
             let mut matched = false;
             for srow in &source.rows {
                 let mut combined = row.clone();
                 combined.extend(srow.iter().cloned());
-                let env = Env {
-                    schema: Schema::Pairs(schema),
-                    row: &combined,
-                    parent: outer,
-                };
+                let env = Env::new(Schema::Pairs(schema), &combined, outer);
                 if eval(ctx, on, &env)?.is_truthy() {
                     matched = true;
                     out.push(combined);
@@ -430,45 +481,26 @@ fn join_step(
             }
         }
         // Newly-bound conjuncts still apply (they filter the padded rows too).
-        let mut filtered = Vec::with_capacity(out.len());
-        for row in out {
-            let env = Env {
-                schema: Schema::Pairs(schema),
-                row: &row,
-                parent: outer,
-            };
-            let mut keep = true;
-            for &i in &newly {
-                if !eval(ctx, conjuncts[i], &env)?.is_truthy() {
-                    keep = false;
-                    break;
-                }
-            }
-            if keep {
-                filtered.push(row);
-            }
-        }
+        retain_ok(&mut out, keep)?;
         for &i in &newly {
             applied[i] = true;
         }
-        return Ok(filtered);
+        return Ok(out);
     }
 
     // Equi-join opportunity: an equi-conjunct `source.col = bound_expr`.
-    let mut hash_key: Option<(usize, Expr)> = None; // (source col index, bound-side expr)
+    let mut hash_key: Option<(usize, &Expr)> = None; // (source col index, bound-side expr)
     for &i in &newly {
-        if let Expr::Binary { op, left, right } = &conjuncts[i] {
+        if let Expr::Binary { op, left, right } = conjuncts[i] {
             if op == "=" {
                 for (a, b) in [(left, right), (right, left)] {
                     if let Expr::Column(c) = a.as_ref() {
                         let source_col = source.cols.iter().position(|col| {
-                            col == &c.column && c.table.as_ref().is_none_or(|t| t == &source.alias)
+                            col == &c.column
+                                && c.table.as_ref().is_none_or(|t| t == &source.tref.alias)
                         });
-                        let mut brefs = Vec::new();
-                        column_refs(b, &mut brefs);
-                        let b_bound = brefs.iter().all(|r| resolvable(r, &old_schema, outer));
-                        if let (Some(idx), true) = (source_col, b_bound) {
-                            hash_key = Some((idx, (**b).clone()));
+                        if let (Some(idx), true) = (source_col, bound(b, before, outer)) {
+                            hash_key = Some((idx, b));
                             break;
                         }
                     }
@@ -487,12 +519,8 @@ fn join_step(
             index.entry(srow[col_idx].group_key()).or_default().push(ri);
         }
         for row in &bound_rows {
-            let env = Env {
-                schema: Schema::Pairs(&old_schema),
-                row,
-                parent: outer,
-            };
-            let key = eval(ctx, &bound_expr, &env)?;
+            let env = Env::new(Schema::Pairs(old_schema), row, outer);
+            let key = eval(ctx, bound_expr, &env)?;
             if key.is_null() {
                 continue;
             }
@@ -500,19 +528,7 @@ fn join_step(
                 for &ri in candidates {
                     let mut combined = row.clone();
                     combined.extend(source.rows[ri].iter().cloned());
-                    let env = Env {
-                        schema: Schema::Pairs(schema),
-                        row: &combined,
-                        parent: outer,
-                    };
-                    let mut keep = true;
-                    for &i in &newly {
-                        if !eval(ctx, conjuncts[i], &env)?.is_truthy() {
-                            keep = false;
-                            break;
-                        }
-                    }
-                    if keep {
+                    if keep(&combined)? {
                         out.push(combined);
                     }
                 }
@@ -523,19 +539,7 @@ fn join_step(
             for srow in &source.rows {
                 let mut combined = row.clone();
                 combined.extend(srow.iter().cloned());
-                let env = Env {
-                    schema: Schema::Pairs(schema),
-                    row: &combined,
-                    parent: outer,
-                };
-                let mut keep = true;
-                for &i in &newly {
-                    if !eval(ctx, conjuncts[i], &env)?.is_truthy() {
-                        keep = false;
-                        break;
-                    }
-                }
-                if keep {
+                if keep(&combined)? {
                     out.push(combined);
                 }
             }
@@ -547,26 +551,44 @@ fn join_step(
     Ok(out)
 }
 
-/// Expands `*` items against the joined schema.
-fn expand_items(items: &[SelectItem], schema: &[(String, String)]) -> Vec<SelectItem> {
+/// The items with each `*` expanded against `schema` — the statement's own
+/// items, unless one is a `*`.
+fn expand_items<'i>(items: &'i [SelectItem], schema: Schema<'_>) -> Cow<'i, [SelectItem]> {
+    if items.iter().all(|i| i.expr.is_some()) {
+        return Cow::Borrowed(items);
+    }
     let mut out = Vec::new();
     for item in items {
         match &item.expr {
             None => {
-                for (alias, col) in schema {
+                for (alias, col) in schema.names() {
                     out.push(SelectItem {
                         expr: Some(Expr::Column(ColumnRef {
-                            table: Some(alias.clone()),
-                            column: col.clone(),
+                            table: Some(alias.to_string()),
+                            column: col.to_string(),
                         })),
-                        alias: Some(col.clone()),
+                        alias: Some(col.to_string()),
                     });
                 }
             }
             Some(_) => out.push(item.clone()),
         }
     }
-    out
+    Cow::Owned(out)
+}
+
+/// One output row: `value` of each (expanded) item's expression.
+fn project(
+    items: &[SelectItem],
+    mut value: impl FnMut(&Expr) -> Result<Value, SqlError>,
+) -> Result<Vec<Value>, SqlError> {
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(value(
+            item.expr.as_ref().expect("expanded items are exprs"),
+        )?);
+    }
+    Ok(out)
 }
 
 fn output_name(item: &SelectItem) -> String {
@@ -585,25 +607,21 @@ fn output_name(item: &SelectItem) -> String {
 fn eval_grouped(
     ctx: &ExecCtx<'_>,
     expr: &Expr,
-    schema: &[(String, String)],
+    schema: Schema<'_>,
     group_rows: &[Vec<Value>],
     outer: Option<&Env<'_>>,
 ) -> Result<Value, SqlError> {
     let rewritten = rewrite_aggregates(ctx, expr, schema, group_rows, outer)?;
     let empty: Vec<Value> = Vec::new();
     let first = group_rows.first().map(Vec::as_slice).unwrap_or(&empty);
-    let env = Env {
-        schema: Schema::Pairs(schema),
-        row: first,
-        parent: outer,
-    };
+    let env = Env::new(schema, first, outer);
     eval(ctx, &rewritten, &env)
 }
 
 fn rewrite_aggregates(
     ctx: &ExecCtx<'_>,
     expr: &Expr,
-    schema: &[(String, String)],
+    schema: Schema<'_>,
     rows: &[Vec<Value>],
     outer: Option<&Env<'_>>,
 ) -> Result<Expr, SqlError> {
@@ -666,17 +684,13 @@ fn compute_aggregate(
     name: &str,
     arg: Option<&Expr>,
     distinct: bool,
-    schema: &[(String, String)],
+    schema: Schema<'_>,
     rows: &[Vec<Value>],
     outer: Option<&Env<'_>>,
 ) -> Result<Value, SqlError> {
     let mut values = Vec::with_capacity(rows.len());
     for row in rows {
-        let env = Env {
-            schema: Schema::Pairs(schema),
-            row,
-            parent: outer,
-        };
+        let env = Env::new(schema, row, outer);
         match arg {
             Some(a) => values.push(eval(ctx, a, &env)?),
             None => values.push(Value::Int(1)), // COUNT(*)
@@ -750,7 +764,7 @@ fn order_key_value(
     items: &[SelectItem],
     columns: &[String],
     out_row: &[Value],
-    schema: &[(String, String)],
+    schema: Schema<'_>,
     ctx_rows: &[Vec<Value>],
     outer: Option<&Env<'_>>,
 ) -> Result<Value, SqlError> {

@@ -29,33 +29,6 @@ pub fn parse_statement(sql: &str) -> Result<Statement, SqlError> {
     Ok(stmt)
 }
 
-/// Splits a multi-statement string on top-level `;` and parses each.
-///
-/// # Errors
-///
-/// Returns [`SqlError::Parse`] if any statement is malformed.
-pub fn parse_script(sql: &str) -> Result<Vec<Statement>, SqlError> {
-    let tokens = tokenize(sql)?;
-    let mut statements = Vec::new();
-    for part in tokens.split(|t| t.is_sym(";")) {
-        if part.is_empty() {
-            continue;
-        }
-        let mut p = Parser {
-            tokens: part,
-            pos: 0,
-        };
-        statements.push(p.statement()?);
-        if !p.at_end() {
-            return Err(SqlError::Parse(format!(
-                "trailing tokens after statement: {}",
-                p.peek_text()
-            )));
-        }
-    }
-    Ok(statements)
-}
-
 struct Parser<'t, 'a> {
     tokens: &'t [Token<'a>],
     pos: usize,
@@ -596,23 +569,32 @@ impl<'a> Parser<'_, 'a> {
     // ---- expressions -----------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, SqlError> {
-        self.or_expr()
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("OR") {
-            let right = self.and_expr()?;
-            left = Expr::binary("OR", left, right);
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.not_expr()?;
-        while self.eat_kw("AND") {
-            let right = self.not_expr()?;
-            left = Expr::binary("AND", left, right);
+    /// Precedence climbing over [`BINARY_OPS`]: the operators that bind at
+    /// least as tightly as `min`, left-associative. Below `NOT`'s level the
+    /// operands are `NOT`/comparison terms and only `AND`/`OR` join them; at
+    /// the arithmetic levels they are unary terms.
+    fn binary(&mut self, min: u8) -> Result<Expr, SqlError> {
+        let boolean = min <= NOT_LEVEL;
+        let mut left = if boolean {
+            self.not_expr()?
+        } else {
+            self.unary()?
+        };
+        while let Some((op, level)) = self.peek().and_then(|t| {
+            BINARY_OPS.into_iter().find(|&(op, _)| match t {
+                Token::Sym(s) => s == op,
+                _ => t.is_kw(op),
+            })
+        }) {
+            if level < min || (boolean && level > NOT_LEVEL) {
+                break;
+            }
+            self.pos += 1;
+            let right = self.binary(level + 1)?;
+            left = Expr::binary(op, left, right);
         }
         Ok(left)
     }
@@ -642,7 +624,7 @@ impl<'a> Parser<'_, 'a> {
     }
 
     fn comparison(&mut self) -> Result<Expr, SqlError> {
-        let left = self.additive()?;
+        let left = self.binary(ADDITIVE_LEVEL)?;
 
         // IS [NOT] NULL
         if self.eat_kw("IS") {
@@ -665,9 +647,9 @@ impl<'a> Parser<'_, 'a> {
             false
         };
         if self.eat_kw("BETWEEN") {
-            let low = self.additive()?;
+            let low = self.binary(ADDITIVE_LEVEL)?;
             self.expect_kw("AND")?;
-            let high = self.additive()?;
+            let high = self.binary(ADDITIVE_LEVEL)?;
             let between = Expr::Between {
                 expr: Box::new(left),
                 low: Box::new(low),
@@ -710,7 +692,7 @@ impl<'a> Parser<'_, 'a> {
             });
         }
         if self.eat_kw("LIKE") {
-            let pattern = self.additive()?;
+            let pattern = self.binary(ADDITIVE_LEVEL)?;
             let like = Expr::binary("LIKE", left, pattern);
             return Ok(if negated {
                 Expr::Unary {
@@ -725,7 +707,7 @@ impl<'a> Parser<'_, 'a> {
         if let Some(Token::Sym(s)) = self.peek() {
             if !matches!(s, "(" | ")" | "," | ";" | "." | "*" | "+" | "-" | "/" | "%") {
                 self.bump();
-                let right = self.additive()?;
+                let right = self.binary(ADDITIVE_LEVEL)?;
                 let op = match BUILTIN_COMPARISONS.into_iter().find(|&b| b == s) {
                     Some(builtin) => Cow::Borrowed(builtin),
                     None => Cow::Owned(s.to_string()),
@@ -736,42 +718,6 @@ impl<'a> Parser<'_, 'a> {
                     right: Box::new(right),
                 });
             }
-        }
-        Ok(left)
-    }
-
-    fn additive(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = if self.eat_sym("+") {
-                "+"
-            } else if self.eat_sym("-") {
-                "-"
-            } else if self.eat_sym("||") {
-                "||"
-            } else {
-                break;
-            };
-            let right = self.multiplicative()?;
-            left = Expr::binary(op, left, right);
-        }
-        Ok(left)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, SqlError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = if self.eat_sym("*") {
-                "*"
-            } else if self.eat_sym("/") {
-                "/"
-            } else if self.eat_sym("%") {
-                "%"
-            } else {
-                break;
-            };
-            let right = self.unary()?;
-            left = Expr::binary(op, left, right);
         }
         Ok(left)
     }
@@ -962,6 +908,23 @@ impl<'a> Parser<'_, 'a> {
     }
 }
 
+/// `NOT`'s level: `OR` and `AND` bind more loosely, arithmetic tighter.
+const NOT_LEVEL: u8 = 3;
+const ADDITIVE_LEVEL: u8 = 5;
+
+/// The binary operators by binding level; comparisons (level 4) are parsed
+/// apart, once per operand, since they do not chain.
+const BINARY_OPS: [(&str, u8); 8] = [
+    ("OR", 1),
+    ("AND", 2),
+    ("+", ADDITIVE_LEVEL),
+    ("-", ADDITIVE_LEVEL),
+    ("||", ADDITIVE_LEVEL),
+    ("*", ADDITIVE_LEVEL + 1),
+    ("/", ADDITIVE_LEVEL + 1),
+    ("%", ADDITIVE_LEVEL + 1),
+];
+
 /// Comparison symbols with a built-in meaning, kept as static operator
 /// names; any other symbol names a user-defined operator.
 const BUILTIN_COMPARISONS: [&str; 8] = ["=", "<>", "!=", "<", "<=", ">", ">=", "||"];
@@ -1031,6 +994,33 @@ fn is_from_keyword(w: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splits a multi-statement string on top-level `;` and parses each.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SqlError::Parse`] if any statement is malformed.
+    fn parse_script(sql: &str) -> Result<Vec<Statement>, SqlError> {
+        let tokens = tokenize(sql)?;
+        let mut statements = Vec::new();
+        for part in tokens.split(|t| t.is_sym(";")) {
+            if part.is_empty() {
+                continue;
+            }
+            let mut p = Parser {
+                tokens: part,
+                pos: 0,
+            };
+            statements.push(p.statement()?);
+            if !p.at_end() {
+                return Err(SqlError::Parse(format!(
+                    "trailing tokens after statement: {}",
+                    p.peek_text()
+                )));
+            }
+        }
+        Ok(statements)
+    }
 
     fn sel(sql: &str) -> Select {
         match parse_statement(sql).unwrap() {

@@ -130,9 +130,10 @@ pub struct RowId(pub(crate) u64);
 /// per-key candidate order; the wire answers depend on both.
 /// Transactions are serialized (one open at a time, as the executor holds
 /// the database lock); `begin`/`commit`/`rollback` back the SQL
-/// transaction verbs, and the executor wraps each standalone mutation in
-/// an implicit transaction so every change reaches the WAL with a commit
-/// record.
+/// transaction verbs. The executor wraps each standalone mutation in an
+/// implicit transaction, and the paged engine runs a write made outside
+/// one in a transaction of its own, so every change reaches the WAL under
+/// the transaction it belongs to.
 pub trait Storage<R>: Send {
     /// Creates a table. `meta` is an opaque catalog blob (column
     /// definitions, owner) that recovery hands back via

@@ -294,10 +294,27 @@ impl<R: Clone, C: TupleCodec<R>> PagedStore<R, C> {
 
     /// Logs `record` and applies it: the live write path is replay of a
     /// record that was just written. `rows` are the record's tuples,
-    /// decoded (the caller encoded them, so it has them).
-    fn write(&mut self, record: &WalRecord, rows: Option<Vec<R>>) -> Result<()> {
+    /// decoded (the caller encoded them, so it has them). A write outside
+    /// a transaction runs in one of its own, committed if it applies and
+    /// rolled back if not, so the log files every record under the
+    /// transaction it belongs to.
+    fn write(&mut self, record: &WalRecord, rows: Option<Vec<R>>) -> Result<()>
+    where
+        Self: Storage<R>,
+    {
+        let implicit = self.txn.is_none();
+        if implicit {
+            self.begin()?;
+        }
         self.wal.append(record);
-        self.apply(record, rows)
+        match (implicit, self.apply(record, rows)) {
+            (true, Ok(())) => self.commit(),
+            (true, Err(e)) => {
+                self.rollback()?;
+                Err(e)
+            }
+            (false, result) => result,
+        }
     }
 
     /// The rows `tuples` encode: `held` if the caller has them, decoded
@@ -963,9 +980,32 @@ mod tests {
         disk.crash();
         let s = open(&disk, RecoveryPolicy::ReplayForward);
         assert_eq!(s.state_digest(), digest);
-        // One explicit txn; the standalone CREATE replays as-is.
-        assert_eq!(s.recovery_stats().committed_txns, 1);
+        // The explicit txn, and the one the standalone CREATE ran in.
+        assert_eq!(s.recovery_stats().committed_txns, 2);
         assert_eq!(s.table_meta("T").unwrap(), b"meta");
+    }
+
+    /// A write outside any transaction after a rollback survives a
+    /// reopen, and a crash: it runs in a transaction of its own, so replay
+    /// cannot file it under the rolled-back one.
+    #[test]
+    fn a_standalone_write_after_a_rollback_survives_a_reopen() {
+        let disk = VDisk::new("d");
+        let mut s = open(&disk, RecoveryPolicy::ReplayForward);
+        s.create_table("T", b"").unwrap();
+        s.begin().unwrap();
+        s.insert("T", rows(1)).unwrap();
+        s.rollback().unwrap();
+        s.insert("T", rows(1)).unwrap();
+        let live = (s.row_count("T").unwrap(), s.state_digest());
+        assert_eq!(live.0, 1);
+        drop(s);
+        let s = open(&disk, RecoveryPolicy::ReplayForward);
+        assert_eq!((s.row_count("T").unwrap(), s.state_digest()), live);
+        drop(s);
+        disk.crash();
+        let s = open(&disk, RecoveryPolicy::ShadowDiscard);
+        assert_eq!((s.row_count("T").unwrap(), s.state_digest()), live);
     }
 
     #[test]
@@ -1585,23 +1625,6 @@ mod tests {
         out
     }
 
-    /// Applies one generated op to `s`. A write outside an explicit
-    /// transaction runs in an implicit one, committed if it succeeds and
-    /// rolled back if not, as the executor runs every standalone statement.
-    fn model_step(s: &mut dyn Storage<Row>, op: ModelOp, bits: u64) -> Result<()> {
-        use ModelOp::*;
-        if s.in_txn() || matches!(op, Index | Begin | End | DeleteThenIndex) {
-            return model_op(s, op, bits);
-        }
-        s.begin()?;
-        let result = model_op(s, op, bits);
-        match result {
-            Ok(()) => s.commit()?,
-            Err(_) => s.rollback()?,
-        }
-        result
-    }
-
     /// One generated op; `bits` picks its table, rows and targets.
     /// Row-addressed ops name rows by scan position, so both stores get
     /// the same statement.
@@ -1706,8 +1729,8 @@ mod tests {
                 {
                     continue;
                 }
-                let want = model_step(&mut model, op, bits);
-                let got = model_step(&mut paged, op, bits);
+                let want = model_op(&mut model, op, bits);
+                let got = model_op(&mut paged, op, bits);
                 proptest::prop_assert_eq!(&got, &want, "op {} {:?} {:#x}", i, op, bits);
                 proptest::prop_assert_eq!(
                     observe(&paged),

@@ -401,9 +401,10 @@ impl Wal {
         let mut committed = 0u64;
         let mut discarded = 0u64;
         let mut next_txn = 1u64;
-        // Transactions whose Begin was seen but whose Commit was not (yet):
-        // ops buffered per transaction id, applied in commit order.
-        let mut open: Vec<(u64, Vec<WalRecord>)> = Vec::new();
+        // The transaction whose Begin was seen but whose Commit was not
+        // (yet), with its ops. Transactions do not overlap and every write
+        // runs in one, so a Begin means the one still open was rolled back.
+        let mut open: Option<(u64, Vec<WalRecord>)> = None;
         let mut pos = 0usize;
         let mut tail = TailState::Clean;
         let mut valid_end = 0u64;
@@ -451,24 +452,22 @@ impl Wal {
             match record {
                 WalRecord::Begin { txn } => {
                     next_txn = next_txn.max(txn + 1);
-                    open.push((txn, Vec::new()));
+                    if open.replace((txn, Vec::new())).is_some() {
+                        discarded += 1;
+                    }
                 }
                 WalRecord::Commit { txn } => {
                     next_txn = next_txn.max(txn + 1);
-                    if let Some(i) = open.iter().position(|(t, _)| *t == txn) {
-                        let (_, txn_ops) = open.remove(i);
+                    if let Some((_, txn_ops)) = open.take_if(|(t, _)| *t == txn) {
                         ops.extend(txn_ops);
                         committed += 1;
                     }
                 }
-                op => {
-                    if let Some((_, txn_ops)) = open.last_mut() {
-                        txn_ops.push(op);
-                    } else {
-                        // Untracked standalone op (defensive): apply as-is.
-                        ops.push(op);
-                    }
-                }
+                op => match &mut open {
+                    Some((_, txn_ops)) => txn_ops.push(op),
+                    // Untracked standalone op (defensive): apply as-is.
+                    None => ops.push(op),
+                },
             }
         }
         let mut honoured_torn_commit = false;
@@ -477,10 +476,10 @@ impl Wal {
             // The torn record, if its kind byte reads Commit, can only
             // belong to the most recently opened transaction.
             if kind == Some(KIND_COMMIT) {
-                if let Some((txn, _)) = open.last() {
+                if let Some((txn, _)) = &open {
                     tail_txn = Some(*txn);
                     if policy == RecoveryPolicy::ReplayForward {
-                        if let Some((txn, txn_ops)) = open.pop() {
+                        if let Some((txn, txn_ops)) = open.take() {
                             next_txn = next_txn.max(txn + 1);
                             ops.extend(txn_ops);
                             committed += 1;
@@ -490,7 +489,7 @@ impl Wal {
                 }
             }
         }
-        discarded += open.len() as u64;
+        discarded += u64::from(open.is_some());
         Ok(Replay {
             ops,
             tail,

@@ -32,11 +32,6 @@ pub struct PgMessage {
 }
 
 impl PgMessage {
-    /// Human-readable name of the message type.
-    pub fn type_name(&self) -> &'static str {
-        pg_type_name(self.tag)
-    }
-
     /// Encodes the message back to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + 5);

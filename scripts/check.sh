@@ -62,10 +62,11 @@ for seed in 1 271828 3141592653; do
   RDDR_CHAOS_SEED=$seed cargo test -q --test recovery_chaos
 done
 
-echo "==> paged store against its reference model under the three CI seeds"
+echo "==> paged store against its reference model, index probe against scan, under the three CI seeds"
 for seed in 1 271828 3141592653; do
   echo "    seed $seed"
   PROPTEST_SEED=$seed cargo test -q -p rddr-pgstore --lib paged_store_matches_the_model
+  PROPTEST_SEED=$seed cargo test -q -p rddr-pgsim --test sql_props point_and_scan_answer_alike
 done
 
 echo "OK"
